@@ -2,6 +2,7 @@ package boolean
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -38,7 +39,7 @@ func NewSet(tuples ...Tuple) Set {
 	}
 	ts := make([]Tuple, len(tuples))
 	copy(ts, tuples)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	out := ts[:1]
 	for _, t := range ts[1:] {
 		if t != out[len(out)-1] {

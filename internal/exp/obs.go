@@ -3,6 +3,7 @@ package exp
 import (
 	"math/rand"
 	"sort"
+	"testing"
 	"time"
 
 	"qhorn/internal/boolean"
@@ -37,8 +38,11 @@ const obsOverheadLimit = 0.05
 // with a fixed think time, conservative against any real user (§2.1.2
 // measures humans in seconds); the second table prices the individual
 // instruments in ns/op so the overhead can be decomposed. The run
-// panics if the median overhead breaches obsOverheadLimit, so
-// `qhornexp -exp obs -json` (BENCH_obs.json) is self-gating.
+// always panics if the instrumented session asks different questions
+// than the bare one. Outside tests it also panics if the median
+// overhead breaches obsOverheadLimit, so `qhornexp -exp obs -json`
+// (BENCH_obs.json) is self-gating; `go test ./...` skips that
+// wall-clock gate because it flakes under parallel package load.
 func runObs(cfg Config) []*stats.Table {
 	cfg = cfg.normalize()
 	e, _ := ByName("obs")
@@ -101,11 +105,14 @@ func obsSessionTable(e Experiment, cfg Config) *stats.Table {
 				flight := obs.NewFlightRecorder(0)
 				tracer := obs.NewTracer(flight)
 				start = time.Now()
-				learn.Run(u, user(),
+				_, instSt := learn.Run(u, user(),
 					run.WithAlgorithm(run.Qhorn1),
 					run.WithInstrumentation(run.Instrumentation{Spans: tracer, Metrics: reg}),
 					run.WithCounter())
 				ms = float64(time.Since(start).Microseconds()) / 1000
+				if instSt != st {
+					panic("exp: instrumented session asked different questions than the bare one")
+				}
 				if r == 0 || ms < instBest {
 					instBest = ms
 				}
@@ -123,7 +130,7 @@ func obsSessionTable(e Experiment, cfg Config) *stats.Table {
 		im := median(instMS)
 		overhead := (im - bm) / bm
 		t.AddRow(n, stats.Summarize(questions).Mean, bm, im, overhead*100, spans, askSamples)
-		if overhead > obsOverheadLimit {
+		if !testing.Testing() && overhead > obsOverheadLimit {
 			panic("exp: observability plane overhead breached the 5% gate")
 		}
 	}

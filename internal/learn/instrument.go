@@ -41,6 +41,18 @@ type instr struct {
 	cur *obs.Span
 	// phase and purpose annotate the next question (set by note).
 	phase, purpose string
+	// byPhase, latticeVisited and latticePruned are the run's metric
+	// handles, resolved from ins.Metrics on first use so the hot path
+	// skips the registry's label formatting and lock.
+	byPhase                       map[string]*obs.Counter
+	latticeVisited, latticePruned *obs.Counter
+}
+
+// on reports whether anyone reads question purposes: a Steps hook or
+// an open span. Learners format a purpose only when it holds, so a
+// silent run pays nothing for the annotations.
+func (in *instr) on() bool {
+	return in.ins.Steps != nil || in.cur != nil
 }
 
 // start opens the run's root span; close it with the returned func.
@@ -88,6 +100,30 @@ func (in *instr) note(phase, purpose string) {
 	in.phase, in.purpose = phase, purpose
 }
 
+// notef annotates the next question with its phase and, only when
+// someone reads it (see on), the purpose built from arg.
+func notef[T any](in *instr, phase string, purpose func(T) string, arg T) {
+	in.phase = phase
+	if in.on() {
+		in.purpose = purpose(arg)
+	}
+}
+
+// askBatch asks one batch of independent questions through
+// oracle.AskAll and then runs the serial accounting — phase counter,
+// note, observe — per question in question order, so a batched run
+// reports exactly what the serial run reports. purpose(i) annotates
+// question i and is only called when someone reads it.
+func askBatch(o oracle.Oracle, in *instr, counter *int, qs []boolean.Set, phase string, purpose func(i int) string) []bool {
+	answers := oracle.AskAll(o, qs)
+	for i, a := range answers {
+		*counter++
+		notef(in, phase, purpose, i)
+		in.observe(qs[i], a)
+	}
+	return answers
+}
+
 // observe reports one asked question to every configured hook.
 func (in *instr) observe(s boolean.Set, answer bool) {
 	if in.ins.Steps != nil {
@@ -105,14 +141,25 @@ func (in *instr) observe(s boolean.Set, answer bool) {
 			obs.A("answer", verdict))
 	}
 	if in.ins.Metrics != nil {
-		in.ins.Metrics.Counter(obs.MetricQuestionsByPhase, "phase", in.phase).Inc()
+		c, ok := in.byPhase[in.phase]
+		if !ok {
+			if in.byPhase == nil {
+				in.byPhase = map[string]*obs.Counter{}
+			}
+			c = in.ins.Metrics.Counter(obs.MetricQuestionsByPhase, "phase", in.phase)
+			in.byPhase[in.phase] = c
+		}
+		c.Inc()
 	}
 }
 
 // visited counts one explored lattice node.
 func (in *instr) visited() {
 	if in.ins.Metrics != nil {
-		in.ins.Metrics.Counter(obs.MetricLatticeVisited).Inc()
+		if in.latticeVisited == nil {
+			in.latticeVisited = in.ins.Metrics.Counter(obs.MetricLatticeVisited)
+		}
+		in.latticeVisited.Inc()
 	}
 }
 
@@ -120,6 +167,9 @@ func (in *instr) visited() {
 // pruning.
 func (in *instr) pruned(n int) {
 	if in.ins.Metrics != nil && n > 0 {
-		in.ins.Metrics.Counter(obs.MetricLatticePruned).Add(int64(n))
+		if in.latticePruned == nil {
+			in.latticePruned = in.ins.Metrics.Counter(obs.MetricLatticePruned)
+		}
+		in.latticePruned.Add(int64(n))
 	}
 }

@@ -4,8 +4,7 @@ package learn
 // engine (docs/PARALLELISM.md). The parallel variants ask exactly the
 // questions — and report exactly the per-phase counts — of their
 // serial counterparts; they differ only in surfacing independent
-// question sets through oracle.AskAll and oracle.Drive so that a
-// BatchOracle (e.g. oracle.Parallel around a simulated user) answers
+// question sets through oracle.AskAll so that a BatchOracle (e.g. oracle.Parallel around a simulated user) answers
 // them concurrently. With a plain serial Oracle the batch mode
 // degrades to asking the same questions one at a time.
 //
@@ -18,8 +17,9 @@ package learn
 //     (Find, GetHead) stay serial — each question depends on the
 //     previous answer.
 //   - role-preserving (§3.2): the n head questions form one batch;
-//     the per-head lattice searches of §3.2.1 run as concurrent
-//     question streams through oracle.Drive, one batch per round.
+//     the per-head lattice searches of §3.2.1 are stepped in lockstep,
+//     one batch per round holding the next question of every head
+//     still searching.
 //     The conjunction descent of §3.2.2 stays serial: each question's
 //     base embeds the tuples discovered and pruned so far, so
 //     questions are sequentially dependent by construction.
@@ -53,7 +53,7 @@ func Qhorn1ParallelObserved(u boolean.Universe, o oracle.Oracle, ins Instrumenta
 
 // RolePreservingParallel is RolePreserving with the independent
 // question sets issued as batches and the per-head lattice searches
-// run as concurrent question streams. Equivalent output and identical
+// stepped in lockstep rounds. Equivalent output and identical
 // question counts to RolePreserving. Thin wrapper over the run
 // engine, like Qhorn1Parallel.
 func RolePreservingParallel(u boolean.Universe, o oracle.Oracle) (query.Query, RPStats) {

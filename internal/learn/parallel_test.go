@@ -1,14 +1,20 @@
 package learn_test
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"qhorn/internal/boolean"
 	"qhorn/internal/difffuzz"
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 // runSerialAndParallel learns target with both the serial and the
@@ -67,8 +73,8 @@ func TestQhorn1ParallelMatchesSerial(t *testing.T) {
 }
 
 // TestRolePreservingParallelMatchesSerial is the same contract for the
-// role-preserving learner, whose per-head lattice searches run as
-// concurrent question streams through oracle.Drive.
+// role-preserving learner, whose per-head lattice searches are stepped
+// in lockstep rounds.
 func TestRolePreservingParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 60; i++ {
@@ -177,6 +183,101 @@ func TestParallelObservedAccounting(t *testing.T) {
 		})
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)
+		}
+	}
+}
+
+// TestRolePreservingBatchedBudgetPanics pins the batched body search's
+// failure contract: when the oracle's budget runs out mid-search, the
+// ErrBudget panic reaches the learn.Run caller, exactly the budget's
+// questions reach the user, and no goroutine is left behind.
+func TestRolePreservingBatchedBudgetPanics(t *testing.T) {
+	u := boolean.MustUniverse(8)
+	target := query.MustParse(u, "∀x1x2 → x6 ∀x3 → x7 ∀x4 → x8 ∃x1x2x3x4x5")
+	baseline := runtime.NumGoroutine()
+	// n head questions, then the bodyless-check round (one question
+	// per head) and one question of the top-root round.
+	limit := u.N() + 3 + 1
+	inner := oracle.Count(oracle.Target(target))
+	budget := oracle.WithBudget(oracle.Parallel(inner, 4), limit)
+	recovered := func() (r interface{}) {
+		defer func() { r = recover() }()
+		learn.Run(u, budget, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
+		return nil
+	}()
+	if _, ok := recovered.(oracle.ErrBudget); !ok {
+		t.Fatalf("recovered %v, want oracle.ErrBudget", recovered)
+	}
+	if inner.Questions != limit {
+		t.Errorf("user answered %d questions, want the budget %d", inner.Questions, limit)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > baseline {
+		t.Errorf("%d goroutines after the budget panic, want the baseline %d", got, baseline)
+	}
+}
+
+// TestRolePreservingSilentRunAllocs bounds the allocations of a
+// role-preserving learn with no Steps hook and no spans: nobody reads
+// the question purposes, so none may be formatted. An eager
+// fmt.Sprintf per question pushes the count well past the bound.
+func TestRolePreservingSilentRunAllocs(t *testing.T) {
+	u := boolean.MustUniverse(12)
+	target := query.MustParse(u, "∀x1x2 → x9 ∀x3 → x9 ∀x4x5 → x10 ∀x6 → x11 ∃x1x2x3x7 ∃x4x5x6x8 ∃x7x8x12")
+	o := oracle.Target(target)
+	for _, batch := range []bool{false, true} {
+		opts := []run.Option{run.WithAlgorithm(run.RolePreserving)}
+		if batch {
+			opts = append(opts, run.WithBatch())
+		}
+		q, st := learn.Run(u, o, opts...)
+		if !q.Equivalent(target) {
+			t.Fatalf("batch=%v: learned %s, want %s", batch, q, target)
+		}
+		allocs := testing.AllocsPerRun(10, func() { learn.Run(u, o, opts...) })
+		// 166 questions take about 670 allocations serially and 720
+		// batched; formatting every purpose adds at least two per
+		// question.
+		if allocs > 800 {
+			t.Errorf("batch=%v: %.0f allocations for %d questions, want at most 800", batch, allocs, st.Total())
+		}
+		hooked := testing.AllocsPerRun(10, func() {
+			learn.Run(u, o, append(opts, run.WithSteps(func(run.Step) {}))...)
+		})
+		if allocs+float64(st.Total()) > hooked {
+			t.Errorf("batch=%v: %.0f allocations silent, %.0f with a Steps hook: purposes are formatted with nobody reading them", batch, allocs, hooked)
+		}
+	}
+}
+
+// TestRolePreservingBatchedStepsMatchSerial pins that a Steps hook sees
+// the serial run's annotated questions in batch mode: the head and
+// existential steps in the serial order, and each head's body-search
+// steps in that head's serial order (batch mode interleaves heads).
+func TestRolePreservingBatchedStepsMatchSerial(t *testing.T) {
+	rng := rand.New(rand.NewSource(53))
+	for i := 0; i < 40; i++ {
+		c := difffuzz.GenCase(rng, difffuzz.ClassRP, 2, 9)
+		steps := func(opts ...run.Option) map[string][]string {
+			byStream := map[string][]string{}
+			hook := func(s run.Step) {
+				stream := s.Phase
+				if s.Phase == "bodies" {
+					stream, _, _ = strings.Cut(s.Purpose, " lie within")
+				}
+				byStream[stream] = append(byStream[stream], fmt.Sprintf("%s %s %v", s.Purpose, s.Question.Key(), s.Answer))
+			}
+			opts = append(opts, run.WithAlgorithm(run.RolePreserving), run.WithSteps(hook))
+			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), opts...)
+			return byStream
+		}
+		serial := steps()
+		batched := steps(run.WithBatch(), run.WithParallel(3))
+		if !reflect.DeepEqual(serial, batched) {
+			t.Errorf("%s: batched steps differ from the serial run's\nserial:  %v\nbatched: %v", c.Hidden, serial, batched)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package learn
 
 import (
 	"fmt"
+	"strconv"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/obs"
@@ -57,11 +58,6 @@ type qhorn1Learner struct {
 	in instr
 }
 
-// note annotates the next question with its phase and purpose.
-func (l *qhorn1Learner) note(phase, purpose string) {
-	l.in.note(phase, purpose)
-}
-
 // elimQuestion describes the membership question behind an
 // elimination predicate of Algorithms 2–3: how to build the question
 // for a candidate set, how to annotate it, and which oracle answer
@@ -78,7 +74,7 @@ type elimQuestion struct {
 // eliminate adapts e to the serial predicate findOne/findAll expect.
 func (l *qhorn1Learner) eliminate(e elimQuestion) func([]int) bool {
 	return func(d []int) bool {
-		l.note(e.phase, e.purpose(d))
+		notef(&l.in, e.phase, e.purpose, d)
 		return l.ask(e.build(d)) == e.eliminatedWhen
 	}
 }
@@ -91,9 +87,7 @@ func (l *qhorn1Learner) eliminateBatch(e elimQuestion) func([][]int) []bool {
 		for i, d := range ds {
 			qs[i] = e.build(d)
 		}
-		answers := l.askBatch(qs, func(i int) (string, string) {
-			return e.phase, e.purpose(ds[i])
-		})
+		answers := askBatch(l.o, &l.in, l.phase, qs, e.phase, func(i int) string { return e.purpose(ds[i]) })
 		for i := range answers {
 			answers[i] = answers[i] == e.eliminatedWhen
 		}
@@ -101,30 +95,17 @@ func (l *qhorn1Learner) eliminateBatch(e elimQuestion) func([][]int) []bool {
 	}
 }
 
-// askBatch asks one batch of independent questions through
-// oracle.AskAll and then runs the serial accounting — phase counter,
-// note, observe — per question in question order, so a batched run
-// reports exactly what the serial run reports.
-func (l *qhorn1Learner) askBatch(qs []boolean.Set, note func(i int) (phase, purpose string)) []bool {
-	answers := oracle.AskAll(l.o, qs)
-	for i, a := range answers {
-		*l.phase++
-		l.in.note(note(i))
-		l.in.observe(qs[i], a)
-	}
-	return answers
-}
-
 // varNames renders a variable list as "x1,x3".
 func varNames(vars []int) string {
-	s := ""
+	b := make([]byte, 0, 4*len(vars))
 	for i, v := range vars {
 		if i > 0 {
-			s += ","
+			b = append(b, ',')
 		}
-		s += fmt.Sprintf("x%d", v+1)
+		b = append(b, 'x')
+		b = strconv.AppendInt(b, int64(v+1), 10)
 	}
-	return s
+	return string(b)
 }
 
 // find dispatches to binary or serial search for one target variable,
@@ -187,15 +168,13 @@ func (l *qhorn1Learner) learn() (query.Query, Qhorn1Stats) {
 		for x := 0; x < n; x++ {
 			qs[x] = HeadTestQuestion(l.u, x)
 		}
-		answers := l.askBatch(qs, func(x int) (string, string) {
-			return "heads", fmt.Sprintf("is x%d a universal head variable?", x+1)
-		})
+		answers := askBatch(l.o, &l.in, l.phase, qs, "heads", headPurpose)
 		for x, a := range answers {
 			headAnswer(x, a)
 		}
 	} else {
 		for x := 0; x < n; x++ {
-			l.note("heads", fmt.Sprintf("is x%d a universal head variable?", x+1))
+			notef(&l.in, "heads", headPurpose, x)
 			headAnswer(x, l.ask(HeadTestQuestion(l.u, x)))
 		}
 	}
@@ -299,22 +278,23 @@ func (l *qhorn1Learner) learn() (query.Query, Qhorn1Stats) {
 				cand = append(cand, dv)
 			}
 		}
+		coHeadPurpose := func(i int) string {
+			return fmt.Sprintf("are x%d and x%d independent co-heads?", h1+1, cand[i]+1)
+		}
 		if l.batch {
 			qs := make([]boolean.Set, len(cand))
 			for i, dv := range cand {
 				qs[i] = ExistentialIndependenceQuestion(l.u, h1T, boolean.FromVars(dv))
 			}
-			answers := l.askBatch(qs, func(i int) (string, string) {
-				return "existential", fmt.Sprintf("are x%d and x%d independent co-heads?", h1+1, cand[i]+1)
-			})
+			answers := askBatch(l.o, &l.in, l.phase, qs, "existential", coHeadPurpose)
 			for i, a := range answers {
 				if a {
 					heads = heads.With(cand[i])
 				}
 			}
 		} else {
-			for _, dv := range cand {
-				l.note("existential", fmt.Sprintf("are x%d and x%d independent co-heads?", h1+1, dv+1))
+			for i, dv := range cand {
+				notef(&l.in, "existential", coHeadPurpose, i)
 				if l.ask(ExistentialIndependenceQuestion(l.u, h1T, boolean.FromVars(dv))) {
 					heads = heads.With(dv)
 				}
@@ -380,7 +360,7 @@ func (l *qhorn1Learner) findBodyFor(h int, bodies []boolean.Tuple, existential [
 func (l *qhorn1Learner) getHead(dVars []int) (int, bool) {
 	defer l.in.begin("gethead")()
 	matrix := func(vars []int) bool {
-		l.note("existential", fmt.Sprintf("do at least two head variables lie in %s?", varNames(vars)))
+		notef(&l.in, "existential", matrixPurpose, vars)
 		return l.ask(MatrixQuestion(l.u, boolean.FromVars(vars...)))
 	}
 	if !matrix(dVars) {
@@ -399,6 +379,11 @@ func (l *qhorn1Learner) getHead(dVars []int) (int, bool) {
 		}
 	}
 	return cand[0], true
+}
+
+// matrixPurpose annotates the independence-matrix question on vars.
+func matrixPurpose(vars []int) string {
+	return fmt.Sprintf("do at least two head variables lie in %s?", varNames(vars))
 }
 
 // appendBody adds a newly learned body to the list unless an equal

@@ -2,7 +2,7 @@ package learn
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/obs"
@@ -57,31 +57,13 @@ type rpLearner struct {
 	// batch surfaces independent question sets as oracle.AskAll
 	// batches (RolePreservingParallel): the n head questions as one
 	// batch, and the per-head lattice searches of §3.2.1 — which
-	// depend only on the head set, not on each other — interleaved
-	// through oracle.Drive so each round's questions form one batch.
-	// Questions and per-phase counts are identical to the serial run.
+	// depend only on the head set, not on each other — stepped in
+	// lockstep so each round's questions form one batch. Questions
+	// and per-phase counts are identical to the serial run.
 	batch bool
 	// in carries the observability hooks (see
 	// RolePreservingObserved); its zero value is silent.
 	in instr
-}
-
-// note annotates the next question with its phase and purpose.
-func (l *rpLearner) note(phase, purpose string) {
-	l.in.note(phase, purpose)
-}
-
-// askBatch asks one batch of independent questions through
-// oracle.AskAll and runs the serial accounting per question in
-// question order (see qhorn1Learner.askBatch).
-func (l *rpLearner) askBatch(qs []boolean.Set, note func(i int) (phase, purpose string)) []bool {
-	answers := oracle.AskAll(l.o, qs)
-	for i, a := range answers {
-		*l.phase++
-		l.in.note(note(i))
-		l.in.observe(qs[i], a)
-	}
-	return answers
 }
 
 func (l *rpLearner) ask(s boolean.Set) bool {
@@ -105,13 +87,13 @@ func (l *rpLearner) learn() (query.Query, RPStats) {
 	// the non-head variables (other heads pinned true, h pinned
 	// false) for the distinguishing tuples of h's dominant bodies.
 	// The per-head searches depend only on the head set, never on one
-	// another, so batch mode runs them as concurrent question streams.
+	// another, so batch mode steps them in lockstep rounds.
 	l.phase = &l.stats.UniversalQuestions
 	endPhase = l.in.begin("bodies")
 	heads := headSet.Vars()
 	bodiesByHead := make([][]boolean.Tuple, len(heads))
 	if l.batch && len(heads) > 1 {
-		l.findBodiesConcurrently(heads, headSet, bodiesByHead)
+		l.findBodiesBatched(heads, headSet, bodiesByHead)
 	} else {
 		for i, h := range heads {
 			bodiesByHead[i] = l.findBodies(h, headSet)
@@ -155,9 +137,7 @@ func (l *rpLearner) classifyHeads() boolean.Tuple {
 		for x := range qs {
 			qs[x] = HeadTestQuestion(l.u, x)
 		}
-		answers := l.askBatch(qs, func(x int) (string, string) {
-			return "heads", fmt.Sprintf("is x%d a universal head variable?", x+1)
-		})
+		answers := askBatch(l.o, &l.in, l.phase, qs, "heads", headPurpose)
 		for x, a := range answers {
 			if !a {
 				headSet = headSet.With(x)
@@ -166,12 +146,22 @@ func (l *rpLearner) classifyHeads() boolean.Tuple {
 		return headSet
 	}
 	for x := 0; x < l.u.N(); x++ {
-		l.note("heads", fmt.Sprintf("is x%d a universal head variable?", x+1))
+		notef(&l.in, "heads", headPurpose, x)
 		if !l.ask(HeadTestQuestion(l.u, x)) {
 			headSet = headSet.With(x)
 		}
 	}
 	return headSet
+}
+
+// headPurpose annotates the head-test question of variable x.
+func headPurpose(x int) string {
+	return fmt.Sprintf("is x%d a universal head variable?", x+1)
+}
+
+// conjunctionPurpose annotates the descent question at lattice point t.
+func conjunctionPurpose(t boolean.Tuple) string {
+	return fmt.Sprintf("can the conjunction over %s be weakened to its children?", varNames(t.Vars()))
 }
 
 // ClassifyHeads determines the universal head variables of the
@@ -206,113 +196,170 @@ func LearnConjunctions(u boolean.Universe, o oracle.Oracle, universals []query.E
 	return l.findConjunctions(universals)
 }
 
-// bodyAsk asks one lattice question of a per-head body search; the
-// serial path routes it through l.ask, the concurrent path through a
-// Drive stream that defers the accounting to the driver goroutine.
-type bodyAsk func(s boolean.Set, purpose string) bool
-
 // findBodies returns the dominant bodies of universal head h,
 // searching serially under a per-head "lattice-search" span.
 func (l *rpLearner) findBodies(h int, headSet boolean.Tuple) []boolean.Tuple {
 	defer l.in.begin("lattice-search", obs.Af("head", "x%d", h+1))()
-	return l.searchBodies(h, headSet, func(s boolean.Set, purpose string) bool {
-		l.note("bodies", purpose)
-		return l.ask(s)
-	})
+	s := l.newBodySearch(h, headSet)
+	for t, ok := s.next(); ok; t, ok = s.next() {
+		notef(&l.in, "bodies", s.purpose, t)
+		s.answer(!l.ask(s.question(t)))
+	}
+	return s.found
 }
 
-// findBodiesConcurrently runs the per-head lattice searches as
-// concurrent question streams through oracle.Drive: each round's
-// questions — one per still-searching head — are answered as one
-// batch. Every stream asks exactly the questions its serial
-// counterpart asks, and the driver callback replays the serial
-// accounting (phase counter, note, observe) in stream order, so
-// counts and traces stay deterministic. The per-head lattice-search
-// spans are skipped in this mode: the searches overlap in time, and
-// the span stack is single-threaded by design.
-func (l *rpLearner) findBodiesConcurrently(heads []int, headSet boolean.Tuple, out [][]boolean.Tuple) {
-	purposes := make([]string, len(heads))
-	oracle.Drive(l.o, len(heads), func(i int, ask oracle.AskFunc) {
-		out[i] = l.searchBodies(heads[i], headSet, func(s boolean.Set, purpose string) bool {
-			purposes[i] = purpose
-			return ask(s)
-		})
-	}, func(i int, s boolean.Set, a bool) {
-		*l.phase++
-		l.in.note("bodies", purposes[i])
-		l.in.observe(s, a)
-	})
+// findBodiesBatched steps the per-head lattice searches in lockstep:
+// round r's batch holds the r-th question of every head still
+// searching, in head order, answered as one oracle.AskAll batch. Each
+// search receives exactly the answers it would receive running alone,
+// so its questions — and the per-phase counts and step order — are
+// those of the serial run. The per-head lattice-search spans are
+// skipped in this mode: the searches overlap in time.
+func (l *rpLearner) findBodiesBatched(heads []int, headSet boolean.Tuple, out [][]boolean.Tuple) {
+	searches := make([]*bodySearch, len(heads))
+	for i, h := range heads {
+		searches[i] = l.newBodySearch(h, headSet)
+	}
+	var (
+		asking []*bodySearch
+		points []boolean.Tuple
+	)
+	for {
+		asking, points = asking[:0], points[:0]
+		qs := make([]boolean.Set, 0, len(searches))
+		for _, s := range searches {
+			if t, ok := s.next(); ok {
+				asking = append(asking, s)
+				points = append(points, t)
+				qs = append(qs, s.question(t))
+			}
+		}
+		if len(qs) == 0 {
+			break
+		}
+		answers := askBatch(l.o, &l.in, l.phase, qs, "bodies", func(j int) string { return asking[j].purpose(points[j]) })
+		for j, s := range asking {
+			s.answer(!answers[j])
+		}
+	}
+	for i, s := range searches {
+		out[i] = s.found
+	}
 }
 
-// searchBodies is the body-search engine behind findBodies (§3.2.1).
-// The search starts from the top of the restricted lattice (Fig. 5),
-// minimizes down to one body with Algorithm 6, then explores the
-// sub-lattices rooted at tuples that exclude one variable from each
-// known body, until no root uncovers a new body (Theorem 3.5).
-// A single empty body means h is bodyless (∀h).
-func (l *rpLearner) searchBodies(h int, headSet boolean.Tuple, ask bodyAsk) []boolean.Tuple {
+// bodySearch is the resumable body search of §3.2.1 for one universal
+// head h. The search starts from the top of the restricted lattice
+// (Fig. 5), minimizes down to one body with Algorithm 6, then explores
+// the sub-lattices rooted at tuples that exclude one variable from
+// each known body, until no root uncovers a new body (Theorem 3.5).
+//
+// next returns the lattice point t the search asks about next — the
+// question pairs the all-true tuple with t, a non-answer iff t
+// contains a complete body for h — and answer resumes the search with
+// that verdict. Once next reports ok=false, found holds h's dominant
+// bodies; a single empty body means h is bodyless (∀h).
+type bodySearch struct {
+	in                     *instr
+	h                      int
+	all, free, pinned, top boolean.Tuple
+	stage                  bodyStage
+	found                  []boolean.Tuple
+	visited                map[boolean.Tuple]bool
+	queue                  []boolean.Tuple
+	cur                    boolean.Tuple // the root, then the minimization point
+	drop                   []int         // Algorithm 6's variables still to try dropping
+}
+
+type bodyStage int
+
+const (
+	stageBodyless bodyStage = iota // asking about the lattice bottom
+	stageRoot                      // asking about search roots
+	stageMinimize                  // Algorithm 6 on the current root
+)
+
+func (l *rpLearner) newBodySearch(h int, headSet boolean.Tuple) *bodySearch {
 	all := l.u.All()
 	free := all.Minus(headSet)
 	pinned := headSet.Without(h) // other heads true, h false
-	top := free.Union(pinned)
+	return &bodySearch{in: &l.in, h: h, all: all, free: free, pinned: pinned, top: free.Union(pinned)}
+}
 
-	// question(t) pairs the all-true tuple with lattice point t; it
-	// is a non-answer iff t contains a complete body for h.
-	hasBody := func(t boolean.Tuple) bool {
-		purpose := fmt.Sprintf("does a complete body for x%d lie within %s?", h+1, varNames(t.Intersect(free).Vars()))
-		return !ask(boolean.NewSet(all, t), purpose)
-	}
+// question is the lattice question about point t.
+func (s *bodySearch) question(t boolean.Tuple) boolean.Set {
+	return boolean.NewSet(s.all, t)
+}
 
-	// Bodyless check at the lattice bottom: the bottom contains a
-	// body only if the body is empty.
-	if hasBody(pinned) {
-		return []boolean.Tuple{0}
-	}
+// purpose annotates the question about point t.
+func (s *bodySearch) purpose(t boolean.Tuple) string {
+	return fmt.Sprintf("does a complete body for x%d lie within %s?", s.h+1, varNames(t.Intersect(s.free).Vars()))
+}
 
-	var found []boolean.Tuple
-	visited := map[boolean.Tuple]bool{}
-	queue := []boolean.Tuple{top}
-	for len(queue) > 0 {
-		root := queue[0]
-		queue = queue[1:]
-		if visited[root] {
-			l.in.pruned(1)
-			continue
+// next returns the lattice point of the search's next question, or
+// ok=false once the search is over.
+func (s *bodySearch) next() (boolean.Tuple, bool) {
+	switch s.stage {
+	case stageBodyless:
+		// The bottom contains a body only if the body is empty.
+		return s.pinned, true
+	case stageMinimize:
+		if len(s.drop) > 0 {
+			return s.cur.Without(s.drop[0]), true
 		}
-		visited[root] = true
-		l.in.visited()
-		if !hasBody(root) {
-			continue
-		}
-		b := l.minimizeBody(root, free, hasBody)
-		if containsTuple(found, b) {
-			continue
-		}
-		found = append(found, b)
-		// Regenerate the search roots: one excluded variable from
-		// each known body (§3.2.1's |B1|×…×|Bm| roots).
-		queue = queue[:0]
-		for _, r := range bodyRoots(top, found) {
-			if !visited[r] {
-				queue = append(queue, r)
+		// The surviving true free variables form a dominant body.
+		s.stage = stageRoot
+		if b := s.cur.Intersect(s.free); !containsTuple(s.found, b) {
+			s.found = append(s.found, b)
+			// Regenerate the search roots: one excluded variable from
+			// each known body (§3.2.1's |B1|×…×|Bm| roots).
+			s.queue = s.queue[:0]
+			for _, r := range bodyRoots(s.top, s.found) {
+				if !s.visited[r] {
+					s.queue = append(s.queue, r)
+				}
 			}
 		}
 	}
-	return found
+	for len(s.queue) > 0 {
+		root := s.queue[0]
+		s.queue = s.queue[1:]
+		if s.visited[root] {
+			s.in.pruned(1)
+			continue
+		}
+		s.visited[root] = true
+		s.in.visited()
+		s.cur = root
+		return root, true
+	}
+	return 0, false
 }
 
-// minimizeBody walks Algorithm 6: starting from a lattice point known
-// to contain a body, greedily set each free variable to false,
-// keeping the change whenever the question remains a non-answer. The
-// surviving true free variables form a dominant body.
-func (l *rpLearner) minimizeBody(start, free boolean.Tuple, hasBody func(boolean.Tuple) bool) boolean.Tuple {
-	cur := start
-	for _, v := range start.Intersect(free).Vars() {
-		if hasBody(cur.Without(v)) {
-			cur = cur.Without(v)
+// answer resumes the search with the verdict on the point next
+// returned: whether it contains a complete body for h.
+func (s *bodySearch) answer(hasBody bool) {
+	switch s.stage {
+	case stageBodyless:
+		s.stage = stageRoot
+		if hasBody {
+			s.found = []boolean.Tuple{0}
+			return
 		}
+		s.visited = map[boolean.Tuple]bool{}
+		s.queue = []boolean.Tuple{s.top}
+	case stageRoot:
+		if hasBody {
+			// Algorithm 6: from the root, greedily set each free
+			// variable to false, keeping the change whenever the
+			// question remains a non-answer.
+			s.drop, s.stage = s.cur.Intersect(s.free).Vars(), stageMinimize
+		}
+	case stageMinimize:
+		if hasBody {
+			s.cur = s.cur.Without(s.drop[0])
+		}
+		s.drop = s.drop[1:]
 	}
-	return cur.Intersect(free)
 }
 
 // bodyRoots enumerates the tuples obtained from top by setting false
@@ -335,7 +382,8 @@ func bodyRoots(top boolean.Tuple, found []boolean.Tuple) []boolean.Tuple {
 	for r := range roots {
 		out = append(out, r)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] > out[j] })
+	slices.Sort(out)
+	slices.Reverse(out)
 	return out
 }
 
@@ -373,6 +421,7 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 	}
 
 	frontier := []boolean.Tuple{l.u.All()}
+	var base []boolean.Tuple // reused: each question's base lives one iteration
 	for len(frontier) > 0 {
 		var next []boolean.Tuple
 		for i := 0; i < len(frontier); i++ {
@@ -396,8 +445,8 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 					l.in.pruned(1)
 				}
 			}
-			base := concatTuples(discovered, frontier[i+1:], next)
-			l.note("existential", fmt.Sprintf("can the conjunction over %s be weakened to its children?", varNames(t.Vars())))
+			base = appendTuples(base[:0], discovered, frontier[i+1:], next)
+			notef(&l.in, "existential", conjunctionPurpose, t)
 			if l.ask(boolean.NewSet(append(base, children...)...)) {
 				kept := l.pruneTuples(children, base)
 				next = append(next, kept...)
@@ -418,9 +467,11 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 // involved is universal-violation free.
 func (l *rpLearner) pruneTuples(cands []boolean.Tuple, base []boolean.Tuple) []boolean.Tuple {
 	defer l.in.begin("prune")()
+	var buf []boolean.Tuple
 	askWith := func(extra ...[]boolean.Tuple) bool {
-		l.note("existential", "which candidate tuples are needed to keep your query satisfied?")
-		return l.ask(boolean.NewSet(concatTuples(append([][]boolean.Tuple{base}, extra...)...)...))
+		l.in.note("existential", "which candidate tuples are needed to keep your query satisfied?")
+		buf = appendTuples(append(buf[:0], base...), extra...)
+		return l.ask(boolean.NewSet(buf...))
 	}
 	if l.ablations.SerialPrune {
 		// The pre-optimization strategy of §3.2.2: try removing each
@@ -478,12 +529,12 @@ func containsTuple(ts []boolean.Tuple, t boolean.Tuple) bool {
 	return false
 }
 
-func concatTuples(groups ...[]boolean.Tuple) []boolean.Tuple {
-	var out []boolean.Tuple
+// appendTuples appends every group to dst.
+func appendTuples(dst []boolean.Tuple, groups ...[]boolean.Tuple) []boolean.Tuple {
 	for _, g := range groups {
-		out = append(out, g...)
+		dst = append(dst, g...)
 	}
-	return out
+	return dst
 }
 
 func dedupeTuples(ts []boolean.Tuple) []boolean.Tuple {

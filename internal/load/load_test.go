@@ -142,9 +142,9 @@ func TestRunUnreachableBase(t *testing.T) {
 func TestRunDurationStops(t *testing.T) {
 	rep, err := Run(Options{
 		Sessions: 10000, Workers: 2, Targets: 2,
-		Duration: 50 * time.Millisecond,
+		Duration:  50 * time.Millisecond,
 		ThinkMean: 2 * time.Millisecond,
-		Seed:     9,
+		Seed:      9,
 	})
 	if err != nil {
 		t.Fatal(err)

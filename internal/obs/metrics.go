@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -69,7 +70,7 @@ func labelKey(labels []string) (string, []Attr) {
 	for i := 0; i < len(labels); i += 2 {
 		attrs = append(attrs, Attr{Key: labels[i], Value: labels[i+1]})
 	}
-	sort.Slice(attrs, func(i, j int) bool { return attrs[i].Key < attrs[j].Key })
+	slices.SortFunc(attrs, func(a, b Attr) int { return strings.Compare(a.Key, b.Key) })
 	parts := make([]string, len(attrs))
 	for i, a := range attrs {
 		parts[i] = fmt.Sprintf("%s=%q", a.Key, a.Value)

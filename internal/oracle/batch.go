@@ -14,10 +14,6 @@ package oracle
 //     when available, a serial loop otherwise.
 //   - Pool is the worker-pool driver that turns any concurrency-safe
 //     Oracle into a BatchOracle.
-//   - Drive interleaves several *adaptive* question streams (e.g. one
-//     binary search per lattice root) so that each round's questions
-//     form one batch, while each stream still asks exactly the
-//     questions it would ask running alone.
 //
 // Question and tuple accounting stays exactly deterministic: every
 // wrapper in this package implements AskBatch with the same counter
@@ -27,7 +23,6 @@ package oracle
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
@@ -186,136 +181,4 @@ func (p *Pool) AskBatch(qs []boolean.Set) []bool {
 	}
 	p.reg.Histogram(obs.MetricBatchSeconds, obs.LatencyBuckets).Observe(time.Since(start).Seconds())
 	return answers
-}
-
-// AskFunc is the synchronous question callback Drive hands to each of
-// its streams.
-type AskFunc func(boolean.Set) bool
-
-// driveAbort unwinds a stream goroutine once the driver has stopped
-// answering; Drive recovers it internally.
-type driveAbort struct{}
-
-// Drive interleaves n adaptive question streams over one oracle.
-// Each stream is a sequential search (stream i runs in its own
-// goroutine and asks questions through the provided AskFunc); every
-// round the driver gathers the next question of each still-running
-// stream, answers the round as one batch through AskAll — hence
-// concurrently when o implements BatchOracle — and resumes each
-// stream with its answer. A stream therefore receives exactly the
-// answers it would receive running alone, so its question sequence —
-// and the total question count — is identical to serial execution;
-// only wall-clock time changes.
-//
-// Rounds are deterministic: a round's batch holds the r-th question
-// of every stream still alive at round r, ordered by stream index.
-// observe, when non-nil, is called in the driver's goroutine for
-// every answered question in that order — a single-threaded hook for
-// accounting and tracing that needs no synchronization.
-//
-// A panic in the oracle (e.g. an exhausted Budget) or in a stream is
-// re-raised on the Drive caller after every stream goroutine has
-// unwound.
-func Drive(o Oracle, n int, stream func(i int, ask AskFunc), observe func(i int, s boolean.Set, answer bool)) {
-	if n <= 0 {
-		return
-	}
-	type request struct {
-		idx   int
-		q     boolean.Set
-		reply chan bool
-	}
-	var (
-		requests = make(chan request)
-		done     = make(chan interface{}, n) // each stream's recover()
-		aborted  = make(chan struct{})
-	)
-	for i := 0; i < n; i++ {
-		go func(i int) {
-			defer func() { done <- recover() }()
-			// One reply channel per stream, reused for every question:
-			// a stream has at most one question in flight, and always
-			// drains the answer before asking again, so cap 1 suffices
-			// and the per-question channel churn disappears.
-			reply := make(chan bool, 1)
-			stream(i, func(q boolean.Set) bool {
-				req := request{idx: i, q: q, reply: reply}
-				select {
-				case requests <- req:
-				case <-aborted:
-					panic(driveAbort{})
-				}
-				select {
-				case a := <-req.reply:
-					return a
-				case <-aborted:
-					panic(driveAbort{})
-				}
-			})
-		}(i)
-	}
-
-	live := n
-	var pending []request
-	var streamPanic interface{}
-	abort := func(p interface{}) {
-		if streamPanic == nil {
-			streamPanic = p
-		}
-		close(aborted)
-		// Wake nothing else: every remaining stream unwinds via the
-		// aborted channel; drain their completions.
-		for live > 0 {
-			<-done
-			live--
-		}
-	}
-	for live > 0 {
-		// Gather one event (question or completion) from every live
-		// stream: after this loop the round is complete.
-		pending = pending[:0]
-		waiting := live
-		for waiting > 0 {
-			select {
-			case req := <-requests:
-				pending = append(pending, req)
-				waiting--
-			case p := <-done:
-				live--
-				waiting--
-				if p != nil {
-					if _, isAbort := p.(driveAbort); !isAbort {
-						abort(p)
-						panic(streamPanic)
-					}
-				}
-			}
-		}
-		if len(pending) == 0 {
-			continue
-		}
-		sort.Slice(pending, func(a, b int) bool { return pending[a].idx < pending[b].idx })
-		qs := make([]boolean.Set, len(pending))
-		for j, req := range pending {
-			qs[j] = req.q
-		}
-		answers, err := askAllRecover(o, qs)
-		if err != nil {
-			abort(err)
-			panic(streamPanic)
-		}
-		for j, req := range pending {
-			if observe != nil {
-				observe(req.idx, req.q, answers[j])
-			}
-			req.reply <- answers[j]
-		}
-	}
-}
-
-// askAllRecover runs AskAll, converting a panic into a returned value
-// so Drive can unwind its streams before re-raising it.
-func askAllRecover(o Oracle, qs []boolean.Set) (answers []bool, panicked interface{}) {
-	defer func() { panicked = recover() }()
-	return AskAll(o, qs), nil
 }

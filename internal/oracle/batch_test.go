@@ -128,101 +128,6 @@ func TestPoolPropagatesBudgetPanic(t *testing.T) {
 	}
 }
 
-// TestDriveMatchesSerialStreams pins the stream driver's determinism
-// contract: each interleaved stream receives exactly the answers of
-// its stand-alone serial run, the observe hook sees every question,
-// and the batched rounds reach the oracle.
-func TestDriveMatchesSerialStreams(t *testing.T) {
-	u := boolean.MustUniverse(6)
-	target := query.MustParse(u, "∀x1 → x2 ∃x3x4")
-	o := oracle.Target(target)
-
-	// Each stream binary-searches its own slice of questions: answers
-	// steer which question is asked next, making the streams adaptive.
-	search := func(base int, ask func(boolean.Set) bool) []bool {
-		var got []bool
-		q := base
-		for i := 0; i < 5; i++ {
-			a := ask(boolean.NewSet(boolean.Tuple(q+1).Intersect(u.All()), u.All()))
-			got = append(got, a)
-			if a {
-				q = q*2 + 1
-			} else {
-				q = q * 3
-			}
-			q %= 61
-		}
-		return got
-	}
-
-	want := make([][]bool, 4)
-	for i := range want {
-		want[i] = search(i*7, o.Ask)
-	}
-
-	var observed atomic.Int64
-	got := make([][]bool, 4)
-	oracle.Drive(oracle.Parallel(o, 4), 4, func(i int, ask oracle.AskFunc) {
-		got[i] = search(i*7, func(s boolean.Set) bool { return ask(s) })
-	}, func(i int, s boolean.Set, answer bool) {
-		observed.Add(1)
-	})
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Errorf("stream %d answer %d = %v, want serial %v", i, j, got[i][j], want[i][j])
-			}
-		}
-	}
-	if observed.Load() != 20 {
-		t.Errorf("observe saw %d questions, want 20", observed.Load())
-	}
-}
-
-// TestDrivePropagatesStreamPanic pins that a panicking stream unwinds
-// every other stream and re-raises on the Drive caller.
-func TestDrivePropagatesStreamPanic(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	o := oracle.Target(query.MustParse(u, "∃x1"))
-	recovered := func() (r interface{}) {
-		defer func() { r = recover() }()
-		oracle.Drive(o, 3, func(i int, ask oracle.AskFunc) {
-			ask(boolean.NewSet(u.All()))
-			if i == 1 {
-				panic("stream bug")
-			}
-			// The surviving streams keep asking; they must be unwound,
-			// not deadlocked.
-			for j := 0; j < 100; j++ {
-				ask(boolean.NewSet(u.All()))
-			}
-		}, nil)
-		return nil
-	}()
-	if recovered != "stream bug" {
-		t.Fatalf("recovered %v, want the stream's panic", recovered)
-	}
-}
-
-// TestDrivePropagatesOraclePanic pins that an oracle panic (here an
-// exhausted budget) unwinds the streams and re-raises.
-func TestDrivePropagatesOraclePanic(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	budget := oracle.WithBudget(oracle.Target(query.MustParse(u, "∃x1")), 4)
-	recovered := func() (r interface{}) {
-		defer func() { r = recover() }()
-		oracle.Drive(budget, 3, func(i int, ask oracle.AskFunc) {
-			for j := 0; j < 50; j++ {
-				ask(boolean.NewSet(u.All(), boolean.Tuple(j+1).Intersect(u.All())))
-			}
-		}, nil)
-		return nil
-	}()
-	if _, ok := recovered.(oracle.ErrBudget); !ok {
-		t.Fatalf("recovered %v, want ErrBudget", recovered)
-	}
-}
-
 // TestMemoBatchDeduplicates pins Memo's AskBatch: duplicate questions
 // within one batch, and questions already cached, reach the inner
 // oracle exactly once each.

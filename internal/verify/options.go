@@ -89,6 +89,7 @@ func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
 	defer root.End()
 	defer timePhase(cfg, "verify")()
 
+	counters := kindCounters{}
 	var answers []bool
 	if cfg.Batch {
 		answers = oracle.AskAll(o, vs.questions())
@@ -105,7 +106,7 @@ func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
 		} else {
 			got = o.Ask(q.Set)
 		}
-		vs.observe(cfg, q, got, &res, sp)
+		vs.observe(cfg, counters, q, got, &res, sp)
 		sp.End()
 		doneKind()
 	}
@@ -125,6 +126,7 @@ func (vs Set) runFirst(o oracle.Oracle, cfg run.Config) Result {
 	defer root.End()
 	defer timePhase(cfg, "verify")()
 
+	counters := kindCounters{}
 	res := Result{Correct: true}
 	for _, q := range vs.Questions {
 		res.QuestionsAsked++
@@ -133,7 +135,7 @@ func (vs Set) runFirst(o oracle.Oracle, cfg run.Config) Result {
 			obs.Af("expect", "%v", q.Expect))
 		doneKind := timePhase(cfg, "verify/"+string(q.Kind))
 		got := o.Ask(q.Set)
-		vs.observe(cfg, q, got, &res, sp)
+		vs.observe(cfg, counters, q, got, &res, sp)
 		sp.End()
 		doneKind()
 		if !res.Correct {
@@ -144,9 +146,29 @@ func (vs Set) runFirst(o oracle.Oracle, cfg run.Config) Result {
 	return res
 }
 
+// kindCounters holds one run's verify counters by family and kind,
+// resolved on first use so each question skips the registry's label
+// formatting and lock.
+type kindCounters map[[2]string]*obs.Counter
+
+// inc counts one question of kind k into the named family; a nil
+// registry is silent.
+func (c kindCounters) inc(reg *obs.Registry, name string, k Kind) {
+	if reg == nil {
+		return
+	}
+	key := [2]string{name, string(k)}
+	h, ok := c[key]
+	if !ok {
+		h = reg.Counter(name, "kind", string(k))
+		c[key] = h
+	}
+	h.Inc()
+}
+
 // observe records one answered question: the step, the kind-labeled
 // counters, and — on disagreement — the result entry and span event.
-func (vs Set) observe(cfg run.Config, q Question, got bool, res *Result, sp *obs.Span) {
+func (vs Set) observe(cfg run.Config, counters kindCounters, q Question, got bool, res *Result, sp *obs.Span) {
 	if cfg.Ins.Steps != nil {
 		cfg.Ins.Steps(run.Step{
 			Phase:    "verify/" + string(q.Kind),
@@ -155,9 +177,7 @@ func (vs Set) observe(cfg run.Config, q Question, got bool, res *Result, sp *obs
 			Answer:   got,
 		})
 	}
-	if cfg.Ins.Metrics != nil {
-		cfg.Ins.Metrics.Counter(obs.MetricVerifyQuestions, "kind", string(q.Kind)).Inc()
-	}
+	counters.inc(cfg.Ins.Metrics, obs.MetricVerifyQuestions, q.Kind)
 	if got != q.Expect {
 		res.Correct = false
 		res.Disagreements = append(res.Disagreements, Disagreement{Question: q, Got: got})
@@ -165,8 +185,6 @@ func (vs Set) observe(cfg run.Config, q Question, got bool, res *Result, sp *obs
 			obs.A("about", q.About),
 			obs.Af("expect", "%v", q.Expect),
 			obs.Af("got", "%v", got))
-		if cfg.Ins.Metrics != nil {
-			cfg.Ins.Metrics.Counter(obs.MetricVerifyDisagreements, "kind", string(q.Kind)).Inc()
-		}
+		counters.inc(cfg.Ins.Metrics, obs.MetricVerifyDisagreements, q.Kind)
 	}
 }
