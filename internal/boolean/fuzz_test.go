@@ -51,3 +51,20 @@ func FuzzTupleParse(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseKey checks that ParseKey accepts exactly the strings Key
+// produces: anything it parses must re-encode to the same string.
+func FuzzParseKey(f *testing.F) {
+	for _, s := range []string{"", "0", "0,a,ff", "A", "01", "b,a", "a,a", ",", "1,", "ffffffffffffffff", "10000000000000000", " 1", "g"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, key string) {
+		s, err := ParseKey(key)
+		if err != nil {
+			return
+		}
+		if got := s.Key(); got != key {
+			t.Fatalf("ParseKey(%q).Key() = %q", key, got)
+		}
+	})
+}

@@ -97,3 +97,29 @@ func TestQuickFormatParseRoundTrip(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQuickParseKeyRoundTrip: ParseKey inverts Key on every set, over
+// the full 64-bit tuple width as well as small universes, and AppendID
+// is as faithful as Key.
+func TestQuickParseKeyRoundTrip(t *testing.T) {
+	wide := func(ws []uint64) bool {
+		tuples := make([]Tuple, len(ws))
+		for i, w := range ws {
+			tuples[i] = Tuple(w)
+		}
+		s := NewSet(tuples...)
+		back, err := ParseKey(s.Key())
+		return err == nil && back.Equal(s) && back.Key() == s.Key()
+	}
+	if err := quick.Check(wide, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+	small := func(a, b randomSet) bool {
+		back, err := ParseKey(a.S.Key())
+		sameID := string(a.S.AppendID(nil)) == string(b.S.AppendID(nil))
+		return err == nil && back.Equal(a.S) && sameID == a.S.Equal(b.S)
+	}
+	if err := quick.Check(small, &quick.Config{MaxCount: 400}); err != nil {
+		t.Error(err)
+	}
+}

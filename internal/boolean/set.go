@@ -1,12 +1,13 @@
 package boolean
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Set is a set of Boolean tuples: the Boolean-domain image of an
@@ -18,17 +19,6 @@ import (
 // NewSet or the mutating helpers; do not sort or append by hand.
 type Set struct {
 	tuples []Tuple
-	// kc caches the canonical Key, computed at most once per
-	// constructed set and shared by every copy of the value — the
-	// memo-oracle hot path asks the same question sets repeatedly. A
-	// nil cache (the zero-value empty set) computes the key directly.
-	kc *keyCache
-}
-
-// keyCache holds the lazily built canonical key of one set.
-type keyCache struct {
-	once sync.Once
-	key  string
 }
 
 // NewSet builds a canonical set from the given tuples, deduplicating
@@ -46,7 +36,7 @@ func NewSet(tuples ...Tuple) Set {
 			out = append(out, t)
 		}
 	}
-	return Set{tuples: out, kc: &keyCache{}}
+	return Set{tuples: out}
 }
 
 // Size returns the number of distinct tuples in the set. The paper
@@ -86,7 +76,7 @@ func (s Set) Without(t Tuple) Set {
 			out = append(out, u)
 		}
 	}
-	return Set{tuples: out, kc: &keyCache{}}
+	return Set{tuples: out}
 }
 
 // Union returns the union of s and other.
@@ -126,18 +116,42 @@ func (s Set) AnyContains(conj Tuple) bool {
 }
 
 // Key returns a canonical comparable key for the set, usable as a map
-// key when memoizing oracle answers. The encoding is the sorted tuple
-// list in lowercase hex, which is unique per set. The key is built at
-// most once per constructed set — every value copy shares the cache —
-// so repeated memo-oracle lookups on the same question pay only the
-// first encoding.
-func (s Set) Key() string {
-	if s.kc == nil {
-		// Zero-value (empty) or hand-literal set: no cache to fill.
-		return buildKey(s.tuples)
+// key when memoizing oracle answers and as a question's wire key. The
+// encoding is the sorted tuple list in lowercase hex, which is unique
+// per set; ParseKey inverts it. The key is built on every call: code
+// that only needs an in-process index uses the cheaper AppendID.
+func (s Set) Key() string { return buildKey(s.tuples) }
+
+// AppendID appends the set's tuples to dst as little-endian 8-byte
+// words and returns the extended slice. Like Key it is unique per set,
+// but it costs no formatting; a caller that keeps dst as scratch and
+// looks a map up with m[string(id)] pays no allocation per lookup.
+func (s Set) AppendID(dst []byte) []byte {
+	for _, t := range s.tuples {
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(t))
 	}
-	s.kc.once.Do(func() { s.kc.key = buildKey(s.tuples) })
-	return s.kc.key
+	return dst
+}
+
+// ParseKey is the exact inverse of Key. It rejects every string Key
+// cannot produce (upper-case or leading-zero digits, unsorted or
+// repeated tuples), so for a parsed key, ParseKey(k).Key() == k.
+func ParseKey(key string) (Set, error) {
+	var tuples []Tuple
+	if key != "" {
+		for _, f := range strings.Split(key, ",") {
+			v, err := strconv.ParseUint(f, 16, 64)
+			if err != nil {
+				return Set{}, fmt.Errorf("boolean: malformed set key %q", key)
+			}
+			tuples = append(tuples, Tuple(v))
+		}
+	}
+	s := NewSet(tuples...)
+	if s.Key() != key {
+		return Set{}, fmt.Errorf("boolean: set key %q is not canonical", key)
+	}
+	return s, nil
 }
 
 // buildKey encodes the sorted tuple list as comma-separated lowercase
@@ -238,8 +252,8 @@ func SampleObjects(rng *rand.Rand, u Universe, count int) []Set {
 	seen := map[string]bool{}
 	out := make([]Set, 0, count)
 	add := func(s Set) {
-		if len(out) < count && !seen[s.Key()] {
-			seen[s.Key()] = true
+		if k := s.Key(); len(out) < count && !seen[k] {
+			seen[k] = true
 			out = append(out, s)
 		}
 	}

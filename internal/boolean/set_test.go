@@ -199,9 +199,10 @@ func TestSetKeyEncoding(t *testing.T) {
 	}
 }
 
-// TestSetKeyCached: every copy of a constructed set shares the cached
-// key, and derived sets (With/Without/Union) carry independent caches
-// that do not corrupt the original's.
+// TestSetKeyCached: Key is built from the tuples on every call, so a
+// copy of a set keys like the original, and derived sets
+// (With/Without/Union) key by their own tuples without disturbing the
+// original's key.
 func TestSetKeyCached(t *testing.T) {
 	s := NewSet(Tuple(3), Tuple(9))
 	k := s.Key()
@@ -226,9 +227,9 @@ func TestSetKeyCached(t *testing.T) {
 	}
 }
 
-// TestSetKeyConcurrent exercises the first-use cache fill from many
-// goroutines; run with -race this proves the memo-oracle hot path can
-// share one Set across the worker pool.
+// TestSetKeyConcurrent calls Key on one set from many goroutines; run
+// with -race this proves the memo-oracle hot path can share one Set
+// across the worker pool.
 func TestSetKeyConcurrent(t *testing.T) {
 	s := NewSet(Tuple(1), Tuple(2), Tuple(1<<30))
 	want := s.Key()
@@ -248,8 +249,8 @@ func TestSetKeyConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkSetKey measures the memo-oracle hot path: repeated Key()
-// calls on one set, which after the first call are a cache hit.
+// BenchmarkSetKey measures the memo-oracle hot path: one Key() call,
+// which builds the hex encoding of the set's 32 tuples every time.
 func BenchmarkSetKey(b *testing.B) {
 	tuples := make([]Tuple, 32)
 	for i := range tuples {
@@ -260,21 +261,6 @@ func BenchmarkSetKey(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = s.Key()
-	}
-}
-
-// BenchmarkSetKeyBuild measures the uncached encoder itself, the cost
-// paid once per constructed set (previously paid on every call through
-// fmt.Fprintf).
-func BenchmarkSetKeyBuild(b *testing.B) {
-	tuples := make([]Tuple, 32)
-	for i := range tuples {
-		tuples[i] = Tuple(i * 37)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = buildKey(tuples)
 	}
 }
 

@@ -314,7 +314,7 @@ func checkVerify(c Case, opt Options) CaseResult {
 				len(pres.Disagreements), len(vres.Disagreements))
 		default:
 			for i := range pres.Disagreements {
-				if pres.Disagreements[i].Question.Set.Key() != vres.Disagreements[i].Question.Set.Key() {
+				if !pres.Disagreements[i].Question.Set.Equal(vres.Disagreements[i].Question.Set) {
 					fail(KindParallel, pres.Disagreements[i].Question.Set, true,
 						"parallel verify disagreement %d differs from serial", i)
 					break

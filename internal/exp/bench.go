@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"regexp"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -71,6 +74,15 @@ type BenchSummary struct {
 	Quick       bool    `json:"quick"`
 	WallSeconds float64 `json:"wall_seconds"`
 
+	// The machine and build the timings come from, so BENCH files
+	// written on different hosts are not compared as if alike.
+	GoVersion  string `json:"go_version"`
+	GOOS       string `json:"goos"`
+	GOARCH     string `json:"goarch"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	CPUModel   string `json:"cpu_model"` // "" where /proc/cpuinfo has none
+	Commit     string `json:"commit"`    // vcs.revision of the binary, or "unknown"
+
 	// TableLegend maps the short table keys used by GrowthExponents
 	// and QuestionCounts to the full table titles, stated once.
 	TableLegend     map[string]string `json:"table_legend,omitempty"`
@@ -100,6 +112,29 @@ func Bench(e Experiment, cfg Config) (*BenchSummary, []*stats.Table) {
 	return Summarize(e, cfg, tables, time.Since(start)), tables
 }
 
+// cpuModel returns the first "model name" of /proc/cpuinfo, or "" on
+// systems without one.
+func cpuModel() string {
+	raw, _ := os.ReadFile("/proc/cpuinfo") // unreadable: no model to report
+	_, rest, _ := strings.Cut(string(raw), "model name")
+	line, _, _ := strings.Cut(rest, "\n")
+	_, model, _ := strings.Cut(line, ":")
+	return strings.TrimSpace(model)
+}
+
+// commit returns the VCS revision stamped into the running binary, or
+// "unknown" (go test and builds outside a work tree stamp none).
+func commit() string {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, st := range info.Settings {
+			if st.Key == "vcs.revision" {
+				return st.Value
+			}
+		}
+	}
+	return "unknown"
+}
+
 // measuredExponent matches the %.2f-formatted exponents the
 // experiments put in their notes; claim references like "≈ 1" or
 // "n²" never carry two decimals, so they are not captured.
@@ -118,6 +153,12 @@ func Summarize(e Experiment, cfg Config, tables []*stats.Table, wall time.Durati
 		Trials:      cfg.Trials,
 		Quick:       cfg.Quick,
 		WallSeconds: wall.Seconds(),
+		GoVersion:   runtime.Version(),
+		GOOS:        runtime.GOOS,
+		GOARCH:      runtime.GOARCH,
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		CPUModel:    cpuModel(),
+		Commit:      commit(),
 	}
 	for ti, t := range tables {
 		key := fmt.Sprintf("t%d", ti+1)

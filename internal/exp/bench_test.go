@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -121,5 +122,36 @@ func TestBenchRunsRealExperiment(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), `"wall_seconds"`) {
 		t.Error("JSON missing wall_seconds")
+	}
+}
+
+// TestBenchSummaryRecordsMachine: WriteJSON emits the machine and build
+// metadata beside the tables.
+func TestBenchSummaryRecordsMachine(t *testing.T) {
+	s := Summarize(Experiment{Name: "machine"}, Config{}.normalize(), nil, time.Second)
+	var buf bytes.Buffer
+	if err := s.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var back map[string]any
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]any{
+		"go_version": runtime.Version(),
+		"goos":       runtime.GOOS,
+		"goarch":     runtime.GOARCH,
+		"gomaxprocs": float64(runtime.GOMAXPROCS(0)),
+	}
+	for k, v := range want {
+		if back[k] != v {
+			t.Errorf("%s = %v, want %v", k, back[k], v)
+		}
+	}
+	if _, ok := back["cpu_model"].(string); !ok {
+		t.Errorf("cpu_model missing: %s", buf.String())
+	}
+	if c, _ := back["commit"].(string); c == "" {
+		t.Errorf("commit missing or empty: %s", buf.String())
 	}
 }

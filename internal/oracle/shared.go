@@ -28,7 +28,8 @@ import (
 
 // memoKeySep joins identity and question key; it cannot appear in
 // either (identities are caller-chosen strings without control
-// characters by convention, Set.Key is decimal digits and commas).
+// characters by convention, Set.Key is lowercase hex digits and
+// commas).
 const memoKeySep = "\x1f"
 
 // SharedMemo is the bounded cross-session answer cache. Construct

@@ -209,3 +209,61 @@ func TestE2ELongPollReturnsPromptlyOnAbort(t *testing.T) {
 		t.Fatal("poller never observed the aborted session")
 	}
 }
+
+// TestE2EHistoryPollDuringLearn reads the history and the session info
+// while a role-preserving learner publishes batch after batch. The
+// handlers read a view of the history captured at each publication,
+// which the learner keeps appending beyond: every poll must see a
+// prefix of the final history, never shorter than the poll before.
+func TestE2EHistoryPollDuringLearn(t *testing.T) {
+	_, c := startServer(t, serve.Config{})
+	target := targets(difffuzz.ClassRP, 71, 1)[0]
+	_, want, _ := directLearn(target, engine.RolePreserving)
+	info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "rp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var polls [][]serve.HistoryEntry
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		last := 0
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			h, err := c.History(info.ID)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			in, err := c.Info(info.ID)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if len(h) < last || in.QuestionsOnRecord < len(h) {
+				t.Errorf("history shrank or ran ahead: %d entries after %d, info says %d", len(h), last, in.QuestionsOnRecord)
+				return
+			}
+			last = len(h)
+			polls = append(polls, h)
+		}
+	}()
+	final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: 5 * time.Second})
+	close(done)
+	wg.Wait()
+	if err != nil || final.State != serve.StateDone {
+		t.Fatalf("drive: %v (state %q)", err, final.State)
+	}
+	for _, h := range polls {
+		matchHistory(t, target.U, h, want[:len(h)])
+	}
+	if len(polls) == 0 {
+		t.Fatal("the poller never read the history")
+	}
+}

@@ -229,9 +229,18 @@ func TestAmendGuards(t *testing.T) {
 	if _, err := c.Amend(info.ID, serve.AmendRequest{}); !serve.IsStatus(err, http.StatusConflict) {
 		t.Fatalf("empty amend: %v, want 409", err)
 	}
-	// Unknown key, out-of-range index.
-	if _, err := c.Amend(info.ID, serve.AmendRequest{Key: "feedface"}); !serve.IsStatus(err, http.StatusConflict) {
-		t.Fatalf("unknown-key amend: %v, want 409", err)
+	// Unknown, malformed and non-canonical keys, out-of-range index. A
+	// key must match a recorded question's Set.Key exactly.
+	hist, err := c.History(info.ID)
+	if err != nil || len(hist) == 0 {
+		t.Fatalf("history: %v (%d entries)", err, len(hist))
+	}
+	recorded := boolean.MustParseSet(u, strings.Join(hist[0].Tuples, ",")).Key()
+	for _, key := range []string{"feedface", "FEEDFACE", "0x1", ",", "0" + recorded, recorded + "," + recorded} {
+		_, err := c.Amend(info.ID, serve.AmendRequest{Key: key})
+		if !serve.IsStatus(err, http.StatusConflict) || !strings.Contains(err.Error(), "no history entry with key") {
+			t.Fatalf("amend with key %q: %v, want 409 no history entry", key, err)
+		}
 	}
 	oob := 10000
 	if _, err := c.Amend(info.ID, serve.AmendRequest{Index: &oob}); !serve.IsStatus(err, http.StatusConflict) {

@@ -101,12 +101,13 @@ type session struct {
 	// hist is the learner's interaction history. The learner goroutine
 	// mutates it OUTSIDE mu (inside qsession recording, between
 	// exchange calls), so handlers never read hist while the learner is
-	// computing; they read the histEntries/histLen/histLive cache,
-	// captured under mu at the quiescent points (batch publication, run
-	// termination, amend).
+	// computing; they read the histEntries/histLive cache, captured
+	// under mu at the quiescent points (batch publication, run
+	// termination, amend). histEntries is a hist.View: the learner only
+	// appends beyond it, and amend flips answers under mu while no run
+	// is active.
 	hist        *qsession.Session
 	histEntries []qsession.Entry
-	histLen     int
 	histLive    int
 	pending     map[string]int32 // key → index into pqs
 	pqs         []pendingQ       // current batch in posted order, reused across rounds
@@ -165,7 +166,7 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 			return nil, fmt.Errorf("serve: resume: %w", err)
 		}
 		s.hist, s.u = hist, u
-		for _, e := range hist.Entries() {
+		for _, e := range hist.View() {
 			s.settled[e.Question.Key()] = true
 		}
 	} else {
@@ -198,8 +199,7 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 // exchange publishes a batch (the learner, the only mutator, is about
 // to block), when the run terminates, and after an amendment.
 func (s *session) captureHistoryLocked() {
-	s.histEntries = s.hist.Entries()
-	s.histLen = s.hist.Len()
+	s.histEntries = s.hist.View()
 	s.histLive = s.hist.LiveQuestions
 }
 
@@ -522,7 +522,7 @@ func (s *session) info() SessionInfo {
 		User:              s.user,
 		Runs:              s.runs,
 		Outstanding:       s.remaining,
-		QuestionsOnRecord: s.histLen,
+		QuestionsOnRecord: len(s.histEntries),
 		LiveQuestions:     s.histLive,
 		Revision:          s.revision,
 		Error:             s.failure,
@@ -670,7 +670,7 @@ func (s *session) amend(req AmendRequest) error {
 		// Propagate the correction into the shared tier, so later
 		// sessions of this user see the corrected answer instead of
 		// the stale one.
-		e := s.hist.Entries()[fixedAt]
+		e := s.hist.View()[fixedAt]
 		s.srv.memo.Update(s.user, e.Question, e.Answer)
 	}
 	s.reviseFrom = reviseFrom
@@ -693,12 +693,12 @@ const (
 // amendByKeyLocked flips the recorded answer of the history entry with
 // the given canonical key, returning its index. Callers hold s.mu.
 func (s *session) amendByKeyLocked(key string) (int, error) {
-	for i, e := range s.hist.Entries() {
-		if e.Question.Key() == key {
-			return i, s.hist.AmendQuestion(e.Question)
-		}
+	q, err := boolean.ParseKey(key)
+	i, ok := s.hist.Index(q)
+	if err != nil || !ok {
+		return 0, fmt.Errorf("serve: no history entry with key %q", key)
 	}
-	return 0, fmt.Errorf("serve: no history entry with key %q", key)
+	return i, s.hist.Amend(i)
 }
 
 // formatTuples renders a question's tuples in the paper's fixed-width

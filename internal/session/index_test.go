@@ -1,0 +1,137 @@
+package session_test
+
+import (
+	"testing"
+
+	"qhorn/internal/boolean"
+	"qhorn/internal/learn"
+	"qhorn/internal/oracle"
+	"qhorn/internal/query"
+	"qhorn/internal/run"
+	"qhorn/internal/session"
+)
+
+// swapUser forwards to a replaceable budget, so one session can run
+// out of questions and then continue under a fresh budget.
+type swapUser struct{ b *oracle.Budget }
+
+func (u *swapUser) Ask(q boolean.Set) bool           { return u.b.Ask(q) }
+func (u *swapUser) AskBatch(qs []boolean.Set) []bool { return u.b.AskBatch(qs) }
+
+// spyUser snapshots the session each time it forwards a sub-batch, so
+// a test can compare the history after a panic with the history just
+// before the batch that panicked.
+type spyUser struct {
+	inner   oracle.BatchOracle
+	s       *session.Session
+	entries []session.Entry
+	live    int
+}
+
+func (u *spyUser) Ask(q boolean.Set) bool { return u.AskBatch([]boolean.Set{q})[0] }
+
+func (u *spyUser) AskBatch(qs []boolean.Set) []bool {
+	u.entries, u.live = u.s.Entries(), u.s.LiveQuestions
+	return u.inner.AskBatch(qs)
+}
+
+// TestAskBatchBudgetPanicRecordsNothing: a budget that runs out inside
+// AskBatch leaves Len, Entries and LiveQuestions as they were before
+// that batch, and the same session then finishes the learn under a
+// fresh budget with exactly the history of an unbudgeted run.
+func TestAskBatchBudgetPanicRecordsNothing(t *testing.T) {
+	u := boolean.MustUniverse(6)
+	target := oracle.Target(query.MustParse(u, "∀x1x2 → x3 ∃x4x5 ∃x6"))
+	opts := []run.Option{run.WithAlgorithm(run.RolePreserving), run.WithBatch()}
+
+	ref := session.New(target)
+	want, _ := learn.Run(u, ref, opts...)
+	total := ref.Len()
+
+	swap := &swapUser{b: oracle.WithBudget(target, total/2)}
+	spy := &spyUser{inner: swap}
+	s := session.New(spy)
+	spy.s = s
+	func() {
+		defer func() {
+			if _, ok := recover().(oracle.ErrBudget); !ok {
+				t.Fatal("learn under half the budget did not panic with ErrBudget")
+			}
+		}()
+		learn.Run(u, s, opts...)
+	}()
+	if s.Len() != len(spy.entries) || s.LiveQuestions != spy.live {
+		t.Fatalf("after the budget panic: len=%d live=%d, before the batch: len=%d live=%d",
+			s.Len(), s.LiveQuestions, len(spy.entries), spy.live)
+	}
+	sameEntries(t, "history after the budget panic", s.Entries(), spy.entries)
+	if s.Len() == 0 || s.Len() > total/2 {
+		t.Fatalf("recorded %d of %d questions under a budget of %d", s.Len(), total, total/2)
+	}
+
+	recorded := s.Len()
+	swap.b = oracle.WithBudget(target, total)
+	s.ResetRun()
+	got, _ := learn.Run(u, s, opts...)
+	if got.String() != want.String() {
+		t.Fatalf("continued learn = %s, want %s", got, want)
+	}
+	sameEntries(t, "continued history", s.Entries(), ref.Entries())
+	if s.LiveQuestions != total-recorded {
+		t.Fatalf("continued run asked %d live questions, want %d", s.LiveQuestions, total-recorded)
+	}
+}
+
+// TestRecordedQuestionsDoNotAllocate: the index answers a recorded
+// question without building a key, so Ask allocates nothing and
+// AskBatch allocates at most its answers slice.
+func TestRecordedQuestionsDoNotAllocate(t *testing.T) {
+	u := boolean.MustUniverse(4)
+	s := session.New(oracle.Target(query.MustParse(u, "∀x1 → x2 ∃x3x4")))
+	qs := []boolean.Set{
+		boolean.MustParseSet(u, "{1100, 0011}"),
+		boolean.MustParseSet(u, "{1000}"),
+		boolean.MustParseSet(u, "{0110, 1111}"),
+	}
+	s.AskBatch(qs)
+	if n := testing.AllocsPerRun(100, func() { s.Ask(qs[1]) }); n != 0 {
+		t.Errorf("Ask of a recorded question allocates %v times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { s.AskBatch(qs) }); n > 1 {
+		t.Errorf("AskBatch of recorded questions allocates %v times, want at most 1", n)
+	}
+	if s.LiveQuestions != len(qs) {
+		t.Fatalf("live questions = %d, want %d", s.LiveQuestions, len(qs))
+	}
+}
+
+// TestForgetReasksAndKeepsViews: a forgotten question goes back to the
+// user, and a View taken before Forget still shows the old history
+// after new questions are recorded.
+func TestForgetReasksAndKeepsViews(t *testing.T) {
+	u := boolean.MustUniverse(3)
+	c := oracle.Count(oracle.Target(query.MustParse(u, "∃x1")))
+	s := session.New(c)
+	q := []boolean.Set{
+		boolean.MustParseSet(u, "{100}"),
+		boolean.MustParseSet(u, "{010}"),
+		boolean.MustParseSet(u, "{110, 001}"),
+		boolean.MustParseSet(u, "{011}"),
+	}
+	s.AskBatch(q[:3])
+	view, before := s.View(), s.Entries()
+	if err := s.Forget(1); err != nil {
+		t.Fatal(err)
+	}
+	s.Ask(q[3])
+	s.AskBatch([]boolean.Set{q[2], q[1]})
+	if c.Questions != 6 {
+		t.Fatalf("user asked %d questions, want 6 (3, then 1 new and 2 forgotten)", c.Questions)
+	}
+	sameEntries(t, "view taken before Forget", view, before)
+	for i, want := range []boolean.Set{q[0], q[3], q[2], q[1]} {
+		if got, ok := s.Index(want); !ok || got != i {
+			t.Fatalf("Index(question %d) = %d, %v; want %d", i, got, ok, i)
+		}
+	}
+}

@@ -28,8 +28,7 @@ type savedSession struct {
 // with the universe width needed to re-parse the tuples.
 func (s *Session) EncodeJSON(u boolean.Universe) ([]byte, error) {
 	out := savedSession{Variables: u.N()}
-	for _, k := range s.order {
-		e := s.byKey[k]
+	for _, e := range s.entries {
 		se := savedEntry{Answer: e.Answer, Amended: e.Amended}
 		for _, t := range e.Question.Tuples() {
 			se.Question = append(se.Question, u.Format(t))
@@ -62,12 +61,10 @@ func DecodeJSON(data []byte, user oracle.Oracle) (*Session, boolean.Universe, er
 			tuples = append(tuples, t)
 		}
 		q := boolean.NewSet(tuples...)
-		key := q.Key()
-		if _, dup := s.byKey[key]; dup {
+		if _, dup := s.lookup(q); dup {
 			return nil, boolean.Universe{}, fmt.Errorf("session: entry %d duplicates an earlier question", i)
 		}
-		s.byKey[key] = &Entry{Question: q, Answer: se.Answer, Amended: se.Amended}
-		s.order = append(s.order, key)
+		s.record(string(s.id), Entry{Question: q, Answer: se.Answer, Amended: se.Amended})
 	}
 	return s, u, nil
 }

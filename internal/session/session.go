@@ -11,7 +11,13 @@
 // response, and the next run replays amended history before asking
 // the live oracle anything new.
 //
-// A Session is NOT concurrency-safe: its history maps serialize the
+// The history is one slice of entries in first-asked order, indexed
+// by a map from each question's raw tuple bytes (boolean.Set.AppendID)
+// to its position. Lookups go through a reused scratch buffer and
+// allocate nothing; only a newly recorded question allocates its index
+// key. The hex wire key (Set.Key) is never built here.
+//
+// A Session is NOT concurrency-safe: its history serializes the
 // amendment protocol, so it must never sit inside a worker pool
 // (run.WithParallel). Engine runs over a session use run.WithBatch
 // instead: the session is a BatchOracle whose AskBatch answers
@@ -44,40 +50,58 @@ type Entry struct {
 // Session is an oracle with a reviewable, amendable history. The zero
 // value is unusable; create one with New.
 type Session struct {
-	user  oracle.Oracle
-	order []string          // question keys in first-asked order
-	byKey map[string]*Entry // history, keyed by canonical question
+	user    oracle.Oracle
+	entries []Entry          // history in first-asked order
+	index   map[string]int32 // question's AppendID bytes → position in entries
 	// LiveQuestions counts questions forwarded to the user during the
 	// current run (replayed questions are free).
 	LiveQuestions int
 
-	// AskBatch scratch, reused across rounds so a long adaptive run
-	// (hundreds of batches against the qhornd exchange) allocates per
-	// answer slice, not per bookkeeping pass. Safe because a Session
-	// is single-goroutine by contract and no oracle wrapper retains
-	// the sub-batch slice past AskAll.
-	sub   []boolean.Set
-	fill  []int
-	inSub map[string]bool
+	// Scratch reused across calls, so a long adaptive run (hundreds of
+	// batches against the qhornd exchange) allocates per answer slice
+	// and per new question, not per lookup. Safe because a Session is
+	// single-goroutine by contract and no oracle wrapper retains the
+	// sub-batch slice past AskAll.
+	id    []byte           // AppendID of the question being looked up
+	sub   []boolean.Set    // AskBatch: distinct new questions, first-occurrence order
+	keys  []string         // AskBatch: index key of each sub question
+	fills []fill           // AskBatch: batch positions the sub-batch answers
+	inSub map[string]int32 // AskBatch: index key → position in sub
 }
+
+// fill routes answer sub[j] to position i of the batch.
+type fill struct{ i, j int32 }
 
 // New returns a session over the user's oracle.
 func New(user oracle.Oracle) *Session {
-	return &Session{user: user, byKey: map[string]*Entry{}}
+	return &Session{user: user, index: map[string]int32{}}
+}
+
+// lookup returns the history position of q; s.id holds q's AppendID
+// afterwards, so a miss can record it without re-encoding.
+func (s *Session) lookup(q boolean.Set) (int32, bool) {
+	s.id = q.AppendID(s.id[:0])
+	i, ok := s.index[string(s.id)]
+	return i, ok
+}
+
+// record appends a new history entry under the given index key.
+func (s *Session) record(key string, e Entry) {
+	s.index[key] = int32(len(s.entries))
+	s.entries = append(s.entries, e)
 }
 
 // Ask implements oracle.Oracle: repeated questions — including every
 // question replayed after an amendment — are answered from the
 // history; new questions go to the user and are recorded.
 func (s *Session) Ask(q boolean.Set) bool {
-	key := q.Key()
-	if e, ok := s.byKey[key]; ok {
-		return e.Answer
+	if i, ok := s.lookup(q); ok {
+		return s.entries[i].Answer
 	}
+	key := string(s.id)
 	a := s.user.Ask(q)
 	s.LiveQuestions++
-	s.byKey[key] = &Entry{Question: q, Answer: a}
-	s.order = append(s.order, key)
+	s.record(key, Entry{Question: q, Answer: a})
 	return a
 }
 
@@ -87,65 +111,80 @@ func (s *Session) Ask(q boolean.Set) bool {
 // sub-batch in first-occurrence order and recorded. The answers, the
 // recorded history order and LiveQuestions are identical to asking
 // the batch serially through Ask; only the user-side asking may
-// overlap in time when the user is itself a BatchOracle. The session
-// must still be driven from a single goroutine.
+// overlap in time when the user is itself a BatchOracle. A panic from
+// the user records nothing. The session must still be driven from a
+// single goroutine.
 func (s *Session) AskBatch(qs []boolean.Set) []bool {
 	answers := make([]bool, len(qs))
-	sub := s.sub[:0]
-	fill := s.fill[:0]
+	sub, keys, fills := s.sub[:0], s.keys[:0], s.fills[:0]
 	if s.inSub == nil {
-		s.inSub = map[string]bool{}
+		s.inSub = map[string]int32{}
 	}
 	for i, q := range qs {
-		key := q.Key()
-		if e, ok := s.byKey[key]; ok {
-			answers[i] = e.Answer
+		if at, ok := s.lookup(q); ok {
+			answers[i] = s.entries[at].Answer
 			continue
 		}
-		fill = append(fill, i)
-		if !s.inSub[key] {
-			s.inSub[key] = true
-			sub = append(sub, q)
+		j, ok := s.inSub[string(s.id)]
+		if !ok {
+			j = int32(len(sub))
+			key := string(s.id)
+			s.inSub[key] = j
+			sub, keys = append(sub, q), append(keys, key)
 		}
+		fills = append(fills, fill{int32(i), j})
 	}
-	s.sub, s.fill = sub, fill
+	s.sub, s.keys, s.fills = sub, keys, fills
 	clear(s.inSub)
 	if len(sub) == 0 {
 		return answers
 	}
 	res := oracle.AskAll(s.user, sub)
 	for j, q := range sub {
-		key := q.Key()
-		s.LiveQuestions++
-		s.byKey[key] = &Entry{Question: q, Answer: res[j]}
-		s.order = append(s.order, key)
+		s.record(keys[j], Entry{Question: q, Answer: res[j]})
 	}
-	for _, i := range fill {
-		answers[i] = s.byKey[qs[i].Key()].Answer
+	s.LiveQuestions += len(sub)
+	for _, f := range fills {
+		answers[f.i] = res[f.j]
 	}
 	return answers
 }
 
-// Entries returns the history in first-asked order.
+// Entries returns a copy of the history in first-asked order.
 func (s *Session) Entries() []Entry {
-	out := make([]Entry, 0, len(s.order))
-	for _, k := range s.order {
-		out = append(out, *s.byKey[k])
-	}
+	out := make([]Entry, len(s.entries))
+	copy(out, s.entries)
 	return out
 }
 
+// View returns the history in first-asked order without copying it.
+// The view shares the session's storage: questions recorded later
+// never show through it, but Amend and AmendQuestion flip answers in
+// place, so a caller that must not see an amendment copies instead
+// (Entries). Callers must not modify the view.
+func (s *Session) View() []Entry {
+	n := len(s.entries)
+	return s.entries[:n:n]
+}
+
 // Len returns the number of distinct questions on record.
-func (s *Session) Len() int { return len(s.order) }
+func (s *Session) Len() int { return len(s.entries) }
+
+// Index returns the history position of question q, if it is on
+// record.
+func (s *Session) Index(q boolean.Set) (int, bool) {
+	i, ok := s.lookup(q)
+	return int(i), ok
+}
 
 // Amend flips the recorded response of history entry i (0-based,
 // first-asked order). The next learning run replays the corrected
 // history. It returns an error if i is out of range.
 func (s *Session) Amend(i int) error {
-	if i < 0 || i >= len(s.order) {
-		return fmt.Errorf("session: no history entry %d (have %d)", i, len(s.order))
+	if i < 0 || i >= len(s.entries) {
+		return fmt.Errorf("session: no history entry %d (have %d)", i, len(s.entries))
 	}
-	e := s.byKey[s.order[i]]
+	e := &s.entries[i]
 	e.Answer = !e.Answer
 	e.Amended = true
 	return nil
@@ -153,13 +192,11 @@ func (s *Session) Amend(i int) error {
 
 // AmendQuestion flips the recorded response for the given question.
 func (s *Session) AmendQuestion(q boolean.Set) error {
-	e, ok := s.byKey[q.Key()]
+	i, ok := s.Index(q)
 	if !ok {
 		return fmt.Errorf("session: question %v not in history", q.Tuples())
 	}
-	e.Answer = !e.Answer
-	e.Amended = true
-	return nil
+	return s.Amend(i)
 }
 
 // ResetRun clears the live-question counter before a re-run; the
@@ -170,13 +207,16 @@ func (s *Session) ResetRun() { s.LiveQuestions = 0 }
 // run to re-ask them. Use when the user distrusts everything after
 // the point of error rather than a single response.
 func (s *Session) Forget(i int) error {
-	if i < 0 || i > len(s.order) {
-		return fmt.Errorf("session: no history entry %d (have %d)", i, len(s.order))
+	if i < 0 || i > len(s.entries) {
+		return fmt.Errorf("session: no history entry %d (have %d)", i, len(s.entries))
 	}
-	for _, k := range s.order[i:] {
-		delete(s.byKey, k)
+	for _, e := range s.entries[i:] {
+		s.id = e.Question.AppendID(s.id[:0])
+		delete(s.index, string(s.id))
 	}
-	s.order = s.order[:i]
+	// Full slice expression: the next question recorded reallocates
+	// instead of overwriting entries a View taken earlier still shows.
+	s.entries = s.entries[:i:i]
 	return nil
 }
 
@@ -186,8 +226,7 @@ func (s *Session) Forget(i int) error {
 // these entries makes the history consistent with q.
 func (s *Session) InconsistentWith(ask func(boolean.Set) bool) []int {
 	var out []int
-	for i, k := range s.order {
-		e := s.byKey[k]
+	for i, e := range s.entries {
 		if ask(e.Question) != e.Answer {
 			out = append(out, i)
 		}
