@@ -1,63 +1,32 @@
 package qhorn
 
-// The API-surface guard: the variant matrix (one exported function per
-// cross-cutting feature combination) is frozen at its pre-engine
-// extent. Every *Observed / *Traced / *Parallel export that existed
-// when the composable run engine landed is kept as a thin documented
-// wrapper, and NO new ones may appear — a new cross-cutting dimension
-// is one new run.Option, not a new function per learner and verifier
-// variant (docs/ENGINE.md). CI runs this test explicitly
-// (go test -run TestAPISurfaceFrozen .).
+// The API-surface guard: a cross-cutting dimension of a run (steps,
+// spans, metrics, batching, …) is one run.Option, never one exported
+// function per learner and verifier variant (docs/ENGINE.md). The guard
+// fails on any exported *Observed / *Traced / *Parallel function in the
+// facade, the learners or the verifier. CI runs this test explicitly
+// (go test -run TestNoVariantExports .).
 
 import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
 	"regexp"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// frozenVariants is the exhaustive allowlist of variant-matrix exports
-// per package directory. Removing an entry here must accompany a
-// deliberate, documented deprecation; adding one is a design error.
-var frozenVariants = map[string][]string{
-	".": {
-		"LearnQhorn1Observed",
-		"LearnQhorn1Parallel",
-		"LearnQhorn1Traced",
-		"LearnRolePreservingObserved",
-		"LearnRolePreservingParallel",
-		"LearnRolePreservingTraced",
-		"ParallelOracleOf",
-		"VerifyObserved",
-		"VerifyParallel",
-	},
-	"internal/learn": {
-		"Qhorn1Observed",
-		"Qhorn1Parallel",
-		"Qhorn1ParallelObserved",
-		"Qhorn1Traced",
-		"RolePreservingObserved",
-		"RolePreservingParallel",
-		"RolePreservingParallelObserved",
-		"RolePreservingTraced",
-	},
-	"internal/verify": {
-		"RunObserved",
-		"RunParallel",
-		"RunParallelObserved",
-		"VerifyObserved",
-		"VerifyParallel",
-	},
-}
+// guardedDirs are the package directories whose exports the guard
+// scans.
+var guardedDirs = []string{".", "internal/learn", "internal/verify"}
 
 var variantName = regexp.MustCompile(`(Observed|Traced|Parallel)`)
 
 // variantExports parses a package directory and returns every exported
 // function or method whose name matches the variant pattern, excluding
-// test files.
+// test files and With* option constructors.
 func variantExports(t *testing.T, dir string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -65,10 +34,10 @@ func variantExports(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatalf("parse %s: %v", dir, err)
 	}
-	seen := map[string]bool{}
+	var out []string
 	for _, pkg := range pkgs {
 		for name, file := range pkg.Files {
-			if len(name) > 8 && name[len(name)-8:] == "_test.go" {
+			if strings.HasSuffix(name, "_test.go") {
 				continue
 			}
 			for _, decl := range file.Decls {
@@ -77,40 +46,35 @@ func variantExports(t *testing.T, dir string) []string {
 					continue
 				}
 				// Option constructors (WithParallel, …) are the
-				// sanctioned mechanism the guard steers toward, not
-				// variant-matrix growth.
+				// sanctioned mechanism the guard steers toward.
 				if strings.HasPrefix(fn.Name.Name, "With") {
 					continue
 				}
-				seen[fn.Name.Name] = true
+				out = append(out, fn.Name.Name)
 			}
 		}
-	}
-	var out []string
-	for name := range seen {
-		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// TestAPISurfaceFrozen fails when a variant-matrix export appears or
-// disappears in the facade, the learners, or the verifier.
-func TestAPISurfaceFrozen(t *testing.T) {
-	for dir, want := range frozenVariants {
-		got := variantExports(t, dir)
-		allowed := map[string]bool{}
-		for _, name := range want {
-			allowed[name] = true
+// TestNoVariantExports fails when a variant export appears in the
+// facade, the learners, or the verifier.
+func TestNoVariantExports(t *testing.T) {
+	for _, dir := range guardedDirs {
+		for _, name := range variantExports(t, dir) {
+			t.Errorf("%s: variant export %s — add a run.Option instead (docs/ENGINE.md)", dir, name)
 		}
-		for _, name := range got {
-			if !allowed[name] {
-				t.Errorf("%s: new variant-matrix export %s — add a run.Option instead (docs/ENGINE.md), or freeze it here with a documented reason", dir, name)
-			}
-			delete(allowed, name)
-		}
-		for name := range allowed {
-			t.Errorf("%s: frozen export %s disappeared — legacy entry points are kept as thin wrappers over the engine", dir, name)
-		}
+	}
+}
+
+// TestNoVariantExportsBites runs the same scan over a fixture package
+// with one planted variant export, an option constructor, an
+// unexported variant and a variant in a test file: only the planted
+// export may be reported.
+func TestNoVariantExportsBites(t *testing.T) {
+	got := variantExports(t, "testdata/variantguard")
+	if want := []string{"LearnPlantedObserved"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("scan of the planted fixture reported %v, want %v", got, want)
 	}
 }

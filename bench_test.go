@@ -477,7 +477,7 @@ func BenchmarkLearnParallel(b *testing.B) {
 			pool := oracle.Parallel(slow, workers)
 			questions := 0
 			for i := 0; i < b.N; i++ {
-				_, st := learn.RolePreservingParallel(target.U, pool)
+				_, st := learn.Run(target.U, pool, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
 				questions = st.Total()
 			}
 			b.ReportMetric(float64(questions), "questions/op")
@@ -506,7 +506,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 	b.Run("workers=8", func(b *testing.B) {
 		pool := oracle.Parallel(slow, 8)
 		for i := 0; i < b.N; i++ {
-			vs.RunParallel(pool)
+			vs.RunWith(pool, run.WithBatch())
 		}
 	})
 }
@@ -629,7 +629,7 @@ func BenchmarkBruteLearnGreedySerial(b *testing.B) {
 // the same questions (TestMatrixBitIdentical pins the identity).
 func BenchmarkBruteLearnMatrix(b *testing.B) {
 	candidates, pool, targets := bruteBenchFixture()
-	m := brute.NewMatrix(candidates, pool, 0)
+	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
 	questions := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -649,6 +649,6 @@ func BenchmarkBruteMatrixBuild(b *testing.B) {
 	candidates, pool, _ := bruteBenchFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		brute.NewMatrix(candidates, pool, 0)
+		brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
 	}
 }

@@ -76,12 +76,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	defer session.Close()
 
 	var opt difffuzz.Options
-	eng := engine.New(engine.FromFlags(obsFlags, session)...)
-	opt.Parallel = eng.Workers
+	opt.Parallel = engine.New(engine.FromFlags(obsFlags, session)...).Workers
 	opt.EngineMatrix = *matrix
 	opt.BruteVars = *bruteN
 	opt.BruteSampleVars = *bruteSampleN
-	opt.Matrix = eng.BruteMatrixOptions()
 	if *inject {
 		opt.Warp = dropFirstExpr
 		fmt.Fprintln(stdout, "INJECTING a bug into the learner's output: disagreements below are expected")

@@ -183,9 +183,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("bad -simulate query: %w", err))
 		}
 		fmt.Fprintf(stdout, "Simulating a user whose intended query is: %s\n", target)
-		// Compiled kernel by default; -interpreted-eval forces the
-		// interpreted evaluator (docs/PERFORMANCE.md).
-		user = engine.New(engine.FromFlags(obsFlags, session)...).SimulatedUser(target)
+		user = oracle.Target(target)
 	} else if *boolMode {
 		user = oracle.Interactive(u, stdin, stdout)
 	} else {

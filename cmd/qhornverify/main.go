@@ -94,9 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail(stderr, fmt.Errorf("bad -intended query: %w", err))
 		}
 		fmt.Fprintf(stdout, "\nSimulating a user whose intended query is: %s\n", iq)
-		// Compiled kernel by default; -interpreted-eval forces the
-		// interpreted evaluator (docs/PERFORMANCE.md).
-		user = engine.New(engine.FromFlags(obsFlags, session)...).SimulatedUser(iq)
+		user = oracle.Target(iq)
 	case *ask:
 		user = oracle.Interactive(u, stdin, stdout)
 	default:

@@ -5,15 +5,9 @@
 // internal/brute and every new matrix user re-implemented them; now
 // there is one copy, benchmarked and tested on its own.
 //
-// Two representations live here:
-//
-//   - plain word slices ([]uint64), the mutable working sets
-//     (remaining-candidate masks, scratch rows), operated on by the
-//     package-level functions;
-//   - Row, an immutable roaring-style compressed bitset (array, bitmap
-//     and run containers per 4096-bit chunk) for the sparse regions of
-//     the candidate lattice, with AND/ANDNOT/popcount operations
-//     against plain word slices and a binary encoding for disk spill.
+// Everything here operates on plain word slices ([]uint64): the
+// answer matrix's rows and the mutable working sets (remaining-candidate
+// masks, scratch rows).
 package bitvec
 
 import "math/bits"

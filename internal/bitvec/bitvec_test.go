@@ -137,179 +137,6 @@ func randomWords(rng *rand.Rand, nbits int, density float64) []uint64 {
 	return v
 }
 
-func TestRowRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	// Densities chosen to hit all three container kinds: sparse →
-	// array, dense random → bitmap, all-set/clustered → runs.
-	for _, density := range []float64{0, 0.001, 0.01, 0.2, 0.5, 0.95, 1} {
-		for _, nbits := range []int{1, 64, 100, 4096, 5000, 12288, 20000} {
-			words := randomWords(rng, nbits, density)
-			row := Compress(words, nbits)
-			if row.Len() != nbits {
-				t.Fatalf("Len = %d, want %d", row.Len(), nbits)
-			}
-			if row.Count() != Count(words) {
-				t.Fatalf("density %v nbits %d: Count = %d, want %d", density, nbits, row.Count(), Count(words))
-			}
-			if back := row.Words(); !Equal(back, words) {
-				t.Fatalf("density %v nbits %d: Words round trip mismatch", density, nbits)
-			}
-			for _, i := range []int{0, 1, nbits / 3, nbits / 2, nbits - 1} {
-				if row.Bit(i) != Get(words, i) {
-					t.Fatalf("density %v nbits %d: Bit(%d) = %v", density, nbits, i, row.Bit(i))
-				}
-			}
-		}
-	}
-}
-
-func TestRowContainerKinds(t *testing.T) {
-	// A handful of set bits → array containers.
-	nbits := 8192
-	sparse := make([]uint64, Words(nbits))
-	for _, i := range []int{3, 500, 4100, 8000} {
-		Set(sparse, i)
-	}
-	if r := Compress(sparse, nbits); len(r.chunks) != 2 || r.chunks[0].kind != kindArray {
-		t.Fatalf("sparse row: chunks %d kind %d, want 2 array chunks", len(r.chunks), r.chunks[0].kind)
-	}
-
-	// Every bit set → one run per chunk.
-	full := Full(nbits)
-	rf := Compress(full, nbits)
-	for _, c := range rf.chunks {
-		if c.kind != kindRuns {
-			t.Fatalf("full row chunk kind %d, want runs", c.kind)
-		}
-	}
-	if rf.SizeBytes() >= len(full)*8 {
-		t.Fatalf("full row should compress: %d >= %d", rf.SizeBytes(), len(full)*8)
-	}
-
-	// Dense alternating bits (0101…) → bitmap (runs and array both
-	// cost more than 512 bytes per chunk).
-	alt := make([]uint64, Words(nbits))
-	for i := 0; i < nbits; i += 2 {
-		Set(alt, i)
-	}
-	ra := Compress(alt, nbits)
-	for _, c := range ra.chunks {
-		if c.kind != kindBitmap {
-			t.Fatalf("alternating row chunk kind %d, want bitmap", c.kind)
-		}
-	}
-
-	// Empty chunks are omitted entirely.
-	gap := make([]uint64, Words(3*chunkBits))
-	Set(gap, 10)
-	Set(gap, 2*chunkBits+5)
-	if r := Compress(gap, 3*chunkBits); len(r.chunks) != 2 || r.chunks[0].key != 0 || r.chunks[1].key != 2 {
-		t.Fatalf("gap row: got %d chunks", len(r.chunks))
-	}
-}
-
-func TestRowEqual(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, density := range []float64{0.01, 0.5, 0.98} {
-		nbits := 6000
-		words := randomWords(rng, nbits, density)
-		a, b := Compress(words, nbits), Compress(words, nbits)
-		if !a.Equal(b) {
-			t.Fatalf("identical rows not Equal at density %v", density)
-		}
-		flip := rng.Intn(nbits)
-		words[flip>>6] ^= 1 << (uint(flip) & 63)
-		c := Compress(words, nbits)
-		if a.Equal(c) {
-			t.Fatalf("rows differing at bit %d Equal", flip)
-		}
-	}
-}
-
-func TestRowOpsAgainstWords(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 60; trial++ {
-		nbits := 1 + rng.Intn(10000)
-		rowDensity := []float64{0.005, 0.3, 0.97}[trial%3]
-		rowWords := randomWords(rng, nbits, rowDensity)
-		row := Compress(rowWords, nbits)
-		v := randomWords(rng, nbits, 0.5)
-
-		if got, want := row.AndCount(v), AndCount(rowWords, v); got != want {
-			t.Fatalf("trial %d: AndCount = %d, want %d", trial, got, want)
-		}
-
-		and := append([]uint64{}, v...)
-		row.AndInto(and)
-		wantAnd := append([]uint64{}, v...)
-		AndInto(wantAnd, rowWords)
-		if !Equal(and, wantAnd) {
-			t.Fatalf("trial %d: AndInto mismatch", trial)
-		}
-
-		andNot := append([]uint64{}, v...)
-		row.AndNotInto(andNot)
-		wantNot := append([]uint64{}, v...)
-		AndNotInto(wantNot, rowWords)
-		if !Equal(andNot, wantNot) {
-			t.Fatalf("trial %d: AndNotInto mismatch", trial)
-		}
-	}
-}
-
-func TestRowBinaryRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
-	var buf []byte
-	var rows []Row
-	for _, density := range []float64{0, 0.002, 0.4, 1} {
-		nbits := 300 + rng.Intn(9000)
-		row := Compress(randomWords(rng, nbits, density), nbits)
-		rows = append(rows, row)
-		buf = row.AppendBinary(buf)
-	}
-	// Decode the concatenated stream back.
-	pos := 0
-	for i, want := range rows {
-		got, n, err := DecodeRow(buf[pos:])
-		if err != nil {
-			t.Fatalf("row %d: %v", i, err)
-		}
-		pos += n
-		if !got.Equal(want) {
-			t.Fatalf("row %d: decode mismatch", i)
-		}
-	}
-	if pos != len(buf) {
-		t.Fatalf("decoded %d of %d bytes", pos, len(buf))
-	}
-}
-
-func TestDecodeRowErrors(t *testing.T) {
-	row := Compress(randomWords(rand.New(rand.NewSource(23)), 5000, 0.3), 5000)
-	enc := row.AppendBinary(nil)
-	// Every proper prefix must fail cleanly, not panic or succeed.
-	for cut := 0; cut < len(enc); cut++ {
-		if _, _, err := DecodeRow(enc[:cut]); err == nil {
-			t.Fatalf("DecodeRow of %d-byte prefix succeeded", cut)
-		}
-	}
-	// Unknown container kind.
-	bad := append([]byte{}, enc...)
-	bad[3] = 0xee // first chunk's kind byte (nbits uvarint is 2 bytes here, nchunks 1, key 1)
-	if _, _, err := DecodeRow(bad); err == nil {
-		t.Fatal("DecodeRow accepted unknown container kind")
-	}
-}
-
-func TestCompressPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Compress accepted a mis-sized word slice")
-		}
-	}()
-	Compress(make([]uint64, 3), 64)
-}
-
 func BenchmarkAndCount(b *testing.B) {
 	rng := rand.New(rand.NewSource(29))
 	nbits := 65536
@@ -319,38 +146,5 @@ func BenchmarkAndCount(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		AndCount(x, y)
-	}
-}
-
-func BenchmarkRowAndCount(b *testing.B) {
-	rng := rand.New(rand.NewSource(31))
-	nbits := 65536
-	v := randomWords(rng, nbits, 0.5)
-	for _, bench := range []struct {
-		name    string
-		density float64
-	}{
-		{"sparse", 0.002},
-		{"dense", 0.5},
-		{"runs", 0.999},
-	} {
-		row := Compress(randomWords(rng, nbits, bench.density), nbits)
-		b.Run(bench.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				row.AndCount(v)
-			}
-		})
-	}
-}
-
-func BenchmarkCompress(b *testing.B) {
-	rng := rand.New(rand.NewSource(37))
-	nbits := 65536
-	words := randomWords(rng, nbits, 0.1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Compress(words, nbits)
 	}
 }

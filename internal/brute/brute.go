@@ -51,7 +51,7 @@ func Learn(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) (Resul
 	if len(candidates) == 0 {
 		return Result{}, ErrNoCandidates
 	}
-	return NewMatrix(candidates, pool, 0).Learn(o)
+	return NewMatrix(candidates, pool, MatrixOptions{}).Learn(o)
 }
 
 // LearnSerial is the direct-evaluation reference implementation of
@@ -113,7 +113,7 @@ func LearnGreedy(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) 
 	if len(candidates) == 0 {
 		return Result{}, ErrNoCandidates
 	}
-	return NewMatrix(candidates, pool, 0).LearnGreedy(o)
+	return NewMatrix(candidates, pool, MatrixOptions{}).LearnGreedy(o)
 }
 
 // LearnGreedySerial is the direct-evaluation reference implementation

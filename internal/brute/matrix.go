@@ -1,9 +1,7 @@
 package brute
 
 import (
-	"fmt"
 	"math/bits"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,47 +25,28 @@ import (
 // TestMatrixBitIdentical pins questions, counts and outcomes against
 // LearnSerial/LearnGreedySerial on every target.
 //
-// The matrix is organized along the candidate axis into shards of
-// ShardSize candidates (always a multiple of 64, so shard row words
-// align with words of the full-width remaining-candidate mask). Each
-// shard is built by its own worker pool through the bit-sliced kernel
-// — query.CompileSlab answers one pool question for 64 candidates per
+// The rows are built by a worker pool through the bit-sliced kernel —
+// query.CompileSlab answers one pool question for 64 candidates per
 // EvalAll call, deduplicating the requirement masks and Horn rules the
-// candidates share — and stores its question-major rows in one of
-// three forms: plain words, bitvec.Row compressed, or compressed and
-// spilled to disk (MatrixOnDisk), streamed back per question at learn
-// time. All three learn bit-identically; only footprint and wall time
-// differ.
+// candidates share — and held in RAM, question-major, beside a
+// candidate-major copy for the equivalence prefilter. The full n=4
+// space (1576 candidates × 65536 objects) is about 13 MB per
+// orientation, so no workload this repo runs needs another storage.
 
-// DefaultShardSize is the default number of candidates per shard:
-// large enough that every exhaustive enumeration this repo reaches
-// (n ≤ 4, 1576 candidates) stays single-shard, small enough that a
-// sampled n=5 space splits into parallel build units.
-const DefaultShardSize = 1 << 13
-
-// MatrixOptions tunes NewMatrixOpts. The zero value is the default
-// configuration: sliced build, DefaultShardSize, plain in-RAM rows.
+// MatrixOptions tunes NewMatrix. The zero value is the default
+// configuration: sliced build, one worker per CPU, no metrics.
 type MatrixOptions struct {
-	// Workers sizes each shard's build worker pool; <= 0 selects
+	// Workers sizes the build worker pool; <= 0 selects
 	// oracle.DefaultWorkers, the PR-3 engine's sizing.
 	Workers int
-	// ShardSize is the number of candidates per shard, rounded up to a
-	// multiple of 64; <= 0 selects DefaultShardSize.
-	ShardSize int
-	// Compress stores question-major rows as bitvec.Row containers
-	// instead of plain words.
-	Compress bool
-	// SpillDir, when non-empty, writes every shard's compressed rows
-	// to one temporary file under the directory and streams them back
-	// per question during learning; "." spills to the working
-	// directory. Implies Compress for the at-rest form.
-	SpillDir string
 	// Scalar builds rows through the per-candidate compiled kernel
 	// (the PR-5 path) instead of the bit-sliced slab kernel. The rows
 	// are identical either way; this is the experiment baseline.
 	Scalar bool
-	// Registry receives the build and learn wall-time histograms; nil
-	// is silent.
+	// Registry receives the build wall time
+	// (qhorn_brute_matrix_build_seconds) and the matrix's
+	// Learn/LearnGreedy wall times (qhorn_brute_learn_seconds, labeled
+	// by algorithm); nil is silent.
 	Registry *obs.Registry
 }
 
@@ -76,195 +55,95 @@ type MatrixOptions struct {
 // immutable after construction and safe for concurrent use; one matrix
 // can drive any number of Learn/LearnGreedy runs against different
 // oracles (the elimination state lives in the run, not the matrix).
-// Spilled matrices hold an open file handle; Close releases it.
 type Matrix struct {
 	candidates []query.Query
 	compiled   []*query.Compiled
 	pool       []boolean.Set
-	shards     []*shard
-	shardSize  int
-	words      int // words per full-width candidate mask
+	// rows[j] holds bit i set iff candidate i answers yes to pool
+	// question j (question-major: what elimination reads).
+	rows [][]uint64
 	// finger[i] is a hash of candidate i's full answer row. Differing
 	// fingerprints certify differing rows, hence inequivalence under
-	// the pool — the always-available half of the equivalence
-	// prefilter.
+	// the pool — a cheaper prefilter than the full row compare.
 	finger []uint64
 	// candRows[i][w] holds bit j of word w set iff candidate i answers
 	// yes to pool question 64w+j (candidate-major, the exact
 	// equivalence prefilter: differing rows certify inequivalence).
-	// nil when the matrix is spilled to disk; the fingerprint
-	// prefilter and the semantic fallback then carry the decision.
 	candRows [][]uint64
-	spill    *os.File
 	// reg receives the matrix's engine metrics (build and learn wall
 	// times); nil is silent.
 	reg *obs.Registry
 }
 
-// shard holds the question-major rows of candidates [lo, hi) in
-// exactly one of three storages: raw words, compressed rows, or
-// offsets into the shared spill file.
-type shard struct {
-	lo, hi int
-	n      int // hi - lo
-	words  int // words per row segment
-	raw    [][]uint64
-	comp   []bitvec.Row
-	offs   []int64
-	file   *os.File
-}
-
-// NewMatrix builds the answer matrix with default options and the
-// given worker-pool size; see NewMatrixOpts.
-func NewMatrix(candidates []query.Query, pool []boolean.Set, workers int) *Matrix {
-	return NewMatrixInto(candidates, pool, workers, nil)
-}
-
-// NewMatrixInto is NewMatrix with engine metrics recorded into reg: the
-// build's wall time lands in qhorn_brute_matrix_build_seconds, and the
-// matrix's Learn/LearnGreedy runs observe qhorn_brute_learn_seconds
-// (labeled by algorithm). A nil registry degrades to NewMatrix.
-func NewMatrixInto(candidates []query.Query, pool []boolean.Set, workers int, reg *obs.Registry) *Matrix {
-	m, err := NewMatrixOpts(candidates, pool, MatrixOptions{Workers: workers, Registry: reg})
-	if err != nil {
-		// Without a spill directory no I/O happens and no error is
-		// possible; reaching here is a bug, not an environment failure.
-		panic(err)
-	}
-	return m
-}
-
-// MatrixOnDisk builds the matrix with its rows compressed and spilled
-// to a temporary file under dir (see MatrixOptions.SpillDir), for
-// candidate spaces whose rows outgrow RAM. The caller owns the matrix
-// lifetime: Close removes the spill file.
-func MatrixOnDisk(candidates []query.Query, pool []boolean.Set, dir string, opt MatrixOptions) (*Matrix, error) {
-	opt.SpillDir = dir
-	return NewMatrixOpts(candidates, pool, opt)
-}
-
-// NewMatrixOpts builds the answer matrix for the candidate set over
-// the question pool. Candidates are cut into shards of opt.ShardSize;
-// each shard's rows are filled by a worker pool claiming one 64-wide
-// candidate slab at a time — the slab's EvalAll answers a question for
-// the whole word of candidates, and slabs touch disjoint row words, so
-// the build needs no locking. An error is only possible when spilling
-// to disk.
-func NewMatrixOpts(candidates []query.Query, pool []boolean.Set, opt MatrixOptions) (*Matrix, error) {
+// NewMatrix builds the answer matrix for the candidate set over the
+// question pool. A worker pool claims one 64-wide candidate slab at a
+// time — the slab's EvalAll answers a question for the whole word of
+// candidates, and slabs touch disjoint row words, so the build needs
+// no locking.
+func NewMatrix(candidates []query.Query, pool []boolean.Set, opt MatrixOptions) *Matrix {
 	buildStart := time.Now()
-	if opt.Workers <= 0 {
-		opt.Workers = oracle.DefaultWorkers()
-	}
-	if opt.ShardSize <= 0 {
-		opt.ShardSize = DefaultShardSize
-	}
-	opt.ShardSize = (opt.ShardSize + 63) &^ 63
+	words := bitvec.Words(len(candidates))
 	m := &Matrix{
 		candidates: candidates,
 		compiled:   make([]*query.Compiled, len(candidates)),
 		pool:       pool,
-		shardSize:  opt.ShardSize,
-		words:      bitvec.Words(len(candidates)),
+		rows:       make([][]uint64, len(pool)),
 		finger:     make([]uint64, len(candidates)),
+		candRows:   make([][]uint64, len(candidates)),
 		reg:        opt.Registry,
 	}
-	spilling := opt.SpillDir != ""
-	if !spilling {
-		m.candRows = make([][]uint64, len(candidates))
-	} else {
-		if err := os.MkdirAll(opt.SpillDir, 0o755); err != nil {
-			return nil, fmt.Errorf("brute: creating matrix spill dir: %w", err)
-		}
-		f, err := os.CreateTemp(opt.SpillDir, "qhorn-matrix-*.spill")
-		if err != nil {
-			return nil, fmt.Errorf("brute: creating matrix spill file: %w", err)
-		}
-		m.spill = f
+	backing := make([]uint64, len(pool)*words)
+	for j := range m.rows {
+		m.rows[j] = backing[j*words : (j+1)*words : (j+1)*words]
 	}
-	var spillOff int64
-	for lo := 0; lo < len(candidates); lo += opt.ShardSize {
-		hi := lo + opt.ShardSize
-		if hi > len(candidates) {
-			hi = len(candidates)
-		}
-		s := &shard{lo: lo, hi: hi, n: hi - lo, words: bitvec.Words(hi - lo)}
-		m.buildShard(s, opt)
-		switch {
-		case spilling:
-			var err error
-			spillOff, err = m.spillShard(s, spillOff)
-			if err != nil {
-				m.Close()
-				return nil, err
-			}
-		case opt.Compress:
-			s.comp = make([]bitvec.Row, len(pool))
-			for j, row := range s.raw {
-				s.comp[j] = bitvec.Compress(row, s.n)
-			}
-			s.raw = nil
-		}
-		m.shards = append(m.shards, s)
-	}
-	m.reg.Histogram(obs.MetricBruteBuildSeconds, obs.LatencyBuckets).Observe(time.Since(buildStart).Seconds())
-	return m, nil
-}
-
-// buildShard fills one shard's raw rows (and the matrix's compiled
-// kernels, candidate-major rows and fingerprints for its candidate
-// range) with a worker pool claiming 64-candidate slabs.
-func (m *Matrix) buildShard(s *shard, opt MatrixOptions) {
-	s.raw = make([][]uint64, len(m.pool))
-	for j := range s.raw {
-		s.raw[j] = make([]uint64, s.words)
-	}
-	poolWords := bitvec.Words(len(m.pool))
+	poolWords := bitvec.Words(len(pool))
 	workers := opt.Workers
-	if workers > s.words {
-		workers = s.words
+	if workers <= 0 {
+		workers = oracle.DefaultWorkers()
 	}
-	var next int64 = -1
+	if workers > words {
+		workers = words
+	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				sw := int(atomic.AddInt64(&next, 1))
-				if sw >= s.words {
+				sw := int(next.Add(1) - 1)
+				if sw >= words {
 					return
 				}
-				gLo := s.lo + sw<<6
-				gHi := gLo + 64
-				if gHi > s.hi {
-					gHi = s.hi
+				lo := sw << 6
+				hi := lo + 64
+				if hi > len(candidates) {
+					hi = len(candidates)
 				}
-				chunk := m.candidates[gLo:gHi]
+				chunk := candidates[lo:hi]
 				for i, q := range chunk {
-					m.compiled[gLo+i] = query.Compile(q)
+					m.compiled[lo+i] = query.Compile(q)
 				}
-				// Candidate-major rows for this slab, kept (no spill)
-				// or reduced to fingerprints (spill).
 				rows := make([][]uint64, len(chunk))
 				for i := range rows {
 					rows[i] = make([]uint64, poolWords)
 				}
 				if opt.Scalar {
 					for i := range chunk {
-						c := m.compiled[gLo+i]
+						c := m.compiled[lo+i]
 						bit := uint64(1) << uint(i)
-						for j, obj := range m.pool {
+						for j, obj := range pool {
 							if c.Eval(obj) {
-								s.raw[j][sw] |= bit
+								m.rows[j][sw] |= bit
 								bitvec.Set(rows[i], j)
 							}
 						}
 					}
 				} else {
 					slab := query.CompileSlab(chunk)
-					for j, obj := range m.pool {
+					for j, obj := range pool {
 						word := slab.EvalAll(obj)
-						s.raw[j][sw] = word
+						m.rows[j][sw] = word
 						for word != 0 {
 							i := bits.TrailingZeros64(word)
 							word &= word - 1
@@ -273,36 +152,15 @@ func (m *Matrix) buildShard(s *shard, opt MatrixOptions) {
 					}
 				}
 				for i, row := range rows {
-					m.finger[gLo+i] = fingerprint(row)
-					if m.candRows != nil {
-						m.candRows[gLo+i] = row
-					}
+					m.finger[lo+i] = fingerprint(row)
+					m.candRows[lo+i] = row
 				}
 			}
 		}()
 	}
 	wg.Wait()
-}
-
-// spillShard compresses the shard's raw rows, appends their binary
-// encoding to the spill file starting at off, and swaps the shard's
-// storage to the recorded offsets. Returns the next free offset.
-func (m *Matrix) spillShard(s *shard, off int64) (int64, error) {
-	s.offs = make([]int64, len(m.pool)+1)
-	var buf []byte
-	for j, row := range s.raw {
-		s.offs[j] = off
-		buf = bitvec.Compress(row, s.n).AppendBinary(buf[:0])
-		n, err := m.spill.WriteAt(buf, off)
-		if err != nil {
-			return 0, fmt.Errorf("brute: spilling matrix row: %w", err)
-		}
-		off += int64(n)
-	}
-	s.offs[len(m.pool)] = off
-	s.raw = nil
-	s.file = m.spill
-	return off, nil
+	m.reg.Histogram(obs.MetricBruteBuildSeconds, obs.LatencyBuckets).Observe(time.Since(buildStart).Seconds())
+	return m
 }
 
 // fingerprint hashes one candidate-major row (FNV-1a over its words).
@@ -318,67 +176,18 @@ func fingerprint(row []uint64) uint64 {
 	return h
 }
 
-// rowAt streams one question row back from the spill file.
-func (s *shard) rowAt(j int) bitvec.Row {
-	buf := make([]byte, s.offs[j+1]-s.offs[j])
-	if _, err := s.file.ReadAt(buf, s.offs[j]); err != nil {
-		panic(fmt.Sprintf("brute: reading spilled matrix row %d: %v", j, err))
-	}
-	row, _, err := bitvec.DecodeRow(buf)
-	if err != nil {
-		panic(fmt.Sprintf("brute: decoding spilled matrix row %d: %v", j, err))
-	}
-	return row
-}
-
-// seg returns the shard's window of a full-width candidate mask; shard
-// boundaries are 64-aligned, so the window is a plain word subslice.
-func (s *shard) seg(rem []uint64) []uint64 {
-	return rem[s.lo>>6 : s.lo>>6+s.words]
-}
-
-// rowCount returns popcount(rem & row j) across all shards.
+// rowCount returns popcount(rem & row j).
 func (m *Matrix) rowCount(rem []uint64, j int) int {
-	n := 0
-	for _, s := range m.shards {
-		switch {
-		case s.raw != nil:
-			n += bitvec.AndCount(s.raw[j], s.seg(rem))
-		case s.comp != nil:
-			n += s.comp[j].AndCount(s.seg(rem))
-		default:
-			n += s.rowAt(j).AndCount(s.seg(rem))
-		}
-	}
-	return n
+	return bitvec.AndCount(m.rows[j], rem)
 }
 
 // rowApply folds question j's answer into the remaining mask:
 // rem &= row (keep) or rem &^= row (eliminate the yes-sayers).
 func (m *Matrix) rowApply(rem []uint64, j int, keep bool) {
-	for _, s := range m.shards {
-		seg := s.seg(rem)
-		switch {
-		case s.raw != nil:
-			if keep {
-				bitvec.AndInto(seg, s.raw[j])
-			} else {
-				bitvec.AndNotInto(seg, s.raw[j])
-			}
-		case s.comp != nil:
-			if keep {
-				s.comp[j].AndInto(seg)
-			} else {
-				s.comp[j].AndNotInto(seg)
-			}
-		default:
-			row := s.rowAt(j)
-			if keep {
-				row.AndInto(seg)
-			} else {
-				row.AndNotInto(seg)
-			}
-		}
+	if keep {
+		bitvec.AndInto(rem, m.rows[j])
+	} else {
+		bitvec.AndNotInto(rem, m.rows[j])
 	}
 }
 
@@ -399,63 +208,9 @@ func (m *Matrix) Candidates() []query.Query { return m.candidates }
 // Pool returns the question pool the matrix was built over.
 func (m *Matrix) Pool() []boolean.Set { return m.pool }
 
-// Shards returns the number of candidate-axis shards.
-func (m *Matrix) Shards() int { return len(m.shards) }
-
-// OnDisk reports whether the matrix's rows stream from a spill file.
-func (m *Matrix) OnDisk() bool { return m.spill != nil }
-
-// StorageBytes reports the at-rest footprint of the question-major
-// rows: raw words, compressed container payloads, or spill-file bytes.
-func (m *Matrix) StorageBytes() int64 {
-	var n int64
-	for _, s := range m.shards {
-		switch {
-		case s.raw != nil:
-			for _, row := range s.raw {
-				n += int64(len(row)) * 8
-			}
-		case s.comp != nil:
-			for _, row := range s.comp {
-				n += int64(row.SizeBytes())
-			}
-		default:
-			n += s.offs[len(s.offs)-1] - s.offs[0]
-		}
-	}
-	return n
-}
-
-// Close releases the spill file, if any. It is a no-op for in-RAM
-// matrices and safe to call more than once; the matrix must not be
-// used for learning after Close when spilled.
-func (m *Matrix) Close() error {
-	if m.spill == nil {
-		return nil
-	}
-	name := m.spill.Name()
-	err := m.spill.Close()
-	if rmErr := os.Remove(name); err == nil {
-		err = rmErr
-	}
-	m.spill = nil
-	return err
-}
-
 // Answer reports the precomputed answer of candidate i to pool
 // question j.
-func (m *Matrix) Answer(i, j int) bool {
-	s := m.shards[i/m.shardSize]
-	rel := i - s.lo
-	switch {
-	case s.raw != nil:
-		return bitvec.Get(s.raw[j], rel)
-	case s.comp != nil:
-		return s.comp[j].Bit(rel)
-	default:
-		return s.rowAt(j).Bit(rel)
-	}
-}
+func (m *Matrix) Answer(i, j int) bool { return bitvec.Get(m.rows[j], i) }
 
 // Learn runs the sequential elimination learner over the matrix; see
 // Learn for the contract. Question selection, counts and the learned
@@ -549,8 +304,8 @@ func (m *Matrix) LearnGreedy(o oracle.Oracle) (Result, error) {
 // semantically equivalent to the first. Candidates whose matrix rows
 // differ are separated by a pool question, hence certainly
 // inequivalent; differing row fingerprints certify that cheaply, and
-// with candidate-major rows in RAM an exact row comparison catches the
-// rest of the separable pairs. Only candidates these filters cannot
+// an exact comparison of the candidate-major rows catches the rest of
+// the separable pairs. Only candidates these filters cannot
 // split fall through to the pairwise semantic check, which reuses the
 // kernels' cached normal forms. The decision is exactly
 // allEquivalent's over the remaining candidates.
@@ -570,7 +325,7 @@ func (m *Matrix) allEquivalentRem(rem []uint64, count int) bool {
 			if m.finger[first] != m.finger[i] {
 				return false
 			}
-			if m.candRows != nil && !bitvec.Equal(m.candRows[first], m.candRows[i]) {
+			if !bitvec.Equal(m.candRows[first], m.candRows[i]) {
 				return false
 			}
 			if !m.compiled[first].Equivalent(m.compiled[i]) {

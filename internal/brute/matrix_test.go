@@ -3,7 +3,6 @@ package brute
 import (
 	"math/rand"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"qhorn/internal/bitvec"
@@ -45,7 +44,7 @@ func TestMatrixBitIdentical(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
-	m := NewMatrix(candidates, pool, 2)
+	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 2})
 	for _, target := range candidates {
 		for _, path := range []struct {
 			name   string
@@ -154,7 +153,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 		query.MustParse(u, "∃x1x2x3"),
 	}
 	c := oracle.Count(oracle.Target(equivalent[0]))
-	res, err := NewMatrix(equivalent, boolean.AllObjects(u), 0).Learn(c)
+	res, err := NewMatrix(equivalent, boolean.AllObjects(u), MatrixOptions{}).Learn(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 		query.MustParse(u, "∃x2"),
 	}
 	blind := []boolean.Set{boolean.MustParseSet(u, "{110}"), boolean.MustParseSet(u, "{111}")}
-	m := NewMatrix(distinct, blind, 0)
+	m := NewMatrix(distinct, blind, MatrixOptions{})
 	if m.Answer(0, 0) != m.Answer(1, 0) || m.Answer(0, 1) != m.Answer(1, 1) {
 		t.Fatal("pool unexpectedly distinguishes the candidates")
 	}
@@ -196,7 +195,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 func TestMatrixReuse(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
-	m := NewMatrix(candidates, boolean.AllObjects(u), 0)
+	m := NewMatrix(candidates, boolean.AllObjects(u), MatrixOptions{})
 	if len(m.Candidates()) != len(candidates) || len(m.Pool()) != len(boolean.AllObjects(u)) {
 		t.Fatal("matrix accessors disagree with inputs")
 	}
@@ -221,7 +220,7 @@ func TestMatrixLargeCandidateSet(t *testing.T) {
 		t.Fatalf("want >64 candidates, got %d", len(candidates))
 	}
 	pool := boolean.AllObjects(u)
-	m := NewMatrix(candidates, pool, 4)
+	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 4})
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 12; trial++ {
 		target := candidates[rng.Intn(len(candidates))]
@@ -241,7 +240,7 @@ func TestMatrixLargeCandidateSet(t *testing.T) {
 // TestMatrixEmptyInputs covers the degenerate corners.
 func TestMatrixEmptyInputs(t *testing.T) {
 	u := boolean.MustUniverse(2)
-	m := NewMatrix(nil, boolean.AllObjects(u), 0)
+	m := NewMatrix(nil, boolean.AllObjects(u), MatrixOptions{})
 	if _, err := m.Learn(oracle.Func(func(boolean.Set) bool { return false })); err != ErrNoCandidates {
 		t.Errorf("Learn on empty candidates: err = %v", err)
 	}
@@ -250,21 +249,21 @@ func TestMatrixEmptyInputs(t *testing.T) {
 	}
 	// Empty pool with equivalent candidates: immediate success.
 	one := []query.Query{query.MustParse(u, "∃x1")}
-	res, err := NewMatrix(one, nil, 0).Learn(oracle.Target(one[0]))
+	res, err := NewMatrix(one, nil, MatrixOptions{}).Learn(oracle.Target(one[0]))
 	if err != nil || res.Questions != 0 || res.Remaining != 1 {
 		t.Errorf("empty pool: (%+v, %v)", res, err)
 	}
 }
 
-// TestMatrixIntoTimingMetrics checks the registry-threaded constructor
-// records the build and per-algorithm learn durations, and that the
-// plain constructor stays metric-silent.
+// TestMatrixIntoTimingMetrics checks a matrix built with a registry
+// records the build and per-algorithm learn durations, and that one
+// built without stays metric-silent.
 func TestMatrixIntoTimingMetrics(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
 	reg := obs.NewRegistry()
-	m := NewMatrixInto(candidates, pool, 2, reg)
+	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 2, Registry: reg})
 	if got := reg.Histogram(obs.MetricBruteBuildSeconds, obs.LatencyBuckets).Count(); got != 1 {
 		t.Errorf("build observations = %d, want 1", got)
 	}
@@ -286,8 +285,9 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 		t.Errorf("greedy learn observations = %d, want 1", got)
 	}
 
-	// NewMatrix (no registry) must not panic and must record nothing.
-	bare := NewMatrix(candidates, pool, 2)
+	// A matrix without a registry must not panic and must record
+	// nothing.
+	bare := NewMatrix(candidates, pool, MatrixOptions{Workers: 2})
 	if _, err := bare.Learn(target); err != nil {
 		t.Fatal(err)
 	}
@@ -296,34 +296,19 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 	}
 }
 
-// matrixVariants enumerates every storage configuration of the matrix
-// engine: sliced vs scalar build, sharded vs single-shard, compressed
-// vs raw, in-RAM vs spilled to disk.
-func matrixVariants(t *testing.T) []struct {
+// matrixVariants enumerates the two builds of the matrix engine: the
+// bit-sliced slab kernel and the scalar per-candidate kernel.
+var matrixVariants = []struct {
 	name string
 	opt  MatrixOptions
-} {
-	t.Helper()
-	dir := t.TempDir()
-	return []struct {
-		name string
-		opt  MatrixOptions
-	}{
-		{"sliced", MatrixOptions{}},
-		{"scalar", MatrixOptions{Scalar: true}},
-		{"sharded", MatrixOptions{ShardSize: 64}},
-		{"compressed", MatrixOptions{Compress: true}},
-		{"sharded-compressed", MatrixOptions{ShardSize: 64, Compress: true}},
-		{"spilled", MatrixOptions{SpillDir: dir}},
-		{"sharded-spilled", MatrixOptions{ShardSize: 64, SpillDir: dir}},
-		{"scalar-sharded-compressed", MatrixOptions{Scalar: true, ShardSize: 64, Compress: true}},
-	}
+}{
+	{"sliced", MatrixOptions{}},
+	{"scalar", MatrixOptions{Scalar: true}},
 }
 
-// TestMatrixBitIdenticalVariants extends the bit-identity pin to every
-// shard/compression/spill combination: each variant must ask exactly
-// the serial reference's questions, in order, on every target, for
-// both learners.
+// TestMatrixBitIdenticalVariants extends the bit-identity pin to both
+// builds: each must ask exactly the serial reference's questions, in
+// order, on every target, for both learners.
 func TestMatrixBitIdenticalVariants(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	candidates := query.AllQueries(u)
@@ -333,19 +318,9 @@ func TestMatrixBitIdenticalVariants(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		targets = append(targets, candidates[rng.Intn(len(candidates))])
 	}
-	for _, v := range matrixVariants(t) {
+	for _, v := range matrixVariants {
 		t.Run(v.name, func(t *testing.T) {
-			m, err := NewMatrixOpts(candidates, pool, v.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer m.Close()
-			if v.opt.ShardSize == 64 && m.Shards() != (len(candidates)+63)/64 {
-				t.Fatalf("shards = %d, want %d", m.Shards(), (len(candidates)+63)/64)
-			}
-			if m.OnDisk() != (v.opt.SpillDir != "") {
-				t.Fatalf("OnDisk = %v", m.OnDisk())
-			}
+			m := NewMatrix(candidates, pool, v.opt)
 			for _, target := range targets {
 				for _, path := range []struct {
 					name   string
@@ -376,8 +351,8 @@ func TestMatrixBitIdenticalVariants(t *testing.T) {
 	}
 }
 
-// TestMatrixAnswerVariants: Answer must read the same bit out of every
-// storage form, pinned against direct kernel evaluation.
+// TestMatrixAnswerVariants: Answer must read the same bit out of both
+// builds, pinned against direct kernel evaluation.
 func TestMatrixAnswerVariants(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	candidates := query.AllQueries(u)
@@ -387,88 +362,14 @@ func TestMatrixAnswerVariants(t *testing.T) {
 		compiled[i] = query.Compile(q)
 	}
 	rng := rand.New(rand.NewSource(71))
-	for _, v := range matrixVariants(t) {
-		m, err := NewMatrixOpts(candidates, pool, v.opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, v := range matrixVariants {
+		m := NewMatrix(candidates, pool, v.opt)
 		for probe := 0; probe < 400; probe++ {
 			i, j := rng.Intn(len(candidates)), rng.Intn(len(pool))
 			if got, want := m.Answer(i, j), compiled[i].Eval(pool[j]); got != want {
 				t.Fatalf("%s: Answer(%d, %d) = %v, kernel says %v", v.name, i, j, got, want)
 			}
 		}
-		m.Close()
-	}
-}
-
-// TestMatrixSpillSeam is the disk seam test: a spilled matrix must
-// learn identically to the in-RAM builds — and its spill file must
-// exist while in use and vanish on Close.
-func TestMatrixSpillSeam(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	candidates := query.AllQueries(u)
-	pool := boolean.AllObjects(u)
-	ram, err := NewMatrixOpts(candidates, pool, MatrixOptions{ShardSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	disk, err := MatrixOnDisk(candidates, pool, dir, MatrixOptions{ShardSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !disk.OnDisk() || ram.OnDisk() {
-		t.Fatal("OnDisk flags wrong")
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("spill dir has %d entries (%v), want 1", len(entries), err)
-	}
-	if disk.StorageBytes() <= 0 || ram.StorageBytes() <= 0 {
-		t.Fatal("StorageBytes should be positive")
-	}
-	for _, target := range candidates[:20] {
-		rr := &recordingOracle{inner: oracle.Target(target)}
-		rd := &recordingOracle{inner: oracle.Target(target)}
-		resR, errR := ram.LearnGreedy(rr)
-		resD, errD := disk.LearnGreedy(rd)
-		if errR != errD || resR.Questions != resD.Questions || !resR.Learned.Equal(resD.Learned) {
-			t.Fatalf("target %s: RAM (%+v, %v), disk (%+v, %v)", target, resR, errR, resD, errD)
-		}
-		if !sameQuestions(rr.asked, rd.asked) {
-			t.Fatalf("target %s: question sequences diverged across the disk seam", target)
-		}
-	}
-	if err := disk.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := disk.Close(); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if entries, _ := os.ReadDir(dir); len(entries) != 0 {
-		t.Fatalf("spill file survived Close: %v", entries)
-	}
-}
-
-// TestMatrixSpillDirCreated: a spill directory that does not exist yet
-// (a fresh -brute-spill path, a cleaned CI workspace) is created
-// rather than failing the build.
-func TestMatrixSpillDirCreated(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	candidates := query.AllQueries(u)
-	pool := boolean.AllObjects(u)
-	dir := filepath.Join(t.TempDir(), "nested", "spill")
-	m, err := MatrixOnDisk(candidates, pool, dir, MatrixOptions{})
-	if err != nil {
-		t.Fatalf("MatrixOnDisk into a missing dir: %v", err)
-	}
-	defer m.Close()
-	if !m.OnDisk() {
-		t.Fatal("matrix not on disk")
-	}
-	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
-		t.Fatalf("spill dir has %d entries (%v), want 1", len(entries), err)
 	}
 }
 
@@ -479,14 +380,8 @@ func TestMatrixScalarSlicedIdenticalRows(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
-	sliced, err := NewMatrixOpts(candidates, pool, MatrixOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scalar, err := NewMatrixOpts(candidates, pool, MatrixOptions{Scalar: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sliced := NewMatrix(candidates, pool, MatrixOptions{})
+	scalar := NewMatrix(candidates, pool, MatrixOptions{Scalar: true})
 	for i := range candidates {
 		if sliced.finger[i] != scalar.finger[i] {
 			t.Fatalf("candidate %d: sliced and scalar fingerprints differ", i)
@@ -507,7 +402,7 @@ func TestMatrixScalarSlicedIdenticalRows(t *testing.T) {
 // TestMatrixBitIdenticalExhaustiveN4 is the CI brute-smoke gate: at
 // n=4 (1576 candidates × 65536 objects) the matrix learners must stay
 // bit-identical to the serial sequential reference on sampled targets,
-// across the sliced, compressed and spilled storages. The serial
+// for both the sliced and the scalar build. The serial
 // baseline is minutes of interpreted evaluation, so the gate only runs
 // when QHORN_BRUTE_N4 is set (the brute-smoke CI job) and never under
 // -short.
@@ -538,22 +433,8 @@ func TestMatrixBitIdenticalExhaustiveN4(t *testing.T) {
 		res, err := LearnSerial(candidates, rs, pool)
 		refs[i] = ref{res: res, err: err, asked: rs.asked}
 	}
-	for _, v := range []struct {
-		name string
-		opt  MatrixOptions
-	}{
-		{"sliced", MatrixOptions{}},
-		{"sharded-compressed", MatrixOptions{ShardSize: 512, Compress: true}},
-		{"spilled", MatrixOptions{ShardSize: 512}},
-	} {
-		opt := v.opt
-		if v.name == "spilled" {
-			opt.SpillDir = t.TempDir()
-		}
-		m, err := NewMatrixOpts(candidates, pool, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, v := range matrixVariants {
+		m := NewMatrix(candidates, pool, v.opt)
 		for i, target := range targets {
 			rm := &recordingOracle{inner: oracle.Target(target)}
 			res, err := m.Learn(rm)
@@ -566,6 +447,5 @@ func TestMatrixBitIdenticalExhaustiveN4(t *testing.T) {
 				t.Fatalf("%s target %s: question sequence diverged from serial", v.name, target)
 			}
 		}
-		m.Close()
 	}
 }

@@ -1,7 +1,6 @@
 package difffuzz
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -20,32 +19,24 @@ const (
 	bruteSampleObjects = 128
 )
 
-// bruteMatrixCache holds one exhaustive answer matrix per (universe
-// size, matrix options) key. The exhaustive judge's candidates and
-// question pool are functions of the universe alone, so the matrix —
-// the expensive part, |AllQueries| × |AllObjects| answers — is shared
-// by every case on that universe for the life of the process.
+// bruteMatrixCache holds one exhaustive answer matrix per universe
+// size. The exhaustive judge's candidates and question pool are
+// functions of the universe alone, so the matrix — the expensive part,
+// |AllQueries| × |AllObjects| answers — is shared by every case on that
+// universe for the life of the process.
 var bruteMatrixCache sync.Map
 
 // bruteMatrixFor returns the process-cached exhaustive answer matrix
-// for u under the options' matrix configuration. Concurrent callers may
-// race to build; the loser's matrix is closed and the winner's shared.
-func bruteMatrixFor(u boolean.Universe, opt Options) (*brute.Matrix, error) {
-	mo := opt.Matrix
-	mo.Registry = nil // judges are metric-silent
-	key := fmt.Sprintf("%d|%d|%d|%t|%t|%s", u.N(), mo.Workers, mo.ShardSize, mo.Compress, mo.Scalar, mo.SpillDir)
-	if m, ok := bruteMatrixCache.Load(key); ok {
-		return m.(*brute.Matrix), nil
+// for u, built with the options' worker count (the rows do not depend
+// on it). Concurrent callers may race to build; the winner's matrix is
+// shared.
+func bruteMatrixFor(u boolean.Universe, opt Options) *brute.Matrix {
+	if m, ok := bruteMatrixCache.Load(u.N()); ok {
+		return m.(*brute.Matrix)
 	}
-	m, err := brute.NewMatrixOpts(query.AllQueries(u), boolean.AllObjects(u), mo)
-	if err != nil {
-		return nil, err
-	}
-	if prev, loaded := bruteMatrixCache.LoadOrStore(key, m); loaded {
-		m.Close()
-		return prev.(*brute.Matrix), nil
-	}
-	return m, nil
+	m := brute.NewMatrix(query.AllQueries(u), boolean.AllObjects(u), brute.MatrixOptions{Workers: opt.Parallel})
+	prev, _ := bruteMatrixCache.LoadOrStore(u.N(), m)
+	return prev.(*brute.Matrix)
 }
 
 // judgeBruteSampled is the sampled brute cross-check for universes past
@@ -74,14 +65,7 @@ func judgeBruteSampled(res *CaseResult, c Case, opt Options, fail func(kind Kind
 		candidates = append(candidates, nf)
 	}
 	pool := boolean.SampleObjects(srng, u, bruteSampleObjects)
-	mo := opt.Matrix
-	mo.Registry = nil
-	m, err := brute.NewMatrixOpts(candidates, pool, mo)
-	if err != nil {
-		fail(KindBrute, Witness{}, false, "sampled brute matrix build: %v", err)
-		return
-	}
-	defer m.Close()
+	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Workers: opt.Parallel})
 	bres, err := m.Learn(oracle.Target(c.Hidden))
 	switch {
 	case err == brute.ErrAmbiguous:

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"qhorn/internal/boolean"
-	"qhorn/internal/brute"
 	"qhorn/internal/query"
 )
 
@@ -63,27 +62,19 @@ func TestBruteJudgeDisabled(t *testing.T) {
 }
 
 // TestBruteMatrixForCached: the exhaustive judge's matrix is built once
-// per (universe, options) key and shared by later calls.
+// per universe and shared by later calls, whatever their worker count.
 func TestBruteMatrixForCached(t *testing.T) {
 	u := boolean.MustUniverse(3)
-	m1, err := bruteMatrixFor(u, Options{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := bruteMatrixFor(u, Options{}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := bruteMatrixFor(u, Options{}.withDefaults())
+	m2 := bruteMatrixFor(u, Options{}.withDefaults())
 	if m1 != m2 {
 		t.Error("bruteMatrixFor rebuilt a cached matrix")
 	}
-	// A different matrix configuration gets its own entry.
-	m3, err := bruteMatrixFor(u, Options{Matrix: brute.MatrixOptions{ShardSize: 64}}.withDefaults())
-	if err != nil {
-		t.Fatal(err)
+	if m3 := bruteMatrixFor(u, Options{Parallel: 4}.withDefaults()); m3 != m1 {
+		t.Error("a different worker count rebuilt the cached matrix")
 	}
-	if m3 == m1 {
-		t.Error("distinct matrix options share one cache entry")
+	if m4 := bruteMatrixFor(boolean.MustUniverse(2), Options{}.withDefaults()); m4 == m1 {
+		t.Error("distinct universes share one cache entry")
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"math/rand"
 
 	"qhorn/internal/boolean"
-	"qhorn/internal/brute"
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/verify"
 )
 
@@ -41,11 +41,6 @@ type Options struct {
 	// candidate pair — but an unambiguous wrong answer is a
 	// disagreement. Default 5; negative disables.
 	BruteSampleVars int
-	// Matrix configures the answer-matrix builds behind both brute
-	// judges (shard size, compression, spill directory, scalar build);
-	// the zero value is the default sliced in-RAM build. Registry is
-	// overridden: the judges are metric-silent.
-	Matrix brute.MatrixOptions
 	// Warp, when set, corrupts the learned query before it is judged.
 	// Tests use it to inject known bugs and prove the engine detects
 	// and the minimizer shrinks them.
@@ -201,16 +196,12 @@ func checkLearn(c Case, opt Options) CaseResult {
 	// docs/PARALLELISM.md).
 	if opt.Parallel > 0 {
 		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel)
-		var plearned query.Query
-		var pasked int
-		switch c.Class {
-		case ClassQhorn1:
-			q, st := learn.Qhorn1Parallel(u, pool)
-			plearned, pasked = q, st.Total()
-		default:
-			q, st := learn.RolePreservingParallel(u, pool)
-			plearned, pasked = q, st.Total()
+		alg := run.RolePreserving
+		if c.Class == ClassQhorn1 {
+			alg = run.Qhorn1
 		}
+		plearned, pst := learn.Run(u, pool, run.WithAlgorithm(alg), run.WithBatch())
+		pasked := pst.Total()
 		res.Questions += pasked
 		if pasked != asked {
 			fail(KindParallel, Witness{}, false,
@@ -232,12 +223,7 @@ func checkLearn(c Case, opt Options) CaseResult {
 	switch {
 	case opt.BruteVars > 0 && u.N() <= opt.BruteVars:
 		res.BruteChecked = true
-		m, err := bruteMatrixFor(u, opt)
-		if err != nil {
-			fail(KindBrute, Witness{}, false, "brute matrix build: %v", err)
-			break
-		}
-		bres, err := m.Learn(oracle.Target(c.Hidden))
+		bres, err := bruteMatrixFor(u, opt).Learn(oracle.Target(c.Hidden))
 		if err != nil {
 			fail(KindBrute, Witness{}, false, "brute.Learn: %v", err)
 		} else {
@@ -301,7 +287,7 @@ func checkVerify(c Case, opt Options) CaseResult {
 	// and the disagreement list in set order.
 	if opt.Parallel > 0 {
 		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel)
-		pres := vs.RunParallel(pool)
+		pres := vs.RunWith(pool, run.WithBatch())
 		res.Questions += pres.QuestionsAsked
 		switch {
 		case pres.Correct != vres.Correct || pres.QuestionsAsked != vres.QuestionsAsked:

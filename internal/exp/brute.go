@@ -16,7 +16,7 @@ func init() {
 		ID:    "E27",
 		Name:  "brute",
 		Paper: "engineering (docs/PERFORMANCE.md)",
-		Claim: "bit-sliced slab builds and sharded answer matrices push brute-force cross-validation from n=3 to exhaustive n=4 and sampled n=5",
+		Claim: "bit-sliced slab builds and cached answer matrices push brute-force cross-validation from n=3 to exhaustive n=4 and sampled n=5",
 		Run:   runBrute,
 	})
 }
@@ -25,8 +25,8 @@ func init() {
 // the per-learn cost a difffuzz judge pays (fresh scalar build+learn,
 // the pre-cache path, against one learn over the process-cached sliced
 // matrix), the matrix build itself (scalar per-candidate kernel vs the
-// bit-sliced slab kernel, with raw vs compressed storage), and the
-// sampled n=5 range where exhaustive enumeration is intractable. Every
+// bit-sliced slab kernel), and the sampled n=5 range where exhaustive
+// enumeration is intractable. Every
 // timed comparison asserts bit-identical behaviour in-run. `qhornexp
 // -exp brute -json` writes the result as BENCH_brute.json.
 func runBrute(cfg Config) []*stats.Table {
@@ -72,10 +72,7 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 			trials = 3 // the fresh scalar build is ~1.5 s per trial at n=4
 		}
 
-		cached, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{Registry: reg})
-		if err != nil {
-			panic(err)
-		}
+		cached := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Registry: reg})
 		var questions, serialMS, freshMS, cachedMS []float64
 		for trial := 0; trial < trials; trial++ {
 			target := candidates[rng.Intn(len(candidates))]
@@ -87,13 +84,8 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 
 			fc := oracle.CountInto(oracle.Target(target), reg)
 			start = time.Now()
-			fresh, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{Scalar: true, Registry: reg})
-			if err != nil {
-				panic(err)
-			}
-			fres, ferr := fresh.Learn(fc)
+			fres, ferr := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true, Registry: reg}).Learn(fc)
 			freshMS = append(freshMS, ms(time.Since(start)))
-			fresh.Close()
 
 			mc := oracle.CountInto(oracle.Target(target), reg)
 			start = time.Now()
@@ -114,7 +106,6 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 			}
 			questions = append(questions, float64(sres.Questions))
 		}
-		cached.Close()
 		sm := stats.Summarize(serialMS).Mean
 		fm := stats.Summarize(freshMS).Mean
 		cm := stats.Summarize(cachedMS).Mean
@@ -125,14 +116,12 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 }
 
 // bruteBuildTable times the matrix build itself — the scalar
-// per-candidate kernel against the bit-sliced slab kernel — and sizes
-// the two storage forms. The two matrices are asserted answer-identical
-// on sampled probes (the full bit-identity is pinned by
-// TestMatrixScalarSlicedIdenticalRows).
+// per-candidate kernel against the bit-sliced slab kernel. The two
+// matrices are asserted answer-identical on sampled probes (the full
+// bit-identity is pinned by TestMatrixScalarSlicedIdenticalRows).
 func bruteBuildTable(e Experiment, cfg Config) *stats.Table {
 	t := stats.NewTable(header(e)+" — matrix build",
-		"n", "candidates", "pool", "scalar build ms", "sliced build ms", "build speedup",
-		"raw KB", "compressed KB")
+		"n", "candidates", "pool", "scalar build ms", "sliced build ms", "build speedup")
 
 	sweep := []int{2, 3, 4}
 	if cfg.Quick {
@@ -144,39 +133,23 @@ func bruteBuildTable(e Experiment, cfg Config) *stats.Table {
 		pool := boolean.AllObjects(u)
 
 		start := time.Now()
-		scalar, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{Scalar: true})
-		if err != nil {
-			panic(err)
-		}
+		scalar := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true})
 		scalarMS := ms(time.Since(start))
 
 		start = time.Now()
-		sliced, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{})
-		if err != nil {
-			panic(err)
-		}
+		sliced := brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
 		slicedMS := ms(time.Since(start))
-
-		compressed, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{Compress: true})
-		if err != nil {
-			panic(err)
-		}
 
 		rng := rand.New(rand.NewSource(cfg.Seed))
 		for probe := 0; probe < 200; probe++ {
 			i, j := rng.Intn(len(candidates)), rng.Intn(len(pool))
-			a := scalar.Answer(i, j)
-			if a != sliced.Answer(i, j) || a != compressed.Answer(i, j) {
-				panic("exp: matrix storage variants disagree on an answer bit")
+			if scalar.Answer(i, j) != sliced.Answer(i, j) {
+				panic("exp: scalar and sliced matrix builds disagree on an answer bit")
 			}
 		}
-		t.AddRow(n, len(candidates), len(pool), scalarMS, slicedMS, scalarMS/slicedMS,
-			float64(sliced.StorageBytes())/1024, float64(compressed.StorageBytes())/1024)
-		scalar.Close()
-		sliced.Close()
-		compressed.Close()
+		t.AddRow(n, len(candidates), len(pool), scalarMS, slicedMS, scalarMS/slicedMS)
 	}
-	t.AddNote("one slab evaluation answers a question for 64 candidates at once; storage variants asserted answer-identical on 200 sampled probes per n")
+	t.AddNote("one slab evaluation answers a question for 64 candidates at once; scalar and sliced builds asserted answer-identical on 200 sampled probes per n")
 	return t
 }
 
@@ -206,18 +179,11 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 	pool := boolean.SampleObjects(rng, u, nPool)
 
 	start := time.Now()
-	scalar, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{Scalar: true})
-	if err != nil {
-		panic(err)
-	}
+	brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true})
 	scalarMS := ms(time.Since(start))
-	scalar.Close()
 
 	start = time.Now()
-	m, err := brute.NewMatrixOpts(candidates, pool, brute.MatrixOptions{Registry: reg})
-	if err != nil {
-		panic(err)
-	}
+	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Registry: reg})
 	slicedMS := ms(time.Since(start))
 
 	ambiguous := 0
@@ -238,7 +204,6 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 		}
 		questions = append(questions, float64(res.Questions))
 	}
-	m.Close()
 	t.AddRow(n, len(candidates), len(pool), stats.Summarize(questions).Mean,
 		scalarMS, slicedMS, scalarMS/slicedMS, stats.Summarize(learnMS).Mean, ambiguous)
 	t.AddNote("candidates and objects are seeded samples (query.SampleQueries, boolean.SampleObjects) with the target always a candidate; ambiguous outcomes are tolerated, unambiguous winners asserted equivalent to the target")

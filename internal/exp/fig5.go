@@ -7,6 +7,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/stats"
 )
 
@@ -32,18 +33,18 @@ func runFig5(cfg Config) []*stats.Table {
 
 	t := stats.NewTable(header(e), "#", "phase", "purpose", "question", "response")
 	i := 0
-	learned, st := learn.RolePreservingTraced(u, oracle.Target(target), func(s learn.Step) {
+	learned, st := learn.Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithSteps(func(s learn.Step) {
 		i++
 		resp := "non-answer"
 		if s.Answer {
 			resp = "answer"
 		}
 		t.AddRow(i, s.Phase, s.Purpose, s.Question.Format(u), resp)
-	})
+	}))
 	t.AddNote("target: %s", target)
 	t.AddNote("learned: %s (equivalent: %v)", learned, learned.Equivalent(target))
 	t.AddNote("questions: %d head, %d universal, %d existential",
-		st.HeadQuestions, st.UniversalQuestions, st.ExistentialQuestions)
+		st.HeadQuestions, st.BodyQuestions, st.ExistentialQuestions)
 
 	// The Fig 5 artifacts: the distinguishing tuples of the bodies and
 	// conjunctions the trace discovered.

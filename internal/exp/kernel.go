@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qhorn/internal/boolean"
-	"qhorn/internal/brute"
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
@@ -19,23 +18,21 @@ func init() {
 		ID:    "E23",
 		Name:  "kernel",
 		Paper: "engineering (docs/PERFORMANCE.md)",
-		Claim: "the compiled evaluation kernel and the bitset answer matrix cut evaluation and brute-force learning wall time without changing a single question",
+		Claim: "the compiled evaluation kernel cuts evaluation wall time without changing a single verdict",
 		Run:   runKernel,
 	})
 }
 
-// runKernel measures the two perf layers this repo ships on top of the
-// paper's algorithms: the compiled query-evaluation kernel against the
-// tree-walking interpreter, and the bitset answer-matrix brute learner
-// against the serial greedy scan. Both comparisons assert bit-identical
-// behaviour inside the run — every evaluation verdict and every asked
-// question must match — so the speedup columns never trade correctness
-// for wall time. `qhornexp -exp kernel -json` writes the result as
-// BENCH_kernel.json.
+// runKernel measures the compiled query-evaluation kernel against the
+// tree-walking interpreter. The comparison asserts bit-identical
+// behaviour inside the run — every evaluation verdict must match — so
+// the speedup column never trades correctness for wall time. The
+// answer-matrix brute learner is measured by E27 (brute.go). `qhornexp
+// -exp kernel -json` writes the result as BENCH_kernel.json.
 func runKernel(cfg Config) []*stats.Table {
 	cfg = cfg.normalize()
 	e, _ := ByName("kernel")
-	return []*stats.Table{evalTable(e, cfg), bruteTable(e, cfg)}
+	return []*stats.Table{evalTable(e, cfg)}
 }
 
 // evalTable times interpreted vs compiled evaluation on the workload
@@ -60,7 +57,7 @@ func evalTable(e Experiment, cfg Config) *stats.Table {
 		var nq, interpMS, compiledMS, interpAllocs, compiledAllocs []float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			target := query.GenQhorn1(rng, n)
-			tr := oracle.Record(oracle.CountInto(oracle.TargetInterpreted(target), reg))
+			tr := oracle.Record(oracle.CountInto(oracle.Func(target.Eval), reg))
 			learn.Run(u, tr, run.WithAlgorithm(run.Qhorn1))
 			qs := make([]boolean.Set, len(tr.Entries))
 			for i, entry := range tr.Entries {
@@ -101,71 +98,6 @@ func evalTable(e Experiment, cfg Config) *stats.Table {
 			stats.Summarize(interpAllocs).Mean, stats.Summarize(compiledAllocs).Mean)
 	}
 	t.AddNote("workload: every membership question of a recorded qhorn1 session, replayed %d×; identity asserted on every question before timing; compiled allocs/op must be 0 (gated by TestCompiledEvalZeroAllocs)", reps)
-	return t
-}
-
-// bruteTable times the serial greedy brute learner against the answer
-// matrix on the full candidate space of small universes, asserting the
-// question-count contract on every trial.
-func bruteTable(e Experiment, cfg Config) *stats.Table {
-	t := stats.NewTable(header(e)+" — brute learner",
-		"n", "candidates", "pool", "questions",
-		"serial ms", "matrix ms", "speedup", "build ms")
-	reg := cfg.registry()
-
-	sweep := []int{2, 3}
-	if cfg.Quick {
-		sweep = []int{2}
-	}
-	trials := cfg.Trials
-	if trials > 8 {
-		trials = 8 // the serial baseline is the slow side; cap the repeats
-	}
-	for _, n := range sweep {
-		u := boolean.MustUniverse(n)
-		candidates := query.AllQueries(u)
-		pool := boolean.AllObjects(u)
-		rng := rand.New(rand.NewSource(cfg.Seed))
-
-		// The matrix is target-independent: built once per candidate
-		// set and reused across every learn, the designed usage for
-		// experiment sweeps. Its one-time cost is the build ms column.
-		start := time.Now()
-		m := brute.NewMatrixInto(candidates, pool, cfg.Parallel, reg)
-		buildMS := float64(time.Since(start).Microseconds()) / 1000
-
-		var questions, serialMS, matrixMS []float64
-		for trial := 0; trial < trials; trial++ {
-			target := candidates[rng.Intn(len(candidates))]
-
-			sc := oracle.CountInto(oracle.Target(target), reg)
-			start := time.Now()
-			sres, serr := brute.LearnGreedySerial(candidates, sc, pool)
-			serialMS = append(serialMS, float64(time.Since(start).Microseconds())/1000)
-
-			mc := oracle.CountInto(oracle.Target(target), reg)
-			start = time.Now()
-			mres, merr := m.LearnGreedy(mc)
-			matrixMS = append(matrixMS, float64(time.Since(start).Microseconds())/1000)
-
-			// In-run identity asserts: same outcome, same questions.
-			if (serr == nil) != (merr == nil) {
-				panic("exp: matrix brute learner changed the error outcome")
-			}
-			if sc.Questions != mc.Questions || sres.Questions != mres.Questions {
-				panic("exp: matrix brute learner broke the question-count contract")
-			}
-			if serr == nil && !sres.Learned.Equivalent(mres.Learned) {
-				panic("exp: matrix brute learner diverged from serial output")
-			}
-			questions = append(questions, float64(sres.Questions))
-		}
-		qm := stats.Summarize(questions).Mean
-		sm := stats.Summarize(serialMS).Mean
-		mm := stats.Summarize(matrixMS).Mean
-		t.AddRow(n, len(candidates), len(pool), qm, sm, mm, sm/mm, buildMS)
-	}
-	t.AddNote("matrix built once per candidate set (build ms) and reused across learns; question counts and learned queries asserted identical serial vs matrix on every trial")
 	return t
 }
 

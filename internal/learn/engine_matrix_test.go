@@ -154,8 +154,6 @@ func TestLegacyEntryPointsPinned(t *testing.T) {
 		legacy func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats)
 		sorted bool
 	}
-	noTrace := func(Step) {}
-	silent := Instrumentation{}
 	qhorn1Variants := []variant{
 		{"Qhorn1", nil, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
 			q, s := Qhorn1(u, o)
@@ -163,18 +161,6 @@ func TestLegacyEntryPointsPinned(t *testing.T) {
 		}, false},
 		{"Qhorn1Naive", []run.Option{run.WithNaiveSearch()}, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
 			q, s := Qhorn1Naive(u, o)
-			return q, run.Stats(s)
-		}, false},
-		{"Qhorn1Traced", []run.Option{run.WithSteps(noTrace)}, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
-			q, s := Qhorn1Traced(u, o, noTrace)
-			return q, run.Stats(s)
-		}, false},
-		{"Qhorn1Observed", nil, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
-			q, s := Qhorn1Observed(u, o, silent)
-			return q, run.Stats(s)
-		}, false},
-		{"Qhorn1Parallel", []run.Option{run.WithBatch()}, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
-			q, s := Qhorn1Parallel(u, o)
 			return q, run.Stats(s)
 		}, false},
 	}
@@ -189,18 +175,6 @@ func TestLegacyEntryPointsPinned(t *testing.T) {
 		}, false},
 		{"RolePreservingAblated", []run.Option{run.WithAblations(ab)}, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
 			q, s := RolePreservingAblated(u, o, ab)
-			return q, toStats(s)
-		}, false},
-		{"RolePreservingTraced", []run.Option{run.WithSteps(noTrace)}, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
-			q, s := RolePreservingTraced(u, o, noTrace)
-			return q, toStats(s)
-		}, false},
-		{"RolePreservingObserved", nil, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
-			q, s := RolePreservingObserved(u, o, silent)
-			return q, toStats(s)
-		}, false},
-		{"RolePreservingParallel", []run.Option{run.WithBatch()}, func(u boolean.Universe, o oracle.Oracle) (query.Query, run.Stats) {
-			q, s := RolePreservingParallel(u, o)
 			return q, toStats(s)
 		}, false},
 	}

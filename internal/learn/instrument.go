@@ -6,30 +6,7 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
-	"qhorn/internal/query"
-	"qhorn/internal/run"
 )
-
-// Instrumentation — historically defined here — now lives in
-// internal/run, shared with the verifier so one instrumentation value
-// threads through learning and verification alike; learn/options.go
-// aliases it back into this package.
-
-// Qhorn1Observed is Qhorn1 with full observability: per-question
-// steps, span tracing and metrics, any subset of which may be unset.
-// It is a thin wrapper over the run engine:
-// learn.Run(u, o, run.WithInstrumentation(ins)).
-func Qhorn1Observed(u boolean.Universe, o oracle.Oracle, ins Instrumentation) (query.Query, Qhorn1Stats) {
-	q, s := Run(u, o, run.WithInstrumentation(ins))
-	return q, qhorn1Stats(s)
-}
-
-// RolePreservingObserved is RolePreserving with full observability, a
-// thin wrapper over the run engine.
-func RolePreservingObserved(u boolean.Universe, o oracle.Oracle, ins Instrumentation) (query.Query, RPStats) {
-	q, s := Run(u, o, run.WithAlgorithm(run.RolePreserving), run.WithInstrumentation(ins))
-	return q, rpStats(s)
-}
 
 // instr is the per-run instrumentation state embedded in each
 // learner: the current span, and the phase/purpose annotation of the

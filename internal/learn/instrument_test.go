@@ -8,6 +8,7 @@ import (
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 // annotationGrid is the target grid for the annotation-coverage tests:
@@ -53,9 +54,9 @@ func TestEveryQuestionAnnotatedGrid(t *testing.T) {
 		}
 
 		var rpSteps []Step
-		learned, rpStats := RolePreservingTraced(u, oracle.Target(target), func(s Step) {
+		learned, rpStats := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithSteps(func(s Step) {
 			rpSteps = append(rpSteps, s)
-		})
+		}))
 		if !learned.Equivalent(target) {
 			t.Errorf("rp %q: learned %s", tc.target, learned)
 		}
@@ -65,9 +66,9 @@ func TestEveryQuestionAnnotatedGrid(t *testing.T) {
 			continue
 		}
 		var q1Steps []Step
-		learned, q1Stats := Qhorn1Traced(u, oracle.Target(target), func(s Step) {
+		learned, q1Stats := Run(u, oracle.Target(target), run.WithSteps(func(s Step) {
 			q1Steps = append(q1Steps, s)
-		})
+		}))
 		if !learned.Equivalent(target) {
 			t.Errorf("qhorn1 %q: learned %s", tc.target, learned)
 		}
@@ -84,10 +85,10 @@ func TestQhorn1ObservedSpansAndMetrics(t *testing.T) {
 	tree := obs.NewTreeSink()
 	tr := obs.NewTracer(tree)
 	reg := obs.NewRegistry()
-	learned, stats := Qhorn1Observed(u, oracle.Target(target), Instrumentation{
+	learned, stats := Run(u, oracle.Target(target), run.WithInstrumentation(Instrumentation{
 		Spans:   tr,
 		Metrics: reg,
-	})
+	}))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -128,10 +129,10 @@ func TestRolePreservingObservedSpansAndMetrics(t *testing.T) {
 	tree := obs.NewTreeSink()
 	tr := obs.NewTracer(tree)
 	reg := obs.NewRegistry()
-	learned, stats := RolePreservingObserved(u, oracle.Target(target), Instrumentation{
+	learned, stats := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithInstrumentation(Instrumentation{
 		Spans:   tr,
 		Metrics: reg,
-	})
+	}))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -150,6 +151,42 @@ func TestRolePreservingObservedSpansAndMetrics(t *testing.T) {
 	}
 }
 
+// TestBatchedObservedOmitsPerHeadSpans: a batched observed run steps
+// the per-head lattice searches of §3.2.1 in lockstep, so it omits
+// their per-head "lattice-search" spans, while the serial run opens one
+// per head. Both runs emit the same number of question events. (With
+// a single head there is nothing to step in lockstep, so the target
+// has two.)
+func TestBatchedObservedOmitsPerHeadSpans(t *testing.T) {
+	u := boolean.MustUniverse(6)
+	target := query.MustParse(u, "∀x1x4 → x5 ∀x2 → x6 ∃x3")
+	render := func(extra ...run.Option) (string, int) {
+		tree := obs.NewTreeSink()
+		reg := obs.NewRegistry()
+		opts := append([]run.Option{
+			run.WithAlgorithm(run.RolePreserving),
+			run.WithInstrumentation(Instrumentation{Spans: obs.NewTracer(tree), Metrics: reg}),
+		}, extra...)
+		if learned, _ := Run(u, oracle.Target(target), opts...); !learned.Equivalent(target) {
+			t.Fatalf("learned %s", learned)
+		}
+		var b strings.Builder
+		tree.Render(&b)
+		return b.String(), int(reg.SumCounter(obs.MetricQuestionsByPhase))
+	}
+	serial, serialQ := render()
+	batched, batchedQ := render(run.WithBatch())
+	if !strings.Contains(serial, "head=x5") {
+		t.Errorf("serial run has no per-head lattice-search span:\n%s", serial)
+	}
+	if strings.Contains(batched, "head=x") {
+		t.Errorf("batched run opened a per-head lattice-search span:\n%s", batched)
+	}
+	if serialQ != batchedQ {
+		t.Errorf("question events: serial %d, batched %d", serialQ, batchedQ)
+	}
+}
+
 // TestPhaseDurationHistograms checks an observed run feeds the
 // engine-wide qhorn_phase_seconds histogram: one observation for the
 // root span, at least one per paper phase, and none without metrics.
@@ -157,7 +194,7 @@ func TestPhaseDurationHistograms(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
 	reg := obs.NewRegistry()
-	learned, _ := Qhorn1Observed(u, oracle.Target(target), Instrumentation{Metrics: reg})
+	learned, _ := Run(u, oracle.Target(target), run.WithInstrumentation(Instrumentation{Metrics: reg}))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -174,7 +211,7 @@ func TestPhaseDurationHistograms(t *testing.T) {
 	// The role-preserving learner reports under its own root phase.
 	reg = obs.NewRegistry()
 	rpTarget := query.MustParse(u, "∀x1x4 → x5 ∃x2x3")
-	if learned, _ := RolePreservingObserved(u, oracle.Target(rpTarget), Instrumentation{Metrics: reg}); !learned.Equivalent(rpTarget) {
+	if learned, _ := Run(u, oracle.Target(rpTarget), run.WithAlgorithm(run.RolePreserving), run.WithInstrumentation(Instrumentation{Metrics: reg})); !learned.Equivalent(rpTarget) {
 		t.Fatalf("rp learned %s", learned)
 	}
 	if got := reg.Histogram(obs.MetricPhaseSeconds, obs.LatencyBuckets, "phase", "learn/rp").Count(); got != 1 {

@@ -3,12 +3,12 @@ package learn
 // This file is the learner half of the composable run engine
 // (docs/ENGINE.md): Run composes functional options from internal/run
 // into one Config, assembles the oracle wrapper stack in one place,
-// and constructs the single core learner path from the result. The
-// named entry points of this package (Qhorn1, Qhorn1Naive,
-// Qhorn1Traced, Qhorn1Observed, Qhorn1Parallel, and the RolePreserving
-// family) are thin documented wrappers over Run, pinned bit-identical
-// to their historical behavior by the options-matrix differential
-// tests.
+// and constructs the single core learner path from the result. Steps,
+// spans, metrics and batching are options of Run, not functions of
+// their own; the named entry points of this package (Qhorn1,
+// Qhorn1Naive, RolePreserving, RolePreservingAblated) fix the
+// algorithm-defining options only, and are pinned bit-identical to Run
+// by the options-matrix differential tests.
 
 import (
 	"qhorn/internal/boolean"
@@ -45,6 +45,30 @@ type (
 //	    run.WithSteps(print))
 //
 // The default (no options) is the serial qhorn-1 learner of §3.1.
+//
+// run.WithBatch (or run.WithParallel, which also wraps a worker pool)
+// surfaces independent question sets through oracle.AskAll, so a
+// BatchOracle answers them concurrently. A batched run asks exactly
+// the questions — and reports exactly the per-phase counts — of the
+// serial run; with a plain serial Oracle it degrades to asking the
+// same questions one at a time. What is batched, per learner:
+//
+//   - qhorn-1 (§3.1): the n head questions of phase 1 form one batch;
+//     each FindAll level of the body and existential searches
+//     (Algorithm 3) forms one batch; the co-head separation questions
+//     of Algorithm 5 form one batch. The adaptive binary searches
+//     (Find, GetHead) stay serial — each question depends on the
+//     previous answer.
+//   - role-preserving (§3.2): the n head questions form one batch;
+//     the per-head lattice searches of §3.2.1 are stepped in lockstep,
+//     one batch per round holding the next question of every head
+//     still searching. The per-head "lattice-search" spans are
+//     omitted because the searches overlap in time; every question
+//     event, step and metric is still emitted from the calling
+//     goroutine in deterministic order. The conjunction descent of
+//     §3.2.2 stays serial: each question's base embeds the tuples
+//     discovered and pruned so far, so questions are sequentially
+//     dependent by construction.
 func Run(u boolean.Universe, o oracle.Oracle, opts ...run.Option) (query.Query, run.Stats) {
 	cfg := run.New(opts...)
 	st := cfg.Assemble(o)
@@ -71,7 +95,7 @@ func runConfigured(u boolean.Universe, o oracle.Oracle, cfg run.Config) (query.Q
 }
 
 // qhorn1Stats converts unified engine stats back to the qhorn-1
-// breakdown the legacy entry points return.
+// breakdown the named entry points return.
 func qhorn1Stats(s run.Stats) Qhorn1Stats { return Qhorn1Stats(s) }
 
 // rpStats converts unified engine stats back to the role-preserving

@@ -54,15 +54,15 @@ func TestQhorn1ParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 60; i++ {
 		c := difffuzz.GenCase(rng, difffuzz.ClassQhorn1, 2, 8)
-		var sst, pst learn.Qhorn1Stats
+		var sst, pst run.Stats
 		runSerialAndParallel(t, c.Hidden, 1+i%7,
 			func(o oracle.Oracle) (query.Query, int) {
 				q, st := learn.Qhorn1(c.Hidden.U, o)
-				sst = st
+				sst = run.Stats(st)
 				return q, st.Total()
 			},
 			func(o oracle.Oracle) (query.Query, int) {
-				q, st := learn.Qhorn1Parallel(c.Hidden.U, o)
+				q, st := learn.Run(c.Hidden.U, o, run.WithBatch())
 				pst = st
 				return q, st.Total()
 			})
@@ -87,8 +87,8 @@ func TestRolePreservingParallelMatchesSerial(t *testing.T) {
 				return q, st.Total()
 			},
 			func(o oracle.Oracle) (query.Query, int) {
-				q, st := learn.RolePreservingParallel(c.Hidden.U, o)
-				pst = st
+				q, st := learn.Run(c.Hidden.U, o, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
+				pst = learn.RPStats{HeadQuestions: st.HeadQuestions, UniversalQuestions: st.BodyQuestions, ExistentialQuestions: st.ExistentialQuestions}
 				return q, st.Total()
 			})
 		if sst != pst {
@@ -118,7 +118,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 					return q, st.Total()
 				},
 				func(o oracle.Oracle) (query.Query, int) {
-					q, st := learn.Qhorn1Parallel(c.Hidden.U, o)
+					q, st := learn.Run(c.Hidden.U, o, run.WithBatch())
 					return q, st.Total()
 				})
 		case difffuzz.ClassRP:
@@ -128,7 +128,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 					return q, st.Total()
 				},
 				func(o oracle.Oracle) (query.Query, int) {
-					q, st := learn.RolePreservingParallel(c.Hidden.U, o)
+					q, st := learn.Run(c.Hidden.U, o, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
 					return q, st.Total()
 				})
 		}
@@ -150,24 +150,24 @@ func TestDifferentialParallelSmoke(t *testing.T) {
 	}
 }
 
-// TestParallelObservedAccounting pins that the observed parallel
-// learners report instrumentation question counts identical to their
-// serial observed counterparts — all accounting happens in the calling
+// TestParallelObservedAccounting pins that observed batched runs
+// report instrumentation question counts identical to their serial
+// observed counterparts — all accounting happens in the calling
 // goroutine, in deterministic order.
 func TestParallelObservedAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
-	countSteps := func(run func(ins learn.Instrumentation)) map[string]int {
+	countSteps := func(learnWith func(ins learn.Instrumentation)) map[string]int {
 		counts := map[string]int{}
-		run(learn.Instrumentation{Steps: func(s learn.Step) { counts[s.Phase]++ }})
+		learnWith(learn.Instrumentation{Steps: func(s learn.Step) { counts[s.Phase]++ }})
 		return counts
 	}
 	for i := 0; i < 10; i++ {
 		c := difffuzz.GenCase(rng, difffuzz.ClassQhorn1, 2, 6)
 		serial := countSteps(func(ins learn.Instrumentation) {
-			learn.Qhorn1Observed(c.Hidden.U, oracle.Target(c.Hidden), ins)
+			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithInstrumentation(ins))
 		})
 		parallel := countSteps(func(ins learn.Instrumentation) {
-			learn.Qhorn1ParallelObserved(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4), ins)
+			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4), run.WithBatch(), run.WithInstrumentation(ins))
 		})
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)
@@ -176,10 +176,10 @@ func TestParallelObservedAccounting(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c := difffuzz.GenCase(rng, difffuzz.ClassRP, 2, 6)
 		serial := countSteps(func(ins learn.Instrumentation) {
-			learn.RolePreservingObserved(c.Hidden.U, oracle.Target(c.Hidden), ins)
+			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithAlgorithm(run.RolePreserving), run.WithInstrumentation(ins))
 		})
 		parallel := countSteps(func(ins learn.Instrumentation) {
-			learn.RolePreservingParallelObserved(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4), ins)
+			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4), run.WithAlgorithm(run.RolePreserving), run.WithBatch(), run.WithInstrumentation(ins))
 		})
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)

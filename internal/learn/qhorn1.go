@@ -48,13 +48,13 @@ type qhorn1Learner struct {
 	// the one-question-per-variable baseline of §3.1.2 (Qhorn1Naive).
 	serial bool
 	// batch surfaces independent question sets as oracle.AskAll
-	// batches (Qhorn1Parallel): the n head questions, each FindAll
+	// batches (run.WithBatch): the n head questions, each FindAll
 	// level, and the co-head separation questions. The questions —
 	// and the per-phase counts — are identical to the serial run;
 	// only the asking overlaps in time.
 	batch bool
-	// in carries the observability hooks (see Qhorn1Observed); its
-	// zero value is silent.
+	// in carries the observability hooks (run.WithInstrumentation);
+	// its zero value is silent.
 	in instr
 }
 

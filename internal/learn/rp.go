@@ -55,14 +55,14 @@ type rpLearner struct {
 	phase     *int
 	ablations Ablations
 	// batch surfaces independent question sets as oracle.AskAll
-	// batches (RolePreservingParallel): the n head questions as one
+	// batches (run.WithBatch): the n head questions as one
 	// batch, and the per-head lattice searches of §3.2.1 — which
 	// depend only on the head set, not on each other — stepped in
 	// lockstep so each round's questions form one batch. Questions
 	// and per-phase counts are identical to the serial run.
 	batch bool
-	// in carries the observability hooks (see
-	// RolePreservingObserved); its zero value is silent.
+	// in carries the observability hooks (run.WithInstrumentation);
+	// its zero value is silent.
 	in instr
 }
 

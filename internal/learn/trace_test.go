@@ -7,15 +7,16 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 func TestQhorn1TracedAnnotatesEveryQuestion(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
 	var steps []Step
-	learned, stats := Qhorn1Traced(u, oracle.Target(target), func(s Step) {
+	learned, stats := Run(u, oracle.Target(target), run.WithSteps(func(s Step) {
 		steps = append(steps, s)
-	})
+	}))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -57,9 +58,9 @@ func TestRolePreservingTracedAnnotatesEveryQuestion(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x4 → x5 ∃x2x3")
 	var steps []Step
-	learned, stats := RolePreservingTraced(u, oracle.Target(target), func(s Step) {
+	learned, stats := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithSteps(func(s Step) {
 		steps = append(steps, s)
-	})
+	}))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -82,11 +83,11 @@ func TestRolePreservingTracedAnnotatesEveryQuestion(t *testing.T) {
 func TestTracedNilTracerIsSilent(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	target := query.MustParse(u, "∀x1 ∃x2x3")
-	learned, _ := Qhorn1Traced(u, oracle.Target(target), nil)
+	learned, _ := Run(u, oracle.Target(target), run.WithSteps(nil))
 	if !learned.Equivalent(target) {
 		t.Fatal("nil tracer broke learning")
 	}
-	learned, _ = RolePreservingTraced(u, oracle.Target(target), nil)
+	learned, _ = Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithSteps(nil))
 	if !learned.Equivalent(target) {
 		t.Fatal("nil tracer broke RP learning")
 	}

@@ -15,11 +15,6 @@ import (
 //	-metrics      print the Prometheus exposition on stdout at exit
 //	-profile P    write P.cpu.pprof and P.heap.pprof around the run
 //	-parallel N   answer independent questions with N workers
-//	-interpreted-eval  force simulated users off the compiled kernel
-//	-brute-shard N     shard brute answer matrices at N candidates
-//	-brute-compress    store brute matrix rows roaring-compressed
-//	-brute-spill DIR   spill brute answer matrices to disk under DIR
-//	-brute-scalar      force brute matrix builds off the sliced kernel
 //	-obs-addr A   serve /metrics, /spans, /progress, /healthz and
 //	              /debug/pprof live on this address during the run
 //	-obs-spans N  flight-recorder capacity (last N completed spans)
@@ -32,22 +27,6 @@ type Flags struct {
 	// Parallel is the worker count of the parallel batched question
 	// engine (docs/PARALLELISM.md); 0 keeps every CLI fully serial.
 	Parallel int
-	// InterpretedEval forces simulated-user oracles onto the
-	// interpreted Query.Eval instead of the compiled kernel
-	// (docs/PERFORMANCE.md) — the diagnostic escape hatch.
-	InterpretedEval bool
-	// BruteShard is the candidate-axis shard size of brute-force answer
-	// matrices (docs/PERFORMANCE.md); 0 selects the default.
-	BruteShard int
-	// BruteCompress stores answer-matrix rows roaring-compressed.
-	BruteCompress bool
-	// BruteSpillDir, when non-empty, spills answer matrices to disk
-	// under this directory instead of holding every row in RAM.
-	BruteSpillDir string
-	// BruteScalar builds answer matrices with the scalar per-candidate
-	// kernel instead of the bit-sliced slab kernel — the diagnostic
-	// escape hatch mirroring InterpretedEval.
-	BruteScalar bool
 	// ObsAddr, when non-empty, serves the live observability plane
 	// (obs.Server) on this host:port for the life of the session; port
 	// 0 picks a free port. It forces the tracer on: the server's span
@@ -70,11 +49,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.BoolVar(&f.Metrics, "metrics", false, "print the metrics exposition (Prometheus text format) at exit")
 	fs.StringVar(&f.Profile, "profile", "", "write CPU and heap profiles with this file prefix")
 	fs.IntVar(&f.Parallel, "parallel", 0, "answer independent membership questions with this many concurrent workers (0 = serial)")
-	fs.BoolVar(&f.InterpretedEval, "interpreted-eval", false, "evaluate simulated users with the interpreted evaluator instead of the compiled kernel")
-	fs.IntVar(&f.BruteShard, "brute-shard", 0, "candidate-axis shard size of brute-force answer matrices (0 = default)")
-	fs.BoolVar(&f.BruteCompress, "brute-compress", false, "store brute-force answer-matrix rows roaring-compressed")
-	fs.StringVar(&f.BruteSpillDir, "brute-spill", "", "spill brute-force answer matrices to disk under this directory")
-	fs.BoolVar(&f.BruteScalar, "brute-scalar", false, "build brute-force answer matrices with the scalar kernel instead of the bit-sliced slab kernel")
 	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve /metrics, /spans, /progress, /healthz and /debug/pprof live on this host:port (port 0 picks a free port)")
 	fs.IntVar(&f.ObsSpans, "obs-spans", 0, "flight-recorder capacity: keep the last N completed spans (0 = default)")
 	fs.DurationVar(&f.ObsWait, "obs-wait", 0, "keep the -obs-addr server up this long after the run completes")

@@ -105,7 +105,7 @@ const (
 	// per question family of a verification run (verify, verify/A1 …).
 	MetricPhaseSeconds = "qhorn_phase_seconds"
 	// MetricBruteBuildSeconds is the distribution of brute answer-
-	// matrix build wall time (brute.NewMatrixInto).
+	// matrix build wall time (brute.NewMatrix).
 	MetricBruteBuildSeconds = "qhorn_brute_matrix_build_seconds"
 	// MetricBruteLearnSeconds is the distribution of per-learn wall
 	// time through the brute answer matrix (label "algo": greedy or

@@ -47,18 +47,10 @@ func (f Func) Ask(s boolean.Set) bool { return f(s) }
 //
 // Answers are computed by the compiled evaluation kernel
 // (query.Compile), which the difffuzz kernel judge pins bit-identical
-// to the interpreted evaluator; TargetInterpreted is the escape hatch
-// forcing the interpreted path (run.WithInterpretedEval and the CLIs'
-// -interpreted-eval flag reach it).
+// to the interpreted Query.Eval, the specification. A caller that
+// wants the interpreted evaluator as an oracle writes Func(q.Eval).
 func Target(q query.Query) Oracle {
 	return Func(query.Compile(q).Eval)
-}
-
-// TargetInterpreted is Target evaluating through the interpreted
-// Query.Eval instead of the compiled kernel — the reference path for
-// differential tests and for diagnosing a suspected kernel bug.
-func TargetInterpreted(q query.Query) Oracle {
-	return Func(q.Eval)
 }
 
 // Counter wraps an oracle and records the complexity measures the

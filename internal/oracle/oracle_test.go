@@ -19,6 +19,13 @@ func TestTargetOracle(t *testing.T) {
 	if o.Ask(boolean.MustParseSet(u, "{011}")) {
 		t.Error("011 violates ∀x1")
 	}
+	// The compiled kernel behind Target answers exactly as the
+	// specification, Query.Eval, on every object.
+	for _, s := range boolean.AllObjects(u) {
+		if o.Ask(s) != q.Eval(s) {
+			t.Fatalf("object %s: Target says %v, Eval says %v", s.Format(u), o.Ask(s), q.Eval(s))
+		}
+	}
 }
 
 func TestCounter(t *testing.T) {

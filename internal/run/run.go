@@ -28,10 +28,8 @@ import (
 	"math/rand"
 
 	"qhorn/internal/boolean"
-	"qhorn/internal/brute"
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
-	"qhorn/internal/query"
 )
 
 // Algorithm selects the learning algorithm of a run.
@@ -196,11 +194,6 @@ type Config struct {
 	// FirstOnly stops a verify run at the first disagreement
 	// (ignored by learning runs).
 	FirstOnly bool
-	// InterpretedEval forces simulated users built through this Config
-	// onto the interpreted Query.Eval. The zero value selects the
-	// compiled kernel (query.Compile) — compiled evaluation is on by
-	// default; WithInterpretedEval is the escape hatch.
-	InterpretedEval bool
 	// SharedMemo, when non-nil, serves the run's questions from a
 	// shared cross-session answer cache under SharedIdentity before
 	// they reach the user (or the budget).
@@ -208,44 +201,6 @@ type Config struct {
 	// SharedIdentity keys this run's entries in SharedMemo; runs of
 	// distinct identities never share answers.
 	SharedIdentity string
-	// BruteShardSize, BruteCompress, BruteSpillDir and BruteScalar
-	// configure brute-force answer-matrix builds reached through this
-	// run (the difffuzz brute judges, the brute experiments):
-	// candidate-axis shard size (0 = default), roaring row compression,
-	// a disk spill directory, and the scalar-kernel escape hatch
-	// mirroring InterpretedEval. Read them back composed through
-	// BruteMatrixOptions.
-	BruteShardSize int
-	BruteCompress  bool
-	BruteSpillDir  string
-	BruteScalar    bool
-}
-
-// BruteMatrixOptions translates the Config's brute-matrix dimensions
-// into the matrix builder's options, carrying the run's worker count
-// and metrics registry so matrix builds share the run's parallelism
-// and exposition.
-func (c Config) BruteMatrixOptions() brute.MatrixOptions {
-	return brute.MatrixOptions{
-		Workers:   c.Workers,
-		ShardSize: c.BruteShardSize,
-		Compress:  c.BruteCompress,
-		SpillDir:  c.BruteSpillDir,
-		Scalar:    c.BruteScalar,
-		Registry:  c.Ins.Metrics,
-	}
-}
-
-// SimulatedUser returns the simulated-user oracle for target under
-// this Config's evaluation mode: the compiled kernel by default, the
-// interpreted evaluator under WithInterpretedEval. Both answer
-// identically (the difffuzz kernel judge enforces it); only the cost
-// per question differs.
-func (c Config) SimulatedUser(target query.Query) oracle.Oracle {
-	if c.InterpretedEval {
-		return oracle.TargetInterpreted(target)
-	}
-	return oracle.Target(target)
 }
 
 // Option mutates one dimension of a run's Config.
@@ -370,34 +325,6 @@ func WithObsServer(s *obs.Server) Option {
 	}
 }
 
-// WithBruteMatrix sets the brute-force answer-matrix dimensions of the
-// run: candidate-axis shard size (0 = default), roaring row
-// compression, an optional disk spill directory, and the scalar-kernel
-// escape hatch.
-func WithBruteMatrix(shardSize int, compress bool, spillDir string, scalar bool) Option {
-	return func(c *Config) {
-		c.BruteShardSize = shardSize
-		c.BruteCompress = compress
-		c.BruteSpillDir = spillDir
-		c.BruteScalar = scalar
-	}
-}
-
-// WithCompiledEval makes simulated users evaluate through the
-// compiled kernel. This is the default; the option exists so call
-// sites can state the choice explicitly and undo an earlier
-// WithInterpretedEval.
-func WithCompiledEval() Option {
-	return func(c *Config) { c.InterpretedEval = false }
-}
-
-// WithInterpretedEval forces simulated users onto the interpreted
-// Query.Eval — the escape hatch for diagnosing the kernel or measuring
-// it (the qhornexp kernel experiment runs both modes).
-func WithInterpretedEval() Option {
-	return func(c *Config) { c.InterpretedEval = true }
-}
-
 // Stack is the assembled oracle wrapper stack of one run. Oracle is
 // the learner-facing top; the named wrappers are non-nil only when the
 // Config requested them.
@@ -472,12 +399,6 @@ func FromFlags(f *obs.Flags, s *obs.Session) []Option {
 	}
 	if f.Parallel > 0 {
 		opts = append(opts, WithParallel(f.Parallel))
-	}
-	if f.InterpretedEval {
-		opts = append(opts, WithInterpretedEval())
-	}
-	if f.BruteShard > 0 || f.BruteCompress || f.BruteSpillDir != "" || f.BruteScalar {
-		opts = append(opts, WithBruteMatrix(f.BruteShard, f.BruteCompress, f.BruteSpillDir, f.BruteScalar))
 	}
 	return opts
 }

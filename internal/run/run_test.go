@@ -8,7 +8,6 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
-	"qhorn/internal/query"
 )
 
 func TestAlgorithmString(t *testing.T) {
@@ -272,45 +271,5 @@ func TestFromFlags(t *testing.T) {
 	c = New(FromFlags(&f, s)...)
 	if c.Workers != 3 || !c.Batch {
 		t.Errorf("-parallel 3 not applied: %+v", c)
-	}
-}
-
-// TestEvalModeOptions: compiled evaluation is the zero-value default,
-// WithInterpretedEval is the escape hatch, WithCompiledEval undoes it,
-// and the -interpreted-eval flag reaches the Config through FromFlags.
-func TestEvalModeOptions(t *testing.T) {
-	if c := New(); c.InterpretedEval {
-		t.Error("zero Config is not compiled-by-default")
-	}
-	if c := New(WithInterpretedEval()); !c.InterpretedEval {
-		t.Error("WithInterpretedEval not applied")
-	}
-	if c := New(WithInterpretedEval(), WithCompiledEval()); c.InterpretedEval {
-		t.Error("WithCompiledEval did not undo WithInterpretedEval")
-	}
-
-	f := obs.Flags{InterpretedEval: true}
-	s, err := f.Start(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c := New(FromFlags(&f, s)...); !c.InterpretedEval {
-		t.Error("-interpreted-eval not threaded through FromFlags")
-	}
-}
-
-// TestSimulatedUser: both evaluation modes answer identically; the
-// modes differ only in which evaluator computes the answer.
-func TestSimulatedUser(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	target := query.MustParse(u, "∀x1x2 → x3 ∃x4")
-	compiled := New().SimulatedUser(target)
-	interpreted := New(WithInterpretedEval()).SimulatedUser(target)
-	for _, o := range boolean.AllObjects(u) {
-		c, i := compiled.Ask(o), interpreted.Ask(o)
-		if c != i || c != target.Eval(o) {
-			t.Fatalf("object %s: compiled %v, interpreted %v, truth %v",
-				o.Format(u), c, i, target.Eval(o))
-		}
 	}
 }

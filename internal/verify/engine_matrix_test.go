@@ -2,7 +2,7 @@ package verify
 
 // The verify half of the options-matrix differential test: the same
 // verification set runs through every engine option combination and
-// every legacy entry point, and all of them must reproduce the plain
+// every named entry point, and all of them must reproduce the plain
 // serial run — the same verdict, the same question count, the same
 // disagreement list, and the same user-facing question transcript in
 // set order (docs/ENGINE.md).
@@ -136,8 +136,9 @@ func TestVerifyOptionsMatrix(t *testing.T) {
 	}
 }
 
-// TestVerifyLegacyEntryPointsPinned: the named entry points reproduce
-// the engine run their documentation promises.
+// TestVerifyLegacyEntryPointsPinned: the named entry points — Verify,
+// Set.Run and Set.RunUntilFirst — reproduce the engine run their
+// documentation promises.
 func TestVerifyLegacyEntryPointsPinned(t *testing.T) {
 	for _, tc := range verifyMatrixCases(t) {
 		vs, err := Build(tc.given)
@@ -146,33 +147,11 @@ func TestVerifyLegacyEntryPointsPinned(t *testing.T) {
 		}
 		ask := func() oracle.Oracle { return oracle.Target(tc.hidden) }
 		ref := vs.Run(ask())
-		tracer := obs.NewTracer(obs.NewTreeSink())
-		reg := obs.NewRegistry()
-		for _, v := range []struct {
-			name string
-			got  Result
-		}{
-			{"RunParallel", vs.RunParallel(ask())},
-			{"RunObserved", vs.RunObserved(ask(), tracer, reg)},
-			{"RunParallelObserved", vs.RunParallelObserved(ask(), tracer, reg)},
-			{"RunWith-zero", vs.RunWith(ask())},
-		} {
-			sameResult(t, tc.name+" "+v.name, ref, v.got)
-		}
+		sameResult(t, tc.name+" Set.Run", vs.RunWith(ask()), ref)
 		if res, err := Verify(tc.given, ask()); err != nil {
 			t.Errorf("%s Verify: %v", tc.name, err)
 		} else {
 			sameResult(t, tc.name+" Verify", ref, res)
-		}
-		if res, err := VerifyObserved(tc.given, ask(), Instrumentation{Spans: tracer, Metrics: reg}); err != nil {
-			t.Errorf("%s VerifyObserved: %v", tc.name, err)
-		} else {
-			sameResult(t, tc.name+" VerifyObserved", ref, res)
-		}
-		if res, err := VerifyParallel(tc.given, ask()); err != nil {
-			t.Errorf("%s VerifyParallel: %v", tc.name, err)
-		} else {
-			sameResult(t, tc.name+" VerifyParallel", ref, res)
 		}
 		if res, err := Run(tc.given, ask()); err != nil {
 			t.Errorf("%s Run: %v", tc.name, err)

@@ -25,7 +25,7 @@ func TestRunObservedCoversEveryFamily(t *testing.T) {
 	tr := obs.NewTracer(tree)
 	reg := obs.NewRegistry()
 
-	res := vs.RunObserved(oracle.Target(qg), tr, reg)
+	res := vs.RunWith(oracle.Target(qg), run.WithInstrumentation(verify.Instrumentation{Spans: tr, Metrics: reg}))
 	if !res.Correct {
 		t.Fatalf("self-verification disagreed: %+v", res.Disagreements)
 	}
@@ -62,7 +62,7 @@ func TestRunObservedCountsDisagreements(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	res := vs.RunObserved(oracle.Target(intent), nil, reg)
+	res := vs.RunWith(oracle.Target(intent), run.WithInstrumentation(verify.Instrumentation{Metrics: reg}))
 	if res.Correct {
 		t.Fatal("distinct queries verified as correct")
 	}
@@ -120,7 +120,7 @@ func TestRunPhaseDurationHistograms(t *testing.T) {
 func TestRunObservedNilHooks(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	qg := query.MustParse(u, "∀x1 → x2 ∃x3")
-	res, err := verify.VerifyObserved(qg, oracle.Target(qg), verify.Instrumentation{})
+	res, err := verify.Run(qg, oracle.Target(qg), run.WithInstrumentation(verify.Instrumentation{}))
 	if err != nil || !res.Correct {
 		t.Fatalf("nil hooks broke verification: %v %+v", err, res)
 	}

@@ -2,16 +2,16 @@ package verify
 
 // This file is the verifier's face of the composable run engine
 // (internal/run, docs/ENGINE.md): the option-driven entry points, the
-// shared Instrumentation alias, and the one configured core that every
-// exported Run* variant delegates to. The legacy entry points — Run,
-// RunObserved, RunParallel, RunParallelObserved, RunUntilFirst — are
-// thin wrappers fixing one Config each; their behavior (questions,
-// spans, counters, results) is pinned bit-identical by the options
-// matrix tests.
+// shared Instrumentation alias, and the one configured core that Run,
+// Set.RunWith, Verify, Set.Run and Set.RunUntilFirst all delegate to.
+// The last three fix one Config each; their behavior (questions,
+// spans, counters, results) is pinned bit-identical to RunWith by the
+// options matrix tests.
 
 import (
 	"time"
 
+	"qhorn/internal/boolean"
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
@@ -61,19 +61,21 @@ func (vs Set) RunWith(o oracle.Oracle, opts ...run.Option) Result {
 	return vs.runConfigured(st.Oracle, cfg)
 }
 
-// runConfigured is the single verification core. Every exported run
-// variant is a fixed Config over this one path:
+// runConfigured is the single verification core. The named entry
+// points are fixed Configs over this one path:
 //
-//	Run                  → Config{}
-//	RunObserved          → Config{Ins: {Spans, Metrics}}
-//	RunParallel          → Config{Batch: true}
-//	RunParallelObserved  → Config{Batch: true, Ins: {Spans, Metrics}}
-//	RunUntilFirst        → Config{FirstOnly: true}
+//	Verify, Set.Run    → Config{}
+//	Set.RunUntilFirst  → Config{FirstOnly: true}
 //
-// In batch mode the whole set is answered first (the questions are
-// mutually independent), then spans, steps and counters are emitted in
-// set order from the calling goroutine; serial mode opens each
-// question's span before asking, so span durations cover the ask.
+// In batch mode the whole set is answered first — the A1–A4/N1–N2
+// questions are mutually independent, so a BatchOracle answers them
+// concurrently — then spans, steps and counters are emitted in set
+// order from the calling goroutine, and disagreements keep the set's
+// order regardless of answer arrival order. Batched spans carry a
+// "mode: parallel" attribute; their per-question durations are not
+// meaningful, since the answers arrived before the spans opened.
+// Serial mode opens each question's span before asking, so span
+// durations cover the ask.
 func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
 	if cfg.FirstOnly {
 		return vs.runFirst(o, cfg)
@@ -144,6 +146,16 @@ func (vs Set) runFirst(o oracle.Oracle, cfg run.Config) Result {
 	}
 	root.Annotate(obs.Af("correct", "%v", res.Correct))
 	return res
+}
+
+// questions collects the membership questions of the set in its
+// deterministic order.
+func (vs Set) questions() []boolean.Set {
+	qs := make([]boolean.Set, len(vs.Questions))
+	for i, q := range vs.Questions {
+		qs[i] = q.Set
+	}
+	return qs
 }
 
 // kindCounters holds one run's verify counters by family and kind,

@@ -8,6 +8,7 @@ import (
 	"qhorn/internal/difffuzz"
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
+	"qhorn/internal/run"
 	"qhorn/internal/verify"
 )
 
@@ -31,7 +32,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		checked++
 		for _, workers := range []int{1, 4} {
 			serial := vs.Run(oracle.Target(c.Hidden))
-			parallel := vs.RunParallel(oracle.Parallel(oracle.Target(c.Hidden), workers))
+			parallel := vs.RunWith(oracle.Parallel(oracle.Target(c.Hidden), workers), run.WithBatch())
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Errorf("given %s vs hidden %s (workers %d): serial %+v, parallel %+v",
 					given, c.Hidden, workers, serial, parallel)
@@ -47,7 +48,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 }
 
 // TestRunParallelObservedMatchesObserved pins the observed batched
-// run: identical Result, identical per-kind question and disagreement
+// run (run.WithBatch plus run.WithInstrumentation): identical Result, identical per-kind question and disagreement
 // counters, and a complete span stream.
 func TestRunParallelObservedMatchesObserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
@@ -62,8 +63,8 @@ func TestRunParallelObservedMatchesObserved(t *testing.T) {
 			continue
 		}
 		serialReg, parallelReg := obs.NewRegistry(), obs.NewRegistry()
-		serial := vs.RunObserved(oracle.Target(c.Hidden), nil, serialReg)
-		parallel := vs.RunParallelObserved(oracle.Parallel(oracle.Target(c.Hidden), 4), nil, parallelReg)
+		serial := vs.RunWith(oracle.Target(c.Hidden), run.WithInstrumentation(verify.Instrumentation{Metrics: serialReg}))
+		parallel := vs.RunWith(oracle.Parallel(oracle.Target(c.Hidden), 4), run.WithBatch(), run.WithInstrumentation(verify.Instrumentation{Metrics: parallelReg}))
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("given %s vs hidden %s: serial %+v, parallel %+v", given, c.Hidden, serial, parallel)
 		}
@@ -82,15 +83,15 @@ func TestRunParallelObservedMatchesObserved(t *testing.T) {
 	}
 }
 
-// TestVerifyParallelVerdict pins the convenience wrapper: same verdict
-// as Verify for an equivalent and a non-equivalent intent.
+// TestVerifyParallelVerdict pins the batched entry point's verdict:
+// an equivalent intent verifies through a worker pool.
 func TestVerifyParallelVerdict(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	c := difffuzz.GenCase(rng, difffuzz.ClassQhorn1, 4, 6)
 	pool := oracle.Parallel(oracle.Target(c.Hidden), 4)
-	res, err := verify.VerifyParallel(c.Hidden, pool)
+	res, err := verify.Run(c.Hidden, pool, run.WithBatch())
 	if err != nil {
-		t.Fatalf("VerifyParallel: %v", err)
+		t.Fatalf("batched Run: %v", err)
 	}
 	if !res.Correct {
 		t.Errorf("equivalent intent rejected: %+v", res)

@@ -167,14 +167,9 @@ func BuildVerificationSet(q Query) (VerificationSet, error) { return verify.Buil
 func Verify(q Query, o Oracle) (VerificationResult, error) { return verify.Verify(q, o) }
 
 // TargetOracle simulates a user whose intended query is q. Answers
-// come from the compiled evaluation kernel (see Compile); use
-// TargetOracleInterpreted to force the interpreted evaluator.
+// come from the compiled evaluation kernel (see Compile), which agrees
+// with the specification q.Eval on every object.
 func TargetOracle(q Query) Oracle { return oracle.Target(q) }
-
-// TargetOracleInterpreted is TargetOracle evaluating through the
-// interpreted Query.Eval — the reference path for differential
-// testing and kernel diagnosis.
-func TargetOracleInterpreted(q Query) Oracle { return oracle.TargetInterpreted(q) }
 
 // CompiledQuery is the compiled evaluation form of a Query
 // (docs/PERFORMANCE.md): expressions flattened into machine-word
@@ -274,17 +269,6 @@ type (
 	Tracer = learn.Tracer
 )
 
-// LearnQhorn1Traced is LearnQhorn1 with per-question annotations.
-func LearnQhorn1Traced(u Universe, o Oracle, t Tracer) (Query, Qhorn1Stats) {
-	return learn.Qhorn1Traced(u, o, t)
-}
-
-// LearnRolePreservingTraced is LearnRolePreserving with per-question
-// annotations.
-func LearnRolePreservingTraced(u Universe, o Oracle, t Tracer) (Query, RPStats) {
-	return learn.RolePreservingTraced(u, o, t)
-}
-
 // Observability (see docs/OBSERVABILITY.md): hierarchical span
 // tracing, a metrics registry with Prometheus text exposition, and
 // per-question step tracing, shared by the learners, the verifier and
@@ -343,71 +327,22 @@ func NewObsServer(reg *MetricsRegistry, tracer *SpanTracer, flight *FlightRecord
 	return obs.NewServer(reg, tracer, flight)
 }
 
-// LearnQhorn1Observed is LearnQhorn1 with observability hooks.
-func LearnQhorn1Observed(u Universe, o Oracle, ins Instrumentation) (Query, Qhorn1Stats) {
-	return learn.Qhorn1Observed(u, o, ins)
-}
-
-// LearnRolePreservingObserved is LearnRolePreserving with
-// observability hooks.
-func LearnRolePreservingObserved(u Universe, o Oracle, ins Instrumentation) (Query, RPStats) {
-	return learn.RolePreservingObserved(u, o, ins)
-}
-
-// VerifyObserved is Verify with observability hooks — the same
-// Instrumentation struct the learners take, so one instrumentation
-// value threads through learning and verification. Any subset of the
-// hooks may be unset.
-func VerifyObserved(q Query, o Oracle, ins Instrumentation) (VerificationResult, error) {
-	return verify.VerifyObserved(q, o, ins)
-}
-
 // CountingOracleInto is CountingOracle additionally mirroring its
 // counts into a metrics registry (qhorn_questions_total and friends).
 func CountingOracleInto(o Oracle, reg *MetricsRegistry) *oracle.Counter {
 	return oracle.CountInto(o, reg)
 }
 
-// Parallel batched question engine (see docs/PARALLELISM.md): the
-// learners and the verifier surface their independent question sets as
-// batches, and a BatchOracle answers each batch concurrently — exactly
-// the serial questions, exactly the serial counts, less wall time when
-// every answer costs user latency.
-type (
-	// BatchOracle is an Oracle that can answer a slice of independent
-	// questions at once.
-	BatchOracle = oracle.BatchOracle
-	// ParallelOracle is the worker-pool driver turning any
-	// concurrency-safe Oracle into a BatchOracle.
-	ParallelOracle = oracle.Pool
-)
-
-// ParallelOracleOf wraps a concurrency-safe oracle with a worker pool
-// of the given size (≤ 0 selects one worker per CPU).
-func ParallelOracleOf(o Oracle, workers int) *ParallelOracle { return oracle.Parallel(o, workers) }
+// BatchOracle is an Oracle that can answer a slice of independent
+// questions at once. Under WithBatch or WithParallel the learners and
+// the verifier surface their independent question sets as batches
+// (docs/PARALLELISM.md): exactly the serial questions, exactly the
+// serial counts, less wall time when every answer costs user latency.
+type BatchOracle = oracle.BatchOracle
 
 // AskAll answers every question through o — as one concurrent batch
 // when o is a BatchOracle, serially otherwise.
 func AskAll(o Oracle, qs []Set) []bool { return oracle.AskAll(o, qs) }
-
-// LearnQhorn1Parallel is LearnQhorn1 with independent question sets
-// issued as batches: equivalent output, identical question counts.
-func LearnQhorn1Parallel(u Universe, o Oracle) (Query, Qhorn1Stats) {
-	return learn.Qhorn1Parallel(u, o)
-}
-
-// LearnRolePreservingParallel is LearnRolePreserving with batched
-// question sets and concurrent per-head searches: equivalent output,
-// identical question counts.
-func LearnRolePreservingParallel(u Universe, o Oracle) (Query, RPStats) {
-	return learn.RolePreservingParallel(u, o)
-}
-
-// VerifyParallel is Verify with the whole verification set answered as
-// one batch (the A1–A4/N1–N2 questions are mutually independent).
-func VerifyParallel(q Query, o Oracle) (VerificationResult, error) {
-	return verify.VerifyParallel(q, o)
-}
 
 // EstimateQhorn1 bounds the number of questions a qhorn-1 learning
 // session may take on n propositions (Theorem 3.1 with measured
@@ -435,10 +370,10 @@ func Classify(q Query) query.ClassReport { return q.Classify() }
 type ClassReport = query.ClassReport
 
 // The composable run engine (docs/ENGINE.md): Learn and VerifyQ are
-// the option-driven entry points every named variant above delegates
-// to. One call site composes the algorithm, the observability hooks,
-// the batching strategy and the oracle wrapper stack instead of
-// picking from a matrix of exported variants:
+// the option-driven entry points LearnQhorn1, LearnRolePreserving and
+// Verify delegate to. One call site composes the algorithm, the
+// observability hooks, the batching strategy and the oracle wrapper
+// stack:
 //
 //	q, stats := qhorn.Learn(u, user,
 //	    qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
@@ -472,15 +407,15 @@ const (
 func ParseAlgorithm(s string) (Algorithm, error) { return run.ParseAlgorithm(s) }
 
 // Learn learns a query exactly under the given engine options
-// (default: qhorn-1, serial, silent). Every LearnXxx variant above is
-// a fixed option set over this call.
+// (default: qhorn-1, serial, silent). LearnQhorn1 and
+// LearnRolePreserving are fixed option sets over this call.
 func Learn(u Universe, o Oracle, opts ...RunOption) (Query, RunStats) {
 	return learn.Run(u, o, opts...)
 }
 
 // VerifyQ verifies q against the user under the given engine options
-// (default: serial, silent, full set). Verify, VerifyObserved and
-// VerifyParallel are fixed option sets over this call.
+// (default: serial, silent, full set). Verify is this call with no
+// options.
 func VerifyQ(q Query, o Oracle, opts ...RunOption) (VerificationResult, error) {
 	return verify.Run(q, o, opts...)
 }
@@ -529,11 +464,3 @@ func WithNoise(p float64, rng *rand.Rand) RunOption { return run.WithNoise(p, rn
 // WithFirstDisagreement stops a verification run at the first
 // disagreement.
 func WithFirstDisagreement() RunOption { return run.WithFirstDisagreement() }
-
-// WithCompiledEval makes the run's simulated users evaluate through
-// the compiled kernel (the default; see Compile).
-func WithCompiledEval() RunOption { return run.WithCompiledEval() }
-
-// WithInterpretedEval forces the run's simulated users onto the
-// interpreted evaluator — the kernel's escape hatch.
-func WithInterpretedEval() RunOption { return run.WithInterpretedEval() }

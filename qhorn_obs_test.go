@@ -7,9 +7,9 @@ import (
 	"qhorn"
 )
 
-// TestObservedLearnersThroughFacade: the re-exported Observed learner
-// variants produce the same queries as the plain ones while filling
-// the span tree and the metrics registry.
+// TestObservedLearnersThroughFacade: learning under
+// WithInstrumentation produces the same queries as the plain learners
+// while filling the span tree and the metrics registry.
 func TestObservedLearnersThroughFacade(t *testing.T) {
 	u := qhorn.MustUniverse(6)
 	target := qhorn.MustParseQuery(u, "∀x1x4 → x5 ∃x2x3")
@@ -19,7 +19,8 @@ func TestObservedLearnersThroughFacade(t *testing.T) {
 		Spans:   qhorn.NewSpanTracer(tree),
 		Metrics: qhorn.NewMetricsRegistry(),
 	}
-	learned, stats := qhorn.LearnRolePreservingObserved(u, qhorn.TargetOracle(target), ins)
+	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target),
+		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving), qhorn.WithInstrumentation(ins))
 	if !learned.Equivalent(target) {
 		t.Fatalf("observed learner diverged: %s", learned)
 	}
@@ -34,35 +35,35 @@ func TestObservedLearnersThroughFacade(t *testing.T) {
 	}
 
 	q1target := qhorn.MustParseQuery(qhorn.MustUniverse(4), "∀x1x2 → x3 ∃x4")
-	q1, q1stats := qhorn.LearnQhorn1Observed(q1target.U, qhorn.TargetOracle(q1target), qhorn.Instrumentation{
+	q1, q1stats := qhorn.Learn(q1target.U, qhorn.TargetOracle(q1target), qhorn.WithInstrumentation(qhorn.Instrumentation{
 		Spans: qhorn.NewSpanTracer(qhorn.NewTreeSink()),
-	})
+	}))
 	if !q1.Equivalent(q1target) || q1stats.Total() == 0 {
 		t.Fatalf("observed qhorn-1 learner diverged: %s (%d questions)", q1, q1stats.Total())
 	}
 }
 
-// TestVerifyObservedThroughFacade: the re-exported observed verifier
+// TestVerifyObservedThroughFacade: verifying under WithInstrumentation
 // agrees with Verify and tolerates nil hooks.
 func TestVerifyObservedThroughFacade(t *testing.T) {
 	u := qhorn.MustUniverse(5)
 	q := qhorn.MustParseQuery(u, "∀x1 → x2 ∃x3x4 ∃x5")
 	reg := qhorn.NewMetricsRegistry()
-	res, err := qhorn.VerifyObserved(q, qhorn.TargetOracle(q), qhorn.Instrumentation{
+	res, err := qhorn.VerifyQ(q, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{
 		Spans:   qhorn.NewSpanTracer(qhorn.NewTreeSink()),
 		Metrics: reg,
-	})
+	}))
 	if err != nil || !res.Correct {
 		t.Fatalf("self-verify: correct=%v err=%v", res.Correct, err)
 	}
 	if got := reg.SumCounter("qhorn_verify_questions_total"); got != int64(res.QuestionsAsked) {
 		t.Errorf("metrics counted %d verify questions, result says %d", got, res.QuestionsAsked)
 	}
-	if res, err := qhorn.VerifyObserved(q, qhorn.TargetOracle(q), qhorn.Instrumentation{}); err != nil || !res.Correct {
+	if res, err := qhorn.VerifyQ(q, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{})); err != nil || !res.Correct {
 		t.Errorf("nil hooks: correct=%v err=%v", res.Correct, err)
 	}
 	wrong := qhorn.MustParseQuery(u, "∀x1 → x3 ∃x5")
-	if res, err := qhorn.VerifyObserved(wrong, qhorn.TargetOracle(q), qhorn.Instrumentation{Metrics: reg}); err != nil || res.Correct {
+	if res, err := qhorn.VerifyQ(wrong, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{Metrics: reg})); err != nil || res.Correct {
 		t.Errorf("wrong query verified: correct=%v err=%v", res.Correct, err)
 	}
 }

@@ -178,16 +178,17 @@ func TestFacadeTracing(t *testing.T) {
 	u := qhorn.MustUniverse(4)
 	target := qhorn.MustParseQuery(u, "∀x1 ∃x2x3 ∃x4")
 	var steps []qhorn.TraceStep
-	learned, stats := qhorn.LearnQhorn1Traced(u, qhorn.TargetOracle(target), func(s qhorn.TraceStep) {
+	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithSteps(func(s qhorn.TraceStep) {
 		steps = append(steps, s)
-	})
+	}))
 	if !learned.Equivalent(target) {
 		t.Fatal("traced learning failed")
 	}
 	if len(steps) != stats.Total() {
 		t.Fatalf("steps = %d, questions = %d", len(steps), stats.Total())
 	}
-	learnedRP, rpStats := qhorn.LearnRolePreservingTraced(u, qhorn.TargetOracle(target), nil)
+	learnedRP, rpStats := qhorn.Learn(u, qhorn.TargetOracle(target),
+		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving), qhorn.WithSteps(nil))
 	if !learnedRP.Equivalent(target) || rpStats.Total() == 0 {
 		t.Fatal("traced RP learning failed")
 	}
@@ -237,66 +238,52 @@ func TestFacadeClassifyAndReport(t *testing.T) {
 func TestFacadeParallel(t *testing.T) {
 	u := qhorn.MustUniverse(6)
 	target := qhorn.MustParseQuery(u, "∀x1x4 → x5 ∃x2x3")
-	pool := qhorn.ParallelOracleOf(qhorn.TargetOracle(target), 4)
-	var batch qhorn.BatchOracle = pool
 	qs := []qhorn.Set{
 		qhorn.MustParseSet(u, "{111111}"),
 		qhorn.MustParseSet(u, "{000000}"),
 	}
-	answers := qhorn.AskAll(batch, qs)
+	answers := qhorn.AskAll(qhorn.TargetOracle(target), qs)
 	if len(answers) != 2 || answers[0] != target.Eval(qs[0]) || answers[1] != target.Eval(qs[1]) {
 		t.Errorf("AskAll through the facade: %v", answers)
 	}
 
 	serial, sstats := qhorn.LearnQhorn1(u, qhorn.TargetOracle(target))
-	learned, stats := qhorn.LearnQhorn1Parallel(u, pool)
+	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithParallel(4))
 	if !learned.Equivalent(serial) || stats.Total() != sstats.Total() {
-		t.Errorf("LearnQhorn1Parallel got %s (%d questions), serial %s (%d)",
+		t.Errorf("parallel qhorn-1 got %s (%d questions), serial %s (%d)",
 			learned, stats.Total(), serial, sstats.Total())
 	}
 	rpSerial, rpsStats := qhorn.LearnRolePreserving(u, qhorn.TargetOracle(target))
-	rp, rpStats := qhorn.LearnRolePreservingParallel(u, pool)
+	rp, rpStats := qhorn.Learn(u, qhorn.TargetOracle(target),
+		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving), qhorn.WithParallel(4))
 	if !rp.Equivalent(rpSerial) || rpStats.Total() != rpsStats.Total() {
-		t.Errorf("LearnRolePreservingParallel got %s (%d questions), serial %s (%d)",
+		t.Errorf("parallel role-preserving got %s (%d questions), serial %s (%d)",
 			rp, rpStats.Total(), rpSerial, rpsStats.Total())
 	}
-	res, err := qhorn.VerifyParallel(target, pool)
+	res, err := qhorn.VerifyQ(target, qhorn.TargetOracle(target), qhorn.WithParallel(4))
 	if err != nil || !res.Correct {
-		t.Errorf("VerifyParallel: %+v, %v", res, err)
+		t.Errorf("parallel verify: %+v, %v", res, err)
 	}
 }
 
-// TestFacadeCompiledKernel covers the compiled-kernel facade: Compile,
-// the two target-oracle flavors, and the engine's evaluation-mode
-// options.
+// TestFacadeCompiledKernel covers the compiled-kernel facade: Compile
+// and TargetOracle agree with the specification, Query.Eval.
 func TestFacadeCompiledKernel(t *testing.T) {
 	u := qhorn.MustUniverse(4)
 	q := qhorn.MustParseQuery(u, "∀x1x2 → x3 ∃x4")
 	c := qhorn.Compile(q)
 	compiled := qhorn.TargetOracle(q)
-	interpreted := qhorn.TargetOracleInterpreted(q)
 	for i, o := range []qhorn.Set{
 		qhorn.MustParseSet(u, "{1110, 0001}"),
 		qhorn.MustParseSet(u, "{1100}"),
 		{},
 	} {
 		want := q.Eval(o)
-		if c.Eval(o) != want || compiled.Ask(o) != want || interpreted.Ask(o) != want {
+		if c.Eval(o) != want || compiled.Ask(o) != want {
 			t.Fatalf("object %d: kernel/oracle answers diverge from Query.Eval", i)
 		}
 	}
 	if !c.Equivalent(qhorn.Compile(qhorn.MustParseQuery(u, "∃x4 ∀x1x2 → x3"))) {
 		t.Error("compiled Equivalent missed a reordering")
-	}
-
-	// Both evaluation modes drive a full engine learn run to the same
-	// query.
-	for _, opt := range []qhorn.RunOption{qhorn.WithCompiledEval(), qhorn.WithInterpretedEval()} {
-		target := qhorn.MustParseQuery(u, "∀x1 → x2 ∀x3 → x4")
-		learned, _ := qhorn.Learn(u, qhorn.TargetOracle(target),
-			qhorn.WithAlgorithm(qhorn.AlgorithmQhorn1), opt)
-		if !learned.Equivalent(target) {
-			t.Errorf("engine learned %s, want %s", learned, target)
-		}
 	}
 }
