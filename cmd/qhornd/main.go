@@ -11,7 +11,7 @@
 // Usage:
 //
 //	qhornd                          # listen on :8091
-//	qhornd -addr :9000 -shards 16 -max-sessions 1000 -budget 5000
+//	qhornd -addr :9000 -max-sessions 1000 -budget 5000
 package main
 
 import (
@@ -39,7 +39,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	fs.SetOutput(stderr)
 	var (
 		addr        = fs.String("addr", ":8091", "listen address (host:port; port 0 picks a free port)")
-		shards      = fs.Int("shards", serve.DefaultShards, "session-table shard count")
 		maxSessions = fs.Int("max-sessions", 0, "max concurrently running sessions (0 = unlimited); excess creations get 429")
 		budget      = fs.Int("budget", 0, "default per-session live-question budget (0 = unlimited)")
 		memoCap     = fs.Int("memo-capacity", 0, "shared cross-session memo tier capacity in answers (0 = default, negative disables the tier)")
@@ -56,7 +55,6 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	}
 	logger := log.New(stderr, "qhornd: ", log.LstdFlags)
 	cfg := serve.Config{
-		Shards:            *shards,
 		MaxSessions:       *maxSessions,
 		Budget:            *budget,
 		MemoCapacity:      *memoCap,
@@ -78,8 +76,8 @@ func run(args []string, stdout, stderr io.Writer, stop <-chan os.Signal) int {
 	if sm := srv.Memo(); sm != nil {
 		memoNote = fmt.Sprintf("memo-capacity=%d", sm.Capacity())
 	}
-	fmt.Fprintf(stdout, "qhornd listening on %s (shards=%d max-sessions=%d budget=%d %s)\n",
-		srv.URL(), *shards, *maxSessions, *budget, memoNote)
+	fmt.Fprintf(stdout, "qhornd listening on %s (max-sessions=%d budget=%d %s)\n",
+		srv.URL(), *maxSessions, *budget, memoNote)
 	fmt.Fprintf(stdout, "  sessions: POST %s/sessions\n", srv.URL())
 	fmt.Fprintf(stdout, "  metrics:  GET  %s/metrics\n", srv.URL())
 	<-stop

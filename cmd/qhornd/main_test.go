@@ -100,6 +100,14 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out, &errOut, nil); code != 2 {
 		t.Fatalf("bad flag returned %d, want 2", code)
 	}
+	// -shards is not a flag: the session table is a single map.
+	var shardsErr lockedBuffer
+	if code := run([]string{"-shards", "4"}, &out, &shardsErr, nil); code != 2 {
+		t.Fatalf("-shards returned %d, want 2", code)
+	}
+	if !strings.Contains(shardsErr.String(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards stderr %q, want an undefined-flag error", shardsErr.String())
+	}
 }
 
 func TestBadAddr(t *testing.T) {

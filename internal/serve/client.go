@@ -1,11 +1,11 @@
 package serve
 
 // A typed client for the qhornd session API, used by the end-to-end
-// harness, the load tests, the serve experiment (internal/exp) and
-// anything else that drives a server programmatically. Drive is the
-// canonical answering loop: poll the outstanding batch, evaluate each
-// question, post the answers — optionally shuffled, split across
-// deliveries and delayed, to exercise the out-of-order answer path.
+// harness, the load tests, the bench module and anything else that
+// drives a server programmatically. Drive is the canonical answering
+// loop: poll the outstanding batch, evaluate each question, post the
+// answers — optionally shuffled, split across deliveries and delayed,
+// to exercise the out-of-order answer path.
 
 import (
 	"bytes"
@@ -15,7 +15,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -127,21 +126,9 @@ func (c *Client) List() (SessionList, error) {
 // Questions fetches the outstanding batch (GET /sessions/{id}/questions),
 // long-polling up to wait while the session is computing.
 func (c *Client) Questions(id string, wait time.Duration) (QuestionBatch, error) {
-	return c.QuestionsLimit(id, wait, 0)
-}
-
-// QuestionsLimit is Questions with a cap on the returned questions;
-// limit 1 is the single-question compatibility mode. limit <= 0
-// returns the whole outstanding batch.
-func (c *Client) QuestionsLimit(id string, wait time.Duration, limit int) (QuestionBatch, error) {
 	path := "/sessions/" + url.PathEscape(id) + "/questions"
-	sep := byte('?')
 	if wait > 0 {
-		path += string(sep) + "wait=" + url.QueryEscape(wait.String())
-		sep = '&'
-	}
-	if limit > 0 {
-		path += string(sep) + "limit=" + strconv.Itoa(limit)
+		path += "?wait=" + url.QueryEscape(wait.String())
 	}
 	var qb QuestionBatch
 	err := c.do("GET", path, nil, &qb)
@@ -164,15 +151,6 @@ func (c *Client) AnswerNext(id string, answers map[string]bool, wait time.Durati
 	path := "/sessions/" + url.PathEscape(id) + "/answers?wait=" + url.QueryEscape(wait.String())
 	var rep AnswerReport
 	err := c.do("POST", path, AnswerRequest{Answers: answers}, &rep)
-	return rep, err
-}
-
-// AnswerOne delivers a single answer in the compact single-question
-// form ({"key":...,"answer":...}).
-func (c *Client) AnswerOne(id, key string, answer bool) (AnswerReport, error) {
-	var rep AnswerReport
-	err := c.do("POST", "/sessions/"+url.PathEscape(id)+"/answers",
-		AnswerRequest{Key: key, Answer: &answer}, &rep)
 	return rep, err
 }
 
@@ -255,35 +233,14 @@ const (
 	// carries ?wait and receives the next batch in the same response —
 	// one round trip per batch in the steady state.
 	WireFused
-	// WireSingle is the single-question compatibility mode: one
-	// question per GET (?limit=1), one answer per POST in the
-	// {"key","answer"} form — the per-question baseline.
-	WireSingle
 )
 
-// String names the mode for reports and flags.
+// String names the mode for test and report labels.
 func (m WireMode) String() string {
-	switch m {
-	case WireFused:
+	if m == WireFused {
 		return "fused"
-	case WireSingle:
-		return "single"
-	default:
-		return "batched"
 	}
-}
-
-// ParseWireMode parses a WireMode name.
-func ParseWireMode(s string) (WireMode, error) {
-	switch s {
-	case "batched", "":
-		return WireBatched, nil
-	case "fused":
-		return WireFused, nil
-	case "single":
-		return WireSingle, nil
-	}
-	return 0, fmt.Errorf("serve: unknown wire mode %q (want batched, fused or single)", s)
+	return "batched"
 }
 
 // DriveOptions shape a Drive loop. The zero value answers every batch
@@ -303,7 +260,7 @@ type DriveOptions struct {
 	// MaxRounds bounds the poll/answer loop; <= 0 uses 100000. The
 	// bound turns a livelock into an error instead of a hung test.
 	MaxRounds int
-	// Wire selects the wire mode (batched, fused, single).
+	// Wire selects the wire mode (batched or fused).
 	Wire WireMode
 }
 
@@ -324,12 +281,8 @@ func (c *Client) Drive(id string, answer Answerer, opt DriveOptions) (SessionInf
 	havePending := false // fused mode: qb came back with the last POST
 	for round := 0; round < maxRounds; round++ {
 		if !havePending {
-			limit := 0
-			if opt.Wire == WireSingle {
-				limit = 1
-			}
 			var err error
-			if qb, err = c.QuestionsLimit(id, poll, limit); err != nil {
+			if qb, err = c.Questions(id, poll); err != nil {
 				return SessionInfo{}, err
 			}
 		}
@@ -344,23 +297,6 @@ func (c *Client) Drive(id string, answer Answerer, opt DriveOptions) (SessionInf
 		if opt.Rng != nil {
 			qs = append([]WireQuestion(nil), qs...)
 			opt.Rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
-		}
-		if opt.Wire == WireSingle {
-			// One answer per POST in the single-question form; the next
-			// question arrives on the next ?limit=1 poll.
-			for _, q := range qs {
-				a, err := answer(q)
-				if err != nil {
-					return SessionInfo{}, fmt.Errorf("serve: answering %s: %w", q.Key, err)
-				}
-				if opt.Delay != nil {
-					time.Sleep(opt.Delay())
-				}
-				if _, err := c.AnswerOne(id, q.Key, a); err != nil {
-					return SessionInfo{}, err
-				}
-			}
-			continue
 		}
 		chunk := opt.MaxPerPost
 		if chunk <= 0 {

@@ -136,9 +136,9 @@ func appendAnswerReport(b []byte, rep *answerOutcome, open bool) []byte {
 // ---- minimal answer-body scanner ----
 
 // parseAnswers parses the hot-path subset of an AnswerRequest body —
-// {"answers":{"<key>":bool,...}} and/or {"key":"<key>","answer":bool}
-// with no escaped strings — appending pairs into dst. ok=false means
-// the body needs the encoding/json fallback (it may still be valid).
+// {"answers":{"<key>":bool,...}} with no escaped strings — appending
+// pairs into dst. ok=false means the body needs the encoding/json
+// fallback (it may still be valid).
 func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 	p := scanner{buf: body}
 	p.space()
@@ -150,55 +150,39 @@ func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 		p.space()
 		return dst, p.eof()
 	}
-	var singleKey []byte
-	var singleAns *bool
 	for {
 		field, ok := p.str()
 		if !ok || !p.colon() {
 			return dst, false
 		}
-		switch {
-		case bytes.Equal(field, keyAnswers):
-			if !p.lit('{') {
-				return dst, false
-			}
-			p.space()
-			if !p.lit('}') {
-				for {
-					k, ok := p.str()
-					if !ok || !p.colon() {
-						return dst, false
-					}
-					v, ok := p.boolean()
-					if !ok {
-						return dst, false
-					}
-					dst = append(dst, wireAnswer{key: k, answer: v})
-					p.space()
-					if p.lit(',') {
-						p.space()
-						continue
-					}
-					if !p.lit('}') {
-						return dst, false
-					}
-					break
-				}
-			}
-		case bytes.Equal(field, keyKey):
-			k, ok := p.str()
-			if !ok {
-				return dst, false
-			}
-			singleKey = k
-		case bytes.Equal(field, keyAnswer):
-			v, ok := p.boolean()
-			if !ok {
-				return dst, false
-			}
-			singleAns = &v
-		default:
+		if !bytes.Equal(field, keyAnswers) {
 			return dst, false // unknown field: let encoding/json decide
+		}
+		if !p.lit('{') {
+			return dst, false
+		}
+		p.space()
+		if !p.lit('}') {
+			for {
+				k, ok := p.str()
+				if !ok || !p.colon() {
+					return dst, false
+				}
+				v, ok := p.boolean()
+				if !ok {
+					return dst, false
+				}
+				dst = append(dst, wireAnswer{key: k, answer: v})
+				p.space()
+				if p.lit(',') {
+					p.space()
+					continue
+				}
+				if !p.lit('}') {
+					return dst, false
+				}
+				break
+			}
 		}
 		p.space()
 		if p.lit(',') {
@@ -211,26 +195,10 @@ func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 		break
 	}
 	p.space()
-	if !p.eof() {
-		return dst, false
-	}
-	// The single-question form needs only the answer: the empty-set
-	// question's canonical key is "", which omitempty drops from the
-	// body, so a missing key means the empty key. A key without an
-	// answer is malformed — fall back for the error message.
-	if singleAns != nil {
-		dst = append(dst, wireAnswer{key: singleKey, answer: *singleAns})
-	} else if len(singleKey) > 0 {
-		return dst, false
-	}
-	return dst, true
+	return dst, p.eof()
 }
 
-var (
-	keyAnswers = []byte("answers")
-	keyKey     = []byte("key")
-	keyAnswer  = []byte("answer")
-)
+var keyAnswers = []byte("answers")
 
 // scanner is a cursor over an answer body.
 type scanner struct {
@@ -311,7 +279,7 @@ var (
 
 // queryParam extracts the raw value of key from a raw query string
 // without building the url.Values map. Values on the hot path (wait
-// durations, limits) never contain %-escapes; a value that does is
+// durations) never contain %-escapes; a value that does is
 // returned raw and fails its downstream parse like any garbage.
 func queryParam(rawQuery, key string) string {
 	for len(rawQuery) > 0 {

@@ -8,7 +8,10 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"strings"
 	"testing"
@@ -78,7 +81,7 @@ func TestServeHotPathAllocs(t *testing.T) {
 
 	buf := make([]byte, 0, 1<<14)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		buf = sess.questionsInto(buf[:0], 0, 0)
+		buf = sess.questionsInto(buf[:0], 0)
 	}); allocs != 0 {
 		t.Errorf("questionsInto allocates %.1f times per render, want 0", allocs)
 	}
@@ -117,7 +120,7 @@ func TestServeHotPathAllocs(t *testing.T) {
 // encoding/json yields exactly the batch the session holds.
 func TestQuestionsIntoMatchesWire(t *testing.T) {
 	sess, qs := awaitingSession(t, "{1100, 0011}", "{1000}")
-	b := sess.questionsInto(nil, 0, 0)
+	b := sess.questionsInto(nil, 0)
 	var qb QuestionBatch
 	if err := json.Unmarshal(b, &qb); err != nil {
 		t.Fatalf("questionsInto produced invalid JSON %q: %v", b, err)
@@ -141,14 +144,6 @@ func TestQuestionsIntoMatchesWire(t *testing.T) {
 				t.Fatalf("question %d tuple %d: %q, want %q", i, j, qb.Questions[i].Tuples[j], want[j])
 			}
 		}
-	}
-	// The limit renders a prefix.
-	b = sess.questionsInto(nil, 0, 1)
-	if err := json.Unmarshal(b, &qb); err != nil {
-		t.Fatal(err)
-	}
-	if len(qb.Questions) != 1 || qb.Questions[0].Key != qs[0].Key() {
-		t.Fatalf("limit=1 rendered %d questions (first %q)", len(qb.Questions), qb.Questions[0].Key)
 	}
 }
 
@@ -199,13 +194,6 @@ func TestParseAnswersMatchesStdlib(t *testing.T) {
 			answers[keyAlphabet[rng.Intn(len(keyAlphabet))]+fmt.Sprint(i)] = rng.Intn(2) == 0
 		}
 		req := AnswerRequest{Answers: answers}
-		if rng.Intn(3) == 0 {
-			a := rng.Intn(2) == 0
-			req.Key, req.Answer = "solo,"+fmt.Sprint(trial), &a
-			if len(answers) == 0 {
-				req.Answers = nil
-			}
-		}
 		body, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
@@ -214,13 +202,7 @@ func TestParseAnswersMatchesStdlib(t *testing.T) {
 		if !ok {
 			t.Fatalf("trial %d: fast parser refused canonical body %s", trial, body)
 		}
-		want := map[string]bool{}
-		for k, v := range req.Answers {
-			want[k] = v
-		}
-		if req.Key != "" {
-			want[req.Key] = *req.Answer
-		}
+		want := answers
 		if len(pairs) != len(want) {
 			t.Fatalf("trial %d: %d pairs from %s, want %d", trial, len(pairs), body, len(want))
 		}
@@ -231,14 +213,17 @@ func TestParseAnswersMatchesStdlib(t *testing.T) {
 		}
 	}
 
-	// Bodies the fast path must refuse — escapes, unknown fields,
-	// malformed JSON, half a single form — and leave to encoding/json.
+	// Bodies the fast path must refuse — escapes, unknown fields (the
+	// retired single-question form among them), malformed JSON — and
+	// leave to encoding/json.
 	for _, body := range []string{
 		"{\"answers\":{\"a\\u0031\":true}}",
 		`{"answers":{"a":true},"extra":1}`,
 		`{"answers":{"a":maybe}}`,
 		`{"answers":["a"]}`,
 		`{"key":"a"}`,
+		`{"key":"a","answer":true}`,
+		`{"answer":true}`,
 		`{"answers":{"a":true}`,
 		`{"answers":{"a":true}} trailing`,
 	} {
@@ -250,10 +235,9 @@ func TestParseAnswersMatchesStdlib(t *testing.T) {
 	if pairs, ok := parseAnswers([]byte(" { } "), nil); !ok || len(pairs) != 0 {
 		t.Errorf("empty object: ok=%v pairs=%v", ok, pairs)
 	}
-	// An answer with no key is the empty-set question (its canonical
-	// key "" is dropped by omitempty on the wire).
-	if pairs, ok := parseAnswers([]byte(`{"answer":true}`), nil); !ok || len(pairs) != 1 || len(pairs[0].key) != 0 || !pairs[0].answer {
-		t.Errorf("keyless answer: ok=%v pairs=%v, want one empty-key pair", ok, pairs)
+	// The empty-set question's canonical key is "".
+	if pairs, ok := parseAnswers([]byte(`{"answers":{"":true}}`), nil); !ok || len(pairs) != 1 || len(pairs[0].key) != 0 || !pairs[0].answer {
+		t.Errorf("empty key: ok=%v pairs=%v, want one empty-key pair", ok, pairs)
 	}
 }
 
@@ -294,18 +278,57 @@ func TestAppendJSONStringMatchesStdlib(t *testing.T) {
 // TestQueryParam pins the allocation-free query extractor to net/url.
 func TestQueryParam(t *testing.T) {
 	for _, raw := range []string{
-		"", "wait=2s", "wait=2s&limit=1", "limit=1&wait=250ms", "other=x",
-		"wait=", "waitx=3s", "limit=0", "a=b&wait=30s&c=d", "wait",
+		"", "wait=2s", "wait=2s&other=1", "other=1&wait=250ms", "other=x",
+		"wait=", "waitx=3s", "other=0", "a=b&wait=30s&c=d", "wait",
 	} {
 		want, err := url.ParseQuery(raw)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, key := range []string{"wait", "limit"} {
+		for _, key := range []string{"wait", "other"} {
 			if got := queryParam(raw, key); got != want.Get(key) {
 				t.Errorf("queryParam(%q, %q) = %q, url.Values %q", raw, key, got, want.Get(key))
 			}
 		}
+	}
+}
+
+// TestOversizedBodies checks the request-body cap: a create or an
+// answers POST past maxBodyBytes is refused with 413, while a body of
+// exactly maxBodyBytes is still read and judged on its content.
+func TestOversizedBodies(t *testing.T) {
+	ts := httptest.NewServer(New(Config{MemoCapacity: -1}).Handler())
+	defer ts.Close()
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(msg)
+	}
+	pad := strings.Repeat("x", maxBodyBytes)
+	if code, msg := post("/sessions", `{"variables":3,"given":"`+pad+`"}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized create: %d %.200s, want 413", code, msg)
+	}
+
+	code, msg := post("/sessions", `{"variables":3}`)
+	if code != http.StatusCreated {
+		t.Fatalf("create: %d %s", code, msg)
+	}
+	var info SessionInfo
+	if err := json.Unmarshal([]byte(msg), &info); err != nil {
+		t.Fatal(err)
+	}
+	if code, msg := post("/sessions/"+info.ID+"/answers", `{"answers":{"`+pad+`":true}}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized answers: %d %.200s, want 413", code, msg)
+	}
+	// A body at the cap is read in full and judged on its content.
+	atCap := `{"answers":{"` + pad[:maxBodyBytes-len(`{"answers":{"":true}}`)] + `":true}}`
+	if code, msg := post("/sessions/"+info.ID+"/answers", atCap); code != http.StatusOK || !strings.Contains(msg, `"accepted":0`) {
+		t.Errorf("answers at the cap: %d %.200s, want 200 with nothing accepted", code, msg)
 	}
 }
 

@@ -1,7 +1,7 @@
 package serve_test
 
 // Load and race coverage for the qhornd server: many concurrent
-// sessions across shards, answerers with randomized delays and
+// sessions, answerers with randomized delays and
 // shuffled partial deliveries, interleaved state polls, and a clean
 // shutdown with sessions still in flight. Run under -race this is the
 // strongest concurrency evidence the package has; the correctness bar
@@ -26,7 +26,7 @@ func TestLoadConcurrentSessions(t *testing.T) {
 		t.Skip("load test skipped in -short mode")
 	}
 	sessions := 200
-	srv, c := startServer(t, serve.Config{Shards: 4})
+	srv, c := startServer(t, serve.Config{})
 
 	type job struct {
 		target  int // index into ts
@@ -154,7 +154,7 @@ func TestLoadShutdownWithInFlight(t *testing.T) {
 	if testing.Short() {
 		sessions = 5
 	}
-	srv, c := startServer(t, serve.Config{Shards: 2})
+	srv, c := startServer(t, serve.Config{})
 	ids := make([]string, 0, sessions)
 	ts := targets(difffuzz.ClassQhorn1, 77, sessions)
 	for i := 0; i < sessions; i++ {

@@ -7,13 +7,13 @@
 // order over POST /sessions/{id}/answers, keyed by canonical
 // boolean.Set.Key. A drive loop can fuse the two: POST
 // /sessions/{id}/answers?wait=D responds, once the delivered batch
-// settles, with the next outstanding batch in the same round trip,
-// and GET questions?limit=1 serves single-question clients.
+// settles, with the next outstanding batch in the same round trip.
 //
-// Sessions shard by ID hash across fixed worker shards, each with its
-// own lock, so lookups never contend globally; admission control is
-// an atomic session counter behind a read-write shutdown gate, so
-// creations never serialize on a global mutex either. The per-session
+// Sessions live in one map under one read-write lock; lookups take
+// the read side, and only create and delete write. Admission control
+// is an atomic session counter behind a read-write shutdown gate, so
+// creations never serialize on a global mutex either. Request bodies
+// are capped at maxBodyBytes (413 beyond it). The per-session
 // question budget (the engine's oracle.Budget wrapper) bounds what
 // one session can cost. The observability plane (internal/obs) is
 // mounted on the same mux: /metrics, /healthz, /spans, /progress and
@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"encoding/json"
@@ -34,7 +35,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -45,13 +45,9 @@ import (
 	"qhorn/internal/run"
 )
 
-// Config sizes a Server. The zero value is usable: DefaultShards
-// shards, unlimited sessions, DefaultBudget questions per session,
-// hardened HTTP timeouts.
+// Config sizes a Server. The zero value is usable: unlimited
+// sessions, unlimited questions per session, hardened HTTP timeouts.
 type Config struct {
-	// Shards is the session-table shard count; <= 0 selects
-	// DefaultShards.
-	Shards int
 	// MaxSessions caps concurrently running sessions; creations
 	// beyond it are shed with 429. <= 0 is unlimited.
 	MaxSessions int
@@ -88,9 +84,6 @@ type Config struct {
 	MaxHeaderBytes int
 }
 
-// DefaultShards is the shard count a zero Config selects.
-const DefaultShards = 8
-
 // DefaultMemoCapacity is the shared memo tier bound a zero Config
 // selects: a million cached answers, a few hundred MB at production
 // tuple sizes.
@@ -121,8 +114,9 @@ type Server struct {
 	tracer *obs.Tracer
 	mux    *http.ServeMux
 
-	shards []*shard
-	memo   *oracle.SharedMemo // nil when MemoCapacity < 0
+	mu       sync.RWMutex
+	sessions map[string]*session // guarded by mu
+	memo     *oracle.SharedMemo  // nil when MemoCapacity < 0
 
 	// Hot-path metric instances, resolved once — Registry lookups take
 	// a registry-wide mutex, which the per-answer path must not.
@@ -148,30 +142,18 @@ type Server struct {
 	ln  net.Listener
 }
 
-// shard is one lock-scoped slice of the session table.
-type shard struct {
-	mu       sync.RWMutex
-	sessions map[string]*session
-}
-
 // New builds a server over the config.
 func New(cfg Config) *Server {
-	if cfg.Shards <= 0 {
-		cfg.Shards = DefaultShards
-	}
 	o := cfg.Obs
 	if o == nil {
 		o = obs.NewServer(nil, nil, obs.NewFlightRecorder(cfg.FlightSpans))
 	}
 	s := &Server{
-		cfg:    cfg,
-		obs:    o,
-		reg:    o.Registry(),
-		tracer: o.SpanTracer(),
-		shards: make([]*shard, cfg.Shards),
-	}
-	for i := range s.shards {
-		s.shards[i] = &shard{sessions: map[string]*session{}}
+		cfg:      cfg,
+		obs:      o,
+		reg:      o.Registry(),
+		tracer:   o.SpanTracer(),
+		sessions: map[string]*session{},
 	}
 	if cfg.MemoCapacity >= 0 {
 		capacity := cfg.MemoCapacity
@@ -300,7 +282,7 @@ func (s *Server) URL() string {
 // waits for their goroutines to unwind, and stops the listener.
 // Closing twice is a no-op. The write lock synchronizes with
 // creations, which read-hold closeMu from admission to launch: once
-// it is acquired, every admitted session is in its shard and counted
+// it is acquired, every admitted session is in the table and counted
 // in wg, so the sweep and the Wait miss nothing.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
@@ -310,16 +292,14 @@ func (s *Server) Close() error {
 	}
 	s.closed = true
 	s.closeMu.Unlock()
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		live := make([]*session, 0, len(sh.sessions))
-		for _, sess := range sh.sessions {
-			live = append(live, sess)
-		}
-		sh.mu.RUnlock()
-		for _, sess := range live {
-			sess.abort("server shutting down")
-		}
+	s.mu.RLock()
+	live := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		live = append(live, sess)
+	}
+	s.mu.RUnlock()
+	for _, sess := range live {
+		sess.abort("server shutting down")
 	}
 	s.wg.Wait()
 	var err error
@@ -417,31 +397,44 @@ func (s *Server) nextID(id string) string {
 	return hex.EncodeToString(b[:])
 }
 
-// shardFor hashes a session ID onto its shard: inline FNV-1a, no
-// hasher allocation.
-func (s *Server) shardFor(id string) *shard {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h = (h ^ uint32(id[i])) * 16777619
-	}
-	return s.shards[h%uint32(len(s.shards))]
-}
-
 // lookup finds a session by ID.
 func (s *Server) lookup(id string) (*session, bool) {
-	sh := s.shardFor(id)
-	sh.mu.RLock()
-	sess, ok := sh.sessions[id]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	sess, ok := s.sessions[id]
+	s.mu.RUnlock()
 	return sess, ok
 }
 
 // ---- HTTP handlers ----
 
+// maxBodyBytes caps every request body the server reads; larger
+// bodies get 413. The largest body a client sends is a create that
+// resumes a snapshot. The test suite's snapshots are under 1 KiB, and
+// a role-preserving learn of a random 64-variable target snapshots to
+// about 0.8 MiB, so 8 MiB leaves ten times the widest universe's need.
+const maxBodyBytes = 8 << 20
+
+var errBodyTooLarge = fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v, writing the 400 or 413 itself and reporting false on failure.
+func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+	}
+	return false
+}
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	mode := req.Mode
@@ -497,10 +490,9 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	sh := s.shardFor(sess.id)
-	sh.mu.Lock()
-	sh.sessions[sess.id] = sess
-	sh.mu.Unlock()
+	s.mu.Lock()
+	s.sessions[sess.id] = sess
+	s.mu.Unlock()
 	sess.launch()
 	s.closeMu.RUnlock()
 	writeJSON(w, http.StatusCreated, sess.info())
@@ -508,13 +500,11 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	list := SessionList{Sessions: []SessionInfo{}}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for _, sess := range sh.sessions {
-			list.Sessions = append(list.Sessions, sess.info())
-		}
-		sh.mu.RUnlock()
+	s.mu.RLock()
+	for _, sess := range s.sessions {
+		list.Sessions = append(list.Sessions, sess.info())
 	}
+	s.mu.RUnlock()
 	writeJSON(w, http.StatusOK, list)
 }
 
@@ -529,11 +519,10 @@ func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	sess, ok := sh.sessions[id]
-	delete(sh.sessions, id)
-	sh.mu.Unlock()
+	s.mu.Lock()
+	sess, ok := s.sessions[id]
+	delete(s.sessions, id)
+	s.mu.Unlock()
 	if !ok {
 		writeError(w, http.StatusNotFound, errNoSession(id))
 		return
@@ -552,42 +541,37 @@ func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
 		return
 	}
-	wait, limit, err := parseQuestionQuery(r.URL.RawQuery)
+	wait, err := parseWait(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	bp := getBuf()
-	b := sess.questionsInto((*bp)[:0], wait, limit)
+	b := sess.questionsInto((*bp)[:0], wait)
 	w.Header()["Content-Type"] = jsonCT
 	w.Write(b) //nolint:errcheck // the write error is the client's disconnect
 	*bp = b
 	putBuf(bp)
 }
 
-// parseQuestionQuery extracts the long-poll wait and the question
-// limit from a raw query without materializing url.Values.
-func parseQuestionQuery(rawQuery string) (wait time.Duration, limit int, err error) {
-	if ws := queryParam(rawQuery, "wait"); ws != "" {
-		if strings.ContainsAny(ws, "%+") {
-			// Escaped duration units (µs) take the cold unescape path.
-			if un, uerr := url.QueryUnescape(ws); uerr == nil {
-				ws = un
-			}
-		}
-		if wait, err = time.ParseDuration(ws); err != nil {
-			return 0, 0, fmt.Errorf("serve: bad wait %q: %w", ws, err)
-		}
-		if wait > maxQuestionWait {
-			wait = maxQuestionWait
+// parseWait extracts the long-poll wait from a raw query without
+// materializing url.Values.
+func parseWait(rawQuery string) (time.Duration, error) {
+	ws := queryParam(rawQuery, "wait")
+	if ws == "" {
+		return 0, nil
+	}
+	if strings.ContainsAny(ws, "%+") {
+		// Escaped duration units (µs) take the cold unescape path.
+		if un, err := url.QueryUnescape(ws); err == nil {
+			ws = un
 		}
 	}
-	if ls := queryParam(rawQuery, "limit"); ls != "" {
-		if limit, err = strconv.Atoi(ls); err != nil || limit < 0 {
-			return 0, 0, fmt.Errorf("serve: bad limit %q", ls)
-		}
+	wait, err := time.ParseDuration(ws)
+	if err != nil {
+		return 0, fmt.Errorf("serve: bad wait %q: %w", ws, err)
 	}
-	return wait, limit, nil
+	return min(wait, maxQuestionWait), nil
 }
 
 // maxQuestionWait bounds the long-poll of GET /sessions/{id}/questions
@@ -601,7 +585,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
 		return
 	}
-	wait, limit, err := parseQuestionQuery(r.URL.RawQuery)
+	wait, err := parseWait(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -610,6 +594,10 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	defer putBuf(bodyBuf)
 	body, err := readBody((*bodyBuf)[:0], r.Body)
 	*bodyBuf = body[:0]
+	if errors.Is(err, errBodyTooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: reading request body: %w", err))
 		return
@@ -623,24 +611,17 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	pairs, fast := parseAnswers(body, scratch.pairs[:0])
 	if !fast {
 		// The body used escapes, unknown fields, or is malformed: let
-		// encoding/json produce the verdict and the error message.
+		// encoding/json produce the verdict and the error message. An
+		// unknown field (the retired {"key","answer"} form among them)
+		// is a 400 naming the field, never a silent empty delivery.
 		var req AnswerRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		if err := unmarshalStrict(body, &req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 			return
 		}
 		pairs = pairs[:0]
 		for k, a := range req.Answers {
 			pairs = append(pairs, wireAnswer{key: []byte(k), answer: a})
-		}
-		// A missing key with an answer means the empty key (the
-		// empty-set question; omitempty drops "" on the wire). A key
-		// without an answer is an error.
-		if req.Answer != nil {
-			pairs = append(pairs, wireAnswer{key: []byte(req.Key), answer: *req.Answer})
-		} else if req.Key != "" {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: the single-question form needs an answer with its key"))
-			return
 		}
 	}
 	scratch.pairs = pairs
@@ -655,7 +636,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		// remainder of this one, on a partial delivery) into the same
 		// response.
 		b = append(b, `,"next":`...)
-		b = sess.questionsInto(b, wait, limit)
+		b = sess.questionsInto(b, wait)
 		b = append(b, '}')
 	}
 	w.Header()["Content-Type"] = jsonCT
@@ -664,7 +645,8 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	putBuf(outBuf)
 }
 
-// readBody reads rc into the (pooled) buffer b, growing as needed.
+// readBody reads rc into the (pooled) buffer b, growing as needed,
+// and fails with errBodyTooLarge once more than maxBodyBytes arrived.
 func readBody(b []byte, rc io.Reader) ([]byte, error) {
 	for {
 		if len(b) == cap(b) {
@@ -672,6 +654,9 @@ func readBody(b []byte, rc io.Reader) ([]byte, error) {
 		}
 		n, err := rc.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
+		if len(b) > maxBodyBytes {
+			return b, errBodyTooLarge
+		}
 		if err == io.EOF {
 			return b, nil
 		}
@@ -679,6 +664,20 @@ func readBody(b []byte, rc io.Reader) ([]byte, error) {
 			return b, err
 		}
 	}
+}
+
+// unmarshalStrict is json.Unmarshal that also rejects fields v does
+// not declare.
+func unmarshalStrict(data []byte, v interface{}) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON object")
+	}
+	return nil
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
@@ -715,8 +714,7 @@ func (s *Server) handleAmend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req AmendRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if err := sess.amend(req); err != nil {

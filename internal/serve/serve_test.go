@@ -6,6 +6,7 @@ package serve_test
 // the CI coverage floor.
 
 import (
+	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
@@ -160,6 +161,25 @@ func TestBadRequests(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("POST %s with bad JSON: %d, want 400", path, resp.StatusCode)
+		}
+	}
+	// Answer bodies with unknown fields — the retired single-question
+	// form among them — are refused with the field named, not decoded
+	// into an empty delivery.
+	for body, field := range map[string]string{
+		`{"key":"a1","answer":true}`:        `"key"`,
+		`{"answer":true}`:                   `"answer"`,
+		`{"answers":{"a1":true},"extra":1}`: `"extra"`,
+	} {
+		resp, err := http.Post(srv.URL()+"/sessions/"+info.ID+"/answers", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, field) {
+			t.Errorf("POST answers %s: %d %q, want 400 naming %s", body, resp.StatusCode, eb.Error, field)
 		}
 	}
 }

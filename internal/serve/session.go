@@ -128,7 +128,7 @@ type session struct {
 }
 
 // newSession builds an unlaunched session; the caller inserts it into
-// a shard and calls launch. history, when non-nil, is a snapshot's
+// the session table and calls launch. history, when non-nil, is a snapshot's
 // session.EncodeJSON payload to resume from; otherwise variables
 // sizes a fresh universe.
 func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, givenStr string, budgetCap int, userID string, history []byte) (*session, error) {
@@ -408,28 +408,6 @@ func (s *session) deliver(pairs []wireAnswer, rep *answerOutcome) {
 	}
 }
 
-// deliverMap adapts deliver to a decoded answer map — the cold path
-// of bodies the fast scanner refused, and of direct in-process use.
-func (s *session) deliverMap(answers map[string]bool) AnswerReport {
-	pairs := make([]wireAnswer, 0, len(answers))
-	for k, a := range answers {
-		pairs = append(pairs, wireAnswer{key: []byte(k), answer: a})
-	}
-	var out answerOutcome
-	s.deliver(pairs, &out)
-	rep := AnswerReport{
-		Accepted:    out.accepted,
-		Duplicate:   out.duplicate,
-		Outstanding: out.outstanding,
-		State:       out.state,
-		AbortReason: out.abortReason,
-	}
-	for _, k := range out.unknown {
-		rep.Unknown = append(rep.Unknown, string(k))
-	}
-	return rep
-}
-
 // abort wakes a blocked learner with a panic and marks the session so
 // any later question also aborts. Aborting a finished session is a
 // no-op.
@@ -455,10 +433,9 @@ func (s *session) abort(reason string) {
 // JSON appended to b. A positive wait long-polls: while the session
 // is computing (state learning) the call blocks — up to wait — for
 // the next state change, so drivers see fresh batches without
-// busy-polling. limit > 0 caps the rendered questions, the single-
-// question compatibility mode (?limit=1). Tuples were formatted once
-// at batch publication, so rendering is a pure append pass.
-func (s *session) questionsInto(b []byte, wait time.Duration, limit int) []byte {
+// busy-polling. Tuples were formatted once at batch publication, so
+// rendering is a pure append pass.
+func (s *session) questionsInto(b []byte, wait time.Duration) []byte {
 	deadline := time.Now().Add(wait)
 	for {
 		s.mu.Lock()
@@ -471,9 +448,6 @@ func (s *session) questionsInto(b []byte, wait time.Duration, limit int) []byte 
 				p := &s.pqs[i]
 				if p.answered {
 					continue
-				}
-				if limit > 0 && n == limit {
-					break
 				}
 				if n > 0 {
 					b = append(b, ',')

@@ -125,14 +125,10 @@ type QuestionBatch struct {
 }
 
 // AnswerRequest is the body of POST /sessions/{id}/answers: answers
-// keyed by question key, in any order, possibly partial. A single-
-// question client may instead send {"key": ..., "answer": ...}; both
-// forms may appear in one body and are merged.
+// keyed by question key, in any order, possibly partial. The empty-set
+// question's key is "". Any other field is rejected with 400.
 type AnswerRequest struct {
 	Answers map[string]bool `json:"answers,omitempty"`
-	// Key/Answer are the single-question form.
-	Key    string `json:"key,omitempty"`
-	Answer *bool  `json:"answer,omitempty"`
 }
 
 // AnswerReport is the response to an answer delivery. Duplicate

@@ -5,7 +5,7 @@
 // CI runs the experiments in quick mode on shared runners, so
 // absolute times are noisy; what must not regress is the *relative*
 // win — compiled vs interpreted evaluation, matrix vs serial brute
-// learning, batched vs single-question wire. The gate therefore
+// learning, warm revision vs cold relearn. The gate therefore
 // compares only ratio columns — headers containing "speedup"
 // (throughput ratios) or "reduction" (round-trip ratios) — row by
 // row (matched by table title and first-column parameter), and

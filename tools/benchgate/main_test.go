@@ -93,9 +93,9 @@ func TestGateErrors(t *testing.T) {
 	}
 }
 
-// writeWireSummary builds a summary in the shape of the load
-// experiment's wire table: a speedup column and a reduction column
-// side by side, both of which must be gated.
+// writeWireSummary builds a summary in the shape of a wire-mode
+// table: a speedup column and a reduction column side by side, both
+// of which must be gated.
 func writeWireSummary(t *testing.T, name, speedup, reduction string) string {
 	t.Helper()
 	doc := `{"experiment": "load", "quick": true, "tables": [
@@ -126,10 +126,10 @@ func TestGateCoversReductionColumns(t *testing.T) {
 func TestGateAgainstRealCommittedSummary(t *testing.T) {
 	// Each committed summary compared against itself is the identity
 	// gate — every format assumption checked on real data.
-	for _, name := range []string{"BENCH_kernel.json", "BENCH_serve.json", "BENCH_load.json"} {
+	for _, name := range []string{"BENCH_kernel.json", "BENCH_brute.json", "BENCH_revise.json"} {
 		real := filepath.Join("..", "..", name)
 		if _, err := os.Stat(real); err != nil {
-			t.Skipf("%s not present", name)
+			t.Fatalf("committed summary %s missing: %v", name, err)
 		}
 		if err := gate(real, real, 0.35); err != nil {
 			t.Fatalf("self-comparison of %s failed: %v", name, err)
