@@ -2,9 +2,12 @@ package qhorn
 
 // The API-surface guard: a cross-cutting dimension of a run (steps,
 // spans, metrics, batching, …) is one run.Option, never one exported
-// function per learner and verifier variant (docs/ENGINE.md). The guard
-// fails on any exported *Observed / *Traced / *Parallel function in the
-// facade, the learners or the verifier. CI runs this test explicitly
+// function per learner and verifier variant (docs/ENGINE.md), and a
+// wrapper that may mirror into a metrics registry takes the registry
+// as a nil-able argument, never as an exported *Into twin. The guard
+// fails on any exported *Observed / *Traced / *Parallel / *Into
+// function in the facade, the learners, the verifier, the oracle
+// wrappers or the run engine. CI runs this test explicitly
 // (go test -run TestNoVariantExports .).
 
 import (
@@ -20,13 +23,21 @@ import (
 
 // guardedDirs are the package directories whose exports the guard
 // scans.
-var guardedDirs = []string{".", "internal/learn", "internal/verify"}
+var guardedDirs = []string{".", "internal/learn", "internal/verify", "internal/oracle", "internal/run"}
 
-var variantName = regexp.MustCompile(`(Observed|Traced|Parallel)`)
+var (
+	// variantName matches a variant suffix on some base name; the bare
+	// oracle.Parallel pool constructor is the mechanism itself, not a
+	// variant.
+	variantName = regexp.MustCompile(`^.+(Observed|Traced|Parallel)`)
+	// twinName matches a registry twin (CountInto beside Count).
+	twinName = regexp.MustCompile(`.Into$`)
+)
 
 // variantExports parses a package directory and returns every exported
-// function or method whose name matches the variant pattern, excluding
-// test files and With* option constructors.
+// function or method that is a registry twin, or matches the variant
+// pattern and is not a With* option constructor. Test files are
+// skipped.
 func variantExports(t *testing.T, dir string) []string {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -42,15 +53,16 @@ func variantExports(t *testing.T, dir string) []string {
 			}
 			for _, decl := range file.Decls {
 				fn, ok := decl.(*ast.FuncDecl)
-				if !ok || !fn.Name.IsExported() || !variantName.MatchString(fn.Name.Name) {
+				if !ok || !fn.Name.IsExported() {
 					continue
 				}
 				// Option constructors (WithParallel, …) are the
-				// sanctioned mechanism the guard steers toward.
-				if strings.HasPrefix(fn.Name.Name, "With") {
-					continue
+				// sanctioned mechanism the guard steers toward; a twin
+				// is never sanctioned (WithBudgetInto beside WithBudget).
+				name := fn.Name.Name
+				if twinName.MatchString(name) || variantName.MatchString(name) && !strings.HasPrefix(name, "With") {
+					out = append(out, name)
 				}
-				out = append(out, fn.Name.Name)
 			}
 		}
 	}
@@ -58,23 +70,24 @@ func variantExports(t *testing.T, dir string) []string {
 	return out
 }
 
-// TestNoVariantExports fails when a variant export appears in the
-// facade, the learners, or the verifier.
+// TestNoVariantExports fails when a variant export appears in any
+// guarded package.
 func TestNoVariantExports(t *testing.T) {
 	for _, dir := range guardedDirs {
 		for _, name := range variantExports(t, dir) {
-			t.Errorf("%s: variant export %s — add a run.Option instead (docs/ENGINE.md)", dir, name)
+			t.Errorf("%s: variant export %s — add a run.Option or a nil-able registry argument instead (docs/ENGINE.md)", dir, name)
 		}
 	}
 }
 
 // TestNoVariantExportsBites runs the same scan over a fixture package
-// with one planted variant export, an option constructor, an
-// unexported variant and a variant in a test file: only the planted
-// export may be reported.
+// with a planted variant export and two planted registry twins beside an
+// option constructor, a bare mechanism name, an unexported variant and
+// a variant in a test file: only the three planted exports may be
+// reported.
 func TestNoVariantExportsBites(t *testing.T) {
 	got := variantExports(t, "testdata/variantguard")
-	if want := []string{"LearnPlantedObserved"}; !reflect.DeepEqual(got, want) {
+	if want := []string{"CountPlantedInto", "LearnPlantedObserved", "WithPlantedInto"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("scan of the planted fixture reported %v, want %v", got, want)
 	}
 }

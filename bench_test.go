@@ -474,7 +474,7 @@ func BenchmarkLearnParallel(b *testing.B) {
 	})
 	for _, workers := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := oracle.Parallel(slow, workers)
+			pool := oracle.Parallel(slow, workers, nil)
 			questions := 0
 			for i := 0; i < b.N; i++ {
 				_, st := learn.Run(target.U, pool, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
@@ -504,7 +504,7 @@ func BenchmarkVerifyParallel(b *testing.B) {
 		}
 	})
 	b.Run("workers=8", func(b *testing.B) {
-		pool := oracle.Parallel(slow, 8)
+		pool := oracle.Parallel(slow, 8, nil)
 		for i := 0; i < b.N; i++ {
 			vs.RunWith(pool, run.WithBatch())
 		}

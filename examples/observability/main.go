@@ -26,7 +26,7 @@ func main() {
 	tree := qhorn.NewTreeSink()
 	tracer := qhorn.NewSpanTracer(tree)
 	reg := qhorn.NewMetricsRegistry()
-	user := qhorn.CountingOracleInto(qhorn.TargetOracle(intended), reg)
+	user := qhorn.CountingOracle(qhorn.TargetOracle(intended), reg)
 
 	// The observability server makes the same registry and span stream
 	// browsable while the run executes: /metrics, /spans, /progress,
@@ -52,7 +52,7 @@ func main() {
 	fmt.Printf("questions:          %d\n", stats.Total())
 
 	// Verification runs under the same tracer and registry.
-	res, err := qhorn.VerifyQ(learned, user, qhorn.WithInstrumentation(ins))
+	res, err := qhorn.Verify(learned, user, qhorn.WithInstrumentation(ins))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

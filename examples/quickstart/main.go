@@ -23,7 +23,7 @@ func main() {
 	// The learner only sees the user's answers to membership
 	// questions. Here the user is simulated; wrap the oracle with a
 	// counter and a transcript recorder to inspect the interaction.
-	user := qhorn.RecordingOracle(qhorn.CountingOracle(qhorn.TargetOracle(intended)))
+	user := qhorn.RecordingOracle(qhorn.CountingOracle(qhorn.TargetOracle(intended), nil))
 
 	// Learn through the run engine: options select the algorithm (and
 	// compose with instrumentation, parallelism, budgets, … — see
@@ -52,7 +52,7 @@ func main() {
 
 	// Verification (§4): O(k) questions decide whether a written
 	// query matches the user's intent.
-	res, err := qhorn.VerifyQ(learned, qhorn.TargetOracle(intended))
+	res, err := qhorn.Verify(learned, qhorn.TargetOracle(intended))
 	if err != nil {
 		panic(err)
 	}
@@ -61,7 +61,7 @@ func main() {
 	// A semantically different query is always caught (Theorem 4.2);
 	// WithFirstDisagreement stops at the first conflicting answer.
 	wrong := qhorn.MustParseQuery(u, "∀x1x4 → x6 ∃x2x3")
-	res, err = qhorn.VerifyQ(wrong, qhorn.TargetOracle(intended),
+	res, err = qhorn.Verify(wrong, qhorn.TargetOracle(intended),
 		qhorn.WithFirstDisagreement())
 	if err != nil {
 		panic(err)

@@ -71,7 +71,7 @@ func TestLearnSkipsUninformativeQuestions(t *testing.T) {
 		query.MustParse(u, "∃x1"),
 		query.MustParse(u, "∃x2"),
 	}
-	c := oracle.Count(oracle.Target(candidates[0]))
+	c := oracle.Count(oracle.Target(candidates[0]), nil)
 	pool := []boolean.Set{
 		boolean.MustParseSet(u, "{11}"), // both say answer: skipped
 		boolean.NewSet(),                // both say non-answer: skipped
@@ -92,7 +92,7 @@ func TestLearnEquivalentCandidatesNoQuestions(t *testing.T) {
 		query.MustParse(u, "∃x1x2x3 ∃x1x2"),
 		query.MustParse(u, "∃x1x2x3"),
 	}
-	c := oracle.Count(oracle.Target(candidates[0]))
+	c := oracle.Count(oracle.Target(candidates[0]), nil)
 	res, err := Learn(candidates, c, boolean.AllObjects(u))
 	if err != nil {
 		t.Fatal(err)

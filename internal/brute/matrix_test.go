@@ -152,7 +152,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 		query.MustParse(u, "∃x1x2x3 ∃x1x2"),
 		query.MustParse(u, "∃x1x2x3"),
 	}
-	c := oracle.Count(oracle.Target(equivalent[0]))
+	c := oracle.Count(oracle.Target(equivalent[0]), nil)
 	res, err := NewMatrix(equivalent, boolean.AllObjects(u), MatrixOptions{}).Learn(c)
 	if err != nil {
 		t.Fatal(err)

@@ -114,7 +114,7 @@ func CheckCase(c Case, opt Options) CaseResult {
 // universes — the brute-force reference learner.
 func checkLearn(c Case, opt Options) CaseResult {
 	u := c.Hidden.U
-	counter := oracle.Count(oracle.Target(c.Hidden))
+	counter := oracle.Count(oracle.Target(c.Hidden), nil)
 	var learned query.Query
 	var asked int
 	switch c.Class {
@@ -195,7 +195,7 @@ func checkLearn(c Case, opt Options) CaseResult {
 	// question count (the determinism contract of the batch engine,
 	// docs/PARALLELISM.md).
 	if opt.Parallel > 0 {
-		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel)
+		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel, nil)
 		alg := run.RolePreserving
 		if c.Class == ClassQhorn1 {
 			alg = run.Qhorn1
@@ -286,7 +286,7 @@ func checkVerify(c Case, opt Options) CaseResult {
 	// reproduce the serial run bit for bit — verdict, question count,
 	// and the disagreement list in set order.
 	if opt.Parallel > 0 {
-		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel)
+		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel, nil)
 		pres := vs.RunWith(pool, run.WithBatch())
 		res.Questions += pres.QuestionsAsked
 		switch {

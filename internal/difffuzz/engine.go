@@ -2,7 +2,7 @@ package difffuzz
 
 // The run-engine options-matrix judge (Options.EngineMatrix): the
 // engine's contract is that cross-cutting options — batching, worker
-// pools, budgets, memoization, counters, instrumentation — never
+// pools, budgets, counters, instrumentation — never
 // change WHAT is asked, only how the asking is arranged. This judge
 // replays a case's learning run and verification run under every
 // meaningful option combination and compares the question stream
@@ -91,7 +91,6 @@ func engineCombos(budget int) []engineCombo {
 		{"parallel-2", []run.Option{run.WithParallel(2)}, true},
 		{"parallel-8", []run.Option{run.WithParallel(8)}, true},
 		{"budget", []run.Option{run.WithBudget(budget)}, false},
-		{"memo", []run.Option{run.WithMemo()}, false},
 		{"counter", []run.Option{run.WithCounter()}, false},
 		{"observed", []run.Option{run.WithInstrumentation(run.Instrumentation{
 			Spans:   obs.NewTracer(obs.NewTreeSink()),

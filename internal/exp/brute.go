@@ -77,17 +77,17 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 		for trial := 0; trial < trials; trial++ {
 			target := candidates[rng.Intn(len(candidates))]
 
-			sc := oracle.CountInto(oracle.Target(target), reg)
+			sc := oracle.Count(oracle.Target(target), reg)
 			start := time.Now()
 			sres, serr := brute.LearnSerial(candidates, sc, pool)
 			serialMS = append(serialMS, ms(time.Since(start)))
 
-			fc := oracle.CountInto(oracle.Target(target), reg)
+			fc := oracle.Count(oracle.Target(target), reg)
 			start = time.Now()
 			fres, ferr := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true, Registry: reg}).Learn(fc)
 			freshMS = append(freshMS, ms(time.Since(start)))
 
-			mc := oracle.CountInto(oracle.Target(target), reg)
+			mc := oracle.Count(oracle.Target(target), reg)
 			start = time.Now()
 			mres, merr := cached.Learn(mc)
 			cachedMS = append(cachedMS, ms(time.Since(start)))
@@ -190,7 +190,7 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 	var questions, learnMS []float64
 	for trial := 0; trial < trials; trial++ {
 		target := candidates[rng.Intn(len(candidates))]
-		c := oracle.CountInto(oracle.Target(target), reg)
+		c := oracle.Count(oracle.Target(target), reg)
 		startL := time.Now()
 		res, err := m.Learn(c)
 		learnMS = append(learnMS, ms(time.Since(startL)))

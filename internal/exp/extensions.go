@@ -70,7 +70,7 @@ func runRevision(cfg Config) []*stats.Table {
 				escalations++
 			}
 			reviseQ = append(reviseQ, res.Questions())
-			c := oracle.Count(oracle.Target(intended))
+			c := oracle.Count(oracle.Target(intended), nil)
 			learn.RolePreserving(intended.U, c)
 			learnQ = append(learnQ, c.Questions)
 			dists = append(dists, revise.Distance(given, intended))

@@ -57,7 +57,7 @@ func evalTable(e Experiment, cfg Config) *stats.Table {
 		var nq, interpMS, compiledMS, interpAllocs, compiledAllocs []float64
 		for trial := 0; trial < cfg.Trials; trial++ {
 			target := query.GenQhorn1(rng, n)
-			tr := oracle.Record(oracle.CountInto(oracle.Func(target.Eval), reg))
+			tr := oracle.Record(oracle.Count(oracle.Func(target.Eval), reg))
 			learn.Run(u, tr, run.WithAlgorithm(run.Qhorn1))
 			qs := make([]boolean.Set, len(tr.Entries))
 			for i, entry := range tr.Entries {

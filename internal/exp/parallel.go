@@ -79,14 +79,14 @@ func runParallel(cfg Config) []*stats.Table {
 					})
 				}
 
-				sc := oracle.CountInto(slowUser(), reg)
+				sc := oracle.Count(slowUser(), reg)
 				start := time.Now()
 				sq, _ := learn.Run(target.U, sc, run.WithAlgorithm(l.alg))
 				serialMS = append(serialMS, float64(time.Since(start).Microseconds())/1000)
 
-				pc := oracle.CountInto(slowUser(), reg)
+				pc := oracle.Count(slowUser(), reg)
 				start = time.Now()
-				pq, _ := learn.Run(target.U, oracle.ParallelInto(pc, workers, reg),
+				pq, _ := learn.Run(target.U, oracle.Parallel(pc, workers, reg),
 					run.WithAlgorithm(l.alg), run.WithBatch())
 				parallelMS = append(parallelMS, float64(time.Since(start).Microseconds())/1000)
 

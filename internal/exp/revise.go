@@ -97,7 +97,7 @@ func runReviseReplay(cfg Config) []*stats.Table {
 			warmQs = append(warmQs, warmHist.LiveQuestions)
 
 			// Cold: relearn the drifted target from nothing.
-			c := oracle.Count(driftedOracle)
+			c := oracle.Count(driftedOracle, nil)
 			start = time.Now()
 			cold, _ := learn.RolePreserving(drifted.U, c)
 			coldMS = append(coldMS, float64(time.Since(start).Microseconds())/1000)

@@ -47,7 +47,7 @@ func runSummary(cfg Config) []*stats.Table {
 		for i := 0; i < cfg.Trials; i++ {
 			n := 4 + rng.Intn(28)
 			target := query.GenQhorn1Sized(rng, n, 4)
-			c := oracle.Count(oracle.Target(target))
+			c := oracle.Count(oracle.Target(target), nil)
 			learned, _ := learn.Qhorn1(target.U, c)
 			bound := int(6*float64(n)*math.Log2(float64(n))) + 6*n
 			if !learned.Equivalent(target) || c.Questions > bound {

@@ -95,7 +95,7 @@ func TestQhorn1BigSharedBody(t *testing.T) {
 		"∀x1x2x3x4x5x6x7x8x9x10 → x11 ∀x1x2x3x4x5x6x7x8x9x10 → x12 "+
 			"∃x1x2x3x4x5x6x7x8x9x10 → x13 ∃x1x2x3x4x5x6x7x8x9x10 → x14 "+
 			"∀x1x2x3x4x5x6x7x8x9x10 → x15 ∃x1x2x3x4x5x6x7x8x9x10 → x16")
-	c := oracle.Count(oracle.Target(target))
+	c := oracle.Count(oracle.Target(target), nil)
 	learned, _ := Qhorn1(u, c)
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
@@ -205,7 +205,7 @@ func TestBudgetEnforcesTheoremBound(t *testing.T) {
 		n := 4 + rng.Intn(28)
 		target := query.GenQhorn1Sized(rng, n, 4)
 		limit := int(6*float64(n)*math.Log2(float64(n))) + 6*n
-		b := oracle.WithBudget(oracle.Target(target), limit)
+		b := oracle.WithBudget(oracle.Target(target), limit, nil)
 		learned, _ := Qhorn1(target.U, b)
 		if !learned.Equivalent(target) {
 			t.Fatalf("target %s learned as %s", target, learned)

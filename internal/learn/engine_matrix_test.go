@@ -57,21 +57,6 @@ func transcriptOf(rec *oracle.Transcript) []string {
 	return out
 }
 
-// dedupFirst removes repeated questions from a transcript, keeping the
-// first occurrence — what a memoized run's user sees of the serial
-// stream.
-func dedupFirst(tr []string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, s := range tr {
-		if !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // sameTranscript compares two transcripts, optionally up to order —
 // batched runs interleave independent question streams into waves, so
 // the question multiset is their invariant (docs/PARALLELISM.md).
@@ -110,13 +95,11 @@ func TestEngineOptionsMatrix(t *testing.T) {
 				name   string
 				opts   []run.Option
 				sorted bool
-				dedup  bool // memo: the user sees the serial stream deduplicated
 			}{
 				{name: "batch", opts: []run.Option{run.WithBatch()}, sorted: true},
 				{name: "parallel-2", opts: []run.Option{run.WithParallel(2)}, sorted: true},
 				{name: "parallel-8", opts: []run.Option{run.WithParallel(8)}, sorted: true},
 				{name: "budget", opts: []run.Option{run.WithBudget(refStats.Total())}},
-				{name: "memo", opts: []run.Option{run.WithMemo()}, dedup: true},
 				{name: "counter", opts: []run.Option{run.WithCounter()}},
 				{name: "transcript", opts: []run.Option{run.WithTranscript()}},
 				{name: "steps", opts: []run.Option{run.WithSteps(func(run.Step) {})}},
@@ -134,11 +117,7 @@ func TestEngineOptionsMatrix(t *testing.T) {
 				if !q.Equivalent(refQ) {
 					t.Errorf("%s: learned %s, serial learned %s", label, q, refQ)
 				}
-				ref := refTr
-				if combo.dedup {
-					ref = dedupFirst(ref)
-				}
-				sameTranscript(t, label, ref, tr, combo.sorted)
+				sameTranscript(t, label, refTr, tr, combo.sorted)
 			}
 		}
 	}

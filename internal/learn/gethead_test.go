@@ -90,7 +90,7 @@ func TestGetHeadQuestionBound(t *testing.T) {
 			query.ExistentialHorn(body, h1),
 			query.ExistentialHorn(body, h2),
 		)
-		c := oracle.Count(oracle.Target(target))
+		c := oracle.Count(oracle.Target(target), nil)
 		l := &qhorn1Learner{u: u, o: c}
 		l.phase = &l.stats.ExistentialQuestions
 		if _, ok := l.getHead(dVars); !ok {

@@ -25,10 +25,10 @@ func runSerialAndParallel(t *testing.T, target query.Query, workers int,
 	serial func(o oracle.Oracle) (query.Query, int),
 	parallel func(o oracle.Oracle) (query.Query, int)) (sc, pc *oracle.Counter) {
 	t.Helper()
-	sc = oracle.Count(oracle.Target(target))
+	sc = oracle.Count(oracle.Target(target), nil)
 	sq, st := serial(sc)
-	pc = oracle.Count(oracle.Target(target))
-	pq, pt := parallel(oracle.Parallel(pc, workers))
+	pc = oracle.Count(oracle.Target(target), nil)
+	pq, pt := parallel(oracle.Parallel(pc, workers, nil))
 	if !sq.Equivalent(target) {
 		t.Errorf("serial learner got %s, not equivalent to %s", sq, target)
 	}
@@ -167,7 +167,7 @@ func TestParallelObservedAccounting(t *testing.T) {
 			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithInstrumentation(ins))
 		})
 		parallel := countSteps(func(ins learn.Instrumentation) {
-			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4), run.WithBatch(), run.WithInstrumentation(ins))
+			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4, nil), run.WithBatch(), run.WithInstrumentation(ins))
 		})
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)
@@ -179,7 +179,7 @@ func TestParallelObservedAccounting(t *testing.T) {
 			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithAlgorithm(run.RolePreserving), run.WithInstrumentation(ins))
 		})
 		parallel := countSteps(func(ins learn.Instrumentation) {
-			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4), run.WithAlgorithm(run.RolePreserving), run.WithBatch(), run.WithInstrumentation(ins))
+			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4, nil), run.WithAlgorithm(run.RolePreserving), run.WithBatch(), run.WithInstrumentation(ins))
 		})
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)
@@ -198,8 +198,8 @@ func TestRolePreservingBatchedBudgetPanics(t *testing.T) {
 	// n head questions, then the bodyless-check round (one question
 	// per head) and one question of the top-root round.
 	limit := u.N() + 3 + 1
-	inner := oracle.Count(oracle.Target(target))
-	budget := oracle.WithBudget(oracle.Parallel(inner, 4), limit)
+	inner := oracle.Count(oracle.Target(target), nil)
+	budget := oracle.WithBudget(oracle.Parallel(inner, 4, nil), limit, nil)
 	recovered := func() (r interface{}) {
 		defer func() { r = recover() }()
 		learn.Run(u, budget, run.WithAlgorithm(run.RolePreserving), run.WithBatch())

@@ -107,7 +107,7 @@ func TestQhorn1QuestionsHaveFewTuples(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		n := 2 + rng.Intn(14)
 		target := query.GenQhorn1(rng, n)
-		c := oracle.Count(oracle.Target(target))
+		c := oracle.Count(oracle.Target(target), nil)
 		learned, _ := Qhorn1(target.U, c)
 		if !learned.Equivalent(target) {
 			t.Fatalf("target %s learned as %s", target, learned)

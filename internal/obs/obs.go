@@ -44,7 +44,7 @@ func Af(key, format string, args ...interface{}) Attr {
 // constants so CLIs, tests and dashboards agree on spelling.
 const (
 	// MetricQuestions counts membership questions at the oracle
-	// boundary (oracle.CountInto); it is the paper's primary cost.
+	// boundary (oracle.Count); it is the paper's primary cost.
 	MetricQuestions = "qhorn_questions_total"
 	// MetricTuples counts tuples across all questions.
 	MetricTuples = "qhorn_tuples_total"
@@ -53,8 +53,8 @@ const (
 	MetricTuplesPerQuestion = "qhorn_tuples_per_question"
 	// MetricOracleAskSeconds is the distribution of per-question oracle
 	// answer latency in seconds. Serial asks are timed at the counting
-	// adapter (oracle.CountInto); batched asks are timed worker-side by
-	// the pool (oracle.ParallelInto), where individual answers overlap
+	// adapter (oracle.Count); batched asks are timed worker-side by
+	// the pool (oracle.Parallel), where individual answers overlap
 	// but each inner ask is still bounded on its own.
 	MetricOracleAskSeconds = "qhorn_oracle_ask_seconds"
 	// MetricQuestionsByPhase counts questions per algorithm phase
@@ -89,13 +89,6 @@ const (
 	// MetricBatchSeconds is the distribution of wall time per batch in
 	// seconds.
 	MetricBatchSeconds = "qhorn_oracle_batch_seconds"
-	// MetricMemoHits counts questions the Memo wrapper answered from
-	// its cache (or by joining another asker's in-flight question)
-	// without consulting the inner oracle.
-	MetricMemoHits = "qhorn_oracle_memo_hits_total"
-	// MetricMemoMisses counts questions the Memo wrapper had to forward
-	// to the inner oracle.
-	MetricMemoMisses = "qhorn_oracle_memo_misses_total"
 	// MetricBudgetSheds counts questions refused by an exhausted Budget
 	// — the load-shedding signal of an admission-controlled service.
 	MetricBudgetSheds = "qhorn_oracle_budget_shed_total"

@@ -79,19 +79,13 @@ type Pool struct {
 }
 
 // Parallel wraps inner with a worker pool of the given size; workers
-// <= 0 selects DefaultWorkers.
-func Parallel(inner Oracle, workers int) *Pool {
-	return ParallelInto(inner, workers, nil)
-}
-
-// ParallelInto is Parallel with engine metrics recorded into reg:
-// the in-flight gauge (qhorn_oracle_in_flight), the batch counter and
-// batch-size histogram, the per-batch latency histogram, and —
-// worker-side, where each inner ask is bounded on its own even though
-// answers overlap — the per-question ask-latency histogram
-// (qhorn_oracle_ask_seconds) for batched questions. A nil registry
-// degrades to Parallel.
-func ParallelInto(inner Oracle, workers int, reg *obs.Registry) *Pool {
+// <= 0 selects DefaultWorkers. A non-nil registry records the engine
+// metrics: the in-flight gauge (qhorn_oracle_in_flight), the batch
+// counter and batch-size histogram, the per-batch latency histogram,
+// and — worker-side, where each inner ask is bounded on its own even
+// though answers overlap — the per-question ask-latency histogram
+// (qhorn_oracle_ask_seconds) for batched questions.
+func Parallel(inner Oracle, workers int, reg *obs.Registry) *Pool {
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}

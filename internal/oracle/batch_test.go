@@ -58,7 +58,7 @@ func TestPoolMatchesSerial(t *testing.T) {
 	qs := probeQuestions(u, 40)
 	want := oracle.AskAll(oracle.Target(target), qs)
 	for _, workers := range []int{1, 2, 7, 64} {
-		pool := oracle.Parallel(oracle.Target(target), workers)
+		pool := oracle.Parallel(oracle.Target(target), workers, nil)
 		if pool.Workers() != workers {
 			t.Fatalf("Workers() = %d, want %d", pool.Workers(), workers)
 		}
@@ -72,7 +72,7 @@ func TestPoolMatchesSerial(t *testing.T) {
 			t.Errorf("workers=%d: single Ask disagrees with serial", workers)
 		}
 	}
-	if w := oracle.Parallel(oracle.Target(target), 0).Workers(); w != oracle.DefaultWorkers() {
+	if w := oracle.Parallel(oracle.Target(target), 0, nil).Workers(); w != oracle.DefaultWorkers() {
 		t.Errorf("Parallel(_, 0).Workers() = %d, want DefaultWorkers %d", w, oracle.DefaultWorkers())
 	}
 }
@@ -83,7 +83,7 @@ func TestPoolMatchesSerial(t *testing.T) {
 func TestPoolRecordsMetrics(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	reg := obs.NewRegistry()
-	pool := oracle.ParallelInto(oracle.Target(query.MustParse(u, "∃x1")), 4, reg)
+	pool := oracle.Parallel(oracle.Target(query.MustParse(u, "∃x1")), 4, reg)
 	qs := probeQuestions(u, 9)
 	pool.AskBatch(qs)
 	pool.AskBatch(qs[:3])
@@ -113,8 +113,8 @@ func TestPoolPropagatesBudgetPanic(t *testing.T) {
 		inner.Add(1)
 		return true
 	})
-	budget := oracle.WithBudget(counted, 5)
-	pool := oracle.Parallel(budget, 3)
+	budget := oracle.WithBudget(counted, 5, nil)
+	pool := oracle.Parallel(budget, 3, nil)
 	recovered := func() (r interface{}) {
 		defer func() { r = recover() }()
 		pool.AskBatch(probeQuestions(u, 12))
@@ -128,31 +128,6 @@ func TestPoolPropagatesBudgetPanic(t *testing.T) {
 	}
 }
 
-// TestMemoBatchDeduplicates pins Memo's AskBatch: duplicate questions
-// within one batch, and questions already cached, reach the inner
-// oracle exactly once each.
-func TestMemoBatchDeduplicates(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	var inner atomic.Int64
-	m := oracle.Memo(oracle.Func(func(s boolean.Set) bool {
-		inner.Add(1)
-		return s.Size() > 1
-	}))
-	qs := probeQuestions(u, 4)
-	batch := []boolean.Set{qs[0], qs[1], qs[0], qs[2], qs[1]}
-	answers := oracle.AskAll(m, batch)
-	if inner.Load() != 3 {
-		t.Errorf("inner asked %d times, want 3 distinct", inner.Load())
-	}
-	if answers[0] != answers[2] || answers[1] != answers[4] {
-		t.Error("duplicate questions answered inconsistently")
-	}
-	oracle.AskAll(m, batch) // fully cached now
-	if inner.Load() != 3 {
-		t.Errorf("cached batch re-asked inner (%d)", inner.Load())
-	}
-}
-
 // TestBudgetBatchSemantics pins Budget.AskBatch: a batch that fits
 // consumes its size; an overrunning batch asks exactly the remaining
 // questions and then raises ErrBudget, like the serial path would.
@@ -162,7 +137,8 @@ func TestBudgetBatchSemantics(t *testing.T) {
 	b := oracle.WithBudget(oracle.Func(func(s boolean.Set) bool {
 		inner.Add(1)
 		return true
-	}), 6)
+	}), 6, nil)
+
 	oracle.AskAll(b, probeQuestions(u, 4))
 	if b.Remaining() != 2 {
 		t.Fatalf("Remaining = %d after a batch of 4 on budget 6", b.Remaining())
@@ -188,7 +164,7 @@ func TestNoisyBatchFlipSequence(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	qs := probeQuestions(u, 32)
 	flips := func() []bool {
-		pool := oracle.Parallel(oracle.Func(func(boolean.Set) bool { return false }), 4)
+		pool := oracle.Parallel(oracle.Func(func(boolean.Set) bool { return false }), 4, nil)
 		n := oracle.Noisy(pool, 0.5, rand.New(rand.NewSource(7)))
 		return oracle.AskAll(n, qs)
 	}
@@ -212,12 +188,12 @@ func TestCounterAndTranscriptBatchAccounting(t *testing.T) {
 	target := query.MustParse(u, "∃x1x2")
 	qs := probeQuestions(u, 7)
 
-	serialC := oracle.Count(oracle.Target(target))
+	serialC := oracle.Count(oracle.Target(target), nil)
 	for _, q := range qs {
 		serialC.Ask(q)
 	}
 	reg := obs.NewRegistry()
-	batchC := oracle.CountInto(oracle.Target(target), reg)
+	batchC := oracle.Count(oracle.Target(target), reg)
 	tr := oracle.Record(batchC)
 	answers := oracle.AskAll(tr, qs)
 
@@ -241,14 +217,14 @@ func TestCounterAndTranscriptBatchAccounting(t *testing.T) {
 }
 
 // TestPoolOverWrapperStack pins that a batch survives a realistic
-// wrapper stack — Transcript over Counter over Memo over Pool — with
-// consistent accounting at every layer.
+// wrapper stack — Transcript over Counter over the shared tier over
+// Pool — with consistent accounting at every layer.
 func TestPoolOverWrapperStack(t *testing.T) {
 	u := boolean.MustUniverse(5)
 	target := query.MustParse(u, "∀x1 → x3 ∃x4x5")
-	pool := oracle.Parallel(oracle.Target(target), 4)
-	memo := oracle.Memo(pool)
-	counter := oracle.Count(memo)
+	pool := oracle.Parallel(oracle.Target(target), 4, nil)
+	tier := oracle.NewSharedMemo(64, nil).Oracle("user", pool)
+	counter := oracle.Count(tier, nil)
 	tr := oracle.Record(counter)
 
 	qs := probeQuestions(u, 20)

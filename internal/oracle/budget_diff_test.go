@@ -19,7 +19,7 @@ func TestBudgetCoversGeneratedQueries(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		n := 2 + rng.Intn(7)
 		target := query.GenQhorn1(rng, n)
-		budgeted := oracle.WithBudget(oracle.Target(target), 2*learn.EstimateQhorn1(n))
+		budgeted := oracle.WithBudget(oracle.Target(target), 2*learn.EstimateQhorn1(n), nil)
 		func() {
 			defer func() {
 				if r := recover(); r != nil {

@@ -10,7 +10,7 @@ import (
 
 func ExampleCount() {
 	u := boolean.MustUniverse(3)
-	o := oracle.Count(oracle.Target(query.MustParse(u, "∀x1 ∃x2x3")))
+	o := oracle.Count(oracle.Target(query.MustParse(u, "∀x1 ∃x2x3")), nil)
 	o.Ask(boolean.MustParseSet(u, "{111}"))
 	o.Ask(boolean.MustParseSet(u, "{111, 011}"))
 	fmt.Println(o.Questions, "questions,", o.Tuples, "tuples, max", o.MaxTuples)

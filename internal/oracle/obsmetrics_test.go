@@ -8,57 +8,10 @@ import (
 	"qhorn/internal/query"
 )
 
-func TestMemoIntoHitMissCounters(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	reg := obs.NewRegistry()
-	m := MemoInto(Target(query.MustParse(u, "∃x1")), reg)
-	q1 := boolean.MustParseSet(u, "{100}")
-	q2 := boolean.MustParseSet(u, "{010}")
-
-	m.Ask(q1) // miss
-	m.Ask(q1) // hit
-	m.Ask(q2) // miss
-	m.Ask(q2) // hit
-	m.Ask(q1) // hit
-	if got := reg.CounterValue(obs.MetricMemoMisses); got != 2 {
-		t.Errorf("misses = %d, want 2", got)
-	}
-	if got := reg.CounterValue(obs.MetricMemoHits); got != 3 {
-		t.Errorf("hits = %d, want 3", got)
-	}
-}
-
-func TestMemoIntoBatchHitMissCounters(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	reg := obs.NewRegistry()
-	m := MemoInto(Target(query.MustParse(u, "∃x1")), reg).(BatchOracle)
-	q1 := boolean.MustParseSet(u, "{100}")
-	q2 := boolean.MustParseSet(u, "{010}")
-
-	// q1 and q2 lead to the inner oracle (2 misses); the duplicate q1
-	// resolves from their answer and counts as the batch's one hit.
-	m.AskBatch([]boolean.Set{q1, q1, q2})
-	if got := reg.CounterValue(obs.MetricMemoMisses); got != 2 {
-		t.Errorf("misses after first batch = %d, want 2", got)
-	}
-	if got := reg.CounterValue(obs.MetricMemoHits); got != 1 {
-		t.Errorf("hits after first batch = %d, want 1", got)
-	}
-
-	// Fully cached batch: all hits, no new misses.
-	m.AskBatch([]boolean.Set{q2, q1})
-	if got := reg.CounterValue(obs.MetricMemoMisses); got != 2 {
-		t.Errorf("misses after second batch = %d, want 2", got)
-	}
-	if got := reg.CounterValue(obs.MetricMemoHits); got != 3 {
-		t.Errorf("hits after second batch = %d, want 3", got)
-	}
-}
-
 func TestBudgetIntoShedCounter(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	reg := obs.NewRegistry()
-	b := WithBudgetInto(Target(query.MustParse(u, "∃x1")), 2, reg)
+	b := WithBudget(Target(query.MustParse(u, "∃x1")), 2, reg)
 	q := boolean.MustParseSet(u, "{100}")
 
 	b.Ask(q)
@@ -79,7 +32,7 @@ func TestBudgetIntoShedCounter(t *testing.T) {
 func TestBudgetIntoBatchShedCounter(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	reg := obs.NewRegistry()
-	b := WithBudgetInto(Target(query.MustParse(u, "∃x1")), 2, reg)
+	b := WithBudget(Target(query.MustParse(u, "∃x1")), 2, reg)
 	qs := make([]boolean.Set, 5)
 	for i := range qs {
 		qs[i] = boolean.MustParseSet(u, "{100}")
@@ -104,7 +57,7 @@ func TestBudgetIntoBatchShedCounter(t *testing.T) {
 func TestPoolBatchRecordsPerAskLatency(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	reg := obs.NewRegistry()
-	p := ParallelInto(Target(query.MustParse(u, "∃x1")), 2, reg)
+	p := Parallel(Target(query.MustParse(u, "∃x1")), 2, reg)
 	var qs []boolean.Set
 	for _, s := range []string{"{1000}", "{0100}", "{0010}", "{0001}", "{1100}", "{0110}"} {
 		qs = append(qs, boolean.MustParseSet(u, s))

@@ -59,7 +59,7 @@ func Target(q query.Query) Oracle {
 // concurrent experiment sweeps may share one Counter — but the public
 // fields must only be read once the learners using it have returned
 // (or through Snapshot, which locks). The zero value is not usable;
-// wrap with Count or CountInto.
+// wrap with Count.
 type Counter struct {
 	mu        sync.Mutex
 	inner     Oracle
@@ -69,15 +69,12 @@ type Counter struct {
 	MaxTuples int
 }
 
-// Count wraps inner with a fresh Counter.
-func Count(inner Oracle) *Counter { return &Counter{inner: inner} }
-
-// CountInto wraps inner with a Counter that doubles as a thin adapter
-// over the metrics registry: every question also updates
-// qhorn_questions_total, qhorn_tuples_total, the tuples-per-question
-// histogram and the oracle answer-latency histogram. A nil registry
-// degrades to Count.
-func CountInto(inner Oracle, reg *obs.Registry) *Counter {
+// Count wraps inner with a fresh Counter. A non-nil registry makes
+// the Counter double as a thin adapter over it: every question also
+// updates qhorn_questions_total, qhorn_tuples_total, the
+// tuples-per-question histogram and the oracle answer-latency
+// histogram.
+func Count(inner Oracle, reg *obs.Registry) *Counter {
 	return &Counter{inner: inner, reg: reg}
 }
 
@@ -110,7 +107,7 @@ func (c *Counter) Ask(s boolean.Set) bool {
 // that the per-answer latency histogram is skipped here: within a
 // batch, individual answer latencies overlap, so per-ask timing
 // (qhorn_oracle_ask_seconds) is recorded worker-side by the pool
-// (ParallelInto) where each inner ask is still bounded on its own, and
+// (Parallel) where each inner ask is still bounded on its own, and
 // the batch engine's qhorn_oracle_batch_seconds histogram covers the
 // batch wall time.
 func (c *Counter) AskBatch(qs []boolean.Set) []bool {
@@ -280,16 +277,11 @@ func (e ErrBudget) Error() string {
 	return fmt.Sprintf("oracle: question budget of %d exhausted", e.Limit)
 }
 
-// WithBudget wraps inner with a question cap.
-func WithBudget(inner Oracle, limit int) *Budget {
-	return &Budget{inner: inner, Limit: limit}
-}
-
-// WithBudgetInto is WithBudget with shed accounting: every question
-// the exhausted budget refuses increments qhorn_oracle_budget_shed_total
-// — the load-shedding signal an admission-controlled service watches.
-// A nil registry degrades to WithBudget.
-func WithBudgetInto(inner Oracle, limit int, reg *obs.Registry) *Budget {
+// WithBudget wraps inner with a question cap. A non-nil registry adds
+// shed accounting: every question the exhausted budget refuses
+// increments qhorn_oracle_budget_shed_total — the load-shedding signal
+// an admission-controlled service watches.
+func WithBudget(inner Oracle, limit int, reg *obs.Registry) *Budget {
 	return &Budget{inner: inner, Limit: limit, reg: reg}
 }
 
@@ -338,186 +330,6 @@ func (b *Budget) Remaining() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.Limit - b.Used
-}
-
-// Memo wraps an oracle and caches responses by canonical question
-// key, so repeated questions are answered without consulting the
-// inner oracle. Wrap the Counter inside Memo to count only distinct
-// questions, or outside to count all. The cache is singleflight-
-// guarded: when concurrent askers pose the same question, one of them
-// asks the inner oracle and the rest wait for its answer, so the
-// inner oracle sees each distinct question at most once even under
-// concurrency.
-func Memo(inner Oracle) Oracle {
-	return MemoInto(inner, nil)
-}
-
-// MemoInto is Memo with cache accounting: every question served from
-// the cache (or by joining another asker's in-flight question) counts
-// into qhorn_oracle_memo_hits_total, every question forwarded to the
-// inner oracle into qhorn_oracle_memo_misses_total. A nil registry
-// degrades to Memo.
-func MemoInto(inner Oracle, reg *obs.Registry) Oracle {
-	return &memo{
-		inner:    inner,
-		reg:      reg,
-		answers:  map[string]bool{},
-		inflight: map[string]chan struct{}{},
-	}
-}
-
-type memo struct {
-	inner    Oracle
-	reg      *obs.Registry
-	mu       sync.Mutex
-	answers  map[string]bool
-	inflight map[string]chan struct{}
-}
-
-// Ask implements Oracle.
-func (m *memo) Ask(s boolean.Set) bool {
-	k := s.Key()
-	for {
-		m.mu.Lock()
-		if a, ok := m.answers[k]; ok {
-			m.mu.Unlock()
-			m.reg.Counter(obs.MetricMemoHits).Inc()
-			return a
-		}
-		if ch, ok := m.inflight[k]; ok {
-			// Someone else is asking this exact question: wait for
-			// their answer instead of double-asking the inner oracle.
-			m.mu.Unlock()
-			<-ch
-			// Answered — or the leader panicked, in which case the
-			// retry elects a new leader (re-raising the same panic for
-			// deterministic panics such as ErrBudget).
-			continue
-		}
-		ch := make(chan struct{})
-		m.inflight[k] = ch
-		m.mu.Unlock()
-		return m.lead(k, ch, s)
-	}
-}
-
-// lead asks the inner oracle on behalf of every goroutine waiting on
-// key k, then wakes the waiters. The in-flight marker is removed even
-// when the inner oracle panics, so no waiter is stranded. The miss is
-// counted only once an answer is actually obtained: when the inner
-// oracle panics (e.g. ErrBudget), every retrying waiter re-elects a
-// leader for the same question, and counting before the ask would
-// record a phantom miss per retry, skewing hit-rate metrics.
-func (m *memo) lead(k string, ch chan struct{}, s boolean.Set) bool {
-	defer func() {
-		m.mu.Lock()
-		delete(m.inflight, k)
-		m.mu.Unlock()
-		close(ch)
-	}()
-	a := m.inner.Ask(s)
-	m.reg.Counter(obs.MetricMemoMisses).Inc()
-	m.mu.Lock()
-	m.answers[k] = a
-	m.mu.Unlock()
-	return a
-}
-
-// AskBatch implements BatchOracle: cached questions are answered from
-// the cache, duplicates of questions already in flight wait for the
-// existing asker, and the remaining distinct questions are forwarded
-// to the inner oracle as one deduplicated sub-batch.
-func (m *memo) AskBatch(qs []boolean.Set) []bool {
-	keys := make([]string, len(qs))
-	for i, q := range qs {
-		keys[i] = q.Key()
-	}
-	answers := make([]bool, len(qs))
-	pending := make([]int, len(qs))
-	for i := range qs {
-		pending[i] = i
-	}
-	// missed marks questions this batch led to the inner oracle, so
-	// their own cache resolution on the next pass is not also a hit.
-	missed := make([]bool, len(qs))
-	var hits int64
-	for len(pending) > 0 {
-		var (
-			still   []int           // unresolved after the cache pass
-			leaders []int           // first unresolved index per new key
-			chans   []chan struct{} // their in-flight markers
-			wait    chan struct{}   // another asker's flight to await
-		)
-		led := map[string]bool{}
-		m.mu.Lock()
-		for _, i := range pending {
-			k := keys[i]
-			if a, ok := m.answers[k]; ok {
-				answers[i] = a
-				if !missed[i] {
-					hits++
-				}
-				continue
-			}
-			still = append(still, i)
-			if led[k] {
-				continue
-			}
-			if ch, ok := m.inflight[k]; ok {
-				if wait == nil {
-					wait = ch
-				}
-				continue
-			}
-			ch := make(chan struct{})
-			m.inflight[k] = ch
-			led[k] = true
-			leaders = append(leaders, i)
-			chans = append(chans, ch)
-			missed[i] = true
-		}
-		m.mu.Unlock()
-		switch {
-		case len(leaders) > 0:
-			m.leadBatch(keys, leaders, chans, qs)
-		case wait != nil:
-			<-wait
-		}
-		pending = still
-	}
-	if hits > 0 {
-		m.reg.Counter(obs.MetricMemoHits).Add(hits)
-	}
-	return answers
-}
-
-// leadBatch asks the inner oracle the deduplicated sub-batch at the
-// given leader indices and settles their flights. As in lead, misses
-// are counted only after the inner oracle actually answered: a
-// panicking sub-batch (budget, abort) records no misses, so retries
-// cannot inflate the count.
-func (m *memo) leadBatch(keys []string, leaders []int, chans []chan struct{}, qs []boolean.Set) {
-	defer func() {
-		m.mu.Lock()
-		for _, i := range leaders {
-			delete(m.inflight, keys[i])
-		}
-		m.mu.Unlock()
-		for _, ch := range chans {
-			close(ch)
-		}
-	}()
-	sub := make([]boolean.Set, len(leaders))
-	for j, i := range leaders {
-		sub[j] = qs[i]
-	}
-	res := AskAll(m.inner, sub)
-	m.reg.Counter(obs.MetricMemoMisses).Add(int64(len(leaders)))
-	m.mu.Lock()
-	for j, i := range leaders {
-		m.answers[keys[i]] = res[j]
-	}
-	m.mu.Unlock()
 }
 
 // Interactive returns an oracle that renders each membership question

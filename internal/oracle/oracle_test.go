@@ -30,7 +30,7 @@ func TestTargetOracle(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	u := boolean.MustUniverse(3)
-	o := Count(Target(query.MustParse(u, "∃x1")))
+	o := Count(Target(query.MustParse(u, "∃x1")), nil)
 	o.Ask(boolean.MustParseSet(u, "{111, 011}"))
 	o.Ask(boolean.MustParseSet(u, "{100}"))
 	if o.Questions != 2 || o.Tuples != 3 || o.MaxTuples != 2 {
@@ -79,21 +79,6 @@ func TestNoisy(t *testing.T) {
 	}
 	if silent := Noisy(truth, 0, rng); !silent.Ask(q) {
 		t.Error("p=0 flipped a response")
-	}
-}
-
-func TestMemo(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	c := Count(Target(query.MustParse(u, "∃x1")))
-	m := Memo(c)
-	q := boolean.MustParseSet(u, "{10}")
-	for i := 0; i < 5; i++ {
-		if !m.Ask(q) {
-			t.Fatal("wrong answer")
-		}
-	}
-	if c.Questions != 1 {
-		t.Errorf("inner oracle asked %d times, want 1", c.Questions)
 	}
 }
 
@@ -305,7 +290,7 @@ func TestFuncAdapter(t *testing.T) {
 
 func TestBudget(t *testing.T) {
 	u := boolean.MustUniverse(2)
-	b := WithBudget(Target(query.MustParse(u, "∃x1")), 2)
+	b := WithBudget(Target(query.MustParse(u, "∃x1")), 2, nil)
 	q := boolean.MustParseSet(u, "{10}")
 	b.Ask(q)
 	b.Ask(q)

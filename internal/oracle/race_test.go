@@ -23,7 +23,7 @@ func TestSharedInstrumentationIsRaceClean(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
 	reg := obs.NewRegistry()
-	counter := oracle.CountInto(oracle.Target(target), reg)
+	counter := oracle.Count(oracle.Target(target), reg)
 	transcript := oracle.Record(counter)
 
 	var wg sync.WaitGroup
@@ -73,7 +73,7 @@ func TestCountIntoRecordsMetrics(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	target := query.MustParse(u, "∃x1")
 	reg := obs.NewRegistry()
-	c := oracle.CountInto(oracle.Target(target), reg)
+	c := oracle.Count(oracle.Target(target), reg)
 
 	q := boolean.NewSet(u.All(), u.All().Without(0))
 	c.Ask(q)
@@ -110,55 +110,6 @@ func TestTranscriptCopyIsIndependent(t *testing.T) {
 	}
 }
 
-// TestMemoConcurrentAskersSingleflight hammers one Memo with many
-// goroutines asking a small set of overlapping questions. Under -race
-// this pins both the data-race fix and the singleflight guarantee: the
-// inner oracle sees each distinct question exactly once — no
-// double-asks, no torn cache. The pre-fix Memo (bare map, no lock)
-// fails both ways.
-func TestMemoConcurrentAskersSingleflight(t *testing.T) {
-	u := boolean.MustUniverse(5)
-	const distinct = 8
-	qs := probeQuestions(u, distinct)
-	index := map[string]int{}
-	for i, q := range qs {
-		index[q.Key()] = i
-	}
-	askedBy := make([]atomicCounter, distinct)
-	m := oracle.Memo(oracle.Func(func(s boolean.Set) bool {
-		askedBy[index[s.Key()]].add(1)
-		return s.Size()%2 == 1
-	}))
-
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for r := 0; r < 50; r++ {
-				q := qs[(g+r)%distinct]
-				if m.Ask(q) != (q.Size()%2 == 1) {
-					t.Errorf("memo returned a wrong cached answer for %s", q.Key())
-				}
-			}
-		}(g)
-	}
-	// Batches race against the single askers too.
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			oracle.AskAll(m, qs)
-		}()
-	}
-	wg.Wait()
-	for i := range askedBy {
-		if got := askedBy[i].load(); got != 1 {
-			t.Errorf("inner oracle asked question %d %d times, want exactly 1", i, got)
-		}
-	}
-}
-
 // TestBudgetConcurrentAskersExact hammers one Budget of L with far
 // more concurrent asks than L. Under -race this pins the fix: exactly
 // L questions reach the inner oracle (never L+workers), every excess
@@ -170,7 +121,7 @@ func TestBudgetConcurrentAskersExact(t *testing.T) {
 	b := oracle.WithBudget(oracle.Func(func(boolean.Set) bool {
 		inner.add(1)
 		return true
-	}), limit)
+	}), limit, nil)
 
 	var wg sync.WaitGroup
 	var budgetPanics atomicCounter
@@ -236,8 +187,8 @@ func TestPoolConcurrentBatchesRaceClean(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
 	reg := obs.NewRegistry()
-	pool := oracle.ParallelInto(oracle.Target(target), 4, reg)
-	stack := oracle.Record(oracle.CountInto(oracle.Memo(pool), reg))
+	pool := oracle.Parallel(oracle.Target(target), 4, reg)
+	stack := oracle.Record(oracle.Count(pool, reg))
 	qs := probeQuestions(u, 30)
 
 	var wg sync.WaitGroup
@@ -258,72 +209,6 @@ func TestPoolConcurrentBatchesRaceClean(t *testing.T) {
 	if got := reg.Gauge(obs.MetricOracleInFlight).Value(); got != 0 {
 		t.Errorf("in-flight gauge = %v after quiescence, want 0", got)
 	}
-}
-
-// TestMemoMissCountedOnlyOnAnswer pins the miss-accounting fix: a
-// miss is recorded only when an answer is actually obtained from the
-// inner oracle. Pre-fix, the leader counted the miss before asking,
-// so a panicking inner oracle (ErrBudget) made every retrying waiter
-// re-elect a leader and count another phantom miss for the same
-// question.
-func TestMemoMissCountedOnlyOnAnswer(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	qs := probeQuestions(u, 2)
-
-	t.Run("serial panic counts nothing", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		m := oracle.MemoInto(oracle.WithBudget(oracle.Func(func(boolean.Set) bool { return true }), 0), reg)
-		var wg sync.WaitGroup
-		for g := 0; g < 8; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { recover() }()
-				m.Ask(qs[0])
-			}()
-		}
-		wg.Wait()
-		if got := reg.CounterValue(obs.MetricMemoMisses); got != 0 {
-			t.Errorf("misses = %d after budget-0 panics, want 0", got)
-		}
-	})
-
-	t.Run("retry storm counts one miss", func(t *testing.T) {
-		// Budget 1 under the memo: exactly one of the two questions
-		// gets the slot; every ask of the other panics, re-electing
-		// leaders over and over. Only the answered question is a miss.
-		reg := obs.NewRegistry()
-		m := oracle.MemoInto(oracle.WithBudget(oracle.Func(func(boolean.Set) bool { return true }), 1), reg)
-		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for r := 0; r < 20; r++ {
-					func() {
-						defer func() { recover() }()
-						m.Ask(qs[(g+r)%2])
-					}()
-				}
-			}(g)
-		}
-		wg.Wait()
-		if got := reg.CounterValue(obs.MetricMemoMisses); got != 1 {
-			t.Errorf("misses = %d, want exactly 1 (the answered question)", got)
-		}
-	})
-
-	t.Run("batch panic counts nothing", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		m := oracle.MemoInto(oracle.WithBudget(oracle.Func(func(boolean.Set) bool { return true }), 0), reg)
-		func() {
-			defer func() { recover() }()
-			oracle.AskAll(m, qs)
-		}()
-		if got := reg.CounterValue(obs.MetricMemoMisses); got != 0 {
-			t.Errorf("batch misses = %d after budget-0 panic, want 0", got)
-		}
-	})
 }
 
 // atomicCounter is a tiny test helper.

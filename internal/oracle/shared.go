@@ -1,8 +1,9 @@
 package oracle
 
 // The shared memo tier: a bounded, concurrency-safe, cross-session
-// answer cache. Where Memo lives and dies with a single run, a
-// SharedMemo outlives sessions — a qhornd server owns one and threads
+// answer cache. Where a run's own history (internal/session) lives and
+// dies with one session, a SharedMemo outlives sessions — a qhornd
+// server owns one and threads
 // it under every session of the same oracle identity, so a user whose
 // target drifts by a clause replays the settled part of the lattice
 // for free instead of re-answering it over the wire.
@@ -14,10 +15,10 @@ package oracle
 // LRU — new answers enter a probation segment and are promoted to a
 // protected segment on re-use — which keeps one-shot question sweeps
 // from flushing the hot working set. Locks are sharded by key hash so
-// concurrent sessions rarely contend, and the per-run Memo's
-// singleflight contract is preserved across sessions: when two
-// sessions of the same identity pose the same question concurrently,
-// one leads and the other waits for its answer.
+// concurrent sessions rarely contend, and the tier is singleflight
+// across sessions: when two sessions of the same identity pose the
+// same question concurrently, one leads and the other waits for its
+// answer.
 
 import (
 	"sync"
@@ -33,8 +34,9 @@ import (
 const memoKeySep = "\x1f"
 
 // SharedMemo is the bounded cross-session answer cache. Construct
-// with NewSharedMemo or NewSharedMemoInto; the zero value is not
-// usable. All methods are safe for concurrent use.
+// with NewSharedMemo; the zero value is not usable. All methods are
+// safe for concurrent use, and a nil *SharedMemo is a disabled tier:
+// Oracle returns its inner oracle unchanged and Update does nothing.
 //
 // Memory: each cached answer costs one small heap entry plus its key
 // string (roughly 100–200 bytes at production tuple sizes), so the
@@ -48,16 +50,10 @@ type SharedMemo struct {
 }
 
 // NewSharedMemo returns a shared memo tier bounded to capacity cached
-// answers (clamped to at least 1), with no metrics.
-func NewSharedMemo(capacity int) *SharedMemo {
-	return NewSharedMemoInto(capacity, nil)
-}
-
-// NewSharedMemoInto is NewSharedMemo with tier accounting on reg:
-// qhornd_memo_hits_total, qhornd_memo_misses_total,
-// qhornd_memo_evictions_total and the qhornd_memo_size gauge. A nil
-// registry degrades to NewSharedMemo.
-func NewSharedMemoInto(capacity int, reg *obs.Registry) *SharedMemo {
+// answers (clamped to at least 1). A non-nil registry receives the
+// tier accounting: qhornd_memo_hits_total, qhornd_memo_misses_total,
+// qhornd_memo_evictions_total and the qhornd_memo_size gauge.
+func NewSharedMemo(capacity int, reg *obs.Registry) *SharedMemo {
 	if capacity < 1 {
 		capacity = 1
 	}
@@ -117,8 +113,12 @@ func (sm *SharedMemo) Len() int {
 // Update inserts or overwrites the cached answer for (identity, s).
 // The amendment path uses it to propagate a user's correction into
 // the tier, so later sessions of the same identity see the corrected
-// answer instead of the stale one.
+// answer instead of the stale one. On a nil (disabled) tier it does
+// nothing.
 func (sm *SharedMemo) Update(identity string, s boolean.Set, answer bool) {
+	if sm == nil {
+		return
+	}
 	k := identity + memoKeySep + s.Key()
 	sh := sm.shard(k)
 	sh.mu.Lock()
@@ -266,7 +266,7 @@ func (sh *memoShard) put(k string, answer bool, sm *SharedMemo) {
 
 // tierOracle adapts one (identity, inner) pair to the Oracle and
 // BatchOracle interfaces over the shared tier. The singleflight
-// protocol is the per-run memo's, per shard: hits are counted when a
+// protocol runs per shard: hits are counted when a
 // question is served from the cache or by joining another session's
 // flight; misses only once an answer is actually obtained, so a
 // panicking leader (budget, abort) leaves the count untouched and a

@@ -43,7 +43,7 @@ func parity(s boolean.Set) bool { return s.Size()%2 == 1 }
 func TestSharedMemoServesRepeatsFromCache(t *testing.T) {
 	u := boolean.MustUniverse(5)
 	reg := obs.NewRegistry()
-	sm := oracle.NewSharedMemoInto(1024, reg)
+	sm := oracle.NewSharedMemo(1024, reg)
 	inner := newCountingInner(parity)
 	o := sm.Oracle("alice", inner)
 
@@ -79,7 +79,7 @@ func TestSharedMemoBoundedEviction(t *testing.T) {
 	u := boolean.MustUniverse(5)
 	reg := obs.NewRegistry()
 	const capacity = 4
-	sm := oracle.NewSharedMemoInto(capacity, reg)
+	sm := oracle.NewSharedMemo(capacity, reg)
 	if sm.Capacity() != capacity {
 		t.Fatalf("Capacity = %d", sm.Capacity())
 	}
@@ -107,7 +107,7 @@ func TestSharedMemoBoundedEviction(t *testing.T) {
 // fresh questions evicts only probation — the hot set survives.
 func TestSharedMemoScanResistance(t *testing.T) {
 	u := boolean.MustUniverse(6)
-	sm := oracle.NewSharedMemo(4) // one shard, protected segment 3
+	sm := oracle.NewSharedMemo(4, nil) // one shard, protected segment 3
 	inner := newCountingInner(parity)
 	o := sm.Oracle("alice", inner)
 
@@ -133,7 +133,7 @@ func TestSharedMemoScanResistance(t *testing.T) {
 // and their answers never cross.
 func TestSharedMemoIdentityIsolation(t *testing.T) {
 	u := boolean.MustUniverse(4)
-	sm := oracle.NewSharedMemo(64)
+	sm := oracle.NewSharedMemo(64, nil)
 	yes := newCountingInner(func(boolean.Set) bool { return true })
 	no := newCountingInner(func(boolean.Set) bool { return false })
 	alice := sm.Oracle("alice", yes)
@@ -163,7 +163,7 @@ func TestSharedMemoIdentityIsolation(t *testing.T) {
 // same identity see the correction without re-asking.
 func TestSharedMemoUpdatePropagatesCorrection(t *testing.T) {
 	u := boolean.MustUniverse(4)
-	sm := oracle.NewSharedMemo(64)
+	sm := oracle.NewSharedMemo(64, nil)
 	inner := newCountingInner(func(boolean.Set) bool { return true })
 	o := sm.Oracle("alice", inner)
 
@@ -192,7 +192,7 @@ func TestSharedMemoUpdatePropagatesCorrection(t *testing.T) {
 // consulted.
 func TestSharedMemoCrossSessionSingleflight(t *testing.T) {
 	u := boolean.MustUniverse(4)
-	sm := oracle.NewSharedMemo(64)
+	sm := oracle.NewSharedMemo(64, nil)
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	leaderInner := oracle.Func(func(boolean.Set) bool {
@@ -225,7 +225,7 @@ func TestSharedMemoCrossSessionSingleflight(t *testing.T) {
 func TestSharedMemoLeaderPanicReelects(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	reg := obs.NewRegistry()
-	sm := oracle.NewSharedMemoInto(64, reg)
+	sm := oracle.NewSharedMemo(64, reg)
 	entered := make(chan struct{})
 	abort := make(chan struct{})
 	dying := sm.Oracle("alice", oracle.Func(func(boolean.Set) bool {
@@ -264,7 +264,7 @@ func TestSharedMemoLeaderPanicReelects(t *testing.T) {
 // order — the bit-identity precondition for serve sessions.
 func TestSharedMemoColdBatchForwardsDeduplicated(t *testing.T) {
 	u := boolean.MustUniverse(5)
-	sm := oracle.NewSharedMemo(1024)
+	sm := oracle.NewSharedMemo(1024, nil)
 	var batches [][]string
 	inner := batchRecorder{batches: &batches}
 	o := sm.Oracle("alice", inner)
@@ -330,7 +330,7 @@ func TestSharedMemoNilTierPassesThrough(t *testing.T) {
 func TestSharedMemoConcurrentSessionsRaceClean(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	reg := obs.NewRegistry()
-	sm := oracle.NewSharedMemoInto(1<<16, reg)
+	sm := oracle.NewSharedMemo(1<<16, reg)
 	qs := probeQuestions(u, 16)
 	inners := map[string]*countingInner{
 		"alice": newCountingInner(parity),
@@ -379,7 +379,7 @@ func TestSharedMemoConcurrentEvictionRaceClean(t *testing.T) {
 	u := boolean.MustUniverse(8)
 	reg := obs.NewRegistry()
 	const capacity = 32
-	sm := oracle.NewSharedMemoInto(capacity, reg)
+	sm := oracle.NewSharedMemo(capacity, reg)
 	inner := newCountingInner(parity)
 	qs := probeQuestions(u, 200)
 

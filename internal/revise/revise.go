@@ -31,7 +31,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
-	"qhorn/internal/run"
+	"qhorn/internal/session"
 	"qhorn/internal/verify"
 )
 
@@ -65,17 +65,17 @@ func Revise(given query.Query, o oracle.Oracle) (Result, error) {
 	res := Result{}
 	u := given.U
 
-	// Memoize so questions repeated across passes are counted once
-	// and never re-asked of the user. The memo comes from the engine's
-	// wrapper assembly; the counter deliberately sits below it — it
-	// counts what actually reaches the user, not what the passes ask —
-	// which is the inverse of the engine's run-facing Counter, so it is
-	// not a run.WithCounter.
-	counter := oracle.Count(o)
-	memo := run.New(run.WithMemo()).Assemble(counter).Oracle
+	// The passes run over an interaction history (§5), so a question
+	// repeated across passes is counted once and never re-asked of the
+	// user. The counter deliberately sits below the history — it counts
+	// what actually reaches the user, not what the passes ask — which
+	// is the inverse of the engine's run-facing Counter, so it is not a
+	// run.WithCounter.
+	counter := oracle.Count(o, nil)
+	hist := session.New(counter)
 
 	current := given.Normalize()
-	vres, err := runVerification(current, memo)
+	vres, err := runVerification(current, hist)
 	if err != nil {
 		return Result{}, err
 	}
@@ -87,13 +87,13 @@ func Revise(given query.Query, o oracle.Oracle) (Result, error) {
 
 	// Targeted repair.
 	before := counter.Questions
-	current = repair(u, memo, current, vres)
+	current = repair(u, hist, current, vres)
 	res.RepairQuestions += counter.Questions - before
 
 	// Confirm; escalate to the full learner if anything still
 	// disagrees.
 	before = counter.Questions
-	vres, err = runVerification(current, memo)
+	vres, err = runVerification(current, hist)
 	if err != nil {
 		return Result{}, err
 	}
@@ -101,7 +101,7 @@ func Revise(given query.Query, o oracle.Oracle) (Result, error) {
 	if !vres.Correct {
 		res.Escalated = true
 		before = counter.Questions
-		current, _ = learn.RolePreserving(u, memo)
+		current, _ = learn.RolePreserving(u, hist)
 		res.RepairQuestions += counter.Questions - before
 	}
 	res.Revised = current

@@ -95,7 +95,7 @@ func TestReviseCheaperThanLearningWhenClose(t *testing.T) {
 
 	res := reviseTo(t, given, intended)
 
-	c := oracle.Count(oracle.Target(intended))
+	c := oracle.Count(oracle.Target(intended), nil)
 	learn.RolePreserving(u, c)
 	if res.Questions() >= c.Questions {
 		t.Errorf("revision cost %d not below learning cost %d", res.Questions(), c.Questions)

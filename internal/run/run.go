@@ -3,15 +3,18 @@
 // Fig 6) are single procedures; the cross-cutting dimensions a session
 // may add — naive search baselines, ablations, step/span/metric
 // instrumentation, batched parallel questioning, question budgets,
-// memoization, noisy users — are not new algorithms but configuration
-// of the same run. This package holds that configuration:
+// the shared cross-session answer cache, noisy users — are not new
+// algorithms but configuration of the same run. This package holds
+// that configuration:
 //
 //   - Config is the composed run configuration; Option mutates it.
 //     learn.Run and verify.Run accept Options and construct their
 //     single core path from the resulting Config.
 //   - Assemble builds the oracle wrapper stack (worker Pool, Noisy,
-//     Budget, Memo, Counter, Transcript) in one place, in one
-//     documented order.
+//     Budget, SharedMemo, Counter, Transcript) in one place, in one
+//     documented order. Per-run dedup is not a wrapper of this stack:
+//     a run that must not re-ask repeated questions runs over a
+//     session.Session, the §5 interaction history.
 //   - Instrumentation, Step, Tracer and Ablations are the shared
 //     cross-cutting types; internal/learn and internal/verify alias
 //     them so one instrumentation value threads through both.
@@ -178,9 +181,6 @@ type Config struct {
 	// Budget, when positive, caps the questions reaching the user;
 	// the run panics with oracle.ErrBudget when exhausted.
 	Budget int
-	// Memo deduplicates repeated questions before they reach the
-	// user.
-	Memo bool
 	// NoiseP, when positive, flips each of the user's answers with
 	// this probability, driven by NoiseRNG.
 	NoiseP   float64
@@ -270,12 +270,6 @@ func WithBudget(limit int) Option {
 	return func(c *Config) { c.Budget = limit }
 }
 
-// WithMemo deduplicates repeated questions before they reach the
-// user.
-func WithMemo() Option {
-	return func(c *Config) { c.Memo = true }
-}
-
 // WithSharedMemo serves the run's questions from a shared
 // cross-session answer cache (oracle.SharedMemo) under the given
 // identity: questions another run of the same identity already
@@ -345,39 +339,33 @@ type Stack struct {
 // describes, innermost (closest to the user) to outermost (what the
 // run asks):
 //
-//	user → Pool → Noisy → Budget → SharedMemo → Memo → Counter → Transcript
+//	user → Pool → Noisy → Budget → SharedMemo → Counter → Transcript
 //
 // The order is part of the engine's contract (docs/ENGINE.md): the
 // pool parallelizes real user answers; noise models the user's
-// mistakes, so it sits directly above her; the budget spends on
-// distinct questions only (memoized replays are free); the shared
-// cross-session tier sits above the budget for the same reason —
-// answers another session already settled cost this run nothing — and
-// below the per-run memo so the run's own repeats never touch the
-// shared shards; the counter and transcript face the run, observing
-// every question it asks. With a zero Config the user's oracle is
-// returned untouched.
+// mistakes, so it sits directly above her; the shared cross-session
+// tier sits above the budget — answers another session already
+// settled cost this run nothing; the counter and transcript face the
+// run, observing every question it asks. With a zero Config the
+// user's oracle is returned untouched.
 func (c Config) Assemble(user oracle.Oracle) Stack {
 	st := Stack{Oracle: user}
 	if c.Workers > 0 {
-		st.Pool = oracle.ParallelInto(st.Oracle, c.Workers, c.Ins.Metrics)
+		st.Pool = oracle.Parallel(st.Oracle, c.Workers, c.Ins.Metrics)
 		st.Oracle = st.Pool
 	}
 	if c.NoiseP > 0 {
 		st.Oracle = oracle.Noisy(st.Oracle, c.NoiseP, c.NoiseRNG)
 	}
 	if c.Budget > 0 {
-		st.Budget = oracle.WithBudgetInto(st.Oracle, c.Budget, c.Ins.Metrics)
+		st.Budget = oracle.WithBudget(st.Oracle, c.Budget, c.Ins.Metrics)
 		st.Oracle = st.Budget
 	}
 	if c.SharedMemo != nil {
 		st.Oracle = c.SharedMemo.Oracle(c.SharedIdentity, st.Oracle)
 	}
-	if c.Memo {
-		st.Oracle = oracle.MemoInto(st.Oracle, c.Ins.Metrics)
-	}
 	if c.Count {
-		st.Counter = oracle.CountInto(st.Oracle, c.Ins.Metrics)
+		st.Counter = oracle.Count(st.Oracle, c.Ins.Metrics)
 		st.Oracle = st.Counter
 	}
 	if c.Record {

@@ -52,7 +52,6 @@ func TestNewComposesOptions(t *testing.T) {
 		WithInstrumentation(Instrumentation{Metrics: reg}),
 		WithParallel(4),
 		WithBudget(99),
-		WithMemo(),
 		WithNoise(0.25, rng),
 		WithCounter(),
 		WithTranscript(),
@@ -68,7 +67,7 @@ func TestNewComposesOptions(t *testing.T) {
 	if c.Workers != 4 || !c.Batch {
 		t.Errorf("WithParallel(4): Workers=%d Batch=%v", c.Workers, c.Batch)
 	}
-	if c.Budget != 99 || !c.Memo || c.NoiseP != 0.25 || c.NoiseRNG != rng {
+	if c.Budget != 99 || c.NoiseP != 0.25 || c.NoiseRNG != rng {
 		t.Errorf("oracle options not applied: %+v", c)
 	}
 	if !c.Count || !c.Record || !c.FirstOnly {
@@ -148,13 +147,14 @@ func TestAssembleZeroConfig(t *testing.T) {
 }
 
 // TestAssembleFullStack: every requested wrapper is present, the
-// counter and transcript face the run, and the memo deduplicates
-// before the budget and the user.
+// counter and transcript face the run, and the shared tier
+// deduplicates before the budget and the user.
 func TestAssembleFullStack(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	asked := 0
 	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	cfg := New(WithParallel(2), WithBudget(5), WithMemo(), WithCounter(), WithTranscript())
+	cfg := New(WithParallel(2), WithBudget(5), WithSharedMemo(oracle.NewSharedMemo(64, nil), "alice"),
+		WithCounter(), WithTranscript())
 	st := cfg.Assemble(user)
 	if st.Pool == nil || st.Budget == nil || st.Counter == nil || st.Transcript == nil {
 		t.Fatalf("missing wrappers: %+v", st)
@@ -162,9 +162,9 @@ func TestAssembleFullStack(t *testing.T) {
 
 	q := boolean.NewSet(u.All())
 	st.Oracle.Ask(q)
-	st.Oracle.Ask(q) // memoized: free for the user and the budget
+	st.Oracle.Ask(q) // cached: free for the user and the budget
 	if asked != 1 {
-		t.Errorf("user asked %d times, memo should dedup to 1", asked)
+		t.Errorf("user asked %d times, the tier should dedup to 1", asked)
 	}
 	if st.Counter.Questions != 2 {
 		t.Errorf("run-facing counter saw %d questions, want 2", st.Counter.Questions)
@@ -182,7 +182,7 @@ func TestAssembleFullStack(t *testing.T) {
 // run's user and budget nothing — and distinct identities don't share.
 func TestAssembleSharedMemo(t *testing.T) {
 	u := boolean.MustUniverse(3)
-	sm := oracle.NewSharedMemo(64)
+	sm := oracle.NewSharedMemo(64, nil)
 	q := boolean.NewSet(u.All())
 
 	asked := 0

@@ -9,6 +9,7 @@ package serve_test
 // question breakdown on the session info.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -268,4 +269,53 @@ func TestE2EAbortReasonOnShutdown(t *testing.T) {
 	if rep.State != serve.StateFailed {
 		t.Fatalf("aborted delivery reports state %q, want failed", rep.State)
 	}
+}
+
+// TestE2EAmendWithTierDisabled amends a finished session of a named
+// user on a server whose shared tier is disabled. Propagating the
+// correction into the absent tier must be a no-op: the amend answers
+// 200, the session stays readable, and the server still shuts down.
+// Each step runs under a deadline, so a wedged session lock fails the
+// test instead of hanging it.
+func TestE2EAmendWithTierDisabled(t *testing.T) {
+	srv := serve.New(serve.Config{MemoCapacity: -1})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	c := serve.NewClient(srv.URL())
+	within := func(what string, f func() error) {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- f() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: no answer within 5s", what)
+		}
+	}
+	target := targets(difffuzz.ClassRP, 41, 1)[0]
+	info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "rp", User: "alice"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	within("drive", func() error {
+		final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: 2 * time.Second})
+		if err == nil && final.State != serve.StateDone {
+			err = fmt.Errorf("session ended %q", final.State)
+		}
+		return err
+	})
+	zero := 0
+	within("amend", func() error {
+		_, err := c.Amend(info.ID, serve.AmendRequest{Index: &zero})
+		return err
+	})
+	within("info", func() error {
+		_, err := c.Info(info.ID)
+		return err
+	})
+	within("close", srv.Close)
 }

@@ -160,7 +160,7 @@ func New(cfg Config) *Server {
 		if capacity == 0 {
 			capacity = DefaultMemoCapacity
 		}
-		s.memo = oracle.NewSharedMemoInto(capacity, s.reg)
+		s.memo = oracle.NewSharedMemo(capacity, s.reg)
 		s.reg.Describe(obs.MetricMemoTierHits, "questions the shared memo tier answered from cache")
 		s.reg.Describe(obs.MetricMemoTierMisses, "questions the shared memo tier forwarded and got answered")
 		s.reg.Describe(obs.MetricMemoTierEvictions, "answers evicted by the shared memo tier's 2Q policy")

@@ -154,7 +154,7 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 	// bit-identical to a direct learn.Run.
 	var user oracle.Oracle = exchange{s}
 	if budgetCap > 0 {
-		s.budget = oracle.WithBudgetInto(user, budgetCap, srv.reg)
+		s.budget = oracle.WithBudget(user, budgetCap, srv.reg)
 		user = s.budget
 	}
 	if userID != "" {

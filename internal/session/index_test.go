@@ -48,7 +48,7 @@ func TestAskBatchBudgetPanicRecordsNothing(t *testing.T) {
 	want, _ := learn.Run(u, ref, opts...)
 	total := ref.Len()
 
-	swap := &swapUser{b: oracle.WithBudget(target, total/2)}
+	swap := &swapUser{b: oracle.WithBudget(target, total/2, nil)}
 	spy := &spyUser{inner: swap}
 	s := session.New(spy)
 	spy.s = s
@@ -70,7 +70,7 @@ func TestAskBatchBudgetPanicRecordsNothing(t *testing.T) {
 	}
 
 	recorded := s.Len()
-	swap.b = oracle.WithBudget(target, total)
+	swap.b = oracle.WithBudget(target, total, nil)
 	s.ResetRun()
 	got, _ := learn.Run(u, s, opts...)
 	if got.String() != want.String() {
@@ -110,7 +110,7 @@ func TestRecordedQuestionsDoNotAllocate(t *testing.T) {
 // after new questions are recorded.
 func TestForgetReasksAndKeepsViews(t *testing.T) {
 	u := boolean.MustUniverse(3)
-	c := oracle.Count(oracle.Target(query.MustParse(u, "∃x1")))
+	c := oracle.Count(oracle.Target(query.MustParse(u, "∃x1")), nil)
 	s := session.New(c)
 	q := []boolean.Set{
 		boolean.MustParseSet(u, "{100}"),

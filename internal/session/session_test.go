@@ -13,7 +13,7 @@ import (
 func TestSessionRecordsAndMemoizes(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	target := query.MustParse(u, "∃x1")
-	c := oracle.Count(oracle.Target(target))
+	c := oracle.Count(oracle.Target(target), nil)
 	s := New(c)
 	q := boolean.MustParseSet(u, "{100}")
 	if !s.Ask(q) || !s.Ask(q) {
@@ -153,7 +153,7 @@ func TestAmendErrors(t *testing.T) {
 
 func TestForget(t *testing.T) {
 	u := boolean.MustUniverse(2)
-	c := oracle.Count(oracle.Target(query.MustParse(u, "∃x1")))
+	c := oracle.Count(oracle.Target(query.MustParse(u, "∃x1")), nil)
 	s := New(c)
 	q1 := boolean.MustParseSet(u, "{10}")
 	q2 := boolean.MustParseSet(u, "{01}")
@@ -182,7 +182,7 @@ func TestSessionPersistence(t *testing.T) {
 	truth := oracle.Target(target)
 
 	// First sitting: learn, then save.
-	s1 := New(oracle.Count(truth))
+	s1 := New(oracle.Count(truth, nil))
 	first, _ := learn.RolePreserving(u, s1)
 	if !first.Equivalent(target) {
 		t.Fatal("first sitting failed")
@@ -194,7 +194,7 @@ func TestSessionPersistence(t *testing.T) {
 
 	// Second sitting: restore over a counting oracle; re-learning must
 	// cost zero live questions.
-	c := oracle.Count(truth)
+	c := oracle.Count(truth, nil)
 	s2, u2, err := DecodeJSON(data, c)
 	if err != nil {
 		t.Fatal(err)

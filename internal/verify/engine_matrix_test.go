@@ -119,7 +119,6 @@ func TestVerifyOptionsMatrix(t *testing.T) {
 			{name: "parallel-2", opts: []run.Option{run.WithParallel(2)}, sorted: true},
 			{name: "parallel-8", opts: []run.Option{run.WithParallel(8)}, sorted: true},
 			{name: "budget", opts: []run.Option{run.WithBudget(refRes.QuestionsAsked)}},
-			{name: "memo", opts: []run.Option{run.WithMemo()}},
 			{name: "counter", opts: []run.Option{run.WithCounter()}},
 			{name: "steps", opts: []run.Option{run.WithSteps(func(run.Step) {})}},
 			{name: "observed", opts: []run.Option{run.WithInstrumentation(Instrumentation{

@@ -32,7 +32,7 @@ func TestRunParallelMatchesRun(t *testing.T) {
 		checked++
 		for _, workers := range []int{1, 4} {
 			serial := vs.Run(oracle.Target(c.Hidden))
-			parallel := vs.RunWith(oracle.Parallel(oracle.Target(c.Hidden), workers), run.WithBatch())
+			parallel := vs.RunWith(oracle.Parallel(oracle.Target(c.Hidden), workers, nil), run.WithBatch())
 			if !reflect.DeepEqual(serial, parallel) {
 				t.Errorf("given %s vs hidden %s (workers %d): serial %+v, parallel %+v",
 					given, c.Hidden, workers, serial, parallel)
@@ -64,7 +64,7 @@ func TestRunParallelObservedMatchesObserved(t *testing.T) {
 		}
 		serialReg, parallelReg := obs.NewRegistry(), obs.NewRegistry()
 		serial := vs.RunWith(oracle.Target(c.Hidden), run.WithInstrumentation(verify.Instrumentation{Metrics: serialReg}))
-		parallel := vs.RunWith(oracle.Parallel(oracle.Target(c.Hidden), 4), run.WithBatch(), run.WithInstrumentation(verify.Instrumentation{Metrics: parallelReg}))
+		parallel := vs.RunWith(oracle.Parallel(oracle.Target(c.Hidden), 4, nil), run.WithBatch(), run.WithInstrumentation(verify.Instrumentation{Metrics: parallelReg}))
 		if !reflect.DeepEqual(serial, parallel) {
 			t.Errorf("given %s vs hidden %s: serial %+v, parallel %+v", given, c.Hidden, serial, parallel)
 		}
@@ -88,7 +88,7 @@ func TestRunParallelObservedMatchesObserved(t *testing.T) {
 func TestVerifyParallelVerdict(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	c := difffuzz.GenCase(rng, difffuzz.ClassQhorn1, 4, 6)
-	pool := oracle.Parallel(oracle.Target(c.Hidden), 4)
+	pool := oracle.Parallel(oracle.Target(c.Hidden), 4, nil)
 	res, err := verify.Run(c.Hidden, pool, run.WithBatch())
 	if err != nil {
 		t.Fatalf("batched Run: %v", err)

@@ -350,7 +350,7 @@ func TestRunUntilFirst(t *testing.T) {
 	}
 	// Wrong intent: stops at the first disagreement.
 	intended := query.MustParse(u, "∃x3x4")
-	c := oracle.Count(oracle.Target(intended))
+	c := oracle.Count(oracle.Target(intended), nil)
 	res = vs.RunUntilFirst(c)
 	if res.Correct {
 		t.Fatal("difference missed")

@@ -161,11 +161,6 @@ func LearnRolePreserving(u Universe, o Oracle) (Query, RPStats) { return learn.R
 // §4 for a role-preserving query.
 func BuildVerificationSet(q Query) (VerificationSet, error) { return verify.Build(q) }
 
-// Verify asks the user every verification question of q and reports
-// whether she agrees with q's classifications (Theorem 4.2: any
-// semantic difference from her intended query surfaces here).
-func Verify(q Query, o Oracle) (VerificationResult, error) { return verify.Verify(q, o) }
-
 // TargetOracle simulates a user whose intended query is q. Answers
 // come from the compiled evaluation kernel (see Compile), which agrees
 // with the specification q.Eval on every object.
@@ -185,8 +180,10 @@ func Compile(q Query) *CompiledQuery { return query.Compile(q) }
 // NoisyOracle flips each of o's responses with probability p.
 func NoisyOracle(o Oracle, p float64, rng *rand.Rand) Oracle { return oracle.Noisy(o, p, rng) }
 
-// CountingOracle wraps o and counts questions and tuples.
-func CountingOracle(o Oracle) *oracle.Counter { return oracle.Count(o) }
+// CountingOracle wraps o and counts questions and tuples. A non-nil
+// registry also receives the counts (qhorn_questions_total and
+// friends).
+func CountingOracle(o Oracle, reg *MetricsRegistry) *oracle.Counter { return oracle.Count(o, reg) }
 
 // RecordingOracle wraps o and records the full interaction
 // transcript.
@@ -327,12 +324,6 @@ func NewObsServer(reg *MetricsRegistry, tracer *SpanTracer, flight *FlightRecord
 	return obs.NewServer(reg, tracer, flight)
 }
 
-// CountingOracleInto is CountingOracle additionally mirroring its
-// counts into a metrics registry (qhorn_questions_total and friends).
-func CountingOracleInto(o Oracle, reg *MetricsRegistry) *oracle.Counter {
-	return oracle.CountInto(o, reg)
-}
-
 // BatchOracle is an Oracle that can answer a slice of independent
 // questions at once. Under WithBatch or WithParallel the learners and
 // the verifier surface their independent question sets as batches
@@ -369,9 +360,9 @@ func Classify(q Query) query.ClassReport { return q.Classify() }
 // ClassReport is the result of Classify.
 type ClassReport = query.ClassReport
 
-// The composable run engine (docs/ENGINE.md): Learn and VerifyQ are
-// the option-driven entry points LearnQhorn1, LearnRolePreserving and
-// Verify delegate to. One call site composes the algorithm, the
+// The composable run engine (docs/ENGINE.md): Learn and Verify are
+// the option-driven entry points; LearnQhorn1 and LearnRolePreserving
+// are fixed option sets over Learn. One call site composes the algorithm, the
 // observability hooks, the batching strategy and the oracle wrapper
 // stack:
 //
@@ -413,10 +404,12 @@ func Learn(u Universe, o Oracle, opts ...RunOption) (Query, RunStats) {
 	return learn.Run(u, o, opts...)
 }
 
-// VerifyQ verifies q against the user under the given engine options
-// (default: serial, silent, full set). Verify is this call with no
-// options.
-func VerifyQ(q Query, o Oracle, opts ...RunOption) (VerificationResult, error) {
+// Verify asks the user every verification question of q and reports
+// whether she agrees with q's classifications (Theorem 4.2: any
+// semantic difference from her intended query surfaces here). The
+// engine options select batching, instrumentation and the question
+// stack (default: serial, silent, full set).
+func Verify(q Query, o Oracle, opts ...RunOption) (VerificationResult, error) {
 	return verify.Run(q, o, opts...)
 }
 
@@ -453,10 +446,6 @@ func WithBatch() RunOption { return run.WithBatch() }
 
 // WithBudget caps the questions reaching the user at limit.
 func WithBudget(limit int) RunOption { return run.WithBudget(limit) }
-
-// WithMemo deduplicates repeated questions before they reach the
-// user.
-func WithMemo() RunOption { return run.WithMemo() }
 
 // WithNoise flips each of the user's answers with probability p.
 func WithNoise(p float64, rng *rand.Rand) RunOption { return run.WithNoise(p, rng) }

@@ -1,6 +1,6 @@
 package qhorn_test
 
-// Facade tests for the composable run engine surface: Learn / VerifyQ
+// Facade tests for the composable run engine surface: Learn / Verify
 // and every re-exported option (docs/ENGINE.md). The named LearnXxx /
 // VerifyXxx wrappers are pinned to the engine in their own packages'
 // options-matrix tests; here the facade's option path is exercised
@@ -31,8 +31,8 @@ func TestLearnDefaults(t *testing.T) {
 	}
 }
 
-// TestLearnOptionsCompose: algorithm, parallelism, budget, memo,
-// steps and instrumentation compose on one call and still learn
+// TestLearnOptionsCompose: algorithm, parallelism, budget, steps and
+// instrumentation compose on one call and still learn
 // exactly.
 func TestLearnOptionsCompose(t *testing.T) {
 	u, intended := engineFixture(t)
@@ -45,7 +45,6 @@ func TestLearnOptionsCompose(t *testing.T) {
 		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
 		qhorn.WithParallel(2),
 		qhorn.WithBudget(serialStats.Total()),
-		qhorn.WithMemo(),
 		qhorn.WithSteps(func(qhorn.TraceStep) { steps++ }),
 		qhorn.WithInstrumentation(qhorn.Instrumentation{Metrics: reg}))
 	if !q.Equivalent(serialQ) {
@@ -97,21 +96,21 @@ func TestLearnWithNoise(t *testing.T) {
 	}
 }
 
-// TestVerifyQ: the engine verify entry point agrees with Verify and
-// honors WithFirstDisagreement.
+// TestVerifyQ: the facade's Verify runs the full set by default and
+// honors WithFirstDisagreement and WithParallel.
 func TestVerifyQ(t *testing.T) {
 	u, intended := engineFixture(t)
-	res, err := qhorn.VerifyQ(intended, qhorn.TargetOracle(intended))
+	res, err := qhorn.Verify(intended, qhorn.TargetOracle(intended))
 	if err != nil || !res.Correct {
-		t.Fatalf("VerifyQ on the intent: %+v, %v", res, err)
+		t.Fatalf("Verify on the intent: %+v, %v", res, err)
 	}
 
 	wrong := qhorn.MustParseQuery(u, "∀x1 → x3 ∃x3x4")
-	full, err := qhorn.VerifyQ(wrong, qhorn.TargetOracle(intended))
+	full, err := qhorn.Verify(wrong, qhorn.TargetOracle(intended))
 	if err != nil || full.Correct {
-		t.Fatalf("VerifyQ on a wrong query: %+v, %v", full, err)
+		t.Fatalf("Verify on a wrong query: %+v, %v", full, err)
 	}
-	first, err := qhorn.VerifyQ(wrong, qhorn.TargetOracle(intended), qhorn.WithFirstDisagreement())
+	first, err := qhorn.Verify(wrong, qhorn.TargetOracle(intended), qhorn.WithFirstDisagreement())
 	if err != nil || first.Correct {
 		t.Fatalf("first-only verify: %+v, %v", first, err)
 	}
@@ -122,11 +121,11 @@ func TestVerifyQ(t *testing.T) {
 		t.Errorf("first-only asked %d questions, full set is %d", first.QuestionsAsked, full.QuestionsAsked)
 	}
 	notRP := qhorn.MustParseQuery(u, "∀x1 → x2 ∀x2 → x3")
-	if _, err := qhorn.VerifyQ(notRP, qhorn.TargetOracle(intended)); err == nil {
-		t.Error("VerifyQ accepted a non-role-preserving query")
+	if _, err := qhorn.Verify(notRP, qhorn.TargetOracle(intended)); err == nil {
+		t.Error("Verify accepted a non-role-preserving query")
 	}
 
-	par, err := qhorn.VerifyQ(wrong, qhorn.TargetOracle(intended), qhorn.WithParallel(2))
+	par, err := qhorn.Verify(wrong, qhorn.TargetOracle(intended), qhorn.WithParallel(2))
 	if err != nil || par.Correct != full.Correct || par.QuestionsAsked != full.QuestionsAsked {
 		t.Errorf("parallel verify %+v differs from serial %+v (err %v)", par, full, err)
 	}

@@ -49,7 +49,7 @@ func TestVerifyObservedThroughFacade(t *testing.T) {
 	u := qhorn.MustUniverse(5)
 	q := qhorn.MustParseQuery(u, "∀x1 → x2 ∃x3x4 ∃x5")
 	reg := qhorn.NewMetricsRegistry()
-	res, err := qhorn.VerifyQ(q, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{
+	res, err := qhorn.Verify(q, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{
 		Spans:   qhorn.NewSpanTracer(qhorn.NewTreeSink()),
 		Metrics: reg,
 	}))
@@ -59,11 +59,11 @@ func TestVerifyObservedThroughFacade(t *testing.T) {
 	if got := reg.SumCounter("qhorn_verify_questions_total"); got != int64(res.QuestionsAsked) {
 		t.Errorf("metrics counted %d verify questions, result says %d", got, res.QuestionsAsked)
 	}
-	if res, err := qhorn.VerifyQ(q, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{})); err != nil || !res.Correct {
+	if res, err := qhorn.Verify(q, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{})); err != nil || !res.Correct {
 		t.Errorf("nil hooks: correct=%v err=%v", res.Correct, err)
 	}
 	wrong := qhorn.MustParseQuery(u, "∀x1 → x3 ∃x5")
-	if res, err := qhorn.VerifyQ(wrong, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{Metrics: reg})); err != nil || res.Correct {
+	if res, err := qhorn.Verify(wrong, qhorn.TargetOracle(q), qhorn.WithInstrumentation(qhorn.Instrumentation{Metrics: reg})); err != nil || res.Correct {
 		t.Errorf("wrong query verified: correct=%v err=%v", res.Correct, err)
 	}
 }
@@ -88,13 +88,13 @@ func TestSinkConstructorsThroughFacade(t *testing.T) {
 	}
 }
 
-// TestCountingOracleIntoThroughFacade: counts mirror into the metrics
-// registry at the oracle boundary.
+// TestCountingOracleIntoThroughFacade: given a registry, CountingOracle
+// mirrors its counts into it at the oracle boundary.
 func TestCountingOracleIntoThroughFacade(t *testing.T) {
 	u := qhorn.MustUniverse(4)
 	target := qhorn.MustParseQuery(u, "∀x1x2 → x3 ∃x4")
 	reg := qhorn.NewMetricsRegistry()
-	counted := qhorn.CountingOracleInto(qhorn.TargetOracle(target), reg)
+	counted := qhorn.CountingOracle(qhorn.TargetOracle(target), reg)
 	learned, stats := qhorn.LearnQhorn1(u, counted)
 	if !learned.Equivalent(target) {
 		t.Fatalf("learner diverged: %s", learned)

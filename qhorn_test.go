@@ -71,7 +71,7 @@ func TestFacadeConstructors(t *testing.T) {
 func TestFacadeOracles(t *testing.T) {
 	u := qhorn.MustUniverse(4)
 	target := qhorn.MustParseQuery(u, "∃x1x2")
-	c := qhorn.CountingOracle(qhorn.TargetOracle(target))
+	c := qhorn.CountingOracle(qhorn.TargetOracle(target), nil)
 	r := qhorn.RecordingOracle(c)
 	// ∃x1x2 leaves x3, x4 unquantified, which qhorn-1 forbids; the
 	// role-preserving learner handles it.
@@ -260,7 +260,7 @@ func TestFacadeParallel(t *testing.T) {
 		t.Errorf("parallel role-preserving got %s (%d questions), serial %s (%d)",
 			rp, rpStats.Total(), rpSerial, rpsStats.Total())
 	}
-	res, err := qhorn.VerifyQ(target, qhorn.TargetOracle(target), qhorn.WithParallel(4))
+	res, err := qhorn.Verify(target, qhorn.TargetOracle(target), qhorn.WithParallel(4))
 	if err != nil || !res.Correct {
 		t.Errorf("parallel verify: %+v, %v", res, err)
 	}
