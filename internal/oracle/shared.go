@@ -3,10 +3,10 @@ package oracle
 // The shared memo tier: a bounded, concurrency-safe, cross-session
 // answer cache. Where a run's own history (internal/session) lives and
 // dies with one session, a SharedMemo outlives sessions — a qhornd
-// server owns one and threads
-// it under every session of the same oracle identity, so a user whose
-// target drifts by a clause replays the settled part of the lattice
-// for free instead of re-answering it over the wire.
+// server owns one and threads it under every session of the same
+// oracle identity, so a user whose target drifts by a clause replays
+// the settled part of the lattice for free instead of re-answering it
+// over the wire.
 //
 // Entries are keyed by (identity, canonical boolean.Set.Key). The
 // identity names a user/target intent; distinct identities never

@@ -313,13 +313,15 @@ func (b batchRecorder) AskBatch(qs []boolean.Set) []bool {
 }
 
 // TestSharedMemoNilTierPassesThrough: a nil *SharedMemo degrades to
-// the inner oracle, so callers can wire the tier unconditionally.
+// the inner oracle and ignores updates, so callers can wire the tier
+// unconditionally.
 func TestSharedMemoNilTierPassesThrough(t *testing.T) {
 	inner := newCountingInner(parity)
 	var sm *oracle.SharedMemo
 	if o := sm.Oracle("alice", inner); o != oracle.Oracle(inner) {
 		t.Error("nil tier did not return inner unchanged")
 	}
+	sm.Update("alice", boolean.NewSet(), true) // a no-op, not a nil dereference
 }
 
 // TestSharedMemoConcurrentSessionsRaceClean hammers one tier from

@@ -57,23 +57,13 @@ func (s *streamHash) line(name string) string {
 	return fmt.Sprintf("%s %d %s", name, s.n, hex.EncodeToString(sum[:]))
 }
 
-// recorder hashes every question that reaches it, in order, batches
-// in question order.
-type recorder struct {
-	inner oracle.Oracle
-	s     *streamHash
-}
-
-func (r recorder) Ask(q boolean.Set) bool {
-	r.s.add(q)
-	return r.inner.Ask(q)
-}
-
-func (r recorder) AskBatch(qs []boolean.Set) []bool {
-	for _, q := range qs {
-		r.s.add(q)
+// recordedLine is the ledger line of a recorded transcript.
+func recordedLine(name string, rec *oracle.Transcript) string {
+	var s streamHash
+	for _, e := range rec.Copy() {
+		s.add(e.Question)
 	}
-	return oracle.AskAll(r.inner, qs)
+	return s.line(name)
 }
 
 // ledgerTarget draws the hidden query of one case. The role-preserving
@@ -114,9 +104,9 @@ func ledgerLines(t *testing.T) []string {
 				rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
 				target := ledgerTarget(rng, alg, n)
 
-				var serial streamHash
-				prior, _ := learn.Run(target.U, recorder{oracle.Target(target), &serial}, run.WithAlgorithm(alg))
-				lines = append(lines, serial.line(name("serial")))
+				rec := oracle.Record(oracle.Target(target))
+				prior, _ := learn.Run(target.U, rec, run.WithAlgorithm(alg))
+				lines = append(lines, recordedLine(name("serial"), rec))
 
 				// Batched: the learner-facing stream, above the pool, in
 				// the deterministic order the steps report it.
@@ -134,35 +124,34 @@ func ledgerLines(t *testing.T) []string {
 
 				// Verify: the full verification set of the drifted query
 				// against the original user.
-				var ver streamHash
-				if _, err := verify.Run(drifted, recorder{oracle.Target(target), &ver}); err != nil {
+				rec = oracle.Record(oracle.Target(target))
+				if _, err := verify.Run(drifted, rec); err != nil {
 					t.Fatal(err)
 				}
-				lines = append(lines, ver.line(name("verify")))
+				lines = append(lines, recordedLine(name("verify"), rec))
 
 				// Revise cold: the drifted user sees exactly what leaves
 				// the revision's own dedup layer.
-				var cold streamHash
-				if _, err := revise.Revise(prior, recorder{oracle.Target(drifted), &cold}); err != nil {
+				rec = oracle.Record(oracle.Target(drifted))
+				if _, err := revise.Revise(prior, rec); err != nil {
 					t.Fatal(err)
 				}
-				lines = append(lines, cold.line(name("revise-cold")))
+				lines = append(lines, recordedLine(name("revise-cold"), rec))
 
 				// Revise: E26's replay — the prior session's history is
 				// amended to the drifted target and the revision asks the
 				// user only what the history does not hold.
 				hist := session.New(oracle.Target(target))
 				learn.Run(target.U, hist, run.WithAlgorithm(alg))
-				driftedUser := oracle.Target(drifted)
-				if err := hist.AmendAll(hist.InconsistentWith(driftedUser.Ask)); err != nil {
+				if err := hist.AmendAll(hist.InconsistentWith(oracle.Target(drifted).Ask)); err != nil {
 					t.Fatal(err)
 				}
 				enc, err := hist.EncodeJSON(target.U)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var rev streamHash
-				warm, _, err := session.DecodeJSON(enc, recorder{driftedUser, &rev})
+				rec = oracle.Record(oracle.Target(drifted))
+				warm, _, err := session.DecodeJSON(enc, rec)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +162,7 @@ func ledgerLines(t *testing.T) []string {
 				if !res.Revised.Equivalent(drifted) {
 					t.Fatalf("%s: revised to %s, want %s", name("revise"), res.Revised, drifted)
 				}
-				lines = append(lines, rev.line(name("revise")))
+				lines = append(lines, recordedLine(name("revise"), rec))
 			}
 		}
 	}
@@ -181,9 +170,9 @@ func ledgerLines(t *testing.T) []string {
 	// Fig 5 (E19): the role-preserving trace of the §3.2 example.
 	u6 := boolean.MustUniverse(6)
 	fig5 := query.MustParse(u6, "∀x1x4 → x5 ∀x3x4 → x5 ∀x1x2 → x6 ∃x1x2x3 ∃x2x3x4 ∃x1x2x5 ∃x2x3x5x6")
-	var trace streamHash
-	learn.Run(u6, recorder{oracle.Target(fig5), &trace}, run.WithAlgorithm(run.RolePreserving))
-	lines = append(lines, trace.line("anchor/fig5/serial"))
+	rec := oracle.Record(oracle.Target(fig5))
+	learn.Run(u6, rec, run.WithAlgorithm(run.RolePreserving))
+	lines = append(lines, recordedLine("anchor/fig5/serial", rec))
 
 	// §4.2 (E10): the worked example's verification set.
 	var worked streamHash
