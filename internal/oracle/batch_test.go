@@ -138,7 +138,6 @@ func TestBudgetBatchSemantics(t *testing.T) {
 		inner.Add(1)
 		return true
 	}), 6, nil)
-
 	oracle.AskAll(b, probeQuestions(u, 4))
 	if b.Remaining() != 2 {
 		t.Fatalf("Remaining = %d after a batch of 4 on budget 6", b.Remaining())
