@@ -11,7 +11,7 @@ package serve
 // compiles to a no-alloc lookup, so a full delivery allocates only
 // when it must retain data past the request. Anything the scanner
 // does not recognize (escaped strings, unknown fields) falls back to
-// encoding/json, property-tested equivalent in encode_test.go.
+// encoding/json, property-tested equivalent in hotpath_test.go.
 
 import (
 	"bytes"

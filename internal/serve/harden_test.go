@@ -155,6 +155,53 @@ func TestAnswerBatchWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if qb.State != serve.StateAwaiting || len(qb.Questions) == 0 {
+		t.Fatalf("state %q with %d questions, want an outstanding batch", qb.State, len(qb.Questions))
+	}
+	// However a valid body spells its answers, it is a delivery: a key
+	// with a \u-escaped character answers its question, "" is the
+	// empty-set question's key, and whitespace around an empty object is
+	// an empty delivery.
+	deliver := func(query, body string) serve.AnswerReport {
+		t.Helper()
+		code, raw := postRaw(t, srv.URL()+"/sessions/"+info.ID+"/answers"+query, body)
+		var rep serve.AnswerReport
+		if err := json.Unmarshal(raw, &rep); err != nil || code != http.StatusOK {
+			t.Fatalf("answers%s %s: %d %s", query, body, code, raw)
+		}
+		return rep
+	}
+	first := qb.Questions[0]
+	a, err := ans(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	escaped := fmt.Sprintf(`\u%04x`, first.Key[0]) + first.Key[1:]
+	if rep := deliver("", fmt.Sprintf(`{"answers":{"%s":%v}}`, escaped, a)); rep.Accepted != 1 || len(rep.Unknown) != 0 {
+		t.Fatalf("escaped key %s: report %+v, want its question accepted", escaped, rep)
+	}
+	for _, q := range qb.Questions {
+		if q.Key == "" {
+			t.Fatal("the empty set is outstanding; pick a target whose first batch omits it")
+		}
+	}
+	if rep := deliver("", `{"answers":{"":true}}`); rep.Accepted != 0 || len(rep.Unknown) != 1 || rep.Unknown[0] != "" {
+		t.Fatalf("empty key: report %+v, want one unknown empty key", rep)
+	}
+	// 250%C2%B5s is the wait Client sends for 250µs (url.QueryEscape).
+	resp, err := http.Get(srv.URL() + "/sessions/" + info.ID + "/questions?wait=250%C2%B5s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET questions?wait=250%%C2%%B5s: %d", resp.StatusCode)
+	}
+	rep := deliver("?wait=250%C2%B5s", " { } ")
+	if rep.Accepted != 0 || rep.Duplicate != 0 || len(rep.Unknown) != 0 || rep.Next == nil || len(rep.Next.Questions) != len(qb.Questions)-1 {
+		t.Fatalf("empty fused delivery: report %+v, want nothing delivered and the rest of the batch next", rep)
+	}
+	qb = *rep.Next
 	for qb.State == serve.StateAwaiting && len(qb.Questions) > 0 {
 		// Answer the whole batch with one fused POST built by hand.
 		body := strings.Builder{}

@@ -417,9 +417,10 @@ const maxBodyBytes = 8 << 20
 var errBodyTooLarge = fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)
 
 // decodeBody decodes a JSON request body of at most maxBodyBytes into
-// v, writing the 400 or 413 itself and reporting false on failure.
+// v with decodeStrict, writing the 400 or 413 itself and reporting
+// false on failure.
 func decodeBody(w http.ResponseWriter, r *http.Request, v interface{}) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	err := decodeStrict(json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)), v)
 	if err == nil {
 		return true
 	}
@@ -615,7 +616,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 		// unknown field (the retired {"key","answer"} form among them)
 		// is a 400 naming the field, never a silent empty delivery.
 		var req AnswerRequest
-		if err := unmarshalStrict(body, &req); err != nil {
+		if err := decodeStrict(json.NewDecoder(bytes.NewReader(body)), &req); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err))
 			return
 		}
@@ -666,10 +667,11 @@ func readBody(b []byte, rc io.Reader) ([]byte, error) {
 	}
 }
 
-// unmarshalStrict is json.Unmarshal that also rejects fields v does
-// not declare.
-func unmarshalStrict(data []byte, v interface{}) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
+// decodeStrict decodes the one JSON value of dec's input into v. A
+// field v does not declare (a typo, or the retired {"key","answer"}
+// answer form) or data after the value is an error naming it, so no
+// request runs on the part of its body the server understood.
+func decodeStrict(dec *json.Decoder, v interface{}) error {
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err

@@ -7,6 +7,7 @@ package serve_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"strings"
 	"testing"
@@ -128,17 +129,6 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("create %+v: %v, want 400", req, err)
 		}
 	}
-	// Malformed JSON bodies.
-	for _, path := range []string{"/sessions"} {
-		resp, err := http.Post(srv.URL()+path, "application/json", strings.NewReader("{"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s with bad JSON: %d, want 400", path, resp.StatusCode)
-		}
-	}
 	// Bad long-poll duration.
 	info, err := c.Create(serve.CreateRequest{Variables: 3})
 	if err != nil {
@@ -152,36 +142,50 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad wait: %d, want 400", resp.StatusCode)
 	}
-	// Malformed answer and amend bodies.
-	for _, path := range []string{"/answers", "/amend"} {
-		resp, err := http.Post(srv.URL()+"/sessions/"+info.ID+path, "application/json", strings.NewReader("{"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %s with bad JSON: %d, want 400", path, resp.StatusCode)
-		}
-	}
-	// Answer bodies with unknown fields — the retired single-question
-	// form among them — are refused with the field named, not decoded
-	// into an empty delivery.
-	for body, field := range map[string]string{
-		`{"key":"a1","answer":true}`:        `"key"`,
-		`{"answer":true}`:                   `"answer"`,
-		`{"answers":{"a1":true},"extra":1}`: `"extra"`,
+	// Every route decodes its body strictly: malformed JSON, a field
+	// the request type does not declare (a typo, or the retired
+	// single-question answer form) and data after the object are a 400
+	// naming the problem, never a request run on what was understood.
+	create, amend, answers := "/sessions", "/sessions/"+info.ID+"/amend", "/sessions/"+info.ID+"/answers"
+	for _, tc := range []struct{ path, body, want string }{
+		{create, "{", "unexpected EOF"},
+		{create, `{"variables":3,"algoritm":"rp"}`, `"algoritm"`},
+		{create, `{"variables":3} {"x":1}`, "trailing data"},
+		{amend, "{", "unexpected EOF"},
+		{amend, `{"idx":0}`, `"idx"`},
+		{answers, "{", "unexpected EOF"},
+		{answers, `{"key":"a1","answer":true}`, `"key"`},
+		{answers, `{"key":"a1"}`, `"key"`},
+		{answers, `{"answer":true}`, `"answer"`},
+		{answers, `{"answers":{"a1":true},"extra":1}`, `"extra"`},
+		{answers, `{"answers":{"a1":maybe}}`, "invalid character"},
+		{answers, `{"answers":["a1"]}`, "cannot unmarshal array"},
+		{answers, `{"answers":{"a1":true}`, "unexpected EOF"},
+		{answers, `{"answers":{"a1":true}} trailing`, "trailing data"},
 	} {
-		resp, err := http.Post(srv.URL()+"/sessions/"+info.ID+"/answers", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
+		code, raw := postRaw(t, srv.URL()+tc.path, tc.body)
 		var eb struct{ Error string }
-		err = json.NewDecoder(resp.Body).Decode(&eb)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(eb.Error, field) {
-			t.Errorf("POST answers %s: %d %q, want 400 naming %s", body, resp.StatusCode, eb.Error, field)
+		err := json.Unmarshal(raw, &eb)
+		if err != nil || code != http.StatusBadRequest || !strings.Contains(eb.Error, tc.want) {
+			t.Errorf("POST %s %s: %d %q, want 400 naming %s", tc.path, tc.body, code, eb.Error, tc.want)
 		}
 	}
+}
+
+// postRaw POSTs a hand-written body and returns the status and the
+// response body.
+func postRaw(t *testing.T, url, body string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }
 
 func TestAnswerAccounting(t *testing.T) {
