@@ -119,13 +119,15 @@ func (s Set) AnyContains(conj Tuple) bool {
 // key when memoizing oracle answers and as a question's wire key. The
 // encoding is the sorted tuple list in lowercase hex, which is unique
 // per set; ParseKey inverts it. The key is built on every call: code
-// that only needs an in-process index uses the cheaper AppendID.
+// that only needs an in-process index hashes AppendID instead.
 func (s Set) Key() string { return buildKey(s.tuples) }
 
 // AppendID appends the set's tuples to dst as little-endian 8-byte
 // words and returns the extended slice. Like Key it is unique per set,
-// but it costs no formatting; a caller that keeps dst as scratch and
-// looks a map up with m[string(id)] pays no allocation per lookup.
+// but it costs no formatting. A caller that keeps dst as scratch can
+// hash it (hash/maphash) into its own table and confirm a hash match
+// with Equal, as the interaction history does, paying no allocation
+// per question.
 func (s Set) AppendID(dst []byte) []byte {
 	for _, t := range s.tuples {
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(t))

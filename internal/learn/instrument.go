@@ -18,10 +18,11 @@ type instr struct {
 	cur *obs.Span
 	// phase and purpose annotate the next question (set by note).
 	phase, purpose string
-	// byPhase, latticeVisited and latticePruned are the run's metric
-	// handles, resolved from ins.Metrics on first use so the hot path
-	// skips the registry's label formatting and lock.
+	// byPhase, phaseTime, latticeVisited and latticePruned are the
+	// run's metric handles, resolved from ins.Metrics on first use so
+	// the hot path skips the registry's label formatting and lock.
 	byPhase                       map[string]*obs.Counter
+	phaseTime                     map[string]*obs.Histogram
 	latticeVisited, latticePruned *obs.Counter
 }
 
@@ -67,7 +68,14 @@ func (in *instr) timePhase(name string) func() {
 	if in.ins.Metrics == nil {
 		return func() {}
 	}
-	h := in.ins.Metrics.Histogram(obs.MetricPhaseSeconds, obs.LatencyBuckets, "phase", name)
+	h, ok := in.phaseTime[name]
+	if !ok {
+		if in.phaseTime == nil {
+			in.phaseTime = map[string]*obs.Histogram{}
+		}
+		h = in.ins.Metrics.Histogram(obs.MetricPhaseSeconds, obs.LatencyBuckets, "phase", name)
+		in.phaseTime[name] = h
+	}
 	begun := time.Now()
 	return func() { h.Observe(time.Since(begun).Seconds()) }
 }

@@ -63,10 +63,15 @@ func Target(q query.Query) Oracle {
 type Counter struct {
 	mu        sync.Mutex
 	inner     Oracle
-	reg       *obs.Registry
 	Questions int
 	Tuples    int
 	MaxTuples int
+
+	// The registry's handles, resolved once in Count so a question
+	// skips the registry's label formatting and lock; all nil without
+	// a registry.
+	questions, tuples *obs.Counter
+	perQuestion, ask  *obs.Histogram
 }
 
 // Count wraps inner with a fresh Counter. A non-nil registry makes
@@ -75,7 +80,14 @@ type Counter struct {
 // tuples-per-question histogram and the oracle answer-latency
 // histogram.
 func Count(inner Oracle, reg *obs.Registry) *Counter {
-	return &Counter{inner: inner, reg: reg}
+	c := &Counter{inner: inner}
+	if reg != nil {
+		c.questions = reg.Counter(obs.MetricQuestions)
+		c.tuples = reg.Counter(obs.MetricTuples)
+		c.perQuestion = reg.Histogram(obs.MetricTuplesPerQuestion, obs.TuplesPerQuestionBuckets)
+		c.ask = reg.Histogram(obs.MetricOracleAskSeconds, obs.LatencyBuckets)
+	}
+	return c
 }
 
 // Ask implements Oracle, forwarding to the wrapped oracle.
@@ -87,17 +99,16 @@ func (c *Counter) Ask(s boolean.Set) bool {
 	if size > c.MaxTuples {
 		c.MaxTuples = size
 	}
-	reg := c.reg
 	c.mu.Unlock()
-	if reg == nil {
+	if c.questions == nil {
 		return c.inner.Ask(s)
 	}
-	reg.Counter(obs.MetricQuestions).Inc()
-	reg.Counter(obs.MetricTuples).Add(int64(size))
-	reg.Histogram(obs.MetricTuplesPerQuestion, obs.TuplesPerQuestionBuckets).Observe(float64(size))
+	c.questions.Inc()
+	c.tuples.Add(int64(size))
+	c.perQuestion.Observe(float64(size))
 	start := time.Now()
 	a := c.inner.Ask(s)
-	reg.Histogram(obs.MetricOracleAskSeconds, obs.LatencyBuckets).Observe(time.Since(start).Seconds())
+	c.ask.Observe(time.Since(start).Seconds())
 	return a
 }
 
@@ -120,13 +131,12 @@ func (c *Counter) AskBatch(qs []boolean.Set) []bool {
 			c.MaxTuples = size
 		}
 	}
-	reg := c.reg
 	c.mu.Unlock()
-	if reg != nil {
-		reg.Counter(obs.MetricQuestions).Add(int64(len(qs)))
+	if c.questions != nil {
+		c.questions.Add(int64(len(qs)))
 		for _, q := range qs {
-			reg.Counter(obs.MetricTuples).Add(int64(q.Size()))
-			reg.Histogram(obs.MetricTuplesPerQuestion, obs.TuplesPerQuestionBuckets).Observe(float64(q.Size()))
+			c.tuples.Add(int64(q.Size()))
+			c.perQuestion.Observe(float64(q.Size()))
 		}
 	}
 	return AskAll(c.inner, qs)

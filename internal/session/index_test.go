@@ -1,6 +1,7 @@
 package session_test
 
 import (
+	"runtime"
 	"testing"
 
 	"qhorn/internal/boolean"
@@ -102,6 +103,31 @@ func TestRecordedQuestionsDoNotAllocate(t *testing.T) {
 	}
 	if s.LiveQuestions != len(qs) {
 		t.Fatalf("live questions = %d, want %d", s.LiveQuestions, len(qs))
+	}
+}
+
+// TestNewQuestionsAllocateNoKey: recording a new question allocates
+// nothing of its own. Asking 1024 distinct questions through one
+// session may allocate only as the history, its hashes and its table
+// grow, a few dozen times in all, not once per question.
+func TestNewQuestionsAllocateNoKey(t *testing.T) {
+	const n = 1024
+	qs := make([]boolean.Set, n)
+	for i := range qs {
+		qs[i] = boolean.NewSet(boolean.Tuple(i), boolean.Tuple(i+n))
+	}
+	s := session.New(oracle.Func(func(boolean.Set) bool { return true }))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, q := range qs {
+		s.Ask(q)
+	}
+	runtime.ReadMemStats(&after)
+	if s.Len() != n {
+		t.Fatalf("recorded %d questions, want %d", s.Len(), n)
+	}
+	if m := after.Mallocs - before.Mallocs; m > 40 {
+		t.Errorf("asking %d new questions allocated %d times, want at most 40", n, m)
 	}
 }
 

@@ -61,10 +61,11 @@ func DecodeJSON(data []byte, user oracle.Oracle) (*Session, boolean.Universe, er
 			tuples = append(tuples, t)
 		}
 		q := boolean.NewSet(tuples...)
-		if _, dup := s.lookup(q); dup {
+		h := s.hash(q)
+		if _, dup := s.find(h, q); dup {
 			return nil, boolean.Universe{}, fmt.Errorf("session: entry %d duplicates an earlier question", i)
 		}
-		s.record(string(s.id), Entry{Question: q, Answer: se.Answer, Amended: se.Amended})
+		s.record(h, Entry{Question: q, Answer: se.Answer, Amended: se.Amended})
 	}
 	return s, u, nil
 }

@@ -12,10 +12,17 @@
 // the live oracle anything new.
 //
 // The history is one slice of entries in first-asked order, indexed
-// by a map from each question's raw tuple bytes (boolean.Set.AppendID)
-// to its position. Lookups go through a reused scratch buffer and
-// allocate nothing; only a newly recorded question allocates its index
-// key. The hex wire key (Set.Key) is never built here.
+// by a small open-addressed hash table (index): a power-of-two slice of
+// entry positions, kept at most half full, probed linearly from a
+// question's hash. The hash is hash/maphash over the question's raw
+// tuple bytes (boolean.Set.AppendID) under one process-wide random
+// seed, so snapshots decoded from untrusted clients cannot be crafted
+// to collide; a hash match is confirmed with boolean.Set.Equal. Each
+// entry's hash is kept beside the entries, so growing the table
+// reinserts positions without hashing again. Lookups hash through a
+// reused scratch buffer, and recording a question allocates only when
+// a slice or the table grows: no per-question key is ever built. The
+// hex wire key (Set.Key) is never built here.
 //
 // A Session is NOT concurrency-safe: its history serializes the
 // amendment protocol, so it must never sit inside a worker pool
@@ -31,6 +38,7 @@ package session
 
 import (
 	"fmt"
+	"hash/maphash"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
@@ -51,22 +59,21 @@ type Entry struct {
 // value is unusable; create one with New.
 type Session struct {
 	user    oracle.Oracle
-	entries []Entry          // history in first-asked order
-	index   map[string]int32 // question's AppendID bytes → position in entries
+	entries []Entry // history in first-asked order
+	history index   // entries[i] is recorded under position i
 	// LiveQuestions counts questions forwarded to the user during the
 	// current run (replayed questions are free).
 	LiveQuestions int
 
 	// Scratch reused across calls, so a long adaptive run (hundreds of
-	// batches against the qhornd exchange) allocates per answer slice
-	// and per new question, not per lookup. Safe because a Session is
+	// batches against the qhornd exchange) allocates per answer slice,
+	// not per lookup or per new question. Safe because a Session is
 	// single-goroutine by contract and no oracle wrapper retains the
 	// sub-batch slice past AskAll.
-	id    []byte           // AppendID of the question being looked up
-	sub   []boolean.Set    // AskBatch: distinct new questions, first-occurrence order
-	keys  []string         // AskBatch: index key of each sub question
-	fills []fill           // AskBatch: batch positions the sub-batch answers
-	inSub map[string]int32 // AskBatch: index key → position in sub
+	id    []byte        // AppendID of the question being hashed
+	sub   []boolean.Set // AskBatch: distinct new questions, first-occurrence order
+	fills []fill        // AskBatch: batch positions the sub-batch answers
+	inSub index         // AskBatch: sub[j] is recorded under position j
 }
 
 // fill routes answer sub[j] to position i of the batch.
@@ -74,20 +81,29 @@ type fill struct{ i, j int32 }
 
 // New returns a session over the user's oracle.
 func New(user oracle.Oracle) *Session {
-	return &Session{user: user, index: map[string]int32{}}
+	return &Session{user: user}
 }
 
-// lookup returns the history position of q; s.id holds q's AppendID
-// afterwards, so a miss can record it without re-encoding.
-func (s *Session) lookup(q boolean.Set) (int32, bool) {
+// seed keys every session's question hash. It is drawn once per
+// process, so the probe sequence of a question is unpredictable to a
+// client submitting snapshots.
+var seed = maphash.MakeSeed()
+
+// hash returns the hash of q's AppendID bytes, encoding them into the
+// reused scratch buffer.
+func (s *Session) hash(q boolean.Set) uint64 {
 	s.id = q.AppendID(s.id[:0])
-	i, ok := s.index[string(s.id)]
-	return i, ok
+	return maphash.Bytes(seed, s.id)
 }
 
-// record appends a new history entry under the given index key.
-func (s *Session) record(key string, e Entry) {
-	s.index[key] = int32(len(s.entries))
+// find returns the history position of q, whose hash is h.
+func (s *Session) find(h uint64, q boolean.Set) (int32, bool) {
+	return s.history.find(h, func(i int32) bool { return s.entries[i].Question.Equal(q) })
+}
+
+// record appends a new history entry whose question hashes to h.
+func (s *Session) record(h uint64, e Entry) {
+	s.history.add(h)
 	s.entries = append(s.entries, e)
 }
 
@@ -95,13 +111,13 @@ func (s *Session) record(key string, e Entry) {
 // question replayed after an amendment — are answered from the
 // history; new questions go to the user and are recorded.
 func (s *Session) Ask(q boolean.Set) bool {
-	if i, ok := s.lookup(q); ok {
+	h := s.hash(q)
+	if i, ok := s.find(h, q); ok {
 		return s.entries[i].Answer
 	}
-	key := string(s.id)
 	a := s.user.Ask(q)
 	s.LiveQuestions++
-	s.record(key, Entry{Question: q, Answer: a})
+	s.record(h, Entry{Question: q, Answer: a})
 	return a
 }
 
@@ -116,32 +132,28 @@ func (s *Session) Ask(q boolean.Set) bool {
 // single goroutine.
 func (s *Session) AskBatch(qs []boolean.Set) []bool {
 	answers := make([]bool, len(qs))
-	sub, keys, fills := s.sub[:0], s.keys[:0], s.fills[:0]
-	if s.inSub == nil {
-		s.inSub = map[string]int32{}
-	}
+	sub, fills := s.sub[:0], s.fills[:0]
+	s.inSub.reset()
 	for i, q := range qs {
-		if at, ok := s.lookup(q); ok {
+		h := s.hash(q)
+		if at, ok := s.find(h, q); ok {
 			answers[i] = s.entries[at].Answer
 			continue
 		}
-		j, ok := s.inSub[string(s.id)]
+		j, ok := s.inSub.find(h, func(j int32) bool { return sub[j].Equal(q) })
 		if !ok {
-			j = int32(len(sub))
-			key := string(s.id)
-			s.inSub[key] = j
-			sub, keys = append(sub, q), append(keys, key)
+			j = s.inSub.add(h)
+			sub = append(sub, q)
 		}
 		fills = append(fills, fill{int32(i), j})
 	}
-	s.sub, s.keys, s.fills = sub, keys, fills
-	clear(s.inSub)
+	s.sub, s.fills = sub, fills
 	if len(sub) == 0 {
 		return answers
 	}
 	res := oracle.AskAll(s.user, sub)
 	for j, q := range sub {
-		s.record(keys[j], Entry{Question: q, Answer: res[j]})
+		s.record(s.inSub.hashes[j], Entry{Question: q, Answer: res[j]})
 	}
 	s.LiveQuestions += len(sub)
 	for _, f := range fills {
@@ -173,7 +185,7 @@ func (s *Session) Len() int { return len(s.entries) }
 // Index returns the history position of question q, if it is on
 // record.
 func (s *Session) Index(q boolean.Set) (int, bool) {
-	i, ok := s.lookup(q)
+	i, ok := s.find(s.hash(q), q)
 	return int(i), ok
 }
 
@@ -210,10 +222,7 @@ func (s *Session) Forget(i int) error {
 	if i < 0 || i > len(s.entries) {
 		return fmt.Errorf("session: no history entry %d (have %d)", i, len(s.entries))
 	}
-	for _, e := range s.entries[i:] {
-		s.id = e.Question.AppendID(s.id[:0])
-		delete(s.index, string(s.id))
-	}
+	s.history.truncate(i)
 	// Full slice expression: the next question recorded reallocates
 	// instead of overwriting entries a View taken earlier still shows.
 	s.entries = s.entries[:i:i]
