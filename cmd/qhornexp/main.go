@@ -8,7 +8,7 @@
 //	qhornexp -exp qhorn1-scaling [-seed 1] [-trials 20] [-format text|markdown|csv]
 //	qhornexp -exp all -quick
 //	qhornexp -exp summary          # hard pass/fail reproduction gate
-//	qhornexp -exp kernel -obs-addr :6060   # watch /metrics, /spans, /progress live
+//	qhornexp -exp brute -obs-addr :6060    # watch /metrics, /spans, /progress live
 //
 // With -obs-addr the run serves its metrics registry, span flight
 // recorder and runtime profiles over HTTP while experiments execute;
@@ -26,7 +26,6 @@ import (
 
 	"qhorn/internal/exp"
 	"qhorn/internal/obs"
-	engine "qhorn/internal/run"
 	"qhorn/internal/stats"
 )
 
@@ -53,6 +52,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	// -parallel comes with the shared observability flags, but no
+	// experiment takes its worker count from the command line.
+	if obsFlags.Parallel > 0 {
+		fmt.Fprintln(stderr, "qhornexp: -parallel is not supported (no experiment runs a configurable worker pool)")
+		return 2
+	}
+	if *format != "text" && *format != "markdown" && *format != "csv" {
+		fmt.Fprintf(stderr, "qhornexp: unknown format %q (want text, markdown or csv)\n", *format)
+		return 2
+	}
 
 	if *list {
 		for _, e := range exp.All() {
@@ -73,8 +82,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		experiments = []exp.Experiment{e}
 	}
 
+	session, err := obsFlags.Start(stdout)
+	if err != nil {
+		fmt.Fprintf(stderr, "qhornexp: %v\n", err)
+		return 1
+	}
+	defer session.Close()
+
+	// -out is opened last, and only when the tables go to it (-outdir
+	// writes markdown files instead), so a failed start never empties
+	// an existing file.
 	out := stdout
-	if *outPath != "" {
+	if *outPath != "" && *outDir == "" {
 		f, err := os.Create(*outPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "qhornexp: %v\n", err)
@@ -84,17 +103,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		out = f
 	}
 
-	session, err := obsFlags.Start(stdout)
-	if err != nil {
-		fmt.Fprintf(stderr, "qhornexp: %v\n", err)
-		return 1
-	}
-	defer session.Close()
-
-	// The harness receives the engine options the flags compose
-	// (engine.FromFlags) and derives its worker sweep from them.
-	cfg := exp.Config{Seed: *seed, Trials: *trials, Quick: *quick,
-		Engine: engine.FromFlags(obsFlags, session)}
+	cfg := exp.Config{Seed: *seed, Trials: *trials, Quick: *quick, Metrics: session.Metrics}
 	// runExperiment wraps one experiment in a span, counts it and
 	// produces its machine-readable bench summary.
 	runExperiment := func(e exp.Experiment) (*exp.BenchSummary, []*stats.Table) {
@@ -136,23 +145,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return t.Markdown()
 		case "csv":
 			return t.CSV()
-		case "text":
-			return t.Text()
 		default:
 			return t.Text()
 		}
-	}
-	if *format != "text" && *format != "markdown" && *format != "csv" {
-		fmt.Fprintf(stderr, "qhornexp: unknown format %q (want text, markdown or csv)\n", *format)
-		return 2
 	}
 	if *outDir != "" {
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
 			fmt.Fprintf(stderr, "qhornexp: %v\n", err)
 			return 1
 		}
-		for _, e := range experiments {
-			summary, tables := runExperiment(e)
+	}
+	for _, e := range experiments {
+		summary, tables := runExperiment(e)
+		if *outDir != "" {
 			var b strings.Builder
 			fmt.Fprintf(&b, "# %s — %s\n\n%s\n\nClaim: %s\n\n", e.ID, e.Name, e.Paper, e.Claim)
 			for _, t := range tables {
@@ -165,17 +170,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 				return 1
 			}
 			fmt.Fprintf(stdout, "wrote %s\n", path)
-			if err := writeBench(summary); err != nil {
-				fmt.Fprintf(stderr, "qhornexp: %v\n", err)
-				return 1
+		} else {
+			for _, t := range tables {
+				fmt.Fprintln(out, render(t))
 			}
-		}
-		return 0
-	}
-	for _, e := range experiments {
-		summary, tables := runExperiment(e)
-		for _, t := range tables {
-			fmt.Fprintln(out, render(t))
 		}
 		if err := writeBench(summary); err != nil {
 			fmt.Fprintf(stderr, "qhornexp: %v\n", err)

@@ -59,9 +59,18 @@ func TestFormats(t *testing.T) {
 	if code != 0 || !strings.Contains(csv, "kind,about") {
 		t.Errorf("csv output wrong (exit %d)", code)
 	}
-	_, errb, code := runCLI(t, "-exp", "worked-example", "-format", "yaml")
-	if code == 0 || !strings.Contains(errb, "unknown format") {
+	// A bad format is rejected before -out is opened, so an existing
+	// output file survives the usage error.
+	path := filepath.Join(t.TempDir(), "keep.txt")
+	if err := os.WriteFile(path, []byte("previous run\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, errb, code := runCLI(t, "-exp", "worked-example", "-format", "yaml", "-out", path)
+	if code != 2 || !strings.Contains(errb, "unknown format") {
 		t.Errorf("bad format accepted (exit %d, %q)", code, errb)
+	}
+	if data, err := os.ReadFile(path); err != nil || string(data) != "previous run\n" {
+		t.Errorf("-out file clobbered by a usage error: %q, %v", data, err)
 	}
 }
 
@@ -76,6 +85,12 @@ func TestBadFlag(t *testing.T) {
 	_, _, code := runCLI(t, "-definitely-not-a-flag")
 	if code == 0 {
 		t.Error("bad flag accepted")
+	}
+	// No experiment reads -parallel, so asking for workers is a usage
+	// error rather than a silently serial run.
+	_, errb, code := runCLI(t, "-exp", "fig7", "-parallel", "4")
+	if code != 2 || !strings.Contains(errb, "-parallel") {
+		t.Errorf("-parallel 4 accepted (exit %d, %q)", code, errb)
 	}
 }
 
@@ -95,6 +110,18 @@ func TestOutFile(t *testing.T) {
 	_, _, code = runCLI(t, "-exp", "fig7", "-out", filepath.Join(path, "impossible", "x"))
 	if code == 0 {
 		t.Error("unwritable path accepted")
+	}
+	// Neither a failed observability start nor an -outdir run, which
+	// writes no tables to -out, may empty the previous output.
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-exp", "fig7", "-out", path, "-trace-out", filepath.Join(dir, "missing", "t.jsonl")},
+		{"-exp", "fig7", "-out", path, "-outdir", dir},
+	} {
+		runCLI(t, args...)
+		if after, err := os.ReadFile(path); err != nil || string(after) != string(data) {
+			t.Errorf("%v: -out file changed (%d bytes before, %d after, %v)", args, len(data), len(after), err)
+		}
 	}
 }
 
@@ -120,6 +147,27 @@ func TestOutDir(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "Claim:") || !strings.Contains(string(data), "| query |") {
 		t.Error("markdown file incomplete")
+	}
+}
+
+// TestCloseErrorFailsRun checks that an error from closing the
+// observability session (here: the heap profile cannot be written,
+// because a directory holds its path) fails the run the same way with
+// and without -outdir.
+func TestCloseErrorFailsRun(t *testing.T) {
+	dir := t.TempDir()
+	prefix := filepath.Join(dir, "prof")
+	if err := os.Mkdir(prefix+".heap.pprof", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{
+		{"-exp", "fig7", "-profile", prefix},
+		{"-exp", "fig7", "-profile", prefix, "-outdir", filepath.Join(dir, "md")},
+	} {
+		_, errb, code := runCLI(t, args...)
+		if code != 1 || !strings.Contains(errb, "heap profile") {
+			t.Errorf("%v: exit %d, stderr %q; want exit 1 naming the heap profile", args, code, errb)
+		}
 	}
 }
 

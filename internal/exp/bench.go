@@ -42,9 +42,9 @@ type GrowthExponent struct {
 // rows of a table sharing the same sweep-parameter value (first
 // column) collapse into one entry with the mean and standard deviation
 // of their "questions" column. Tables whose rows vary a second
-// dimension (e.g. the worker count of E22) previously emitted one
-// identical entry per row; aggregation keeps exactly one per
-// (table, param, param_value).
+// dimension (e.g. a worker count beside the class) previously
+// emitted one identical entry per row; aggregation keeps exactly one
+// per (table, param, param_value).
 type QuestionCount struct {
 	// Table is the short table key ("t1", "t2", …); the summary's
 	// table_legend maps it to the full title. Repeating the multi-line

@@ -60,9 +60,9 @@ func TestSummarizeExtractsMeasurements(t *testing.T) {
 	}
 }
 
-// TestSummarizeAggregatesQuestionCounts pins the BENCH_parallel.json
+// TestSummarizeAggregatesQuestionCounts pins the question-count
 // duplication fix: rows repeating a parameter value across a second
-// sweep dimension (E22's worker counts) collapse into one entry per
+// sweep dimension (here a worker count) collapse into one entry per
 // (table, param, param_value), with mean and stddev over the rows.
 func TestSummarizeAggregatesQuestionCounts(t *testing.T) {
 	e := Experiment{ID: "E98", Name: "agg-fixture"}

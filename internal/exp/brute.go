@@ -53,7 +53,7 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 	t := stats.NewTable(header(e)+" — per-learn (exhaustive range)",
 		"n", "candidates", "pool", "questions",
 		"serial ms", "fresh scalar ms", "cached sliced ms", "per-learn speedup")
-	reg := cfg.registry()
+	reg := cfg.Metrics
 
 	sweep := []int{2, 3, 4}
 	if cfg.Quick {
@@ -163,7 +163,7 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 	t := stats.NewTable(header(e)+" — sampled range (n=5)",
 		"n", "candidates", "pool", "questions",
 		"scalar build ms", "sliced build ms", "build speedup", "learn ms", "ambiguous")
-	reg := cfg.registry()
+	reg := cfg.Metrics
 
 	const n = 5
 	nCands, nPool, trials := 2048, 1024, cfg.Trials

@@ -11,7 +11,6 @@ import (
 	"sort"
 
 	"qhorn/internal/obs"
-	"qhorn/internal/run"
 	"qhorn/internal/stats"
 )
 
@@ -24,15 +23,10 @@ type Config struct {
 	Trials int
 	// Quick shrinks the parameter sweeps for fast smoke runs.
 	Quick bool
-	// Parallel, when positive, pins the worker count of the parallel
-	// question engine instead of the experiment's default sweep
-	// (the -parallel flag of cmd/qhornexp).
-	Parallel int
-	// Engine carries the run-engine options the CLI composed
-	// (run.FromFlags); normalize derives Parallel from it when unset,
-	// so the harness honours -parallel through the same path as every
-	// other CLI.
-	Engine []run.Option
+	// Metrics, when non-nil, receives what the experiments' hand-built
+	// oracle stacks record (question counts, ask latency, brute matrix
+	// timings), so a live -obs-addr server shows them mid-run.
+	Metrics *obs.Registry
 }
 
 // DefaultConfig is used when fields are zero.
@@ -46,20 +40,7 @@ func (c Config) normalize() Config {
 	if c.Trials <= 0 {
 		c.Trials = DefaultConfig.Trials
 	}
-	if c.Parallel == 0 {
-		c.Parallel = run.New(c.Engine...).Workers
-	}
 	return c
-}
-
-// registry returns the metrics registry the CLI's engine options carry
-// (run.FromFlags threads the session registry through
-// run.WithInstrumentation), or nil when the harness runs bare — the
-// experiments' hand-built oracle stacks record their engine metrics
-// (ask latency, memo hits, batch sizes) into it so a live -obs-addr
-// server shows them mid-run.
-func (c Config) registry() *obs.Registry {
-	return run.New(c.Engine...).Ins.Metrics
 }
 
 // Experiment is one reproducible row of the evaluation.

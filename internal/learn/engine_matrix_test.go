@@ -68,12 +68,12 @@ func sameTranscript(t *testing.T, label string, ref, got []string, sorted bool) 
 		sort.Strings(got)
 	}
 	if len(ref) != len(got) {
-		t.Errorf("%s: %d questions vs %d serial", label, len(got), len(ref))
+		t.Errorf("%s: %d questions vs %d in the reference run", label, len(got), len(ref))
 		return
 	}
 	for i := range ref {
 		if ref[i] != got[i] {
-			t.Errorf("%s: question %d is %s, serial asked %s", label, i, got[i], ref[i])
+			t.Errorf("%s: question %d is %s, the reference run asked %s", label, i, got[i], ref[i])
 			return
 		}
 	}

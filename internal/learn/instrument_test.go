@@ -1,6 +1,8 @@
 package learn
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -226,4 +228,60 @@ func containsString(ss []string, want string) bool {
 		}
 	}
 	return false
+}
+
+// askedTranscript learns target the way Run does, with a transcript on
+// top of the assembled stack. It sits above the worker pool, which
+// answers a batch concurrently, so it sees the learner's own order in
+// both the serial and the batched run.
+func askedTranscript(target query.Query, opts ...run.Option) []string {
+	cfg := run.New(append(opts, run.WithTranscript())...)
+	st := cfg.Assemble(oracle.Target(target))
+	runConfigured(target.U, st.Oracle, cfg)
+	return transcriptOf(st.Transcript)
+}
+
+// TestInstrumentedAsksBareQuestions pins that the live observability
+// plane costs no question: with spans into a flight recorder, a
+// metrics registry and the question counter (the plane -obs-addr
+// turns on), both learners ask the bare run's questions in the bare
+// run's order, serial and batched, on seeded targets at n = 12 and 16.
+func TestInstrumentedAsksBareQuestions(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for _, n := range []int{12, 16} {
+		for trial := 0; trial < 3; trial++ {
+			targets := []struct {
+				alg    run.Algorithm
+				target query.Query
+			}{
+				{run.Qhorn1, query.GenQhorn1(rng, n)},
+				{run.RolePreserving, query.GenRolePreserving(rng, n, query.RPOptions{
+					Heads: 3, BodiesPerHead: 2, MaxBodySize: 3, Conjs: 2, MaxConjSize: 4,
+				})},
+			}
+			for _, tc := range targets {
+				for _, mode := range []struct {
+					name string
+					opt  run.Option
+				}{{"serial", nil}, {"parallel-4", run.WithParallel(4)}} {
+					label := fmt.Sprintf("%s n=%d trial %d %s (%s)", tc.alg, n, trial, mode.name, tc.target)
+					bare := askedTranscript(tc.target, run.WithAlgorithm(tc.alg), mode.opt)
+
+					reg := obs.NewRegistry()
+					flight := obs.NewFlightRecorder(0)
+					instrumented := askedTranscript(tc.target, run.WithAlgorithm(tc.alg), mode.opt,
+						run.WithInstrumentation(Instrumentation{Spans: obs.NewTracer(flight), Metrics: reg}),
+						run.WithCounter())
+
+					sameTranscript(t, label, bare, instrumented, false)
+					if got := reg.CounterValue(obs.MetricQuestions); got != int64(len(instrumented)) {
+						t.Errorf("%s: counter saw %d questions, transcript %d", label, got, len(instrumented))
+					}
+					if _, completed, _ := flight.Snapshot(); len(completed) == 0 {
+						t.Errorf("%s: flight recorder holds no spans", label)
+					}
+				}
+			}
+		}
+	}
 }

@@ -28,11 +28,12 @@ func TestCompiledEvalExhaustive(t *testing.T) {
 }
 
 // TestCompiledEvalRandom cross-checks the kernel on random generated
-// queries and random objects over universes too large to enumerate.
+// queries and random objects over universes too large to enumerate:
+// 200 trials at 4–15 variables, then 24 variables, the size of the
+// recorded session the kernel benchmarks replay.
 func TestCompiledEvalRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
-		n := 4 + rng.Intn(12)
+	check := func(trial, n int) {
 		u := boolean.MustUniverse(n)
 		var q Query
 		if trial%2 == 0 {
@@ -60,6 +61,12 @@ func TestCompiledEvalRandom(t *testing.T) {
 		if got, want := c.Eval(boolean.Set{}), q.Eval(boolean.Set{}); got != want {
 			t.Fatalf("query %s empty object: compiled %v, interpreted %v", q, got, want)
 		}
+	}
+	for trial := 0; trial < 200; trial++ {
+		check(trial, 4+rng.Intn(12))
+	}
+	for trial := 0; trial < 20; trial++ {
+		check(trial, 24)
 	}
 }
 

@@ -11,7 +11,7 @@
 // row (matched by table title and first-column parameter), and
 // tolerates a generous ratio:
 //
-//	benchgate -committed BENCH_kernel.json -fresh fresh.json -min-ratio 0.35
+//	benchgate -committed BENCH_revise.json -fresh fresh.json -min-ratio 0.35
 //
 // passes while every fresh speedup is at least 35% of its committed
 // counterpart. Rows present in only one file (quick mode sweeps a
@@ -149,12 +149,12 @@ func gate(committedPath, freshPath string, minRatio float64) error {
 }
 
 func main() {
-	committed := flag.String("committed", "BENCH_kernel.json", "committed benchmark summary")
+	committed := flag.String("committed", "", "committed benchmark summary")
 	fresh := flag.String("fresh", "", "freshly measured benchmark summary")
 	minRatio := flag.Float64("min-ratio", 0.35, "fresh speedup/reduction must be at least this fraction of committed")
 	flag.Parse()
-	if *fresh == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -fresh is required")
+	if *committed == "" || *fresh == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -committed and -fresh are required")
 		os.Exit(2)
 	}
 	if err := gate(*committed, *fresh, *minRatio); err != nil {

@@ -14,7 +14,7 @@ func writeSummary(t *testing.T, name, experiment string, speedups ...string) str
 		rows[i] = `["` + string(rune('2'+i)) + `", "` + s + `"]`
 	}
 	doc := `{"experiment": "` + experiment + `", "quick": true, "tables": [
-		{"title": "E23 kernel — brute learner", "columns": ["n", "speedup"],
+		{"title": "E27 brute — per-learn", "columns": ["n", "speedup"],
 		 "rows": [` + strings.Join(rows, ",") + `]}]}`
 	path := filepath.Join(t.TempDir(), name)
 	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
@@ -24,16 +24,16 @@ func writeSummary(t *testing.T, name, experiment string, speedups ...string) str
 }
 
 func TestGatePassesWithinTolerance(t *testing.T) {
-	committed := writeSummary(t, "committed.json", "kernel", "80.0", "21.0")
-	fresh := writeSummary(t, "fresh.json", "kernel", "30.0", "9.0")
+	committed := writeSummary(t, "committed.json", "brute", "80.0", "21.0")
+	fresh := writeSummary(t, "fresh.json", "brute", "30.0", "9.0")
 	if err := gate(committed, fresh, 0.35); err != nil {
 		t.Fatalf("in-tolerance comparison failed: %v", err)
 	}
 }
 
 func TestGateFailsOnRegression(t *testing.T) {
-	committed := writeSummary(t, "committed.json", "kernel", "80.0")
-	fresh := writeSummary(t, "fresh.json", "kernel", "10.0")
+	committed := writeSummary(t, "committed.json", "brute", "80.0")
+	fresh := writeSummary(t, "fresh.json", "brute", "10.0")
 	err := gate(committed, fresh, 0.35)
 	if err == nil || !strings.Contains(err.Error(), "regression") {
 		t.Fatalf("regression not caught: %v", err)
@@ -46,16 +46,16 @@ func TestGateFailsOnRegression(t *testing.T) {
 func TestGateSkipsRowsMissingFromFresh(t *testing.T) {
 	// Quick mode sweeps fewer n values; extra committed rows are not
 	// an error as long as something overlaps.
-	committed := writeSummary(t, "committed.json", "kernel", "80.0", "21.0", "5.0")
-	fresh := writeSummary(t, "fresh.json", "kernel", "70.0")
+	committed := writeSummary(t, "committed.json", "brute", "80.0", "21.0", "5.0")
+	fresh := writeSummary(t, "fresh.json", "brute", "70.0")
 	if err := gate(committed, fresh, 0.35); err != nil {
 		t.Fatalf("subset comparison failed: %v", err)
 	}
 }
 
 func TestGateErrors(t *testing.T) {
-	committed := writeSummary(t, "committed.json", "kernel", "80.0")
-	other := writeSummary(t, "other.json", "parallel", "80.0")
+	committed := writeSummary(t, "committed.json", "brute", "80.0")
+	other := writeSummary(t, "other.json", "revise", "80.0")
 	if err := gate(committed, other, 0.35); err == nil || !strings.Contains(err.Error(), "experiment mismatch") {
 		t.Errorf("experiment mismatch accepted: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestGateErrors(t *testing.T) {
 
 	// A summary with no speedup columns cannot be gated on.
 	empty := filepath.Join(t.TempDir(), "empty.json")
-	if err := os.WriteFile(empty, []byte(`{"experiment": "kernel", "tables": [{"title": "t", "columns": ["n"], "rows": [["2"]]}]}`), 0o644); err != nil {
+	if err := os.WriteFile(empty, []byte(`{"experiment": "brute", "tables": [{"title": "t", "columns": ["n"], "rows": [["2"]]}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := gate(empty, committed, 0.35); err == nil || !strings.Contains(err.Error(), "no speedup or reduction columns") {
@@ -85,7 +85,7 @@ func TestGateErrors(t *testing.T) {
 
 	// Overlap can also be empty when parameter values disagree.
 	shifted := filepath.Join(t.TempDir(), "shifted.json")
-	if err := os.WriteFile(shifted, []byte(`{"experiment": "kernel", "tables": [{"title": "E23 kernel — brute learner", "columns": ["n", "speedup"], "rows": [["9", "3.0"]]}]}`), 0o644); err != nil {
+	if err := os.WriteFile(shifted, []byte(`{"experiment": "brute", "tables": [{"title": "E27 brute — per-learn", "columns": ["n", "speedup"], "rows": [["9", "3.0"]]}]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if err := gate(committed, shifted, 0.35); err == nil || !strings.Contains(err.Error(), "no overlapping") {
@@ -126,7 +126,7 @@ func TestGateCoversReductionColumns(t *testing.T) {
 func TestGateAgainstRealCommittedSummary(t *testing.T) {
 	// Each committed summary compared against itself is the identity
 	// gate — every format assumption checked on real data.
-	for _, name := range []string{"BENCH_kernel.json", "BENCH_brute.json", "BENCH_revise.json"} {
+	for _, name := range []string{"BENCH_brute.json", "BENCH_revise.json"} {
 		real := filepath.Join("..", "..", name)
 		if _, err := os.Stat(real); err != nil {
 			t.Fatalf("committed summary %s missing: %v", name, err)
