@@ -1,8 +1,10 @@
 package boolean
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -121,5 +123,45 @@ func TestQuickParseKeyRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(small, &quick.Config{MaxCount: 400}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNewSetMatchesSortDedupe: NewSet equals a sort-plus-dedupe
+// reference whether or not its input arrives sorted, and neither keeps
+// nor modifies the caller's slice.
+func TestNewSetMatchesSortDedupe(t *testing.T) {
+	rng := rand.New(rand.NewSource(167))
+	inputs := map[string][]Tuple{
+		"empty":             {},
+		"single":            {5},
+		"sorted":            {1, 2, 3, 8, 13},
+		"sorted duplicates": {1, 1, 2, 8, 8, 8},
+		"reversed":          {13, 8, 3, 2, 1},
+	}
+	for i := 0; i < 200; i++ {
+		in := make([]Tuple, rng.Intn(12))
+		for j := range in {
+			in[j] = Tuple(rng.Intn(16)) // 16 values: duplicates are common
+		}
+		inputs[fmt.Sprintf("random %d", i)] = in
+	}
+	for name, in := range inputs {
+		orig := slices.Clone(in)
+		want := slices.Clone(orig)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		s := NewSet(in...)
+		if !slices.Equal(s.Tuples(), want) {
+			t.Errorf("%s: NewSet(%v) = %v, want %v", name, orig, s.Tuples(), want)
+		}
+		if !slices.Equal(in, orig) {
+			t.Errorf("%s: NewSet modified its input: %v, was %v", name, in, orig)
+		}
+		for j := range in {
+			in[j] = ^in[j]
+		}
+		if !slices.Equal(s.Tuples(), want) {
+			t.Errorf("%s: NewSet retained its input: %v after the caller's writes, want %v", name, s.Tuples(), want)
+		}
 	}
 }

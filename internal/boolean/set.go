@@ -22,14 +22,18 @@ type Set struct {
 }
 
 // NewSet builds a canonical set from the given tuples, deduplicating
-// and sorting. The input slice is not retained.
+// and sorting. The input slice is not retained. Input already in
+// non-decreasing order skips the sort, so builders that know their
+// order pass the tuples ascending.
 func NewSet(tuples ...Tuple) Set {
 	if len(tuples) == 0 {
 		return Set{}
 	}
 	ts := make([]Tuple, len(tuples))
 	copy(ts, tuples)
-	slices.Sort(ts)
+	if !slices.IsSorted(ts) {
+		slices.Sort(ts)
+	}
 	out := ts[:1]
 	for _, t := range ts[1:] {
 		if t != out[len(out)-1] {

@@ -48,8 +48,13 @@ func (in *instr) start(name string, attrs ...obs.Attr) func() {
 
 // begin opens a child span of the current span and makes it current;
 // the returned func ends it, restores the parent and observes the
-// phase-duration histogram.
+// phase-duration histogram. With no span open and no registry there is
+// nothing to end or observe, and begin returns the shared no-op, so a
+// silent run's per-answer prune phases allocate nothing.
 func (in *instr) begin(name string, attrs ...obs.Attr) func() {
+	if in.cur == nil && in.ins.Metrics == nil {
+		return noop
+	}
 	parent := in.cur
 	sp := parent.StartChild(name, attrs...)
 	in.cur = sp
@@ -66,7 +71,7 @@ func (in *instr) begin(name string, attrs ...obs.Attr) func() {
 // only read when someone is listening.
 func (in *instr) timePhase(name string) func() {
 	if in.ins.Metrics == nil {
-		return func() {}
+		return noop
 	}
 	h, ok := in.phaseTime[name]
 	if !ok {
@@ -79,6 +84,8 @@ func (in *instr) timePhase(name string) func() {
 	begun := time.Now()
 	return func() { h.Observe(time.Since(begun).Seconds()) }
 }
+
+func noop() {}
 
 // note annotates the next question(s) with their phase and purpose.
 func (in *instr) note(phase, purpose string) {

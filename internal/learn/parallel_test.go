@@ -15,6 +15,7 @@ import (
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
 	"qhorn/internal/run"
+	"qhorn/internal/session"
 )
 
 // runSerialAndParallel learns target with both the serial and the
@@ -222,33 +223,43 @@ func TestRolePreservingBatchedBudgetPanics(t *testing.T) {
 
 // TestRolePreservingSilentRunAllocs bounds the allocations of a
 // role-preserving learn with no Steps hook and no spans: nobody reads
-// the question purposes, so none may be formatted. An eager
-// fmt.Sprintf per question pushes the count well past the bound.
+// the question purposes, so none may be formatted, and the learner's
+// per-question scratch is reused. The last case is the in-process
+// session stack of the direct-rp benchmark workload: a fresh history
+// per learn, batched, counted.
 func TestRolePreservingSilentRunAllocs(t *testing.T) {
 	u := boolean.MustUniverse(12)
 	target := query.MustParse(u, "∀x1x2 → x9 ∀x3 → x9 ∀x4x5 → x10 ∀x6 → x11 ∃x1x2x3x7 ∃x4x5x6x8 ∃x7x8x12")
 	o := oracle.Target(target)
-	for _, batch := range []bool{false, true} {
-		opts := []run.Option{run.WithAlgorithm(run.RolePreserving)}
-		if batch {
-			opts = append(opts, run.WithBatch())
-		}
-		q, st := learn.Run(u, o, opts...)
+	plain := func() oracle.Oracle { return o }
+	fresh := func() oracle.Oracle { return session.New(o) }
+	// 166 questions take about 270 allocations serially, 300 batched
+	// and 345 through the session stack; each bound is about 10% above
+	// that. Formatting every purpose adds at least two per question.
+	for _, c := range []struct {
+		name   string
+		oracle func() oracle.Oracle
+		opts   []run.Option
+		bound  float64
+	}{
+		{"serial", plain, nil, 300},
+		{"batched", plain, []run.Option{run.WithBatch()}, 330},
+		{"session stack", fresh, []run.Option{run.WithBatch(), run.WithCounter()}, 380},
+	} {
+		opts := append([]run.Option{run.WithAlgorithm(run.RolePreserving)}, c.opts...)
+		q, st := learn.Run(u, c.oracle(), opts...)
 		if !q.Equivalent(target) {
-			t.Fatalf("batch=%v: learned %s, want %s", batch, q, target)
+			t.Fatalf("%s: learned %s, want %s", c.name, q, target)
 		}
-		allocs := testing.AllocsPerRun(10, func() { learn.Run(u, o, opts...) })
-		// 166 questions take about 670 allocations serially and 720
-		// batched; formatting every purpose adds at least two per
-		// question.
-		if allocs > 800 {
-			t.Errorf("batch=%v: %.0f allocations for %d questions, want at most 800", batch, allocs, st.Total())
+		allocs := testing.AllocsPerRun(10, func() { learn.Run(u, c.oracle(), opts...) })
+		if allocs > c.bound {
+			t.Errorf("%s: %.0f allocations for %d questions, want at most %.0f", c.name, allocs, st.Total(), c.bound)
 		}
 		hooked := testing.AllocsPerRun(10, func() {
-			learn.Run(u, o, append(opts, run.WithSteps(func(run.Step) {}))...)
+			learn.Run(u, c.oracle(), append(opts, run.WithSteps(func(run.Step) {}))...)
 		})
 		if allocs+float64(st.Total()) > hooked {
-			t.Errorf("batch=%v: %.0f allocations silent, %.0f with a Steps hook: purposes are formatted with nobody reading them", batch, allocs, hooked)
+			t.Errorf("%s: %.0f allocations silent, %.0f with a Steps hook: purposes are formatted with nobody reading them", c.name, allocs, hooked)
 		}
 	}
 }

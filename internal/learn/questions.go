@@ -28,7 +28,7 @@ import (
 // If the object is a non-answer, x is a universal head.
 func HeadTestQuestion(u boolean.Universe, x int) boolean.Set {
 	all := u.All()
-	return boolean.NewSet(all, all.Without(x))
+	return boolean.NewSet(all.Without(x), all) // ascending: 1^n is the largest tuple
 }
 
 // UniversalDependenceQuestion returns the question of Definition 3.1

@@ -64,6 +64,10 @@ type rpLearner struct {
 	// in carries the observability hooks (run.WithInstrumentation);
 	// its zero value is silent.
 	in instr
+	// pruneTuples' scratch, reused across calls: the question, the
+	// kept tuples it returns (valid until the next call), the
+	// candidate pool and the binary search's settled half.
+	buf, kept, pool, extra []boolean.Tuple
 }
 
 func (l *rpLearner) ask(s boolean.Set) bool {
@@ -223,10 +227,10 @@ func (l *rpLearner) findBodiesBatched(heads []int, headSet boolean.Tuple, out []
 	var (
 		asking []*bodySearch
 		points []boolean.Tuple
+		qs     []boolean.Set // no oracle retains a batch past AskAll
 	)
 	for {
-		asking, points = asking[:0], points[:0]
-		qs := make([]boolean.Set, 0, len(searches))
+		asking, points, qs = asking[:0], points[:0], qs[:0]
 		for _, s := range searches {
 			if t, ok := s.next(); ok {
 				asking = append(asking, s)
@@ -285,9 +289,10 @@ func (l *rpLearner) newBodySearch(h int, headSet boolean.Tuple) *bodySearch {
 	return &bodySearch{in: &l.in, h: h, all: all, free: free, pinned: pinned, top: free.Union(pinned)}
 }
 
-// question is the lattice question about point t.
+// question is the lattice question about point t. The tuples go in
+// ascending order: t never holds h, so t < s.all.
 func (s *bodySearch) question(t boolean.Tuple) boolean.Set {
-	return boolean.NewSet(s.all, t)
+	return boolean.NewSet(t, s.all)
 }
 
 // purpose annotates the question about point t.
@@ -364,27 +369,24 @@ func (s *bodySearch) answer(hasBody bool) {
 
 // bodyRoots enumerates the tuples obtained from top by setting false
 // exactly one variable from each body in found (the cartesian
-// product of the bodies), deduplicated.
+// product of the bodies), deduplicated, in descending order.
 func bodyRoots(top boolean.Tuple, found []boolean.Tuple) []boolean.Tuple {
-	roots := map[boolean.Tuple]bool{}
+	var roots []boolean.Tuple
 	var rec func(i int, excluded boolean.Tuple)
 	rec = func(i int, excluded boolean.Tuple) {
 		if i == len(found) {
-			roots[top.Minus(excluded)] = true
+			roots = append(roots, top.Minus(excluded))
 			return
 		}
-		for _, v := range found[i].Vars() {
-			rec(i+1, excluded.With(v))
+		for b := found[i]; b != 0; b &= b - 1 {
+			rec(i+1, excluded|(b&-b))
 		}
 	}
 	rec(0, 0)
-	out := make([]boolean.Tuple, 0, len(roots))
-	for r := range roots {
-		out = append(out, r)
-	}
-	slices.Sort(out)
-	slices.Reverse(out)
-	return out
+	slices.Sort(roots)
+	roots = slices.Compact(roots)
+	slices.Reverse(roots)
+	return roots
 }
 
 // findConjunctions runs the lattice descent of Algorithm 7 over the
@@ -421,9 +423,12 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 	}
 
 	frontier := []boolean.Tuple{l.u.All()}
-	var base []boolean.Tuple // reused: each question's base lives one iteration
+	// Reused across iterations: each question's base and children live
+	// one iteration; the dedupe set and the spent frontier's storage,
+	// which holds the next level, one level.
+	var base, children, next []boolean.Tuple
+	seen := map[boolean.Tuple]bool{}
 	for len(frontier) > 0 {
-		var next []boolean.Tuple
 		for i := 0; i < len(frontier); i++ {
 			t := frontier[i]
 			if dominatedByDiscovered(t) {
@@ -436,9 +441,9 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 			// Children that do not violate a universal Horn
 			// expression (the lattice of §3.2.2 with violating
 			// tuples removed).
-			var children []boolean.Tuple
-			for _, v := range t.Vars() {
-				c := t.Without(v)
+			children = children[:0]
+			for b := t; b != 0; b &= b - 1 {
+				c := t &^ (b & -b)
 				if !qU.Violates(c) {
 					children = append(children, c)
 				} else {
@@ -446,8 +451,10 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 				}
 			}
 			base = appendTuples(base[:0], discovered, frontier[i+1:], next)
+			asked := append(base, children...)
+			base = asked[:len(base)] // keep the capacity the append grew
 			notef(&l.in, "existential", conjunctionPurpose, t)
-			if l.ask(boolean.NewSet(append(base, children...)...)) {
+			if l.ask(boolean.NewSet(asked...)) {
 				kept := l.pruneTuples(children, base)
 				next = append(next, kept...)
 			} else {
@@ -456,7 +463,7 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 				discovered = append(discovered, t)
 			}
 		}
-		frontier = dedupeTuples(next)
+		frontier, next = dedupeTuples(next, seen), frontier[:0]
 	}
 	return discovered
 }
@@ -467,11 +474,10 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 // involved is universal-violation free.
 func (l *rpLearner) pruneTuples(cands []boolean.Tuple, base []boolean.Tuple) []boolean.Tuple {
 	defer l.in.begin("prune")()
-	var buf []boolean.Tuple
 	askWith := func(extra ...[]boolean.Tuple) bool {
 		l.in.note("existential", "which candidate tuples are needed to keep your query satisfied?")
-		buf = appendTuples(append(buf[:0], base...), extra...)
-		return l.ask(boolean.NewSet(buf...))
+		l.buf = appendTuples(append(l.buf[:0], base...), extra...)
+		return l.ask(boolean.NewSet(l.buf...))
 	}
 	if l.ablations.SerialPrune {
 		// The pre-optimization strategy of §3.2.2: try removing each
@@ -488,36 +494,37 @@ func (l *rpLearner) pruneTuples(cands []boolean.Tuple, base []boolean.Tuple) []b
 		}
 		return kept
 	}
-	var kept []boolean.Tuple
-	for !askWith(kept) {
+	l.kept = l.kept[:0]
+	for !askWith(l.kept) {
 		// The full candidate set restores the answer; binary-search
 		// one necessary tuple.
-		work := make([]boolean.Tuple, 0, len(cands))
+		l.pool = l.pool[:0]
 		for _, c := range cands {
-			if !containsTuple(kept, c) {
-				work = append(work, c)
+			if !containsTuple(l.kept, c) {
+				l.pool = append(l.pool, c)
 			}
 		}
+		work := l.pool
 		if len(work) == 0 {
 			// Only possible with an oracle inconsistent with every
 			// query in the class (e.g. a noisy user): the answer
 			// cannot be restored, so keep everything and move on.
 			return cands
 		}
-		var extra []boolean.Tuple
+		l.extra = l.extra[:0]
 		for len(work) > 1 {
 			half := work[:len(work)/2]
 			rest := work[len(work)/2:]
-			if askWith(kept, extra, half) {
+			if askWith(l.kept, l.extra, half) {
 				work = half
 			} else {
-				extra = append(extra, half...)
+				l.extra = append(l.extra, half...)
 				work = rest
 			}
 		}
-		kept = append(kept, work[0])
+		l.kept = append(l.kept, work[0])
 	}
-	return kept
+	return l.kept
 }
 
 func containsTuple(ts []boolean.Tuple, t boolean.Tuple) bool {
@@ -537,8 +544,10 @@ func appendTuples(dst []boolean.Tuple, groups ...[]boolean.Tuple) []boolean.Tupl
 	return dst
 }
 
-func dedupeTuples(ts []boolean.Tuple) []boolean.Tuple {
-	seen := map[boolean.Tuple]bool{}
+// dedupeTuples removes repeats from ts in place, keeping first
+// occurrences in order; seen is scratch, cleared first.
+func dedupeTuples(ts []boolean.Tuple, seen map[boolean.Tuple]bool) []boolean.Tuple {
+	clear(seen)
 	out := ts[:0]
 	for _, t := range ts {
 		if !seen[t] {

@@ -1,5 +1,7 @@
 package session
 
+import "slices"
+
 // index maps hashes to positions 0, 1, 2, … of an append-only list the
 // caller keeps (the history's entries, or AskBatch's sub-batch). It is
 // an open-addressed table probed linearly: slots is a power of two
@@ -15,6 +17,15 @@ type index struct {
 
 // minSlots is the table size the first add allocates.
 const minSlots = 64
+
+// historyBlock is the number of questions the history reserves room
+// for at its first record: entries, hashes and table slots in one go,
+// instead of growing each from empty. A role-preserving learn on 16–28
+// variables asks a median of about 255 questions (p10 about 105, p90
+// about 500); a longer session grows by doubling past the block. New
+// reserves nothing, and neither does AskBatch's in-batch index, so a
+// session pays nothing before its first question reaches the user.
+const historyBlock = 256
 
 // find returns the first position added under hash h for which eq
 // holds.
@@ -44,6 +55,15 @@ func (x *index) add(h uint64) int32 {
 		x.insert(p)
 	}
 	return p
+}
+
+// reserve readies an empty index for n positions, n a power of two:
+// room for their hashes, and a table they fill at most half.
+func (x *index) reserve(n int) {
+	x.hashes = slices.Grow(x.hashes, n)
+	if len(x.slots) < 2*n {
+		x.slots = make([]int32, 2*n)
+	}
 }
 
 // insert places position p in the first free slot of its probe

@@ -161,3 +161,132 @@ func TestForgetReasksAndKeepsViews(t *testing.T) {
 		}
 	}
 }
+
+// pairQuestions returns n distinct questions {i, i+1024} over an
+// 11-variable universe, answered by parityUser.
+func pairQuestions(n int) []boolean.Set {
+	qs := make([]boolean.Set, n)
+	for i := range qs {
+		qs[i] = boolean.NewSet(boolean.Tuple(i), boolean.Tuple(i+1024))
+	}
+	return qs
+}
+
+// parityUser answers a question by the parity of its smallest tuple.
+func parityUser() *oracle.Counter {
+	return oracle.Count(oracle.Func(func(q boolean.Set) bool { return q.Tuples()[0]%2 == 0 }), nil)
+}
+
+// TestHistoryCrossesReservedBlock: a history that outgrows the block
+// its first record reserves, through Ask and AskBatch with repeats,
+// keeps every question at its first-asked position, and a View taken
+// inside the block or at its edge never shows a later entry.
+func TestHistoryCrossesReservedBlock(t *testing.T) {
+	const n = 556 // the block, then six steps of 50
+	qs := pairQuestions(n)
+	c := parityUser()
+	s := session.New(c)
+	for _, q := range qs[:10] {
+		s.Ask(q)
+	}
+	view10, copy10 := s.View(), s.Entries()
+	s.AskBatch(append(qs[10:256:256], qs[3], qs[200]))
+	view256, copy256 := s.View(), s.Entries()
+	for i := 256; i < n; i += 50 {
+		if i%100 == 6 {
+			s.AskBatch(append(qs[i:i+50:i+50], qs[i-1], qs[i]))
+		} else {
+			for _, q := range qs[i : i+50] {
+				s.Ask(q)
+			}
+		}
+	}
+	if c.Questions != n || s.Len() != n {
+		t.Fatalf("user asked %d questions, history holds %d; want %d", c.Questions, s.Len(), n)
+	}
+	for i, q := range qs {
+		if got, ok := s.Index(q); !ok || got != i {
+			t.Fatalf("Index(question %d) = %d, %v; want %d", i, got, ok, i)
+		}
+		if a := s.Ask(q); a != (i%2 == 0) {
+			t.Fatalf("question %d answered %v from the record, want %v", i, a, !a)
+		}
+	}
+	if c.Questions != n {
+		t.Fatalf("re-asking the history reached the user %d times, want 0", c.Questions-n)
+	}
+	sameEntries(t, "view of 10 entries", view10, copy10)
+	sameEntries(t, "view of 256 entries", view256, copy256)
+}
+
+// TestForgetAllThenRecord: Forget(0) followed by new questions
+// re-reserves the history, whether or not it had outgrown its block,
+// and a View taken before Forget still shows the forgotten history.
+func TestForgetAllThenRecord(t *testing.T) {
+	for _, before := range []int{5, 300} {
+		qs := pairQuestions(before + 20)
+		c := parityUser()
+		s := session.New(c)
+		for _, q := range qs[:before] {
+			s.Ask(q)
+		}
+		view, old := s.View(), s.Entries()
+		if err := s.Forget(0); err != nil {
+			t.Fatal(err)
+		}
+		// Forgotten questions are asked again, in a new order.
+		again := append(append([]boolean.Set{}, qs[before:]...), qs[:before]...)
+		s.AskBatch(again[:10])
+		for _, q := range again[10:] {
+			s.Ask(q)
+		}
+		if c.Questions != 2*before+20 {
+			t.Fatalf("before=%d: user asked %d questions, want %d", before, c.Questions, 2*before+20)
+		}
+		for i, q := range again {
+			if got, ok := s.Index(q); !ok || got != i {
+				t.Fatalf("before=%d: Index(question %d) = %d, %v; want %d", before, i, got, ok, i)
+			}
+		}
+		sameEntries(t, "view taken before Forget(0)", view, old)
+	}
+}
+
+// TestDecodeSnapshotLargerThanBlock: a snapshot of more questions than
+// the reserved block decodes to the same history, replays every
+// question for free and records the next new question after it.
+func TestDecodeSnapshotLargerThanBlock(t *testing.T) {
+	const n = 300
+	u := boolean.MustUniverse(11)
+	qs := pairQuestions(n + 1)
+	s := session.New(parityUser())
+	for _, q := range qs[:n] {
+		s.Ask(q)
+	}
+	if err := s.AmendAll([]int{0, 255, 256, n - 1}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := s.EncodeJSON(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := parityUser()
+	d, _, err := session.DecodeJSON(data, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameEntries(t, "decoded history", d.Entries(), s.Entries())
+	for i, q := range qs[:n] {
+		d.Ask(q)
+		if got, ok := d.Index(q); !ok || got != i {
+			t.Fatalf("Index(question %d) = %d, %v; want %d", i, got, ok, i)
+		}
+	}
+	if c.Questions != 0 {
+		t.Fatalf("replaying the decoded history asked the user %d times, want 0", c.Questions)
+	}
+	d.Ask(qs[n])
+	if got, ok := d.Index(qs[n]); c.Questions != 1 || !ok || got != n {
+		t.Fatalf("new question after the snapshot: %d user questions, Index %d, %v; want 1, %d", c.Questions, got, ok, n)
+	}
+}

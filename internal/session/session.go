@@ -22,7 +22,9 @@
 // reinserts positions without hashing again. Lookups hash through a
 // reused scratch buffer, and recording a question allocates only when
 // a slice or the table grows: no per-question key is ever built. The
-// hex wire key (Set.Key) is never built here.
+// first record reserves entries, hashes and table for a typical
+// session at once (historyBlock). The hex wire key (Set.Key) is never
+// built here.
 //
 // A Session is NOT concurrency-safe: its history serializes the
 // amendment protocol, so it must never sit inside a worker pool
@@ -101,8 +103,14 @@ func (s *Session) find(h uint64, q boolean.Set) (int32, bool) {
 	return s.history.find(h, func(i int32) bool { return s.entries[i].Question.Equal(q) })
 }
 
-// record appends a new history entry whose question hashes to h.
+// record appends a new history entry whose question hashes to h. The
+// first record — and the first after Forget(0) — reserves the
+// historyBlock.
 func (s *Session) record(h uint64, e Entry) {
+	if cap(s.entries) == 0 {
+		s.entries = make([]Entry, 0, historyBlock)
+		s.history.reserve(historyBlock)
+	}
 	s.history.add(h)
 	s.entries = append(s.entries, e)
 }
