@@ -26,9 +26,8 @@ import (
 var guardedDirs = []string{".", "internal/learn", "internal/verify", "internal/oracle", "internal/run"}
 
 var (
-	// variantName matches a variant suffix on some base name; the bare
-	// oracle.Parallel pool constructor is the mechanism itself, not a
-	// variant.
+	// variantName matches a variant suffix on some base name; a bare
+	// mechanism name with no base before the suffix is not a variant.
 	variantName = regexp.MustCompile(`^.+(Observed|Traced|Parallel)`)
 	// twinName matches a registry twin (CountInto beside Count).
 	twinName = regexp.MustCompile(`.Into$`)
@@ -56,7 +55,7 @@ func variantExports(t *testing.T, dir string) []string {
 				if !ok || !fn.Name.IsExported() {
 					continue
 				}
-				// Option constructors (WithParallel, …) are the
+				// Option constructors (With…Parallel, …) are the
 				// sanctioned mechanism the guard steers toward; a twin
 				// is never sanctioned (WithBudgetInto beside WithBudget).
 				name := fn.Name.Name

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/brute"
@@ -448,67 +447,6 @@ func BenchmarkClassify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		q.Classify()
 	}
-}
-
-// The parallel batched question engine against a user with
-// per-answer latency, serial vs batched at growing worker counts
-// (docs/PARALLELISM.md).
-func BenchmarkLearnParallel(b *testing.B) {
-	const n = 10
-	delay := 100 * time.Microsecond
-	rng := rand.New(rand.NewSource(22))
-	target := query.GenRolePreserving(rng, n, query.RPOptions{
-		Heads: 3, BodiesPerHead: 2, MaxBodySize: 3, Conjs: 2, MaxConjSize: 4,
-	})
-	slow := oracle.Func(func(s boolean.Set) bool {
-		time.Sleep(delay)
-		return target.Eval(s)
-	})
-	b.Run("serial", func(b *testing.B) {
-		questions := 0
-		for i := 0; i < b.N; i++ {
-			_, st := learn.RolePreserving(target.U, slow)
-			questions = st.Total()
-		}
-		b.ReportMetric(float64(questions), "questions/op")
-	})
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			pool := oracle.Parallel(slow, workers, nil)
-			questions := 0
-			for i := 0; i < b.N; i++ {
-				_, st := learn.Run(target.U, pool, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
-				questions = st.Total()
-			}
-			b.ReportMetric(float64(questions), "questions/op")
-		})
-	}
-}
-
-// The batched verifier against the same latency-simulating user.
-func BenchmarkVerifyParallel(b *testing.B) {
-	u := boolean.MustUniverse(6)
-	target := query.MustParse(u,
-		"∀x1x4 → x5 ∀x3x4 → x5 ∃x1x2x3 ∃x2x3x4")
-	slow := oracle.Func(func(s boolean.Set) bool {
-		time.Sleep(100 * time.Microsecond)
-		return target.Eval(s)
-	})
-	vs, err := verify.Build(target)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			vs.Run(slow)
-		}
-	})
-	b.Run("workers=8", func(b *testing.B) {
-		pool := oracle.Parallel(slow, 8, nil)
-		for i := 0; i < b.N; i++ {
-			vs.RunWith(pool, run.WithBatch())
-		}
-	})
 }
 
 // Indexed vs direct execution over a 1000-box store.

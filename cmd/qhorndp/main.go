@@ -177,18 +177,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 
 	// Learning mode. The run engine composes every flag-driven option
-	// (engine.FromFlags) — except the worker pool: the amendable session
-	// history of §5 replays answers from a serialized transcript and is
-	// not concurrency-safe, so -parallel falls back to the engine's
-	// batch structure over a serial oracle (identical questions,
-	// identical counts).
-	engineFlags := *obsFlags
-	engineFlags.Parallel = 0
-	opts := engine.FromFlags(&engineFlags, session)
-	if obsFlags.Parallel > 0 {
-		fmt.Fprintln(w, "parallel unavailable for amendable history: running serial")
-		opts = append(opts, engine.WithBatch())
-	}
+	// (engine.FromFlags).
+	opts := engine.FromFlags(obsFlags, session)
 	cl, err := engine.ParseAlgorithm(*class)
 	if err != nil {
 		return fail(err)

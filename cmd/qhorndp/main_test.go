@@ -87,29 +87,6 @@ func TestInteractiveSession(t *testing.T) {
 	}
 }
 
-// TestParallelFallsBackToSerial: -parallel cannot wrap a worker pool
-// around the amendable session history, so the driver must say so
-// explicitly — not silently degrade — and still learn correctly
-// through the engine's serial batch structure.
-func TestParallelFallsBackToSerial(t *testing.T) {
-	out, _, code := runCLI(t, "", "-simulate", "Ax1 Ex2x3", "-parallel", "4")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	if !strings.Contains(out, "parallel unavailable for amendable history: running serial") {
-		t.Errorf("missing serial-fallback notice:\n%s", out)
-	}
-	if !strings.Contains(out, "equivalent to intent: true") {
-		t.Errorf("parallel fallback session did not learn the intent:\n%s", out)
-	}
-
-	// Without -parallel the notice must not appear.
-	out, _, code = runCLI(t, "", "-simulate", "Ax1 Ex2x3")
-	if code != 0 || strings.Contains(out, "parallel unavailable") {
-		t.Errorf("serial session printed the fallback notice (exit %d):\n%s", code, out)
-	}
-}
-
 func TestUnknownClass(t *testing.T) {
 	_, errb, code := runCLI(t, "", "-simulate", "Ex1", "-class", "zzz")
 	if code != 1 || !strings.Contains(errb, "unknown class") {

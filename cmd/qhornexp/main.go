@@ -52,12 +52,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	// -parallel comes with the shared observability flags, but no
-	// experiment takes its worker count from the command line.
-	if obsFlags.Parallel > 0 {
-		fmt.Fprintln(stderr, "qhornexp: -parallel is not supported (no experiment runs a configurable worker pool)")
-		return 2
-	}
 	if *format != "text" && *format != "markdown" && *format != "csv" {
 		fmt.Fprintf(stderr, "qhornexp: unknown format %q (want text, markdown or csv)\n", *format)
 		return 2

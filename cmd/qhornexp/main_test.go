@@ -86,10 +86,10 @@ func TestBadFlag(t *testing.T) {
 	if code == 0 {
 		t.Error("bad flag accepted")
 	}
-	// No experiment reads -parallel, so asking for workers is a usage
-	// error rather than a silently serial run.
+	// The shared flag bundle has no worker count: -parallel is an
+	// unknown flag, not a silently serial run.
 	_, errb, code := runCLI(t, "-exp", "fig7", "-parallel", "4")
-	if code != 2 || !strings.Contains(errb, "-parallel") {
+	if code != 2 || !strings.Contains(errb, "flag provided but not defined: -parallel") {
 		t.Errorf("-parallel 4 accepted (exit %d, %q)", code, errb)
 	}
 }

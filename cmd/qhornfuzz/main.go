@@ -28,7 +28,6 @@ import (
 	"qhorn/internal/difffuzz"
 	"qhorn/internal/obs"
 	"qhorn/internal/query"
-	engine "qhorn/internal/run"
 )
 
 func main() {
@@ -76,7 +75,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	defer session.Close()
 
 	var opt difffuzz.Options
-	opt.Parallel = engine.New(engine.FromFlags(obsFlags, session)...).Workers
 	opt.EngineMatrix = *matrix
 	opt.BruteVars = *bruteN
 	opt.BruteSampleVars = *bruteSampleN

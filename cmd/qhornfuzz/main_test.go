@@ -50,6 +50,32 @@ func TestMatrixJudge(t *testing.T) {
 	}
 }
 
+// TestFuzzTotals pins the question totals of the deterministic fuzz
+// run that CI executes, serially and with the options matrix. The
+// learners' question streams are bit-identical across changes that
+// keep the paper's algorithms, so any move in these totals means a
+// learner, the verifier or a judge now asks differently.
+func TestFuzzTotals(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		args      []string
+		questions string
+	}{
+		{"serial", nil, "membership questions: 29084\n"},
+		{"matrix", []string{"-matrix"}, "membership questions: 102039\n"},
+	} {
+		out, errb, code := runCLI(t, append([]string{"-runs", "500", "-seed", "1", "-q"}, tc.args...)...)
+		if code != 0 {
+			t.Fatalf("%s: exit %d:\n%s%s", tc.name, code, out, errb)
+		}
+		for _, want := range []string{tc.questions, "disagreements: 0"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: output missing %q:\n%s", tc.name, want, out)
+			}
+		}
+	}
+}
+
 // TestUsageErrors: bad flags and classes exit 2.
 func TestUsageErrors(t *testing.T) {
 	if _, _, code := runCLI(t, "-class", "bogus"); code != 2 {

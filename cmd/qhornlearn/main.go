@@ -205,20 +205,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			return inner.Ask(s)
 		})
 	}
-	// -parallel: answer independent questions concurrently. Only a
-	// simulated user is concurrency-safe — interactive prompts would
-	// interleave — so the flag requires -simulate. The engine assembles
-	// the worker pool itself (run.WithParallel via engine.FromFlags).
-	if obsFlags.Parallel > 0 {
-		if *simulate == "" {
-			return fail(fmt.Errorf("-parallel requires -simulate (an interactive user cannot answer concurrently)"))
-		}
-		fmt.Fprintf(stdout, "Answering independent questions with %d concurrent workers\n", obsFlags.Parallel)
-	}
-
 	// Learn through the run engine with full observability (spans,
 	// metrics, -explain): one option list composes the algorithm, the
-	// counter, the pool and the hooks.
+	// counter and the hooks.
 	alg, err := engine.ParseAlgorithm(*class)
 	if err != nil {
 		return fail(err)

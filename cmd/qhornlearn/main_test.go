@@ -255,25 +255,3 @@ func TestTraceOutWritesJSONL(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelSimulatedSession(t *testing.T) {
-	for _, class := range []string{"qhorn1", "rp"} {
-		out, _, code := runCLI(t, "", "-class", class, "-parallel", "4",
-			"-simulate", "Ax1x2 -> x4 Ex5x6")
-		if code != 0 {
-			t.Fatalf("class %s: exit %d:\n%s", class, code, out)
-		}
-		for _, want := range []string{"4 concurrent workers", "Learned ("} {
-			if !strings.Contains(out, want) {
-				t.Errorf("class %s: output missing %q:\n%s", class, want, out)
-			}
-		}
-	}
-}
-
-func TestParallelRequiresSimulate(t *testing.T) {
-	_, errOut, code := runCLI(t, "y\ny\n", "-parallel", "4")
-	if code == 0 || !strings.Contains(errOut, "-parallel requires -simulate") {
-		t.Fatalf("exit %d, stderr %q", code, errOut)
-	}
-}

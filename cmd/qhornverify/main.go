@@ -100,23 +100,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	default:
 		return 0
 	}
-	// -parallel: the verification questions are mutually independent,
-	// so a simulated user answers the whole set as one concurrent
-	// batch. Interactive users (-ask) stay serial, and -first is
-	// inherently sequential, so it wins over -parallel. The run engine
-	// assembles the counter, the pool and the hooks from the flags.
-	if obsFlags.Parallel > 0 && *intended == "" {
-		return fail(stderr, fmt.Errorf("-parallel requires -intended (an interactive user cannot answer concurrently)"))
-	}
-	engineFlags := *obsFlags
-	if *first {
-		engineFlags.Parallel = 0
-	}
-	opts := engine.FromFlags(&engineFlags, session)
+	// The run engine assembles the counter and the hooks from the
+	// flags.
+	opts := engine.FromFlags(obsFlags, session)
 	if *first {
 		opts = append(opts, engine.WithFirstDisagreement())
-	} else if obsFlags.Parallel > 0 {
-		fmt.Fprintf(stdout, "Answering the verification set with %d concurrent workers\n", obsFlags.Parallel)
 	}
 	res := vs.RunWith(user, opts...)
 	if res.Correct {

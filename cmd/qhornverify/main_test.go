@@ -113,29 +113,3 @@ func TestVerifyTraceAndMetrics(t *testing.T) {
 		t.Errorf("exposition missing oracle question counter:\n%s", out)
 	}
 }
-
-func TestParallelVerification(t *testing.T) {
-	out, _, code := runCLI(t, "", "-n", "6", "-query", "Ax1x4 -> x5 Ex2x3",
-		"-intended", "Ax1x4 -> x5 Ex2x3", "-parallel", "8")
-	if code != 0 {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-	for _, want := range []string{"8 concurrent workers", "VERIFIED"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
-	}
-	// A wrong query must still report its disagreements batched.
-	out, _, code = runCLI(t, "", "-n", "6", "-query", "Ax1x4 -> x5 Ex2x3",
-		"-intended", "Ex2x3", "-parallel", "8")
-	if code != 1 || !strings.Contains(out, "INCORRECT") {
-		t.Fatalf("exit %d:\n%s", code, out)
-	}
-}
-
-func TestParallelRequiresIntended(t *testing.T) {
-	_, errOut, code := runCLI(t, "y\n", "-n", "6", "-query", "Ex2x3", "-ask", "-parallel", "4")
-	if code != 1 || !strings.Contains(errOut, "-parallel requires -intended") {
-		t.Fatalf("exit %d, stderr %q", code, errOut)
-	}
-}

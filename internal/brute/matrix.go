@@ -2,6 +2,7 @@ package brute
 
 import (
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +37,8 @@ import (
 // MatrixOptions tunes NewMatrix. The zero value is the default
 // configuration: sliced build, one worker per CPU, no metrics.
 type MatrixOptions struct {
-	// Workers sizes the build worker pool; <= 0 selects
-	// oracle.DefaultWorkers, the PR-3 engine's sizing.
+	// Workers sizes the build worker pool; <= 0 selects one worker
+	// per CPU (runtime.GOMAXPROCS).
 	Workers int
 	// Scalar builds rows through the per-candidate compiled kernel
 	// (the PR-5 path) instead of the bit-sliced slab kernel. The rows
@@ -99,7 +100,7 @@ func NewMatrix(candidates []query.Query, pool []boolean.Set, opt MatrixOptions) 
 	poolWords := bitvec.Words(len(pool))
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = oracle.DefaultWorkers()
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > words {
 		workers = words

@@ -120,10 +120,9 @@ func (s *System) oracleFor(u User) oracle.Oracle {
 }
 
 // Learn runs the chosen learner against the user and returns the
-// exact query. Additional engine options compose onto the run — but
-// note the session constraint below: the amendable history is not
-// concurrency-safe, so run.WithParallel must not be passed here (use
-// run.WithBatch for the serial-degradation batch structure).
+// exact query. Additional engine options compose onto the run, such as
+// run.WithBatch for the batch question structure; the amendable
+// history answers one batch at a time from one goroutine.
 func (s *System) Learn(class Class, u User, opts ...run.Option) (query.Query, error) {
 	switch class {
 	case Qhorn1, RolePreserving:
@@ -133,16 +132,6 @@ func (s *System) Learn(class Class, u User, opts ...run.Option) (query.Query, er
 	all := append([]run.Option{run.WithAlgorithm(class)}, opts...)
 	q, _ := learn.Run(s.Universe(), s.oracleFor(u), all...)
 	return q, nil
-}
-
-// LearnParallel is Learn through the batch-structured learners of the
-// parallel question engine (docs/PARALLELISM.md). The DataPlay session
-// answers questions one at a time regardless — the amendment protocol
-// of §5 needs a serialized transcript to replay — so the engine's
-// serial-degradation path is exercised: identical questions, identical
-// counts, no concurrency against the session.
-func (s *System) LearnParallel(class Class, u User) (query.Query, error) {
-	return s.Learn(class, u, run.WithBatch())
 }
 
 // VerifyQuery runs the §4 verification set against the user.

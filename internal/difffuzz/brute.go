@@ -27,14 +27,13 @@ const (
 var bruteMatrixCache sync.Map
 
 // bruteMatrixFor returns the process-cached exhaustive answer matrix
-// for u, built with the options' worker count (the rows do not depend
-// on it). Concurrent callers may race to build; the winner's matrix is
+// for u. Concurrent callers may race to build; the winner's matrix is
 // shared.
-func bruteMatrixFor(u boolean.Universe, opt Options) *brute.Matrix {
+func bruteMatrixFor(u boolean.Universe) *brute.Matrix {
 	if m, ok := bruteMatrixCache.Load(u.N()); ok {
 		return m.(*brute.Matrix)
 	}
-	m := brute.NewMatrix(query.AllQueries(u), boolean.AllObjects(u), brute.MatrixOptions{Workers: opt.Parallel})
+	m := brute.NewMatrix(query.AllQueries(u), boolean.AllObjects(u), brute.MatrixOptions{})
 	prev, _ := bruteMatrixCache.LoadOrStore(u.N(), m)
 	return prev.(*brute.Matrix)
 }
@@ -65,7 +64,7 @@ func judgeBruteSampled(res *CaseResult, c Case, opt Options, fail func(kind Kind
 		candidates = append(candidates, nf)
 	}
 	pool := boolean.SampleObjects(srng, u, bruteSampleObjects)
-	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Workers: opt.Parallel})
+	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
 	bres, err := m.Learn(oracle.Target(c.Hidden))
 	switch {
 	case err == brute.ErrAmbiguous:

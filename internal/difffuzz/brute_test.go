@@ -62,18 +62,15 @@ func TestBruteJudgeDisabled(t *testing.T) {
 }
 
 // TestBruteMatrixForCached: the exhaustive judge's matrix is built once
-// per universe and shared by later calls, whatever their worker count.
+// per universe and shared by later calls.
 func TestBruteMatrixForCached(t *testing.T) {
 	u := boolean.MustUniverse(3)
-	m1 := bruteMatrixFor(u, Options{}.withDefaults())
-	m2 := bruteMatrixFor(u, Options{}.withDefaults())
+	m1 := bruteMatrixFor(u)
+	m2 := bruteMatrixFor(u)
 	if m1 != m2 {
 		t.Error("bruteMatrixFor rebuilt a cached matrix")
 	}
-	if m3 := bruteMatrixFor(u, Options{Parallel: 4}.withDefaults()); m3 != m1 {
-		t.Error("a different worker count rebuilt the cached matrix")
-	}
-	if m4 := bruteMatrixFor(boolean.MustUniverse(2), Options{}.withDefaults()); m4 == m1 {
+	if m4 := bruteMatrixFor(boolean.MustUniverse(2)); m4 == m1 {
 		t.Error("distinct universes share one cache entry")
 	}
 }

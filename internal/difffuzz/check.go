@@ -9,7 +9,6 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
-	"qhorn/internal/run"
 	"qhorn/internal/verify"
 )
 
@@ -45,20 +44,14 @@ type Options struct {
 	// Tests use it to inject known bugs and prove the engine detects
 	// and the minimizer shrinks them.
 	Warp func(query.Query) query.Query
-	// Parallel, when positive, adds the parallel-engine judge: the
-	// batched learners and verifier run through an oracle.Parallel
-	// pool of this many workers and must reproduce the serial path
-	// exactly — an equivalent query with an identical question count,
-	// and an identical verification result (docs/PARALLELISM.md).
-	Parallel int
 	// EngineMatrix adds the run-engine options-matrix judge: every
-	// meaningful option combination (batch, parallel×{2,8}, budget,
-	// memo, counter, instrumentation) re-runs the case through
-	// learn.Run / verify.RunWith and must reproduce the plain serial
-	// run — identical per-phase stats, and an identical ordered
-	// question stream for non-batching options or identical question
-	// multiset for the batched ones, whose waves interleave
-	// independent streams (docs/ENGINE.md).
+	// meaningful option combination (batch, budget, counter,
+	// instrumentation) re-runs the case through learn.Run /
+	// verify.RunWith and must reproduce the plain serial run —
+	// identical per-phase stats, and an identical ordered question
+	// stream for non-batching options or identical question multiset
+	// and an equivalent learned query for the batched one, whose waves
+	// interleave independent streams (docs/ENGINE.md).
 	EngineMatrix bool
 }
 
@@ -125,7 +118,6 @@ func checkLearn(c Case, opt Options) CaseResult {
 		q, st := learn.RolePreserving(u, counter)
 		learned, asked = q, st.Total()
 	}
-	serial := learned // pre-warp output, the parallel judge's reference
 	if opt.Warp != nil {
 		learned = opt.Warp(learned)
 	}
@@ -190,29 +182,6 @@ func checkLearn(c Case, opt Options) CaseResult {
 		}
 	}
 
-	// Judge 6: the parallel batched learner must reproduce the serial
-	// path exactly — an equivalent query learned with an identical
-	// question count (the determinism contract of the batch engine,
-	// docs/PARALLELISM.md).
-	if opt.Parallel > 0 {
-		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel, nil)
-		alg := run.RolePreserving
-		if c.Class == ClassQhorn1 {
-			alg = run.Qhorn1
-		}
-		plearned, pst := learn.Run(u, pool, run.WithAlgorithm(alg), run.WithBatch())
-		pasked := pst.Total()
-		res.Questions += pasked
-		if pasked != asked {
-			fail(KindParallel, Witness{}, false,
-				"parallel learner asked %d questions, serial asked %d", pasked, asked)
-		}
-		if w, found := SemanticWitness(plearned, serial, opt); found {
-			fail(KindParallel, w, true,
-				"parallel learner's %s is not equivalent to serial %s", plearned, serial)
-		}
-	}
-
 	// Judge 7: the brute-force elimination learner. Universes up to
 	// BruteVars get the exhaustive check — every role-preserving query
 	// eliminated over every object, through a process-cached answer
@@ -223,7 +192,7 @@ func checkLearn(c Case, opt Options) CaseResult {
 	switch {
 	case opt.BruteVars > 0 && u.N() <= opt.BruteVars:
 		res.BruteChecked = true
-		bres, err := bruteMatrixFor(u, opt).Learn(oracle.Target(c.Hidden))
+		bres, err := bruteMatrixFor(u).Learn(oracle.Target(c.Hidden))
 		if err != nil {
 			fail(KindBrute, Witness{}, false, "brute.Learn: %v", err)
 		} else {
@@ -247,7 +216,7 @@ func checkLearn(c Case, opt Options) CaseResult {
 	// must reproduce the plain serial engine run bit for bit
 	// (docs/ENGINE.md).
 	if opt.EngineMatrix {
-		judgeEngineMatrixLearn(c, &res)
+		judgeEngineMatrixLearn(c, opt, &res)
 	}
 	return res
 }
@@ -281,33 +250,6 @@ func checkVerify(c Case, opt Options) CaseResult {
 	}
 	vres := vs.Run(oracle.Target(c.Hidden))
 	res.Questions += vres.QuestionsAsked
-
-	// Parallel-engine judge: running the same set as one batch must
-	// reproduce the serial run bit for bit — verdict, question count,
-	// and the disagreement list in set order.
-	if opt.Parallel > 0 {
-		pool := oracle.Parallel(oracle.Target(c.Hidden), opt.Parallel, nil)
-		pres := vs.RunWith(pool, run.WithBatch())
-		res.Questions += pres.QuestionsAsked
-		switch {
-		case pres.Correct != vres.Correct || pres.QuestionsAsked != vres.QuestionsAsked:
-			fail(KindParallel, Witness{}, false,
-				"parallel verify (correct=%v, %d questions) differs from serial (correct=%v, %d questions)",
-				pres.Correct, pres.QuestionsAsked, vres.Correct, vres.QuestionsAsked)
-		case len(pres.Disagreements) != len(vres.Disagreements):
-			fail(KindParallel, Witness{}, false,
-				"parallel verify found %d disagreements, serial found %d",
-				len(pres.Disagreements), len(vres.Disagreements))
-		default:
-			for i := range pres.Disagreements {
-				if !pres.Disagreements[i].Question.Set.Equal(vres.Disagreements[i].Question.Set) {
-					fail(KindParallel, pres.Disagreements[i].Question.Set, true,
-						"parallel verify disagreement %d differs from serial", i)
-					break
-				}
-			}
-		}
-	}
 
 	// Options-matrix judge: the same set through every engine option
 	// combination must reproduce the serial result and question stream

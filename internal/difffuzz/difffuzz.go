@@ -93,15 +93,11 @@ const (
 	// KindBudget: the learner exceeded twice its advertised question
 	// bound (learn.EstimateQhorn1 / learn.EstimateRolePreserving).
 	KindBudget Kind = "budget"
-	// KindParallel: the parallel batched learner (or verifier run)
-	// broke the engine's determinism contract — a different query, a
-	// different question count, or a different verification verdict
-	// than the serial path (docs/PARALLELISM.md).
-	KindParallel Kind = "parallel"
-	// KindEngine: a run-engine option combination (batch, worker pool,
-	// budget, memo, counter, instrumentation) failed to reproduce the
-	// plain serial run — different questions or different per-phase
-	// stats (docs/ENGINE.md).
+	// KindEngine: a run-engine option combination (batch, budget,
+	// counter, instrumentation) failed to reproduce the plain serial
+	// run — different questions, different per-phase stats, or (batch)
+	// a learned query not equivalent to the serial one
+	// (docs/ENGINE.md).
 	KindEngine Kind = "engine"
 	// KindKernel: the compiled evaluation kernel (query.Compile)
 	// classified an object differently from the interpreted Query.Eval

@@ -1,15 +1,15 @@
 package difffuzz
 
 // The run-engine options-matrix judge (Options.EngineMatrix): the
-// engine's contract is that cross-cutting options — batching, worker
-// pools, budgets, counters, instrumentation — never
-// change WHAT is asked, only how the asking is arranged. This judge
-// replays a case's learning run and verification run under every
-// meaningful option combination and compares the question stream
-// (phase, question, answer) and the per-phase stats against the plain
-// serial reference — in exact order for non-batching options, as a
-// multiset for the batched ones. Any difference is a KindEngine
-// disagreement.
+// engine's contract is that cross-cutting options — batching, budgets,
+// counters, instrumentation — never change WHAT is asked, only how the
+// asking is arranged. This judge replays a case's learning run and
+// verification run under every meaningful option combination and
+// compares the question stream (phase, question, answer) and the
+// per-phase stats against the plain serial reference — in exact order
+// for non-batching options, as a multiset for the batched one, whose
+// learned query must also be equivalent to the serial one. Any
+// difference is a KindEngine disagreement.
 
 import (
 	"fmt"
@@ -18,6 +18,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
+	"qhorn/internal/query"
 	"qhorn/internal/run"
 	"qhorn/internal/verify"
 )
@@ -55,8 +56,8 @@ func stepsDiff(ref, got []engineStep) string {
 // sortSteps returns the stream in canonical order for the
 // order-insensitive comparison the batched combinations get: batching
 // interleaves independent per-head question streams into waves
-// (docs/PARALLELISM.md), so the multiset of questions is the
-// invariant, not the global order.
+// (docs/ENGINE.md), so the multiset of questions is the invariant, not
+// the global order.
 func sortSteps(steps []engineStep) []engineStep {
 	out := append([]engineStep(nil), steps...)
 	sort.Slice(out, func(i, j int) bool {
@@ -71,11 +72,11 @@ func sortSteps(steps []engineStep) []engineStep {
 	return out
 }
 
-// engineCombo is one cell of the options matrix. Combinations that
-// batch (WithBatch, WithParallel) interleave independent question
-// streams into waves, so they are held to the order-insensitive half
-// of the contract — identical question multiset and stats — while the
-// rest must reproduce the serial stream in order.
+// engineCombo is one cell of the options matrix. The batch
+// combination interleaves independent question streams into waves, so
+// it is held to the order-insensitive half of the contract — identical
+// question multiset and stats, and an equivalent learned query — while
+// the rest must reproduce the serial stream in order.
 type engineCombo struct {
 	name     string
 	opts     []run.Option
@@ -88,8 +89,6 @@ type engineCombo struct {
 func engineCombos(budget int) []engineCombo {
 	return []engineCombo{
 		{"batch", []run.Option{run.WithBatch()}, true},
-		{"parallel-2", []run.Option{run.WithParallel(2)}, true},
-		{"parallel-8", []run.Option{run.WithParallel(8)}, true},
 		{"budget", []run.Option{run.WithBudget(budget)}, false},
 		{"counter", []run.Option{run.WithCounter()}, false},
 		{"observed", []run.Option{run.WithInstrumentation(run.Instrumentation{
@@ -102,19 +101,19 @@ func engineCombos(budget int) []engineCombo {
 // judgeEngineMatrixLearn re-learns the hidden query through every
 // option combination and reports each one that breaks the bit-identity
 // contract against the plain serial engine run.
-func judgeEngineMatrixLearn(c Case, res *CaseResult) {
+func judgeEngineMatrixLearn(c Case, opt Options, res *CaseResult) {
 	u := c.Hidden.U
 	alg := run.Qhorn1
 	if c.Class == ClassRP {
 		alg = run.RolePreserving
 	}
-	collect := func(extra ...run.Option) ([]engineStep, run.Stats) {
+	collect := func(extra ...run.Option) ([]engineStep, run.Stats, query.Query) {
 		var steps []engineStep
 		opts := append([]run.Option{run.WithAlgorithm(alg), recordSteps(&steps)}, extra...)
-		_, st := learn.Run(u, oracle.Target(c.Hidden), opts...)
-		return steps, st
+		q, st := learn.Run(u, oracle.Target(c.Hidden), opts...)
+		return steps, st, q
 	}
-	refSteps, refStats := collect()
+	refSteps, refStats, refQuery := collect()
 	res.Questions += refStats.Total()
 
 	fail := func(name, format string, args ...interface{}) {
@@ -124,7 +123,7 @@ func judgeEngineMatrixLearn(c Case, res *CaseResult) {
 		})
 	}
 	for _, combo := range engineCombos(refStats.Total()) {
-		steps, stats := collect(combo.opts...)
+		steps, stats, learned := collect(combo.opts...)
 		res.Questions += stats.Total()
 		if stats != refStats {
 			fail(combo.name, "stats %+v differ from serial %+v", stats, refStats)
@@ -132,6 +131,9 @@ func judgeEngineMatrixLearn(c Case, res *CaseResult) {
 		ref := refSteps
 		if combo.reorders {
 			ref, steps = sortSteps(ref), sortSteps(steps)
+			if _, found := SemanticWitness(learned, refQuery, opt); found {
+				fail(combo.name, "learned %s, not equivalent to serial %s", learned, refQuery)
+			}
 		}
 		if d := stepsDiff(ref, steps); d != "" {
 			fail(combo.name, "question stream diverged: %s", d)

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/difffuzz"
@@ -18,45 +16,43 @@ import (
 	"qhorn/internal/session"
 )
 
-// runSerialAndParallel learns target with both the serial and the
-// batched learner and returns the two counters for comparison. The
-// parallel learner asks through an oracle.Parallel pool so batches
-// really are answered concurrently.
-func runSerialAndParallel(t *testing.T, target query.Query, workers int,
+// runSerialAndBatched learns target with both the serial and the
+// batched learner and compares the results and the two counters. The
+// batched learner asks a plain counting oracle, so its batches go
+// through oracle.AskAll's serial fallback.
+func runSerialAndBatched(t *testing.T, target query.Query,
 	serial func(o oracle.Oracle) (query.Query, int),
-	parallel func(o oracle.Oracle) (query.Query, int)) (sc, pc *oracle.Counter) {
+	batched func(o oracle.Oracle) (query.Query, int)) {
 	t.Helper()
-	sc = oracle.Count(oracle.Target(target), nil)
+	sc := oracle.Count(oracle.Target(target), nil)
 	sq, st := serial(sc)
-	pc = oracle.Count(oracle.Target(target), nil)
-	pq, pt := parallel(oracle.Parallel(pc, workers, nil))
+	bc := oracle.Count(oracle.Target(target), nil)
+	bq, bt := batched(bc)
 	if !sq.Equivalent(target) {
 		t.Errorf("serial learner got %s, not equivalent to %s", sq, target)
 	}
-	if !pq.Equivalent(sq) {
-		t.Errorf("parallel learner got %s, serial got %s (target %s)", pq, sq, target)
+	if !bq.Equivalent(sq) {
+		t.Errorf("batched learner got %s, serial got %s (target %s)", bq, sq, target)
 	}
-	if st != pt {
-		t.Errorf("per-phase stats diverge for %s: serial total %d, parallel total %d", target, st, pt)
+	if st != bt {
+		t.Errorf("per-phase stats diverge for %s: serial total %d, batched total %d", target, st, bt)
 	}
-	if sc.Questions != pc.Questions || sc.Tuples != pc.Tuples || sc.MaxTuples != pc.MaxTuples {
-		t.Errorf("oracle accounting diverges for %s: serial (%d, %d, %d), parallel (%d, %d, %d)",
-			target, sc.Questions, sc.Tuples, sc.MaxTuples, pc.Questions, pc.Tuples, pc.MaxTuples)
+	if sc.Questions != bc.Questions || sc.Tuples != bc.Tuples || sc.MaxTuples != bc.MaxTuples {
+		t.Errorf("oracle accounting diverges for %s: serial (%d, %d, %d), batched (%d, %d, %d)",
+			target, sc.Questions, sc.Tuples, sc.MaxTuples, bc.Questions, bc.Tuples, bc.MaxTuples)
 	}
-	return sc, pc
 }
 
-// TestQhorn1ParallelMatchesSerial pins the engine's determinism
-// contract for qhorn-1 (docs/PARALLELISM.md): on seeded random
-// targets, the batched learner returns an equivalent query with
-// identical per-phase question counts and identical oracle-side
-// question/tuple accounting.
-func TestQhorn1ParallelMatchesSerial(t *testing.T) {
+// TestQhorn1BatchMatchesSerial pins the engine's determinism contract
+// for qhorn-1 (docs/ENGINE.md): on seeded random targets, the batched
+// learner returns an equivalent query with identical per-phase
+// question counts and identical oracle-side question/tuple accounting.
+func TestQhorn1BatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for i := 0; i < 60; i++ {
 		c := difffuzz.GenCase(rng, difffuzz.ClassQhorn1, 2, 8)
 		var sst, pst run.Stats
-		runSerialAndParallel(t, c.Hidden, 1+i%7,
+		runSerialAndBatched(t, c.Hidden,
 			func(o oracle.Oracle) (query.Query, int) {
 				q, st := learn.Qhorn1(c.Hidden.U, o)
 				sst = run.Stats(st)
@@ -68,20 +64,20 @@ func TestQhorn1ParallelMatchesSerial(t *testing.T) {
 				return q, st.Total()
 			})
 		if sst != pst {
-			t.Errorf("%s: serial stats %+v, parallel stats %+v", c.Hidden, sst, pst)
+			t.Errorf("%s: serial stats %+v, batched stats %+v", c.Hidden, sst, pst)
 		}
 	}
 }
 
-// TestRolePreservingParallelMatchesSerial is the same contract for the
+// TestRolePreservingBatchMatchesSerial is the same contract for the
 // role-preserving learner, whose per-head lattice searches are stepped
 // in lockstep rounds.
-func TestRolePreservingParallelMatchesSerial(t *testing.T) {
+func TestRolePreservingBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 60; i++ {
 		c := difffuzz.GenCase(rng, difffuzz.ClassRP, 2, 8)
 		var sst, pst learn.RPStats
-		runSerialAndParallel(t, c.Hidden, 1+i%7,
+		runSerialAndBatched(t, c.Hidden,
 			func(o oracle.Oracle) (query.Query, int) {
 				q, st := learn.RolePreserving(c.Hidden.U, o)
 				sst = st
@@ -93,16 +89,16 @@ func TestRolePreservingParallelMatchesSerial(t *testing.T) {
 				return q, st.Total()
 			})
 		if sst != pst {
-			t.Errorf("%s: serial stats %+v, parallel stats %+v", c.Hidden, sst, pst)
+			t.Errorf("%s: serial stats %+v, batched stats %+v", c.Hidden, sst, pst)
 		}
 	}
 }
 
-// TestParallelMatchesSerialOnCorpus replays every persisted difffuzz
+// TestBatchMatchesSerialOnCorpus replays every persisted difffuzz
 // repro — each one a past or near-miss bug — through both learners.
-// The corpus cases are exactly where serial/parallel divergence would
+// The corpus cases are exactly where serial/batched divergence would
 // hide.
-func TestParallelMatchesSerialOnCorpus(t *testing.T) {
+func TestBatchMatchesSerialOnCorpus(t *testing.T) {
 	cases, err := difffuzz.LoadCorpus("../difffuzz/testdata/corpus")
 	if err != nil {
 		t.Fatalf("loading corpus: %v", err)
@@ -113,7 +109,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	for _, c := range cases {
 		switch c.Class {
 		case difffuzz.ClassQhorn1:
-			runSerialAndParallel(t, c.Hidden, 4,
+			runSerialAndBatched(t, c.Hidden,
 				func(o oracle.Oracle) (query.Query, int) {
 					q, st := learn.Qhorn1(c.Hidden.U, o)
 					return q, st.Total()
@@ -123,7 +119,7 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 					return q, st.Total()
 				})
 		case difffuzz.ClassRP:
-			runSerialAndParallel(t, c.Hidden, 4,
+			runSerialAndBatched(t, c.Hidden,
 				func(o oracle.Oracle) (query.Query, int) {
 					q, st := learn.RolePreserving(c.Hidden.U, o)
 					return q, st.Total()
@@ -136,26 +132,10 @@ func TestParallelMatchesSerialOnCorpus(t *testing.T) {
 	}
 }
 
-// TestDifferentialParallelSmoke runs the full judge battery with the
-// parallel-engine judge enabled: every generated case also runs the
-// batched learner (and batched verifier) and must agree with the
-// serial path question-for-question.
-func TestDifferentialParallelSmoke(t *testing.T) {
-	rep := difffuzz.Run(difffuzz.Config{
-		Seed:    977,
-		Runs:    30,
-		Options: difffuzz.Options{Parallel: 4},
-	})
-	for _, d := range rep.Disagreements {
-		t.Errorf("%s", d)
-	}
-}
-
-// TestParallelObservedAccounting pins that observed batched runs
+// TestObservedBatchMatchesSerial pins that observed batched runs
 // report instrumentation question counts identical to their serial
-// observed counterparts — all accounting happens in the calling
-// goroutine, in deterministic order.
-func TestParallelObservedAccounting(t *testing.T) {
+// observed counterparts.
+func TestObservedBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	countSteps := func(learnWith func(ins learn.Instrumentation)) map[string]int {
 		counts := map[string]int{}
@@ -167,11 +147,11 @@ func TestParallelObservedAccounting(t *testing.T) {
 		serial := countSteps(func(ins learn.Instrumentation) {
 			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithInstrumentation(ins))
 		})
-		parallel := countSteps(func(ins learn.Instrumentation) {
-			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4, nil), run.WithBatch(), run.WithInstrumentation(ins))
+		batched := countSteps(func(ins learn.Instrumentation) {
+			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithBatch(), run.WithInstrumentation(ins))
 		})
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)
+		if !reflect.DeepEqual(serial, batched) {
+			t.Errorf("%s: serial observed %v question events by phase, batched %v", c.Hidden, serial, batched)
 		}
 	}
 	for i := 0; i < 10; i++ {
@@ -179,28 +159,27 @@ func TestParallelObservedAccounting(t *testing.T) {
 		serial := countSteps(func(ins learn.Instrumentation) {
 			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithAlgorithm(run.RolePreserving), run.WithInstrumentation(ins))
 		})
-		parallel := countSteps(func(ins learn.Instrumentation) {
-			learn.Run(c.Hidden.U, oracle.Parallel(oracle.Target(c.Hidden), 4, nil), run.WithAlgorithm(run.RolePreserving), run.WithBatch(), run.WithInstrumentation(ins))
+		batched := countSteps(func(ins learn.Instrumentation) {
+			learn.Run(c.Hidden.U, oracle.Target(c.Hidden), run.WithAlgorithm(run.RolePreserving), run.WithBatch(), run.WithInstrumentation(ins))
 		})
-		if !reflect.DeepEqual(serial, parallel) {
-			t.Errorf("%s: serial observed %v question events by phase, parallel %v", c.Hidden, serial, parallel)
+		if !reflect.DeepEqual(serial, batched) {
+			t.Errorf("%s: serial observed %v question events by phase, batched %v", c.Hidden, serial, batched)
 		}
 	}
 }
 
 // TestRolePreservingBatchedBudgetPanics pins the batched body search's
 // failure contract: when the oracle's budget runs out mid-search, the
-// ErrBudget panic reaches the learn.Run caller, exactly the budget's
-// questions reach the user, and no goroutine is left behind.
+// ErrBudget panic reaches the learn.Run caller and exactly the
+// budget's questions reach the user.
 func TestRolePreservingBatchedBudgetPanics(t *testing.T) {
 	u := boolean.MustUniverse(8)
 	target := query.MustParse(u, "∀x1x2 → x6 ∀x3 → x7 ∀x4 → x8 ∃x1x2x3x4x5")
-	baseline := runtime.NumGoroutine()
 	// n head questions, then the bodyless-check round (one question
 	// per head) and one question of the top-root round.
 	limit := u.N() + 3 + 1
 	inner := oracle.Count(oracle.Target(target), nil)
-	budget := oracle.WithBudget(oracle.Parallel(inner, 4, nil), limit, nil)
+	budget := oracle.WithBudget(inner, limit, nil)
 	recovered := func() (r interface{}) {
 		defer func() { r = recover() }()
 		learn.Run(u, budget, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
@@ -211,13 +190,6 @@ func TestRolePreservingBatchedBudgetPanics(t *testing.T) {
 	}
 	if inner.Questions != limit {
 		t.Errorf("user answered %d questions, want the budget %d", inner.Questions, limit)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for runtime.NumGoroutine() > baseline && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got > baseline {
-		t.Errorf("%d goroutines after the budget panic, want the baseline %d", got, baseline)
 	}
 }
 
@@ -286,7 +258,7 @@ func TestRolePreservingBatchedStepsMatchSerial(t *testing.T) {
 			return byStream
 		}
 		serial := steps()
-		batched := steps(run.WithBatch(), run.WithParallel(3))
+		batched := steps(run.WithBatch())
 		if !reflect.DeepEqual(serial, batched) {
 			t.Errorf("%s: batched steps differ from the serial run's\nserial:  %v\nbatched: %v", c.Hidden, serial, batched)
 		}

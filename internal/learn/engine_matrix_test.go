@@ -59,7 +59,7 @@ func transcriptOf(rec *oracle.Transcript) []string {
 
 // sameTranscript compares two transcripts, optionally up to order —
 // batched runs interleave independent question streams into waves, so
-// the question multiset is their invariant (docs/PARALLELISM.md).
+// the question multiset is their invariant (docs/ENGINE.md).
 func sameTranscript(t *testing.T, label string, ref, got []string, sorted bool) {
 	t.Helper()
 	if sorted {
@@ -97,8 +97,6 @@ func TestEngineOptionsMatrix(t *testing.T) {
 				sorted bool
 			}{
 				{name: "batch", opts: []run.Option{run.WithBatch()}, sorted: true},
-				{name: "parallel-2", opts: []run.Option{run.WithParallel(2)}, sorted: true},
-				{name: "parallel-8", opts: []run.Option{run.WithParallel(8)}, sorted: true},
 				{name: "budget", opts: []run.Option{run.WithBudget(refStats.Total())}},
 				{name: "counter", opts: []run.Option{run.WithCounter()}},
 				{name: "transcript", opts: []run.Option{run.WithTranscript()}},

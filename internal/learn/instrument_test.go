@@ -263,7 +263,7 @@ func TestInstrumentedAsksBareQuestions(t *testing.T) {
 				for _, mode := range []struct {
 					name string
 					opt  run.Option
-				}{{"serial", nil}, {"parallel-4", run.WithParallel(4)}} {
+				}{{"serial", nil}, {"batch", run.WithBatch()}} {
 					label := fmt.Sprintf("%s n=%d trial %d %s (%s)", tc.alg, n, trial, mode.name, tc.target)
 					bare := askedTranscript(tc.target, run.WithAlgorithm(tc.alg), mode.opt)
 

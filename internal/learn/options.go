@@ -41,17 +41,16 @@ type (
 //
 //	q, st := learn.Run(u, user,
 //	    run.WithAlgorithm(run.RolePreserving),
-//	    run.WithParallel(8),
+//	    run.WithBatch(),
 //	    run.WithSteps(print))
 //
 // The default (no options) is the serial qhorn-1 learner of §3.1.
 //
-// run.WithBatch (or run.WithParallel, which also wraps a worker pool)
-// surfaces independent question sets through oracle.AskAll, so a
-// BatchOracle answers them concurrently. A batched run asks exactly
-// the questions — and reports exactly the per-phase counts — of the
-// serial run; with a plain serial Oracle it degrades to asking the
-// same questions one at a time. What is batched, per learner:
+// run.WithBatch surfaces independent question sets through
+// oracle.AskAll, so a BatchOracle takes each set in one call. A
+// batched run asks exactly the questions — and reports exactly the
+// per-phase counts — of the serial run; with a plain serial Oracle it
+// degrades to asking the same questions one at a time. What is batched, per learner:
 //
 //   - qhorn-1 (§3.1): the n head questions of phase 1 form one batch;
 //     each FindAll level of the body and existential searches

@@ -57,7 +57,7 @@ func findAll(vars []int, eliminate func([]int) bool) []int {
 // findAllBatched is findAll with the recursion unrolled level by
 // level: the elimination questions of one recursion depth are
 // independent of each other, so each level is issued as a single
-// batch that a BatchOracle answers concurrently. It visits exactly
+// batch that a BatchOracle takes in one call. It visits exactly
 // the segments the recursive findAll visits — same splits, same
 // questions, same total count — and returns the targets in the same
 // left-to-right order.

@@ -14,7 +14,6 @@ import (
 //	-trace-out F  append the span stream as JSONL to file F
 //	-metrics      print the Prometheus exposition on stdout at exit
 //	-profile P    write P.cpu.pprof and P.heap.pprof around the run
-//	-parallel N   answer independent questions with N workers
 //	-obs-addr A   serve /metrics, /spans, /progress, /healthz and
 //	              /debug/pprof live on this address during the run
 //	-obs-spans N  flight-recorder capacity (last N completed spans)
@@ -24,9 +23,6 @@ type Flags struct {
 	TraceOut string
 	Metrics  bool
 	Profile  string
-	// Parallel is the worker count of the parallel batched question
-	// engine (docs/PARALLELISM.md); 0 keeps every CLI fully serial.
-	Parallel int
 	// ObsAddr, when non-empty, serves the live observability plane
 	// (obs.Server) on this host:port for the life of the session; port
 	// 0 picks a free port. It forces the tracer on: the server's span
@@ -48,7 +44,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.TraceOut, "trace-out", "", "write the span stream as JSONL to this file")
 	fs.BoolVar(&f.Metrics, "metrics", false, "print the metrics exposition (Prometheus text format) at exit")
 	fs.StringVar(&f.Profile, "profile", "", "write CPU and heap profiles with this file prefix")
-	fs.IntVar(&f.Parallel, "parallel", 0, "answer independent membership questions with this many concurrent workers (0 = serial)")
 	fs.StringVar(&f.ObsAddr, "obs-addr", "", "serve /metrics, /spans, /progress, /healthz and /debug/pprof live on this host:port (port 0 picks a free port)")
 	fs.IntVar(&f.ObsSpans, "obs-spans", 0, "flight-recorder capacity: keep the last N completed spans (0 = default)")
 	fs.DurationVar(&f.ObsWait, "obs-wait", 0, "keep the -obs-addr server up this long after the run completes")

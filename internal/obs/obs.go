@@ -52,10 +52,10 @@ const (
 	// question (Lemma 3.4 bounds cost when this is constant).
 	MetricTuplesPerQuestion = "qhorn_tuples_per_question"
 	// MetricOracleAskSeconds is the distribution of per-question oracle
-	// answer latency in seconds. Serial asks are timed at the counting
-	// adapter (oracle.Count); batched asks are timed worker-side by
-	// the pool (oracle.Parallel), where individual answers overlap
-	// but each inner ask is still bounded on its own.
+	// answer latency in seconds, timed at the counting adapter
+	// (oracle.Count). Only serial asks are timed: batched questions
+	// are counted but not timed per ask, since the inner oracle
+	// answers a batch as one call.
 	MetricOracleAskSeconds = "qhorn_oracle_ask_seconds"
 	// MetricQuestionsByPhase counts questions per algorithm phase
 	// (label "phase": heads, bodies, existential).
@@ -79,16 +79,6 @@ const (
 	// MetricFuzzDisagreements counts differential-fuzz disagreements
 	// (label "kind": the difffuzz.Kind that fired).
 	MetricFuzzDisagreements = "qhorn_fuzz_disagreements_total"
-	// MetricOracleInFlight gauges the membership questions currently
-	// being answered by the batch engine's workers (oracle.Pool).
-	MetricOracleInFlight = "qhorn_oracle_in_flight"
-	// MetricBatches counts AskBatch calls through the worker pool.
-	MetricBatches = "qhorn_oracle_batches_total"
-	// MetricBatchSize is the distribution of questions per batch.
-	MetricBatchSize = "qhorn_oracle_batch_size"
-	// MetricBatchSeconds is the distribution of wall time per batch in
-	// seconds.
-	MetricBatchSeconds = "qhorn_oracle_batch_seconds"
 	// MetricBudgetSheds counts questions refused by an exhausted Budget
 	// — the load-shedding signal of an admission-controlled service.
 	MetricBudgetSheds = "qhorn_oracle_budget_shed_total"
@@ -168,8 +158,3 @@ var LatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60}
 // MetricServeHTTPSeconds: sub-millisecond for the pooled hot routes,
 // stretching to tens of seconds for long-polled question fetches.
 var HTTPLatencyBuckets = []float64{1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5, 30}
-
-// BatchSizeBuckets are the fixed histogram buckets for
-// MetricBatchSize: batches range from a lone binary-search probe to
-// the n head questions of §3.1.1 on universes of up to 64 variables.
-var BatchSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}

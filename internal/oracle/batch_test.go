@@ -49,85 +49,6 @@ func TestAskAllSerialFallback(t *testing.T) {
 	}
 }
 
-// TestPoolMatchesSerial pins the pool's core contract: AskBatch over a
-// concurrency-safe oracle returns exactly the serial answers, aligned
-// with the questions, for any worker count.
-func TestPoolMatchesSerial(t *testing.T) {
-	u := boolean.MustUniverse(6)
-	target := query.MustParse(u, "∀x1x2 → x4 ∃x5x6")
-	qs := probeQuestions(u, 40)
-	want := oracle.AskAll(oracle.Target(target), qs)
-	for _, workers := range []int{1, 2, 7, 64} {
-		pool := oracle.Parallel(oracle.Target(target), workers, nil)
-		if pool.Workers() != workers {
-			t.Fatalf("Workers() = %d, want %d", pool.Workers(), workers)
-		}
-		got := pool.AskBatch(qs)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Errorf("workers=%d: answer %d = %v, want %v", workers, i, got[i], want[i])
-			}
-		}
-		if pool.Ask(qs[0]) != want[0] {
-			t.Errorf("workers=%d: single Ask disagrees with serial", workers)
-		}
-	}
-	if w := oracle.Parallel(oracle.Target(target), 0, nil).Workers(); w != oracle.DefaultWorkers() {
-		t.Errorf("Parallel(_, 0).Workers() = %d, want DefaultWorkers %d", w, oracle.DefaultWorkers())
-	}
-}
-
-// TestPoolRecordsMetrics pins the engine's observability: batches,
-// batch sizes, per-batch latency, and the in-flight gauge returning
-// to zero.
-func TestPoolRecordsMetrics(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	reg := obs.NewRegistry()
-	pool := oracle.Parallel(oracle.Target(query.MustParse(u, "∃x1")), 4, reg)
-	qs := probeQuestions(u, 9)
-	pool.AskBatch(qs)
-	pool.AskBatch(qs[:3])
-	pool.Ask(qs[0])
-	if got := reg.CounterValue(obs.MetricBatches); got != 2 {
-		t.Errorf("%s = %d, want 2", obs.MetricBatches, got)
-	}
-	h := reg.Histogram(obs.MetricBatchSize, obs.BatchSizeBuckets)
-	if h.Count() != 2 || h.Sum() != 12 {
-		t.Errorf("batch size histogram count=%d sum=%v, want 2/12", h.Count(), h.Sum())
-	}
-	if reg.Histogram(obs.MetricBatchSeconds, obs.LatencyBuckets).Count() != 2 {
-		t.Error("batch latency histogram missed samples")
-	}
-	if got := reg.Gauge(obs.MetricOracleInFlight).Value(); got != 0 {
-		t.Errorf("in-flight gauge = %v after quiescence, want 0", got)
-	}
-}
-
-// TestPoolPropagatesBudgetPanic pins panic propagation: a Budget
-// exhausted mid-batch re-raises ErrBudget on the AskBatch caller with
-// exactly Limit questions admitted — never Limit+workers.
-func TestPoolPropagatesBudgetPanic(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	var inner atomic.Int64
-	counted := oracle.Func(func(s boolean.Set) bool {
-		inner.Add(1)
-		return true
-	})
-	budget := oracle.WithBudget(counted, 5, nil)
-	pool := oracle.Parallel(budget, 3, nil)
-	recovered := func() (r interface{}) {
-		defer func() { r = recover() }()
-		pool.AskBatch(probeQuestions(u, 12))
-		return nil
-	}()
-	if _, ok := recovered.(oracle.ErrBudget); !ok {
-		t.Fatalf("recovered %v, want ErrBudget", recovered)
-	}
-	if got := inner.Load(); got != 5 {
-		t.Errorf("inner oracle asked %d questions, want exactly the budget 5", got)
-	}
-}
-
 // TestBudgetBatchSemantics pins Budget.AskBatch: a batch that fits
 // consumes its size; an overrunning batch asks exactly the remaining
 // questions and then raises ErrBudget, like the serial path would.
@@ -163,8 +84,7 @@ func TestNoisyBatchFlipSequence(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	qs := probeQuestions(u, 32)
 	flips := func() []bool {
-		pool := oracle.Parallel(oracle.Func(func(boolean.Set) bool { return false }), 4, nil)
-		n := oracle.Noisy(pool, 0.5, rand.New(rand.NewSource(7)))
+		n := oracle.Noisy(oracle.Func(func(boolean.Set) bool { return false }), 0.5, rand.New(rand.NewSource(7)))
 		return oracle.AskAll(n, qs)
 	}
 	a, b := flips(), flips()
@@ -204,6 +124,10 @@ func TestCounterAndTranscriptBatchAccounting(t *testing.T) {
 	if got := reg.CounterValue(obs.MetricQuestions); got != int64(len(qs)) {
 		t.Errorf("%s = %d, want %d", obs.MetricQuestions, got, len(qs))
 	}
+	// Batched questions are counted but not timed per ask.
+	if got := reg.Histogram(obs.MetricOracleAskSeconds, obs.LatencyBuckets).Count(); got != 0 {
+		t.Errorf("%s has %d samples after a batch, want 0", obs.MetricOracleAskSeconds, got)
+	}
 	entries := tr.Copy()
 	if len(entries) != len(qs) {
 		t.Fatalf("transcript has %d entries, want %d", len(entries), len(qs))
@@ -215,14 +139,14 @@ func TestCounterAndTranscriptBatchAccounting(t *testing.T) {
 	}
 }
 
-// TestPoolOverWrapperStack pins that a batch survives a realistic
-// wrapper stack — Transcript over Counter over the shared tier over
-// Pool — with consistent accounting at every layer.
-func TestPoolOverWrapperStack(t *testing.T) {
+// TestBatchOverWrapperStack pins that a batch survives a realistic
+// wrapper stack — Transcript over Counter over the shared tier — with
+// consistent accounting at every layer, and that concurrent batches
+// through one stack are race-clean.
+func TestBatchOverWrapperStack(t *testing.T) {
 	u := boolean.MustUniverse(5)
 	target := query.MustParse(u, "∀x1 → x3 ∃x4x5")
-	pool := oracle.Parallel(oracle.Target(target), 4, nil)
-	tier := oracle.NewSharedMemo(64, nil).Oracle("user", pool)
+	tier := oracle.NewSharedMemo(64, nil).Oracle("user", oracle.Target(target))
 	counter := oracle.Count(tier, nil)
 	tr := oracle.Record(counter)
 

@@ -53,28 +53,3 @@ func TestBudgetIntoBatchShedCounter(t *testing.T) {
 		t.Errorf("remaining = %d, want 0", b.Remaining())
 	}
 }
-
-func TestPoolBatchRecordsPerAskLatency(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	reg := obs.NewRegistry()
-	p := Parallel(Target(query.MustParse(u, "∃x1")), 2, reg)
-	var qs []boolean.Set
-	for _, s := range []string{"{1000}", "{0100}", "{0010}", "{0001}", "{1100}", "{0110}"} {
-		qs = append(qs, boolean.MustParseSet(u, s))
-	}
-
-	p.AskBatch(qs)
-	h := reg.Histogram(obs.MetricOracleAskSeconds, obs.LatencyBuckets)
-	if got := h.Count(); got != 6 {
-		t.Errorf("ask-latency samples after batch = %d, want 6 (one per question)", got)
-	}
-	// Serial asks through the pool are not double-timed here — the
-	// Counter at the top of the stack owns the serial ask latency.
-	p.Ask(qs[0])
-	if got := h.Count(); got != 6 {
-		t.Errorf("ask-latency samples after serial ask = %d, want 6 still", got)
-	}
-	if got := reg.Histogram(obs.MetricBatchSeconds, obs.LatencyBuckets).Count(); got != 1 {
-		t.Errorf("batch-latency samples = %d, want 1", got)
-	}
-}

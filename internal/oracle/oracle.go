@@ -115,12 +115,9 @@ func (c *Counter) Ask(s boolean.Set) bool {
 // AskBatch implements BatchOracle. The accounting is identical to
 // asking each question serially — same question, tuple, and histogram
 // increments, recorded before the inner oracle is consulted — except
-// that the per-answer latency histogram is skipped here: within a
-// batch, individual answer latencies overlap, so per-ask timing
-// (qhorn_oracle_ask_seconds) is recorded worker-side by the pool
-// (Parallel) where each inner ask is still bounded on its own, and
-// the batch engine's qhorn_oracle_batch_seconds histogram covers the
-// batch wall time.
+// that batched questions are counted but not timed per ask: the
+// inner oracle answers the batch as one call, so there is no
+// per-question latency to observe in qhorn_oracle_ask_seconds.
 func (c *Counter) AskBatch(qs []boolean.Set) []bool {
 	c.mu.Lock()
 	for _, q := range qs {
@@ -223,7 +220,7 @@ func (t *Transcript) Copy() []Entry {
 // asking: concurrent Ask calls draw from the rng in scheduling order.
 // AskBatch draws its flips in question order after the whole batch is
 // answered, so batched runs keep a per-batch deterministic flip
-// sequence even when the inner oracle answers concurrently.
+// sequence whatever order the inner oracle answers in.
 func Noisy(inner Oracle, p float64, rng *rand.Rand) Oracle {
 	return &noisy{inner: inner, p: p, rng: rng}
 }
@@ -267,7 +264,7 @@ func (n *noisy) AskBatch(qs []boolean.Set) []bool {
 // a signal; tests use it to enforce the paper's question bounds
 // mechanically. The cap is enforced under a mutex so a budget of L
 // admits exactly L questions even with concurrent askers — never
-// L+workers. Read Used only after the askers have returned, or
+// more. Read Used only after the askers have returned, or
 // through Remaining, which locks.
 type Budget struct {
 	mu    sync.Mutex

@@ -178,39 +178,6 @@ func TestNoisyConcurrentAskersRaceClean(t *testing.T) {
 	wg.Wait()
 }
 
-// TestPoolConcurrentBatchesRaceClean hammers one Pool — over the full
-// wrapper stack — with concurrent batches and single asks. Under
-// -race this pins the engine itself: workers write disjoint answer
-// slots, the in-flight gauge is atomic, and the wrappers' batch paths
-// hold their locks.
-func TestPoolConcurrentBatchesRaceClean(t *testing.T) {
-	u := boolean.MustUniverse(6)
-	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
-	reg := obs.NewRegistry()
-	pool := oracle.Parallel(oracle.Target(target), 4, reg)
-	stack := oracle.Record(oracle.Count(pool, reg))
-	qs := probeQuestions(u, 30)
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				oracle.AskAll(stack, qs)
-				return
-			}
-			for _, q := range qs {
-				stack.Ask(q)
-			}
-		}(g)
-	}
-	wg.Wait()
-	if got := reg.Gauge(obs.MetricOracleInFlight).Value(); got != 0 {
-		t.Errorf("in-flight gauge = %v after quiescence, want 0", got)
-	}
-}
-
 // atomicCounter is a tiny test helper.
 type atomicCounter struct{ v int64 }
 

@@ -2,7 +2,7 @@
 // the verifier (docs/ENGINE.md). The paper's algorithms (Alg 1–8,
 // Fig 6) are single procedures; the cross-cutting dimensions a session
 // may add — naive search baselines, ablations, step/span/metric
-// instrumentation, batched parallel questioning, question budgets,
+// instrumentation, batched questioning, question budgets,
 // the shared cross-session answer cache, noisy users — are not new
 // algorithms but configuration of the same run. This package holds
 // that configuration:
@@ -10,8 +10,8 @@
 //   - Config is the composed run configuration; Option mutates it.
 //     learn.Run and verify.Run accept Options and construct their
 //     single core path from the resulting Config.
-//   - Assemble builds the oracle wrapper stack (worker Pool, Noisy,
-//     Budget, SharedMemo, Counter, Transcript) in one place, in one
+//   - Assemble builds the oracle wrapper stack (Noisy, Budget,
+//     SharedMemo, Counter, Transcript) in one place, in one
 //     documented order. Per-run dedup is not a wrapper of this stack:
 //     a run that must not re-ask repeated questions runs over a
 //     session.Session, the §5 interaction history.
@@ -172,12 +172,8 @@ type Config struct {
 	Ins Instrumentation
 	// Batch surfaces independent question sets as oracle.AskAll
 	// batches. The questions and per-phase counts are identical to
-	// the serial run; only the asking overlaps in time when the
-	// oracle is a BatchOracle.
+	// the serial run; a BatchOracle receives each set in one call.
 	Batch bool
-	// Workers, when positive, makes Assemble wrap the user's oracle
-	// in a worker pool of this size (and implies Batch).
-	Workers int
 	// Budget, when positive, caps the questions reaching the user;
 	// the run panics with oracle.ErrBudget when exhausted.
 	Budget int
@@ -244,22 +240,10 @@ func WithInstrumentation(ins Instrumentation) Option {
 	return func(c *Config) { c.Ins = c.Ins.merge(ins) }
 }
 
-// WithParallel answers independent question batches with n concurrent
-// workers: the engine wraps the user's oracle in a worker pool and
-// selects the batch question structure. n <= 0 is a no-op (serial).
-func WithParallel(n int) Option {
-	return func(c *Config) {
-		if n > 0 {
-			c.Workers = n
-			c.Batch = true
-		}
-	}
-}
-
-// WithBatch selects the batch question structure without wrapping a
-// pool — the caller brings its own BatchOracle, or accepts the serial
-// degradation of oracle.AskAll. Questions and counts are identical to
-// the serial run either way.
+// WithBatch selects the batch question structure: the caller brings
+// its own BatchOracle, or accepts the serial degradation of
+// oracle.AskAll. Questions and counts are identical to the serial run
+// either way.
 func WithBatch() Option {
 	return func(c *Config) { c.Batch = true }
 }
@@ -325,8 +309,6 @@ func WithObsServer(s *obs.Server) Option {
 type Stack struct {
 	// Oracle is the top of the stack: what the run asks.
 	Oracle oracle.Oracle
-	// Pool is the worker pool around the user (Workers > 0).
-	Pool *oracle.Pool
 	// Budget is the question cap (Budget > 0).
 	Budget *oracle.Budget
 	// Counter counts the run's questions (Count).
@@ -339,21 +321,16 @@ type Stack struct {
 // describes, innermost (closest to the user) to outermost (what the
 // run asks):
 //
-//	user → Pool → Noisy → Budget → SharedMemo → Counter → Transcript
+//	user → Noisy → Budget → SharedMemo → Counter → Transcript
 //
-// The order is part of the engine's contract (docs/ENGINE.md): the
-// pool parallelizes real user answers; noise models the user's
-// mistakes, so it sits directly above her; the shared cross-session
-// tier sits above the budget — answers another session already
-// settled cost this run nothing; the counter and transcript face the
-// run, observing every question it asks. With a zero Config the
-// user's oracle is returned untouched.
+// The order is part of the engine's contract (docs/ENGINE.md): noise
+// models the user's mistakes, so it sits directly above her; the
+// shared cross-session tier sits above the budget — answers another
+// session already settled cost this run nothing; the counter and
+// transcript face the run, observing every question it asks. With a
+// zero Config the user's oracle is returned untouched.
 func (c Config) Assemble(user oracle.Oracle) Stack {
 	st := Stack{Oracle: user}
-	if c.Workers > 0 {
-		st.Pool = oracle.Parallel(st.Oracle, c.Workers, c.Ins.Metrics)
-		st.Oracle = st.Pool
-	}
 	if c.NoiseP > 0 {
 		st.Oracle = oracle.Noisy(st.Oracle, c.NoiseP, c.NoiseRNG)
 	}
@@ -376,17 +353,13 @@ func (c Config) Assemble(user oracle.Oracle) Stack {
 }
 
 // FromFlags translates the shared CLI observability flag bundle into
-// engine options: span/metric instrumentation from the session, a
-// question counter feeding the metrics registry, and — when -parallel
-// is set — a worker pool of that size. Every CLI builds its run config
-// through this one helper; per-CLI flag ladders are gone.
+// engine options: span/metric instrumentation from the session and a
+// question counter feeding the metrics registry. Every CLI that drives
+// a learner or the verifier builds its run config through this one
+// helper.
 func FromFlags(f *obs.Flags, s *obs.Session) []Option {
-	opts := []Option{
+	return []Option{
 		WithInstrumentation(Instrumentation{Spans: s.Tracer, Metrics: s.Metrics}),
 		WithCounter(),
 	}
-	if f.Parallel > 0 {
-		opts = append(opts, WithParallel(f.Parallel))
-	}
-	return opts
 }

@@ -50,7 +50,7 @@ func TestNewComposesOptions(t *testing.T) {
 		WithAblations(Ablations{NoGuaranteeSeeds: true}),
 		WithSteps(steps),
 		WithInstrumentation(Instrumentation{Metrics: reg}),
-		WithParallel(4),
+		WithBatch(),
 		WithBudget(99),
 		WithNoise(0.25, rng),
 		WithCounter(),
@@ -64,8 +64,8 @@ func TestNewComposesOptions(t *testing.T) {
 	if c.Ins.Steps == nil || c.Ins.Metrics != reg {
 		t.Errorf("instrumentation options not merged: %+v", c.Ins)
 	}
-	if c.Workers != 4 || !c.Batch {
-		t.Errorf("WithParallel(4): Workers=%d Batch=%v", c.Workers, c.Batch)
+	if !c.Batch {
+		t.Errorf("WithBatch(): Batch=%v", c.Batch)
 	}
 	if c.Budget != 99 || c.NoiseP != 0.25 || c.NoiseRNG != rng {
 		t.Errorf("oracle options not applied: %+v", c)
@@ -75,22 +75,10 @@ func TestNewComposesOptions(t *testing.T) {
 	}
 }
 
-// TestWithParallelNonPositive: n <= 0 is a serial no-op.
-func TestWithParallelNonPositive(t *testing.T) {
-	c := New(WithParallel(0))
-	if c.Workers != 0 || c.Batch {
-		t.Errorf("WithParallel(0) = %+v, want serial", c)
-	}
-	c = New(WithParallel(-3))
-	if c.Workers != 0 || c.Batch {
-		t.Errorf("WithParallel(-3) = %+v, want serial", c)
-	}
-}
-
-// TestWithBatchAlone selects the batch structure without a pool.
+// TestWithBatchAlone selects the batch structure and nothing else.
 func TestWithBatchAlone(t *testing.T) {
 	c := New(WithBatch())
-	if !c.Batch || c.Workers != 0 {
+	if !c.Batch || c.Count || c.Budget != 0 {
 		t.Errorf("WithBatch() = %+v", c)
 	}
 }
@@ -138,7 +126,7 @@ func TestWithObsServer(t *testing.T) {
 func TestAssembleZeroConfig(t *testing.T) {
 	user := oracle.Func(func(boolean.Set) bool { return true })
 	st := Config{}.Assemble(user)
-	if st.Pool != nil || st.Budget != nil || st.Counter != nil || st.Transcript != nil {
+	if st.Budget != nil || st.Counter != nil || st.Transcript != nil {
 		t.Errorf("zero config grew wrappers: %+v", st)
 	}
 	if !st.Oracle.Ask(boolean.Set{}) {
@@ -153,10 +141,10 @@ func TestAssembleFullStack(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	asked := 0
 	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	cfg := New(WithParallel(2), WithBudget(5), WithSharedMemo(oracle.NewSharedMemo(64, nil), "alice"),
+	cfg := New(WithBudget(5), WithSharedMemo(oracle.NewSharedMemo(64, nil), "alice"),
 		WithCounter(), WithTranscript())
 	st := cfg.Assemble(user)
-	if st.Pool == nil || st.Budget == nil || st.Counter == nil || st.Transcript == nil {
+	if st.Budget == nil || st.Counter == nil || st.Transcript == nil {
 		t.Fatalf("missing wrappers: %+v", st)
 	}
 
@@ -248,8 +236,8 @@ func TestStatsTotal(t *testing.T) {
 	}
 }
 
-// TestFromFlags: the CLI bundle becomes instrumentation + counter,
-// plus a worker pool when -parallel is set.
+// TestFromFlags: the CLI bundle becomes instrumentation + counter and
+// leaves the question structure serial.
 func TestFromFlags(t *testing.T) {
 	var f obs.Flags
 	s, err := f.Start(nil)
@@ -263,13 +251,7 @@ func TestFromFlags(t *testing.T) {
 	if c.Ins.Metrics != s.Metrics {
 		t.Error("FromFlags dropped the metrics registry")
 	}
-	if c.Workers != 0 || c.Batch {
-		t.Errorf("serial flags grew a pool: %+v", c)
-	}
-
-	f.Parallel = 3
-	c = New(FromFlags(&f, s)...)
-	if c.Workers != 3 || !c.Batch {
-		t.Errorf("-parallel 3 not applied: %+v", c)
+	if c.Batch {
+		t.Errorf("CLI flags selected the batch structure: %+v", c)
 	}
 }

@@ -27,15 +27,14 @@
 // built here.
 //
 // A Session is NOT concurrency-safe: its history serializes the
-// amendment protocol, so it must never sit inside a worker pool
-// (run.WithParallel). Engine runs over a session use run.WithBatch
-// instead: the session is a BatchOracle whose AskBatch answers
-// replayed questions from the history and forwards the remaining
-// distinct questions to the user as one sub-batch, so a batch-capable
-// user (a worker pool, or the qhornd answer exchange of
-// internal/serve) sees whole batches while the session itself stays
-// single-goroutine. Questions, recorded history and counts are
-// identical to serial asking either way (see docs/ENGINE.md).
+// amendment protocol, so one goroutine asks through it. Engine runs
+// over a session use run.WithBatch: the session is a BatchOracle whose
+// AskBatch answers replayed questions from the history and forwards
+// the remaining distinct questions to the user as one sub-batch, so a
+// batch-capable user (the qhornd answer exchange of internal/serve)
+// sees whole batches in one round trip. Questions, recorded history
+// and counts are identical to serial asking either way (see
+// docs/ENGINE.md).
 package session
 
 import (

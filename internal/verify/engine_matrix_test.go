@@ -9,7 +9,6 @@ package verify
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 
 	"qhorn/internal/boolean"
@@ -66,13 +65,8 @@ func sameResult(t *testing.T, label string, ref, got Result) {
 	}
 }
 
-func sameTranscript(t *testing.T, label string, ref, got []string, sorted bool) {
+func sameTranscript(t *testing.T, label string, ref, got []string) {
 	t.Helper()
-	if sorted {
-		ref, got = append([]string(nil), ref...), append([]string(nil), got...)
-		sort.Strings(ref)
-		sort.Strings(got)
-	}
 	if len(ref) != len(got) {
 		t.Errorf("%s: %d questions vs %d serial", label, len(got), len(ref))
 		return
@@ -87,10 +81,8 @@ func sameTranscript(t *testing.T, label string, ref, got []string, sorted bool) 
 
 // TestVerifyOptionsMatrix: every option combination reproduces the
 // serial run on both the clean and the disagreeing case. The
-// verification set has a fixed question order, and the run-facing
-// accounting preserves it in every mode; the user-side transcript
-// below a worker pool records in completion order, so the pooled
-// combinations compare it as a multiset.
+// verification set has a fixed question order, and every mode —
+// batched included — asks the user in that order.
 func TestVerifyOptionsMatrix(t *testing.T) {
 	for _, tc := range verifyMatrixCases(t) {
 		vs, err := Build(tc.given)
@@ -110,14 +102,11 @@ func TestVerifyOptionsMatrix(t *testing.T) {
 			refTr = transcriptOf(rec)
 		}
 		combos := []struct {
-			name   string
-			opts   []run.Option
-			sorted bool
+			name string
+			opts []run.Option
 		}{
 			{name: "plain"},
 			{name: "batch", opts: []run.Option{run.WithBatch()}},
-			{name: "parallel-2", opts: []run.Option{run.WithParallel(2)}, sorted: true},
-			{name: "parallel-8", opts: []run.Option{run.WithParallel(8)}, sorted: true},
 			{name: "budget", opts: []run.Option{run.WithBudget(refRes.QuestionsAsked)}},
 			{name: "counter", opts: []run.Option{run.WithCounter()}},
 			{name: "steps", opts: []run.Option{run.WithSteps(func(run.Step) {})}},
@@ -130,7 +119,7 @@ func TestVerifyOptionsMatrix(t *testing.T) {
 			label := tc.name + " " + combo.name
 			tr, res := collect(combo.opts...)
 			sameResult(t, label, refRes, res)
-			sameTranscript(t, label, refTr, tr, combo.sorted)
+			sameTranscript(t, label, refTr, tr)
 		}
 	}
 }

@@ -77,6 +77,8 @@ func TestRunObservedCountsDisagreements(t *testing.T) {
 // TestRunPhaseDurationHistograms checks instrumented verification —
 // serial and batch — feeds qhorn_phase_seconds: one observation for
 // the "verify" root and one "verify/<Kind>" observation per question.
+// The batched root span says so with a "mode: batch" attribute; the
+// serial one carries no mode.
 func TestRunPhaseDurationHistograms(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	qg := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
@@ -85,17 +87,39 @@ func TestRunPhaseDurationHistograms(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []struct {
-		name string
-		opts []run.Option
+		name     string
+		opts     []run.Option
+		spanMode string
 	}{
-		{"serial", nil},
-		{"batch", []run.Option{run.WithBatch()}},
+		{"serial", nil, ""},
+		{"batch", []run.Option{run.WithBatch()}, "batch"},
 	} {
 		reg := obs.NewRegistry()
-		opts := append([]run.Option{run.WithInstrumentation(run.Instrumentation{Metrics: reg})}, mode.opts...)
+		flight := obs.NewFlightRecorder(0)
+		opts := append([]run.Option{run.WithInstrumentation(run.Instrumentation{Spans: obs.NewTracer(flight), Metrics: reg})}, mode.opts...)
 		res := vs.RunWith(oracle.Target(qg), opts...)
 		if !res.Correct {
 			t.Fatalf("%s: self-verification disagreed", mode.name)
+		}
+		_, completed, _ := flight.Snapshot()
+		roots := 0
+		for _, sp := range completed {
+			if sp.Name != "verify" {
+				continue
+			}
+			roots++
+			got := ""
+			for _, a := range sp.Attrs {
+				if a.Key == "mode" {
+					got = a.Value
+				}
+			}
+			if got != mode.spanMode {
+				t.Errorf("%s: verify span mode = %q, want %q", mode.name, got, mode.spanMode)
+			}
+		}
+		if roots != 1 {
+			t.Errorf("%s: %d verify root spans, want 1", mode.name, roots)
 		}
 		if got := reg.Histogram(obs.MetricPhaseSeconds, obs.LatencyBuckets, "phase", "verify").Count(); got != 1 {
 			t.Errorf("%s: verify root observations = %d, want 1", mode.name, got)

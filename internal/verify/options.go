@@ -40,8 +40,8 @@ type Instrumentation = run.Instrumentation
 
 // Run builds the verification set of qg and runs it against o under
 // the given engine options: run.WithInstrumentation for spans and
-// metrics, run.WithSteps for per-question steps, run.WithParallel or
-// run.WithBatch for batched asking, run.WithFirstDisagreement to stop
+// metrics, run.WithSteps for per-question steps, run.WithBatch for
+// batched asking, run.WithFirstDisagreement to stop
 // at the first disagreement, and the oracle wrapper options
 // (run.WithBudget, run.WithSharedMemo, …) for the question stack.
 func Run(qg query.Query, o oracle.Oracle, opts ...run.Option) (Result, error) {
@@ -68,11 +68,10 @@ func (vs Set) RunWith(o oracle.Oracle, opts ...run.Option) Result {
 //	Set.RunUntilFirst  → Config{FirstOnly: true}
 //
 // In batch mode the whole set is answered first — the A1–A4/N1–N2
-// questions are mutually independent, so a BatchOracle answers them
-// concurrently — then spans, steps and counters are emitted in set
-// order from the calling goroutine, and disagreements keep the set's
-// order regardless of answer arrival order. Batched spans carry a
-// "mode: parallel" attribute; their per-question durations are not
+// questions are mutually independent, so a BatchOracle takes them in
+// one call — then spans, steps and counters are emitted in set order,
+// and disagreements keep the set's order. Batched spans carry a
+// "mode: batch" attribute; their per-question durations are not
 // meaningful, since the answers arrived before the spans opened.
 // Serial mode opens each question's span before asking, so span
 // durations cover the ask.
@@ -85,7 +84,7 @@ func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
 		obs.Af("questions", "%d", len(vs.Questions)),
 	}
 	if cfg.Batch {
-		attrs = append(attrs, obs.A("mode", "parallel"))
+		attrs = append(attrs, obs.A("mode", "batch"))
 	}
 	root := cfg.Ins.Spans.StartSpan("verify", attrs...)
 	defer root.End()

@@ -325,14 +325,14 @@ func NewObsServer(reg *MetricsRegistry, tracer *SpanTracer, flight *FlightRecord
 }
 
 // BatchOracle is an Oracle that can answer a slice of independent
-// questions at once. Under WithBatch or WithParallel the learners and
-// the verifier surface their independent question sets as batches
-// (docs/PARALLELISM.md): exactly the serial questions, exactly the
-// serial counts, less wall time when every answer costs user latency.
+// questions at once. Under WithBatch the learners and the verifier
+// surface their independent question sets as batches (docs/ENGINE.md):
+// exactly the serial questions, exactly the serial counts, one round
+// trip per batch when the user can take a whole set at once.
 type BatchOracle = oracle.BatchOracle
 
-// AskAll answers every question through o — as one concurrent batch
-// when o is a BatchOracle, serially otherwise.
+// AskAll answers every question through o — as one batch when o is a
+// BatchOracle, serially otherwise.
 func AskAll(o Oracle, qs []Set) []bool { return oracle.AskAll(o, qs) }
 
 // EstimateQhorn1 bounds the number of questions a qhorn-1 learning
@@ -368,7 +368,7 @@ type ClassReport = query.ClassReport
 //
 //	q, stats := qhorn.Learn(u, user,
 //	    qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
-//	    qhorn.WithParallel(8),
+//	    qhorn.WithBatch(),
 //	    qhorn.WithInstrumentation(ins))
 type (
 	// RunOption configures one dimension of a learning or
@@ -436,12 +436,8 @@ func WithInstrumentation(ins Instrumentation) RunOption { return run.WithInstrum
 // flight. A nil server is a no-op.
 func WithObsServer(s *ObsServer) RunOption { return run.WithObsServer(s) }
 
-// WithParallel answers independent question batches with n concurrent
-// workers (the engine assembles the worker pool).
-func WithParallel(n int) RunOption { return run.WithParallel(n) }
-
-// WithBatch selects the batch question structure without wrapping a
-// pool — bring your own BatchOracle, or accept serial degradation.
+// WithBatch selects the batch question structure — bring your own
+// BatchOracle, or accept serial degradation.
 func WithBatch() RunOption { return run.WithBatch() }
 
 // WithBudget caps the questions reaching the user at limit.

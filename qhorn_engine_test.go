@@ -31,7 +31,7 @@ func TestLearnDefaults(t *testing.T) {
 	}
 }
 
-// TestLearnOptionsCompose: algorithm, parallelism, budget, steps and
+// TestLearnOptionsCompose: algorithm, batching, budget, steps and
 // instrumentation compose on one call and still learn
 // exactly.
 func TestLearnOptionsCompose(t *testing.T) {
@@ -43,7 +43,7 @@ func TestLearnOptionsCompose(t *testing.T) {
 	reg := qhorn.NewMetricsRegistry()
 	q, stats := qhorn.Learn(u, qhorn.TargetOracle(intended),
 		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
-		qhorn.WithParallel(2),
+		qhorn.WithBatch(),
 		qhorn.WithBudget(serialStats.Total()),
 		qhorn.WithSteps(func(qhorn.TraceStep) { steps++ }),
 		qhorn.WithInstrumentation(qhorn.Instrumentation{Metrics: reg}))
@@ -97,7 +97,7 @@ func TestLearnWithNoise(t *testing.T) {
 }
 
 // TestVerifyQ: the facade's Verify runs the full set by default and
-// honors WithFirstDisagreement and WithParallel.
+// honors WithFirstDisagreement and WithBatch.
 func TestVerifyQ(t *testing.T) {
 	u, intended := engineFixture(t)
 	res, err := qhorn.Verify(intended, qhorn.TargetOracle(intended))
@@ -125,9 +125,9 @@ func TestVerifyQ(t *testing.T) {
 		t.Error("Verify accepted a non-role-preserving query")
 	}
 
-	par, err := qhorn.Verify(wrong, qhorn.TargetOracle(intended), qhorn.WithParallel(2))
-	if err != nil || par.Correct != full.Correct || par.QuestionsAsked != full.QuestionsAsked {
-		t.Errorf("parallel verify %+v differs from serial %+v (err %v)", par, full, err)
+	batch, err := qhorn.Verify(wrong, qhorn.TargetOracle(intended), qhorn.WithBatch())
+	if err != nil || batch.Correct != full.Correct || batch.QuestionsAsked != full.QuestionsAsked {
+		t.Errorf("batched verify %+v differs from serial %+v (err %v)", batch, full, err)
 	}
 }
 

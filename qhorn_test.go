@@ -235,7 +235,10 @@ func TestFacadeClassifyAndReport(t *testing.T) {
 	}
 }
 
-func TestFacadeParallel(t *testing.T) {
+// TestFacadeBatchMatchesSerial: AskAll through the facade answers
+// aligned with the questions, and batched learns and verifies match the
+// serial ones.
+func TestFacadeBatchMatchesSerial(t *testing.T) {
 	u := qhorn.MustUniverse(6)
 	target := qhorn.MustParseQuery(u, "∀x1x4 → x5 ∃x2x3")
 	qs := []qhorn.Set{
@@ -248,21 +251,21 @@ func TestFacadeParallel(t *testing.T) {
 	}
 
 	serial, sstats := qhorn.LearnQhorn1(u, qhorn.TargetOracle(target))
-	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithParallel(4))
+	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithBatch())
 	if !learned.Equivalent(serial) || stats.Total() != sstats.Total() {
-		t.Errorf("parallel qhorn-1 got %s (%d questions), serial %s (%d)",
+		t.Errorf("batched qhorn-1 got %s (%d questions), serial %s (%d)",
 			learned, stats.Total(), serial, sstats.Total())
 	}
 	rpSerial, rpsStats := qhorn.LearnRolePreserving(u, qhorn.TargetOracle(target))
 	rp, rpStats := qhorn.Learn(u, qhorn.TargetOracle(target),
-		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving), qhorn.WithParallel(4))
+		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving), qhorn.WithBatch())
 	if !rp.Equivalent(rpSerial) || rpStats.Total() != rpsStats.Total() {
-		t.Errorf("parallel role-preserving got %s (%d questions), serial %s (%d)",
+		t.Errorf("batched role-preserving got %s (%d questions), serial %s (%d)",
 			rp, rpStats.Total(), rpSerial, rpsStats.Total())
 	}
-	res, err := qhorn.Verify(target, qhorn.TargetOracle(target), qhorn.WithParallel(4))
+	res, err := qhorn.Verify(target, qhorn.TargetOracle(target), qhorn.WithBatch())
 	if err != nil || !res.Correct {
-		t.Errorf("parallel verify: %+v, %v", res, err)
+		t.Errorf("batched verify: %+v, %v", res, err)
 	}
 }
 

@@ -108,10 +108,10 @@ func ledgerLines(t *testing.T) []string {
 				prior, _ := learn.Run(target.U, rec, run.WithAlgorithm(alg))
 				lines = append(lines, recordedLine(name("serial"), rec))
 
-				// Batched: the learner-facing stream, above the pool, in
-				// the deterministic order the steps report it.
+				// Batched: the learner-facing stream in the deterministic
+				// order the steps report it.
 				var batched streamHash
-				learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(alg), run.WithParallel(4),
+				learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(alg), run.WithBatch(),
 					run.WithSteps(func(s run.Step) { batched.add(s.Question) }))
 				lines = append(lines, batched.line(name("batched")))
 
