@@ -178,7 +178,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 
 	// Learning mode. The run engine composes every flag-driven option
 	// (engine.FromFlags).
-	opts := engine.FromFlags(obsFlags, session)
+	opts := engine.FromFlags(session)
 	cl, err := engine.ParseAlgorithm(*class)
 	if err != nil {
 		return fail(err)

@@ -46,7 +46,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		list    = fs.Bool("list", false, "list experiments and exit")
 		outPath = fs.String("out", "", "write output to file instead of stdout")
 		outDir  = fs.String("outdir", "", "write one markdown file per experiment into this directory")
-		jsonOut = fs.Bool("json", false, "also write BENCH_<experiment>.json per experiment (into -outdir or the current directory)")
 	)
 	obsFlags := obs.BindFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -98,40 +97,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := exp.Config{Seed: *seed, Trials: *trials, Quick: *quick, Metrics: session.Metrics}
-	// runExperiment wraps one experiment in a span, counts it and
-	// produces its machine-readable bench summary.
-	runExperiment := func(e exp.Experiment) (*exp.BenchSummary, []*stats.Table) {
+	// runExperiment wraps one experiment in a span, which records its
+	// duration, and counts it.
+	runExperiment := func(e exp.Experiment) []*stats.Table {
 		sp := session.Tracer.StartSpan("experiment",
 			obs.A("id", e.ID), obs.A("name", e.Name))
-		summary, tables := exp.Bench(e, cfg)
-		sp.Annotate(obs.Af("wall_seconds", "%.3f", summary.WallSeconds))
+		tables := e.Run(cfg)
 		sp.End()
 		session.Metrics.Counter(obs.MetricExperiments).Inc()
-		return summary, tables
-	}
-	// writeBench writes BENCH_<experiment>.json when -json is set.
-	writeBench := func(summary *exp.BenchSummary) error {
-		if !*jsonOut {
-			return nil
-		}
-		dir := *outDir
-		if dir == "" {
-			dir = "."
-		}
-		path := filepath.Join(dir, summary.FileName())
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := summary.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", path)
-		return nil
+		return tables
 	}
 	render := func(t *stats.Table) string {
 		switch *format {
@@ -150,7 +124,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	for _, e := range experiments {
-		summary, tables := runExperiment(e)
+		tables := runExperiment(e)
 		if *outDir != "" {
 			var b strings.Builder
 			fmt.Fprintf(&b, "# %s — %s\n\n%s\n\nClaim: %s\n\n", e.ID, e.Name, e.Paper, e.Claim)
@@ -168,10 +142,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			for _, t := range tables {
 				fmt.Fprintln(out, render(t))
 			}
-		}
-		if err := writeBench(summary); err != nil {
-			fmt.Fprintf(stderr, "qhornexp: %v\n", err)
-			return 1
 		}
 	}
 	if err := session.Close(); err != nil {

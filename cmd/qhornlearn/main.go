@@ -212,7 +212,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	opts := append(engine.FromFlags(obsFlags, session), engine.WithAlgorithm(alg))
+	opts := append(engine.FromFlags(session), engine.WithAlgorithm(alg))
 	var learned query.Query
 	var stats engine.Stats
 	learned, stats = learn.Run(u, user, opts...)

@@ -102,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	// The run engine assembles the counter and the hooks from the
 	// flags.
-	opts := engine.FromFlags(obsFlags, session)
+	opts := engine.FromFlags(session)
 	if *first {
 		opts = append(opts, engine.WithFirstDisagreement())
 	}

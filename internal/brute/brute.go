@@ -57,8 +57,8 @@ func Learn(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) (Resul
 // LearnSerial is the direct-evaluation reference implementation of
 // Learn: it re-evaluates every remaining candidate on every pool
 // question per step. The matrix path is pinned bit-identical to it in
-// tests; it survives as the baseline the kernel experiment measures
-// against.
+// tests and in the brute experiment (E27), and BenchmarkBruteLearnSerial
+// prices it against the matrix.
 func LearnSerial(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) (Result, error) {
 	if len(candidates) == 0 {
 		return Result{}, ErrNoCandidates
@@ -95,77 +95,6 @@ func LearnSerial(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) 
 	if !allEquivalent(remaining) {
 		return res, ErrAmbiguous
 	}
-	return res, nil
-}
-
-// LearnGreedy is Learn with adaptive question selection: at each step
-// it asks the pool question whose answer splits the remaining
-// candidates most evenly (maximum worst-case elimination — the
-// classic halving strategy). Against a benign oracle it identifies
-// the target in about lg |candidates| questions; against the paper's
-// adversarial classes it degrades to the same lower bounds as Learn,
-// which is the point of Theorem 2.1.
-//
-// LearnGreedy runs on the bitset answer matrix (see Matrix); question
-// selection — including the lowest-pool-index tie-break between
-// equal splits — is bit-identical to LearnGreedySerial.
-func LearnGreedy(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) (Result, error) {
-	if len(candidates) == 0 {
-		return Result{}, ErrNoCandidates
-	}
-	return NewMatrix(candidates, pool, MatrixOptions{}).LearnGreedy(o)
-}
-
-// LearnGreedySerial is the direct-evaluation reference implementation
-// of LearnGreedy, kept as the bit-identity baseline and benchmark
-// comparison point.
-func LearnGreedySerial(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) (Result, error) {
-	if len(candidates) == 0 {
-		return Result{}, ErrNoCandidates
-	}
-	remaining := append([]query.Query{}, candidates...)
-	used := make([]bool, len(pool))
-	res := Result{}
-	for !allEquivalent(remaining) {
-		// Pick the unused question with the most balanced split.
-		best, bestMin := -1, 0
-		for i, question := range pool {
-			if used[i] {
-				continue
-			}
-			yes := 0
-			for _, q := range remaining {
-				if q.Eval(question) {
-					yes++
-				}
-			}
-			no := len(remaining) - yes
-			min := yes
-			if no < min {
-				min = no
-			}
-			if min > bestMin {
-				bestMin, best = min, i
-			}
-		}
-		if best == -1 {
-			res.Remaining = len(remaining)
-			res.Learned = remaining[0]
-			return res, ErrAmbiguous
-		}
-		used[best] = true
-		res.Questions++
-		keep := o.Ask(pool[best])
-		next := remaining[:0]
-		for _, q := range remaining {
-			if q.Eval(pool[best]) == keep {
-				next = append(next, q)
-			}
-		}
-		remaining = next
-	}
-	res.Remaining = len(remaining)
-	res.Learned = remaining[0]
 	return res, nil
 }
 

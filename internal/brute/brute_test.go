@@ -101,78 +101,3 @@ func TestLearnEquivalentCandidatesNoQuestions(t *testing.T) {
 		t.Errorf("asked %d questions for equivalent candidates", res.Questions)
 	}
 }
-
-func TestLearnGreedyIdentifiesTargets(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	candidates := query.AllQueries(u)
-	pool := boolean.AllObjects(u)
-	for _, target := range candidates {
-		res, err := LearnGreedy(candidates, oracle.Target(target), pool)
-		if err != nil {
-			t.Fatalf("target %s: %v", target, err)
-		}
-		if !res.Learned.Equivalent(target) {
-			t.Fatalf("target %s learned as %s", target, res.Learned)
-		}
-		// Near the information-theoretic lg |class| against a benign
-		// oracle.
-		if res.Questions > 8 {
-			t.Errorf("target %s took %d greedy questions", target, res.Questions)
-		}
-	}
-}
-
-func TestLearnGreedyBeatsSequentialOnBenignOracle(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	candidates := query.AllQueries(u)
-	pool := boolean.AllObjects(u)
-	var seq, greedy int
-	for i, target := range candidates {
-		if i%5 != 0 {
-			continue // sample
-		}
-		r1, err := Learn(candidates, oracle.Target(target), pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := LearnGreedy(candidates, oracle.Target(target), pool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !r2.Learned.Equivalent(target) {
-			t.Fatalf("greedy learned wrong query for %s", target)
-		}
-		seq += r1.Questions
-		greedy += r2.Questions
-	}
-	if greedy >= seq {
-		t.Errorf("greedy asked %d, sequential asked %d", greedy, seq)
-	}
-}
-
-func TestLearnGreedyAdversaryStillExponential(t *testing.T) {
-	// Theorem 2.1 applies to every learner: greedy selection cannot
-	// beat the alias adversary either.
-	u := boolean.MustUniverse(5)
-	class := oracle.AliasClass(u)
-	adv := oracle.NewAdversary(class)
-	res, err := LearnGreedy(class, adv, oracle.AliasQuestions(u))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Questions != 1<<5-1 {
-		t.Errorf("greedy against adversary: %d questions, want %d", res.Questions, 1<<5-1)
-	}
-}
-
-func TestLearnGreedyErrors(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	if _, err := LearnGreedy(nil, oracle.Target(query.MustParse(u, "∃x1")), nil); err != ErrNoCandidates {
-		t.Errorf("err = %v", err)
-	}
-	candidates := []query.Query{query.MustParse(u, "∃x1"), query.MustParse(u, "∃x2")}
-	pool := []boolean.Set{boolean.MustParseSet(u, "{11}")}
-	if _, err := LearnGreedy(candidates, oracle.Target(candidates[0]), pool); err != ErrAmbiguous {
-		t.Errorf("err = %v", err)
-	}
-}

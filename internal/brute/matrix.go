@@ -15,16 +15,16 @@ import (
 )
 
 // This file implements the bitset answer-matrix engine behind Learn
-// and LearnGreedy (docs/PERFORMANCE.md). The serial learners
+// (docs/PERFORMANCE.md). The serial learners
 // re-evaluate every remaining candidate against every pool question on
 // every elimination step — O(remaining·pool) interpreted Eval calls per
 // question — and allEquivalent re-normalizes candidate pairs per round.
 // The matrix precomputes every candidate's answer to every pool
-// question exactly once, after which split counting, elimination and
-// greedy selection are word-wise AND plus popcount over packed rows.
-// The question sequence is bit-identical to the serial path:
-// TestMatrixBitIdentical pins questions, counts and outcomes against
-// LearnSerial/LearnGreedySerial on every target.
+// question exactly once, after which split counting and elimination
+// are word-wise AND plus popcount over packed rows. The question
+// sequence is bit-identical to the serial path: TestMatrixBitIdentical
+// pins questions, counts and outcomes against LearnSerial on every
+// target.
 //
 // The rows are built by a worker pool through the bit-sliced kernel —
 // query.CompileSlab answers one pool question for 64 candidates per
@@ -45,16 +45,15 @@ type MatrixOptions struct {
 	// are identical either way; this is the experiment baseline.
 	Scalar bool
 	// Registry receives the build wall time
-	// (qhorn_brute_matrix_build_seconds) and the matrix's
-	// Learn/LearnGreedy wall times (qhorn_brute_learn_seconds, labeled
-	// by algorithm); nil is silent.
+	// (qhorn_brute_matrix_build_seconds) and the matrix's Learn wall
+	// times (qhorn_brute_learn_seconds); nil is silent.
 	Registry *obs.Registry
 }
 
 // Matrix is a precomputed candidates×pool answer matrix: bit i of
 // question row j is candidate i's answer to pool question j. It is
 // immutable after construction and safe for concurrent use; one matrix
-// can drive any number of Learn/LearnGreedy runs against different
+// can drive any number of Learn runs against different
 // oracles (the elimination state lives in the run, not the matrix).
 type Matrix struct {
 	candidates []query.Query
@@ -192,13 +191,13 @@ func (m *Matrix) rowApply(rem []uint64, j int, keep bool) {
 	}
 }
 
-// timeLearn observes one Learn/LearnGreedy run's wall time, labeled by
-// algorithm ("sequential" or "greedy"); a no-op without a registry.
-func (m *Matrix) timeLearn(algo string) func() {
+// timeLearn observes one Learn run's wall time; a no-op without a
+// registry.
+func (m *Matrix) timeLearn() func() {
 	if m.reg == nil {
 		return func() {}
 	}
-	h := m.reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets, "algo", algo)
+	h := m.reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets)
 	begun := time.Now()
 	return func() { h.Observe(time.Since(begun).Seconds()) }
 }
@@ -220,7 +219,7 @@ func (m *Matrix) Learn(o oracle.Oracle) (Result, error) {
 	if len(m.candidates) == 0 {
 		return Result{}, ErrNoCandidates
 	}
-	defer m.timeLearn("sequential")()
+	defer m.timeLearn()()
 	rem := bitvec.Full(len(m.candidates))
 	count := len(m.candidates)
 	res := Result{}
@@ -247,57 +246,6 @@ func (m *Matrix) Learn(o oracle.Oracle) (Result, error) {
 	if !m.allEquivalentRem(rem, count) {
 		return res, ErrAmbiguous
 	}
-	return res, nil
-}
-
-// LearnGreedy runs the halving learner over the matrix; see
-// LearnGreedy for the contract. Ties between equal-split questions
-// break to the lowest pool index, exactly as in LearnGreedySerial.
-func (m *Matrix) LearnGreedy(o oracle.Oracle) (Result, error) {
-	if len(m.candidates) == 0 {
-		return Result{}, ErrNoCandidates
-	}
-	defer m.timeLearn("greedy")()
-	rem := bitvec.Full(len(m.candidates))
-	count := len(m.candidates)
-	used := make([]bool, len(m.pool))
-	res := Result{}
-	for !m.allEquivalentRem(rem, count) {
-		// Pick the unused question with the most balanced split: the
-		// strict > keeps the lowest index among equal splits.
-		best, bestMin := -1, 0
-		for j := range m.pool {
-			if used[j] {
-				continue
-			}
-			yes := m.rowCount(rem, j)
-			no := count - yes
-			min := yes
-			if no < min {
-				min = no
-			}
-			if min > bestMin {
-				bestMin, best = min, j
-			}
-		}
-		if best == -1 {
-			res.Remaining = count
-			res.Learned = m.candidates[bitvec.FirstBit(rem)]
-			return res, ErrAmbiguous
-		}
-		used[best] = true
-		res.Questions++
-		yes := m.rowCount(rem, best)
-		if o.Ask(m.pool[best]) {
-			m.rowApply(rem, best, true)
-			count = yes
-		} else {
-			m.rowApply(rem, best, false)
-			count -= yes
-		}
-	}
-	res.Remaining = count
-	res.Learned = m.candidates[bitvec.FirstBit(rem)]
 	return res, nil
 }
 

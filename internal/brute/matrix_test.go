@@ -36,42 +36,33 @@ func sameQuestions(a, b []boolean.Set) bool {
 	return true
 }
 
-// TestMatrixBitIdentical pins the matrix-backed Learn and LearnGreedy
-// against the serial reference paths on every role-preserving target
-// over 2 variables: same questions in the same order, same counts,
-// same learned query.
+// TestMatrixBitIdentical pins the matrix-backed Learn against the
+// serial reference path on every role-preserving target over 2
+// variables: same questions in the same order, same counts, same
+// learned query.
 func TestMatrixBitIdentical(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
 	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 2})
 	for _, target := range candidates {
-		for _, path := range []struct {
-			name   string
-			serial func([]query.Query, oracle.Oracle, []boolean.Set) (Result, error)
-			matrix func(oracle.Oracle) (Result, error)
-		}{
-			{"Learn", LearnSerial, m.Learn},
-			{"LearnGreedy", LearnGreedySerial, m.LearnGreedy},
-		} {
-			rs := &recordingOracle{inner: oracle.Target(target)}
-			rm := &recordingOracle{inner: oracle.Target(target)}
-			resS, errS := path.serial(candidates, rs, pool)
-			resM, errM := path.matrix(rm)
-			if errS != errM {
-				t.Fatalf("%s target %s: serial err %v, matrix err %v", path.name, target, errS, errM)
-			}
-			if !sameQuestions(rs.asked, rm.asked) {
-				t.Fatalf("%s target %s: question sequences differ (%d vs %d)",
-					path.name, target, len(rs.asked), len(rm.asked))
-			}
-			if resS.Questions != resM.Questions || resS.Remaining != resM.Remaining {
-				t.Fatalf("%s target %s: serial %+v, matrix %+v", path.name, target, resS, resM)
-			}
-			if !resS.Learned.Equal(resM.Learned) {
-				t.Fatalf("%s target %s: serial learned %s, matrix learned %s",
-					path.name, target, resS.Learned, resM.Learned)
-			}
+		rs := &recordingOracle{inner: oracle.Target(target)}
+		rm := &recordingOracle{inner: oracle.Target(target)}
+		resS, errS := LearnSerial(candidates, rs, pool)
+		resM, errM := m.Learn(rm)
+		if errS != errM {
+			t.Fatalf("target %s: serial err %v, matrix err %v", target, errS, errM)
+		}
+		if !sameQuestions(rs.asked, rm.asked) {
+			t.Fatalf("target %s: question sequences differ (%d vs %d)",
+				target, len(rs.asked), len(rm.asked))
+		}
+		if resS.Questions != resM.Questions || resS.Remaining != resM.Remaining {
+			t.Fatalf("target %s: serial %+v, matrix %+v", target, resS, resM)
+		}
+		if !resS.Learned.Equal(resM.Learned) {
+			t.Fatalf("target %s: serial learned %s, matrix learned %s",
+				target, resS.Learned, resM.Learned)
 		}
 	}
 }
@@ -84,57 +75,13 @@ func TestMatrixBitIdenticalAdversary(t *testing.T) {
 		u := boolean.MustUniverse(n)
 		class := oracle.AliasClass(u)
 		pool := oracle.AliasQuestions(u)
-		for name, fns := range map[string][2]func() (Result, error){
-			"Learn": {
-				func() (Result, error) { return LearnSerial(class, oracle.NewAdversary(class), pool) },
-				func() (Result, error) { return Learn(class, oracle.NewAdversary(class), pool) },
-			},
-			"LearnGreedy": {
-				func() (Result, error) { return LearnGreedySerial(class, oracle.NewAdversary(class), pool) },
-				func() (Result, error) { return LearnGreedy(class, oracle.NewAdversary(class), pool) },
-			},
-		} {
-			resS, errS := fns[0]()
-			resM, errM := fns[1]()
-			if errS != errM || resS.Questions != resM.Questions || resS.Remaining != resM.Remaining {
-				t.Fatalf("%s n=%d: serial (%+v, %v), matrix (%+v, %v)", name, n, resS, errS, resM, errM)
-			}
-			if !resS.Learned.Equal(resM.Learned) {
-				t.Fatalf("%s n=%d: learned queries differ", name, n)
-			}
+		resS, errS := LearnSerial(class, oracle.NewAdversary(class), pool)
+		resM, errM := Learn(class, oracle.NewAdversary(class), pool)
+		if errS != errM || resS.Questions != resM.Questions || resS.Remaining != resM.Remaining {
+			t.Fatalf("n=%d: serial (%+v, %v), matrix (%+v, %v)", n, resS, errS, resM, errM)
 		}
-	}
-}
-
-// TestLearnGreedyTieBreakDeterminism: among equal-split questions the
-// greedy learner must pick the lowest pool index, on both paths.
-func TestLearnGreedyTieBreakDeterminism(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	candidates := []query.Query{
-		query.MustParse(u, "∃x1"),
-		query.MustParse(u, "∃x2"),
-	}
-	// Both questions split the two candidates 1/1; the learner must
-	// take index 0 ({10}) first, on both paths, every run.
-	pool := []boolean.Set{
-		boolean.MustParseSet(u, "{10}"),
-		boolean.MustParseSet(u, "{01}"),
-	}
-	want := pool[0]
-	for run := 0; run < 3; run++ {
-		rs := &recordingOracle{inner: oracle.Target(candidates[0])}
-		if _, err := LearnGreedySerial(candidates, rs, pool); err != nil {
-			t.Fatal(err)
-		}
-		rm := &recordingOracle{inner: oracle.Target(candidates[0])}
-		if _, err := LearnGreedy(candidates, rm, pool); err != nil {
-			t.Fatal(err)
-		}
-		if len(rs.asked) == 0 || !rs.asked[0].Equal(want) {
-			t.Fatalf("serial first question %v, want lowest pool index %v", rs.asked, want)
-		}
-		if !sameQuestions(rs.asked, rm.asked) {
-			t.Fatalf("run %d: tie-break diverged: serial %v, matrix %v", run, rs.asked, rm.asked)
+		if !resS.Learned.Equal(resM.Learned) {
+			t.Fatalf("n=%d: learned queries differ", n)
 		}
 	}
 }
@@ -173,16 +120,12 @@ func TestAllEquivalentFallback(t *testing.T) {
 	if m.Answer(0, 0) != m.Answer(1, 0) || m.Answer(0, 1) != m.Answer(1, 1) {
 		t.Fatal("pool unexpectedly distinguishes the candidates")
 	}
-	for name, f := range map[string]func(oracle.Oracle) (Result, error){
-		"Learn": m.Learn, "LearnGreedy": m.LearnGreedy,
-	} {
-		res, err := f(oracle.Target(distinct[0]))
-		if err != ErrAmbiguous {
-			t.Errorf("%s: err = %v, want ErrAmbiguous", name, err)
-		}
-		if res.Remaining != 2 {
-			t.Errorf("%s: remaining = %d, want 2", name, res.Remaining)
-		}
+	res, err = m.Learn(oracle.Target(distinct[0]))
+	if err != ErrAmbiguous {
+		t.Errorf("matrix: err = %v, want ErrAmbiguous", err)
+	}
+	if res.Remaining != 2 {
+		t.Errorf("matrix: remaining = %d, want 2", res.Remaining)
 	}
 	serialRes, serialErr := LearnSerial(distinct, oracle.Target(distinct[0]), blind)
 	if serialErr != ErrAmbiguous || serialRes.Remaining != 2 {
@@ -200,7 +143,7 @@ func TestMatrixReuse(t *testing.T) {
 		t.Fatal("matrix accessors disagree with inputs")
 	}
 	for _, target := range candidates {
-		res, err := m.LearnGreedy(oracle.Target(target))
+		res, err := m.Learn(oracle.Target(target))
 		if err != nil {
 			t.Fatalf("target %s: %v", target, err)
 		}
@@ -226,8 +169,8 @@ func TestMatrixLargeCandidateSet(t *testing.T) {
 		target := candidates[rng.Intn(len(candidates))]
 		rs := &recordingOracle{inner: oracle.Target(target)}
 		rm := &recordingOracle{inner: oracle.Target(target)}
-		resS, errS := LearnGreedySerial(candidates, rs, pool)
-		resM, errM := m.LearnGreedy(rm)
+		resS, errS := LearnSerial(candidates, rs, pool)
+		resM, errM := m.Learn(rm)
 		if errS != errM || resS.Questions != resM.Questions || !resS.Learned.Equal(resM.Learned) {
 			t.Fatalf("target %s: serial (%+v, %v), matrix (%+v, %v)", target, resS, errS, resM, errM)
 		}
@@ -244,9 +187,6 @@ func TestMatrixEmptyInputs(t *testing.T) {
 	if _, err := m.Learn(oracle.Func(func(boolean.Set) bool { return false })); err != ErrNoCandidates {
 		t.Errorf("Learn on empty candidates: err = %v", err)
 	}
-	if _, err := m.LearnGreedy(oracle.Func(func(boolean.Set) bool { return false })); err != ErrNoCandidates {
-		t.Errorf("LearnGreedy on empty candidates: err = %v", err)
-	}
 	// Empty pool with equivalent candidates: immediate success.
 	one := []query.Query{query.MustParse(u, "∃x1")}
 	res, err := NewMatrix(one, nil, MatrixOptions{}).Learn(oracle.Target(one[0]))
@@ -256,8 +196,8 @@ func TestMatrixEmptyInputs(t *testing.T) {
 }
 
 // TestMatrixIntoTimingMetrics checks a matrix built with a registry
-// records the build and per-algorithm learn durations, and that one
-// built without stays metric-silent.
+// records the build and learn durations, and that one built without
+// stays metric-silent.
 func TestMatrixIntoTimingMetrics(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
@@ -269,20 +209,13 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 	}
 
 	target := oracle.Target(candidates[0])
-	if _, err := m.Learn(target); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		if _, err := m.Learn(target); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.LearnGreedy(target); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.Learn(target); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets, "algo", "sequential").Count(); got != 2 {
-		t.Errorf("sequential learn observations = %d, want 2", got)
-	}
-	if got := reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets, "algo", "greedy").Count(); got != 1 {
-		t.Errorf("greedy learn observations = %d, want 1", got)
+	if got := reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets).Count(); got != 2 {
+		t.Errorf("learn observations = %d, want 2", got)
 	}
 
 	// A matrix without a registry must not panic and must record
@@ -291,7 +224,7 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 	if _, err := bare.Learn(target); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets, "algo", "sequential").Count(); got != 2 {
+	if got := reg.Histogram(obs.MetricBruteLearnSeconds, obs.LatencyBuckets).Count(); got != 2 {
 		t.Errorf("bare matrix leaked observations into the registry: %d", got)
 	}
 }
@@ -308,7 +241,7 @@ var matrixVariants = []struct {
 
 // TestMatrixBitIdenticalVariants extends the bit-identity pin to both
 // builds: each must ask exactly the serial reference's questions, in
-// order, on every target, for both learners.
+// order, on every target.
 func TestMatrixBitIdenticalVariants(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	candidates := query.AllQueries(u)
@@ -322,29 +255,20 @@ func TestMatrixBitIdenticalVariants(t *testing.T) {
 		t.Run(v.name, func(t *testing.T) {
 			m := NewMatrix(candidates, pool, v.opt)
 			for _, target := range targets {
-				for _, path := range []struct {
-					name   string
-					serial func([]query.Query, oracle.Oracle, []boolean.Set) (Result, error)
-					matrix func(oracle.Oracle) (Result, error)
-				}{
-					{"Learn", LearnSerial, m.Learn},
-					{"LearnGreedy", LearnGreedySerial, m.LearnGreedy},
-				} {
-					rs := &recordingOracle{inner: oracle.Target(target)}
-					rm := &recordingOracle{inner: oracle.Target(target)}
-					resS, errS := path.serial(candidates, rs, pool)
-					resM, errM := path.matrix(rm)
-					if errS != errM {
-						t.Fatalf("%s target %s: serial err %v, matrix err %v", path.name, target, errS, errM)
-					}
-					if !sameQuestions(rs.asked, rm.asked) {
-						t.Fatalf("%s target %s: question sequences differ (%d vs %d)",
-							path.name, target, len(rs.asked), len(rm.asked))
-					}
-					if resS.Questions != resM.Questions || resS.Remaining != resM.Remaining ||
-						!resS.Learned.Equal(resM.Learned) {
-						t.Fatalf("%s target %s: serial %+v, matrix %+v", path.name, target, resS, resM)
-					}
+				rs := &recordingOracle{inner: oracle.Target(target)}
+				rm := &recordingOracle{inner: oracle.Target(target)}
+				resS, errS := LearnSerial(candidates, rs, pool)
+				resM, errM := m.Learn(rm)
+				if errS != errM {
+					t.Fatalf("target %s: serial err %v, matrix err %v", target, errS, errM)
+				}
+				if !sameQuestions(rs.asked, rm.asked) {
+					t.Fatalf("target %s: question sequences differ (%d vs %d)",
+						target, len(rs.asked), len(rm.asked))
+				}
+				if resS.Questions != resM.Questions || resS.Remaining != resM.Remaining ||
+					!resS.Learned.Equal(resM.Learned) {
+					t.Fatalf("target %s: serial %+v, matrix %+v", target, resS, resM)
 				}
 			}
 		})

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math/rand"
-	"time"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/brute"
@@ -21,38 +20,32 @@ func init() {
 	})
 }
 
-// runBrute measures the brute-force cross-validation stack end to end:
-// the per-learn cost a difffuzz judge pays (fresh scalar build+learn,
-// the pre-cache path, against one learn over the process-cached sliced
-// matrix), the matrix build itself (scalar per-candidate kernel vs the
-// bit-sliced slab kernel), and the sampled n=5 range where exhaustive
-// enumeration is intractable. Every
-// timed comparison asserts bit-identical behaviour in-run. `qhornexp
-// -exp brute -json` writes the result as BENCH_brute.json.
+// runBrute cross-checks the brute-force stack a difffuzz judge runs:
+// the serial reference learner, a freshly built scalar matrix and one
+// learn over a prebuilt sliced matrix on exhaustive universes, and the
+// sampled n=5 range where exhaustive enumeration is intractable. Every
+// comparison asserts bit-identical behaviour in-run; the per-learn and
+// build timings are the root BenchmarkBruteLearnSerial,
+// BenchmarkBruteLearnMatrix and BenchmarkBruteMatrixBuild.
 func runBrute(cfg Config) []*stats.Table {
 	cfg = cfg.normalize()
 	e, _ := ByName("brute")
 	return []*stats.Table{
 		bruteLearnTable(e, cfg),
-		bruteBuildTable(e, cfg),
 		bruteSampledTable(e, cfg),
 	}
 }
 
-// ms converts a wall-clock duration into fractional milliseconds.
-func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
-
-// bruteLearnTable is the headline per-learn comparison on exhaustive
-// universes: what one brute cross-check costs through (a) the serial
-// reference learner, (b) a freshly built scalar matrix — the judge path
-// before this repo cached and bit-sliced the matrix — and (c) one learn
-// over a prebuilt sliced matrix, the cached path difffuzz now runs.
-// Question counts and learned queries are asserted identical across all
-// three on every trial.
+// bruteLearnTable runs one brute cross-check per trial on exhaustive
+// universes through (a) the serial reference learner, (b) a freshly
+// built scalar matrix — the judge path before this repo cached and
+// bit-sliced the matrix — and (c) one learn over a prebuilt sliced
+// matrix, the cached path difffuzz now runs. Question counts and
+// learned queries are asserted identical across all three on every
+// trial.
 func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 	t := stats.NewTable(header(e)+" — per-learn (exhaustive range)",
-		"n", "candidates", "pool", "questions",
-		"serial ms", "fresh scalar ms", "cached sliced ms", "per-learn speedup")
+		"n", "candidates", "pool", "questions")
 	reg := cfg.Metrics
 
 	sweep := []int{2, 3, 4}
@@ -73,24 +66,18 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 		}
 
 		cached := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Registry: reg})
-		var questions, serialMS, freshMS, cachedMS []float64
+		var questions []float64
 		for trial := 0; trial < trials; trial++ {
 			target := candidates[rng.Intn(len(candidates))]
 
 			sc := oracle.Count(oracle.Target(target), reg)
-			start := time.Now()
 			sres, serr := brute.LearnSerial(candidates, sc, pool)
-			serialMS = append(serialMS, ms(time.Since(start)))
 
 			fc := oracle.Count(oracle.Target(target), reg)
-			start = time.Now()
 			fres, ferr := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true, Registry: reg}).Learn(fc)
-			freshMS = append(freshMS, ms(time.Since(start)))
 
 			mc := oracle.Count(oracle.Target(target), reg)
-			start = time.Now()
 			mres, merr := cached.Learn(mc)
-			cachedMS = append(cachedMS, ms(time.Since(start)))
 
 			// In-run identity asserts: all three paths ask the same
 			// questions and learn the same query.
@@ -106,50 +93,9 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 			}
 			questions = append(questions, float64(sres.Questions))
 		}
-		sm := stats.Summarize(serialMS).Mean
-		fm := stats.Summarize(freshMS).Mean
-		cm := stats.Summarize(cachedMS).Mean
-		t.AddRow(n, len(candidates), len(pool), stats.Summarize(questions).Mean, sm, fm, cm, fm/cm)
+		t.AddRow(n, len(candidates), len(pool), stats.Summarize(questions).Mean)
 	}
-	t.AddNote("fresh scalar = matrix rebuilt per learn with the scalar per-candidate kernel (the judge path before the process-wide matrix cache and the bit-sliced builder); cached sliced = one learn over the prebuilt sliced matrix, its build amortized across the run; questions and learned queries asserted identical serial vs fresh vs cached on every trial")
-	return t
-}
-
-// bruteBuildTable times the matrix build itself — the scalar
-// per-candidate kernel against the bit-sliced slab kernel. The two
-// matrices are asserted answer-identical on sampled probes (the full
-// bit-identity is pinned by TestMatrixScalarSlicedIdenticalRows).
-func bruteBuildTable(e Experiment, cfg Config) *stats.Table {
-	t := stats.NewTable(header(e)+" — matrix build",
-		"n", "candidates", "pool", "scalar build ms", "sliced build ms", "build speedup")
-
-	sweep := []int{2, 3, 4}
-	if cfg.Quick {
-		sweep = []int{2, 3}
-	}
-	for _, n := range sweep {
-		u := boolean.MustUniverse(n)
-		candidates := query.AllQueries(u)
-		pool := boolean.AllObjects(u)
-
-		start := time.Now()
-		scalar := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true})
-		scalarMS := ms(time.Since(start))
-
-		start = time.Now()
-		sliced := brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
-		slicedMS := ms(time.Since(start))
-
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		for probe := 0; probe < 200; probe++ {
-			i, j := rng.Intn(len(candidates)), rng.Intn(len(pool))
-			if scalar.Answer(i, j) != sliced.Answer(i, j) {
-				panic("exp: scalar and sliced matrix builds disagree on an answer bit")
-			}
-		}
-		t.AddRow(n, len(candidates), len(pool), scalarMS, slicedMS, scalarMS/slicedMS)
-	}
-	t.AddNote("one slab evaluation answers a question for 64 candidates at once; scalar and sliced builds asserted answer-identical on 200 sampled probes per n")
+	t.AddNote("fresh scalar = matrix rebuilt per learn with the scalar per-candidate kernel (the judge path before the process-wide matrix cache and the bit-sliced builder); cached sliced = one learn over the prebuilt sliced matrix; questions and learned queries asserted identical serial vs fresh vs cached on every trial")
 	return t
 }
 
@@ -161,8 +107,7 @@ func bruteBuildTable(e Experiment, cfg Config) *stats.Table {
 // but an unambiguous winner must be equivalent to the target.
 func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 	t := stats.NewTable(header(e)+" — sampled range (n=5)",
-		"n", "candidates", "pool", "questions",
-		"scalar build ms", "sliced build ms", "build speedup", "learn ms", "ambiguous")
+		"n", "candidates", "pool", "questions", "ambiguous")
 	reg := cfg.Metrics
 
 	const n = 5
@@ -178,22 +123,14 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 	candidates := query.SampleQueries(rng, u, nCands)
 	pool := boolean.SampleObjects(rng, u, nPool)
 
-	start := time.Now()
-	brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true})
-	scalarMS := ms(time.Since(start))
-
-	start = time.Now()
 	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Registry: reg})
-	slicedMS := ms(time.Since(start))
 
 	ambiguous := 0
-	var questions, learnMS []float64
+	var questions []float64
 	for trial := 0; trial < trials; trial++ {
 		target := candidates[rng.Intn(len(candidates))]
 		c := oracle.Count(oracle.Target(target), reg)
-		startL := time.Now()
 		res, err := m.Learn(c)
-		learnMS = append(learnMS, ms(time.Since(startL)))
 		switch {
 		case err == brute.ErrAmbiguous:
 			ambiguous++
@@ -204,8 +141,7 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 		}
 		questions = append(questions, float64(res.Questions))
 	}
-	t.AddRow(n, len(candidates), len(pool), stats.Summarize(questions).Mean,
-		scalarMS, slicedMS, scalarMS/slicedMS, stats.Summarize(learnMS).Mean, ambiguous)
+	t.AddRow(n, len(candidates), len(pool), stats.Summarize(questions).Mean, ambiguous)
 	t.AddNote("candidates and objects are seeded samples (query.SampleQueries, boolean.SampleObjects) with the target always a candidate; ambiguous outcomes are tolerated, unambiguous winners asserted equivalent to the target")
 	return t
 }

@@ -1,12 +1,65 @@
 package exp
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from the current code")
+
+const experimentsGolden = "testdata/experiments.golden"
+
 func quickCfg() Config { return Config{Seed: 3, Trials: 3, Quick: true} }
+
+// TestExperimentsGolden pins every table of `qhornexp -exp all -seed 1
+// -quick`, rendered as that command prints it: titles, rows and notes,
+// so question counts and growth exponents alike. No experiment reads
+// a clock, so the rendering is deterministic per seed. Regenerate
+// deliberately with
+//
+//	go test ./internal/exp -run TestExperimentsGolden -update
+//
+// and name the moved rows and the reason in CHANGES.md.
+func TestExperimentsGolden(t *testing.T) {
+	var b strings.Builder
+	for _, e := range All() {
+		for _, tb := range e.Run(Config{Seed: 1, Trials: DefaultConfig.Trials, Quick: true}) {
+			b.WriteString(tb.Text())
+			b.WriteString("\n")
+		}
+	}
+	got := b.String()
+	if *update {
+		if err := os.WriteFile(experimentsGolden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(experimentsGolden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if bytes.Equal(want, []byte(got)) {
+		return
+	}
+	wantLines, gotLines := strings.Split(string(want), "\n"), strings.Split(got, "\n")
+	for i := 0; i < len(wantLines) || i < len(gotLines); i++ {
+		var w, g string
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if w != g {
+			t.Errorf("%s line %d:\n  golden %s\n  now    %s", experimentsGolden, i+1, w, g)
+		}
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{

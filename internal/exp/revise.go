@@ -2,7 +2,6 @@ package exp
 
 import (
 	"math/rand"
-	"time"
 
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
@@ -28,14 +27,14 @@ func init() {
 // invalidated (the §5 loop), and revise the prior learned query over
 // the replayed history — against relearning the drifted target from
 // nothing. Warm questions are only the live ones (replays are free);
-// the correctness asserts run inside the benchmark, so a wrong
+// the correctness asserts run inside the experiment, so a wrong
 // revision fails the experiment, not just a table row.
 func runReviseReplay(cfg Config) []*stats.Table {
 	cfg = cfg.normalize()
 	e, _ := ByName("revise")
 	t := stats.NewTable(header(e)+" — one-clause-drift replay, warm revision vs cold relearn",
 		"n", "history (mean)", "cold questions", "warm questions", "question speedup",
-		"questions saved", "cold ms", "warm ms", "escalations")
+		"questions saved", "escalations")
 	sizes := []int{8, 10, 12}
 	if cfg.Quick {
 		sizes = []int{8}
@@ -44,7 +43,6 @@ func runReviseReplay(cfg Config) []*stats.Table {
 	for _, n := range sizes {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(n)))
 		var histLens, coldQs, warmQs []int
-		var coldMS, warmMS []float64
 		escalations := 0
 		for trial := 0; trial < cfg.Trials; trial++ {
 			// The original target and a one-clause drift of it; harmless
@@ -82,12 +80,10 @@ func runReviseReplay(cfg Config) []*stats.Table {
 
 			// Warm: revise the prior learned query over the replayed
 			// history; only never-recorded questions go live.
-			start := time.Now()
 			res, err := revise.Revise(prior, warmHist)
 			if err != nil {
 				panic(err)
 			}
-			warmMS = append(warmMS, float64(time.Since(start).Microseconds())/1000)
 			if !res.Revised.Equivalent(drifted) {
 				panic("exp: revise: revision produced the wrong query")
 			}
@@ -98,9 +94,7 @@ func runReviseReplay(cfg Config) []*stats.Table {
 
 			// Cold: relearn the drifted target from nothing.
 			c := oracle.Count(driftedOracle, nil)
-			start = time.Now()
 			cold, _ := learn.RolePreserving(drifted.U, c)
-			coldMS = append(coldMS, float64(time.Since(start).Microseconds())/1000)
 			if !cold.Equivalent(drifted) {
 				panic("exp: revise: cold relearn produced the wrong query")
 			}
@@ -110,8 +104,7 @@ func runReviseReplay(cfg Config) []*stats.Table {
 		cq := stats.SummarizeInts(coldQs).Mean
 		wq := stats.SummarizeInts(warmQs).Mean
 		t.AddRow(n, stats.SummarizeInts(histLens).Mean, cq, wq, cq/wq,
-			stats.FormatFloat((1-wq/cq)*100)+"%",
-			stats.Summarize(coldMS).Mean, stats.Summarize(warmMS).Mean, escalations)
+			stats.FormatFloat((1-wq/cq)*100)+"%", escalations)
 	}
 	t.AddNote("warm questions are the live (non-replayed) questions of a revision over the amended history; cold questions relearn the drifted target from nothing; question speedup is cold/warm")
 	return []*stats.Table{t}

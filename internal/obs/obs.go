@@ -91,8 +91,7 @@ const (
 	// matrix build wall time (brute.NewMatrix).
 	MetricBruteBuildSeconds = "qhorn_brute_matrix_build_seconds"
 	// MetricBruteLearnSeconds is the distribution of per-learn wall
-	// time through the brute answer matrix (label "algo": greedy or
-	// exhaustive).
+	// time through the brute answer matrix (brute.Matrix.Learn).
 	MetricBruteLearnSeconds = "qhorn_brute_learn_seconds"
 	// MetricServeSessionsActive gauges the live learn/verify sessions
 	// of a qhornd server: sessions whose learner goroutine is running

@@ -18,8 +18,9 @@
 //   - Instrumentation, Step, Tracer and Ablations are the shared
 //     cross-cutting types; internal/learn and internal/verify alias
 //     them so one instrumentation value threads through both.
-//   - FromFlags translates the shared CLI flag bundle (obs.Flags)
-//     into Options, so every CLI builds its run config the same way.
+//   - FromFlags translates the session the shared CLI flag bundle
+//     (obs.Flags) started into Options, so every CLI builds its run
+//     config the same way.
 //
 // Adding a new dimension (noise recovery, PAC sampling, sharded
 // oracles) means one new Option here, not a new exported function per
@@ -352,12 +353,12 @@ func (c Config) Assemble(user oracle.Oracle) Stack {
 	return st
 }
 
-// FromFlags translates the shared CLI observability flag bundle into
-// engine options: span/metric instrumentation from the session and a
-// question counter feeding the metrics registry. Every CLI that drives
-// a learner or the verifier builds its run config through this one
-// helper.
-func FromFlags(f *obs.Flags, s *obs.Session) []Option {
+// FromFlags translates the observability session the shared CLI flag
+// bundle (obs.Flags) started into engine options: span/metric
+// instrumentation from the session and a question counter feeding the
+// metrics registry. Every CLI that drives a learner or the verifier
+// builds its run config through this one helper.
+func FromFlags(s *obs.Session) []Option {
 	return []Option{
 		WithInstrumentation(Instrumentation{Spans: s.Tracer, Metrics: s.Metrics}),
 		WithCounter(),

@@ -244,7 +244,7 @@ func TestFromFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := New(FromFlags(&f, s)...)
+	c := New(FromFlags(s)...)
 	if !c.Count {
 		t.Error("FromFlags dropped the counter")
 	}

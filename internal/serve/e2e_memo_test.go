@@ -105,7 +105,7 @@ func TestE2EMemoWarmRepeat(t *testing.T) {
 // form (Prop 4.1: equivalent role-preserving queries share a syntactic
 // normal form), with the fast path exposing its question breakdown.
 // The quantitative savings claim lives in the revise experiment
-// (BENCH_revise.json), which replays one-clause drifts at scale; a
+// (E26), which replays one-clause drifts at scale; a
 // single lie on a small target is no measure of it.
 func TestE2EAmendReviseFastPath(t *testing.T) {
 	target := targets(difffuzz.ClassRP, 31, 1)[0]
