@@ -42,15 +42,6 @@ func Set(v []uint64, i int) {
 	v[i>>6] |= 1 << (uint(i) & 63)
 }
 
-// Count returns the popcount of v.
-func Count(v []uint64) int {
-	n := 0
-	for _, w := range v {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // AndCount returns popcount(a & b) without mutating either side.
 func AndCount(a, b []uint64) int {
 	n := 0

@@ -25,8 +25,8 @@ func TestFull(t *testing.T) {
 		if len(v) != Words(nbits) {
 			t.Fatalf("Full(%d): %d words, want %d", nbits, len(v), Words(nbits))
 		}
-		if Count(v) != nbits {
-			t.Errorf("Full(%d): count %d", nbits, Count(v))
+		if AndCount(v, v) != nbits {
+			t.Errorf("Full(%d): count %d", nbits, AndCount(v, v))
 		}
 		for i := 0; i < nbits; i++ {
 			if !Get(v, i) {
@@ -48,8 +48,8 @@ func TestGetSetCount(t *testing.T) {
 	for _, i := range idx {
 		Set(v, i)
 	}
-	if Count(v) != len(idx) {
-		t.Fatalf("count %d, want %d", Count(v), len(idx))
+	if AndCount(v, v) != len(idx) {
+		t.Fatalf("count %d, want %d", AndCount(v, v), len(idx))
 	}
 	want := map[int]bool{}
 	for _, i := range idx {
@@ -95,8 +95,8 @@ func TestWordOps(t *testing.T) {
 				t.Fatalf("AndNotInto bit %d wrong", i)
 			}
 		}
-		if Count(and) != want {
-			t.Fatalf("AndInto count %d, want %d", Count(and), want)
+		if AndCount(and, and) != want {
+			t.Fatalf("AndInto count %d, want %d", AndCount(and, and), want)
 		}
 
 		if !Equal(a, a) {

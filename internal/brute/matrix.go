@@ -202,16 +202,6 @@ func (m *Matrix) timeLearn() func() {
 	return func() { h.Observe(time.Since(begun).Seconds()) }
 }
 
-// Candidates returns the candidate slice the matrix was built over.
-func (m *Matrix) Candidates() []query.Query { return m.candidates }
-
-// Pool returns the question pool the matrix was built over.
-func (m *Matrix) Pool() []boolean.Set { return m.pool }
-
-// Answer reports the precomputed answer of candidate i to pool
-// question j.
-func (m *Matrix) Answer(i, j int) bool { return bitvec.Get(m.rows[j], i) }
-
 // Learn runs the sequential elimination learner over the matrix; see
 // Learn for the contract. Question selection, counts and the learned
 // query are bit-identical to LearnSerial.

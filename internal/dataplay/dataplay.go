@@ -154,39 +154,6 @@ func (s *System) SQL(q query.Query) (string, error) {
 	return nested.SQL(q, s.ps)
 }
 
-// History returns the interaction transcript so far (questions in
-// first-asked order with the responses on record).
-func (s *System) History() []session.Entry {
-	if s.sess == nil {
-		return nil
-	}
-	return s.sess.Entries()
-}
-
-// QuestionObject renders history entry i as the data object that was
-// shown to the user.
-func (s *System) QuestionObject(i int) (nested.Object, error) {
-	h := s.History()
-	if i < 0 || i >= len(h) {
-		return nested.Object{}, fmt.Errorf("dataplay: no history entry %d", i)
-	}
-	return s.index.Select(fmt.Sprintf("history #%d", i+1), h[i].Question)
-}
-
-// Amend flips the recorded response of history entry i (§5); the next
-// Learn/Verify/Revise call replays the corrected history and only
-// consults the user for new questions.
-func (s *System) Amend(i int) error {
-	if s.sess == nil {
-		return fmt.Errorf("dataplay: no session yet")
-	}
-	err := s.sess.Amend(i)
-	if err == nil {
-		s.sess.ResetRun()
-	}
-	return err
-}
-
 // Review returns the history indices whose recorded answers the user
 // now disagrees with, by re-asking her about each recorded object —
 // the §5 "double-check your responses" pass. Amend the returned

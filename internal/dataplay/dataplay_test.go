@@ -32,7 +32,7 @@ func TestLifecycleLearnVerifyExecute(t *testing.T) {
 	if !learned.Equivalent(intended) {
 		t.Fatalf("learned %s", learned)
 	}
-	if s.Questions == 0 || len(s.History()) == 0 {
+	if s.Questions == 0 || s.sess.Len() == 0 {
 		t.Fatal("no interaction recorded")
 	}
 
@@ -99,16 +99,8 @@ func TestAmendmentFlow(t *testing.T) {
 	}
 	// Review the history against the honest classification, flip the
 	// bad answers, re-learn with the same session.
-	for i, e := range s.History() {
-		obj, err := s.QuestionObject(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if honest.Classify(obj) != e.Answer {
-			if err := s.Amend(i); err != nil {
-				t.Fatal(err)
-			}
-		}
+	if n, err := s.AmendReview(honest); err != nil || n == 0 {
+		t.Fatalf("AmendReview = %d, %v", n, err)
 	}
 	again, err := s.Learn(Qhorn1, liar)
 	if err != nil {
@@ -132,16 +124,6 @@ func TestNewRejectsInterference(t *testing.T) {
 	}
 	if _, err := New(nested.Propositions{Schema: nested.ChocolateSchema()}, nested.Dataset{Schema: nested.ChocolateSchema()}); err == nil {
 		t.Fatal("empty proposition set accepted")
-	}
-}
-
-func TestQuestionObjectErrors(t *testing.T) {
-	s := newChocolateSystem(t)
-	if _, err := s.QuestionObject(0); err == nil {
-		t.Fatal("empty history indexed")
-	}
-	if err := s.Amend(0); err == nil {
-		t.Fatal("amend before any session succeeded")
 	}
 }
 

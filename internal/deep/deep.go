@@ -169,29 +169,6 @@ type Query struct {
 	Exprs []Expr
 }
 
-// Validate checks prefix lengths and variable ranges.
-func (q Query) Validate() error {
-	for _, e := range q.Exprs {
-		if len(e.Prefix) != q.Depth {
-			return fmt.Errorf("deep: expression %s has prefix length %d, query depth %d", e, len(e.Prefix), q.Depth)
-		}
-		if !q.U.Contains(e.Body) {
-			return fmt.Errorf("deep: body outside universe")
-		}
-		if e.Head != query.NoHead {
-			if e.Head < 0 || e.Head >= q.U.N() {
-				return fmt.Errorf("deep: head x%d outside universe", e.Head+1)
-			}
-			if e.Body.Has(e.Head) {
-				return fmt.Errorf("deep: head x%d in its own body", e.Head+1)
-			}
-		} else if e.Body.IsEmpty() {
-			return fmt.Errorf("deep: empty conjunction")
-		}
-	}
-	return nil
-}
-
 // String renders the query; the empty query prints as ⊤.
 func (q Query) String() string {
 	if len(q.Exprs) == 0 {

@@ -13,11 +13,6 @@ import (
 	"qhorn/internal/query"
 )
 
-// maxFuzzVars caps the universe size decoded from fuzz inputs and
-// repro files: large universes make single checks slow without adding
-// shape coverage, which is what fuzzing explores.
-const maxFuzzVars = 8
-
 // FormatRepro renders a disagreement as a replayable corpus file. The
 // format is line-oriented "key: value" with '#' comments; queries use
 // the paper's shorthand, so repros are readable and hand-editable:
@@ -139,123 +134,4 @@ func LoadCorpus(dir string) ([]Case, error) {
 		cases = append(cases, c)
 	}
 	return cases, nil
-}
-
-// CaseFromShorthand decodes a native-fuzz input into a learning case:
-// the universe is sized by the largest variable the shorthand
-// mentions (capped at maxFuzzVars), the string is parsed as a query,
-// and the query must lie in the class — qhorn-1 inputs outside the
-// class are rejected (the fuzzer explores the parser there already),
-// while role-preservation is repaired by dropping offending universal
-// expressions so more of the input space reaches the engine.
-func CaseFromShorthand(class Class, s string) (Case, bool) {
-	q, ok := parseFuzzQuery(s)
-	if !ok {
-		return Case{}, false
-	}
-	switch class {
-	case ClassQhorn1:
-		if !q.IsQhorn1() {
-			return Case{}, false
-		}
-	default:
-		q = RepairRolePreserving(q)
-	}
-	return Case{Class: class, Hidden: q}, true
-}
-
-// VerifyCaseFromShorthand decodes the two-string fuzz input of
-// FuzzVerifySoundness: both queries are parsed over the joint
-// universe and repaired to role preservation.
-func VerifyCaseFromShorthand(given, hidden string) (Case, bool) {
-	n := maxVarIndex(given)
-	if m := maxVarIndex(hidden); m > n {
-		n = m
-	}
-	if n < 1 || n > maxFuzzVars {
-		return Case{}, false
-	}
-	u := boolean.MustUniverse(n)
-	g, err := query.Parse(u, given)
-	if err != nil {
-		return Case{}, false
-	}
-	h, err := query.Parse(u, hidden)
-	if err != nil {
-		return Case{}, false
-	}
-	return Case{
-		Class:  ClassVerify,
-		Hidden: RepairRolePreserving(h),
-		Given:  RepairRolePreserving(g),
-	}, true
-}
-
-func parseFuzzQuery(s string) (query.Query, bool) {
-	n := maxVarIndex(s)
-	if n < 1 || n > maxFuzzVars {
-		return query.Query{}, false
-	}
-	q, err := query.Parse(boolean.MustUniverse(n), s)
-	if err != nil {
-		return query.Query{}, false
-	}
-	return q, true
-}
-
-// maxVarIndex scans the shorthand for its largest xN index without
-// parsing, so fuzz inputs size their own universe.
-func maxVarIndex(s string) int {
-	max := 0
-	rs := []rune(s)
-	for i := 0; i < len(rs); i++ {
-		if rs[i] != 'x' && rs[i] != 'X' {
-			continue
-		}
-		j := i + 1
-		idx := 0
-		for j < len(rs) && rs[j] >= '0' && rs[j] <= '9' {
-			idx = idx*10 + int(rs[j]-'0')
-			j++
-			if idx > boolean.MaxVars {
-				return idx // caller rejects oversized universes
-			}
-		}
-		if j > i+1 && idx > max {
-			max = idx
-		}
-		i = j - 1
-	}
-	return max
-}
-
-// RepairRolePreserving drops universal Horn expressions until no
-// universal head reappears in a body: the deterministic repair that
-// coerces arbitrary parsed queries into the verifier's domain.
-func RepairRolePreserving(q query.Query) query.Query {
-	for !q.IsRolePreserving() {
-		// Role preservation only constrains universal Horn
-		// expressions: a variable may not be a universal head and a
-		// universal body variable at once. Each round drops the first
-		// universal touching a violating variable, so the loop
-		// terminates (the query loses an expression every iteration).
-		var heads, bodies boolean.Tuple
-		for _, e := range q.Exprs {
-			if e.Quant == query.Forall {
-				heads = heads.With(e.Head)
-				bodies = bodies.Union(e.Body)
-			}
-		}
-		violating := heads.Intersect(bodies)
-		for i, e := range q.Exprs {
-			if e.Quant != query.Forall {
-				continue
-			}
-			if violating.Has(e.Head) || e.Body.Intersects(violating) {
-				q = dropExprAt(q, i)
-				break
-			}
-		}
-	}
-	return q
 }

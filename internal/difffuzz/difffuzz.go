@@ -167,9 +167,6 @@ type Report struct {
 	Disagreements     []Disagreement
 }
 
-// OK reports whether every judgment of the run agreed.
-func (r Report) OK() bool { return len(r.Disagreements) == 0 }
-
 // Summary renders the report as aligned text.
 func (r Report) Summary() string {
 	var b strings.Builder

@@ -15,7 +15,7 @@ import (
 // seeded random cases — the repository's implementations agree.
 func TestRunClean(t *testing.T) {
 	rep := Run(Config{Seed: 1, Runs: 300})
-	if !rep.OK() {
+	if len(rep.Disagreements) != 0 {
 		for i, d := range rep.Disagreements {
 			if i > 5 {
 				break
@@ -75,7 +75,7 @@ func TestRunObservability(t *testing.T) {
 	if got := reg.SumCounter(obs.MetricFuzzCases); got < 10 {
 		t.Errorf("fuzz case counter = %d, want >= 10", got)
 	}
-	if !rep.OK() {
+	if len(rep.Disagreements) != 0 {
 		t.Fatalf("unexpected disagreements: %v", rep.Disagreements)
 	}
 	if got := reg.SumCounter(obs.MetricFuzzDisagreements); got != 0 {

@@ -92,16 +92,6 @@ func ByName(name string) (Experiment, bool) {
 	return Experiment{}, false
 }
 
-// Names returns the CLI names of all experiments, sorted.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, e := range registry {
-		out[i] = e.Name
-	}
-	sort.Strings(out)
-	return out
-}
-
 // header returns a table title combining id, citation and claim.
 func header(e Experiment) string {
 	return fmt.Sprintf("%s %s — %s (claim: %s)", e.ID, e.Name, e.Paper, e.Claim)

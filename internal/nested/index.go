@@ -50,9 +50,6 @@ func NewIndex(ps Propositions, d Dataset) (*Index, error) {
 	return ix, nil
 }
 
-// Len returns the number of indexed objects.
-func (ix *Index) Len() int { return len(ix.dataset.Objects) }
-
 // Execute returns the objects classified as answers, evaluating the
 // query over the precomputed abstractions only.
 func (ix *Index) Execute(q query.Query) ([]Object, error) {
@@ -66,21 +63,6 @@ func (ix *Index) Execute(q query.Query) ([]Object, error) {
 		}
 	}
 	return out, nil
-}
-
-// Count returns how many indexed objects the query selects, without
-// materializing them.
-func (ix *Index) Count(q query.Query) (int, error) {
-	if q.N() != len(ix.ps.Props) {
-		return 0, fmt.Errorf("nested: query over %d variables, index has %d propositions", q.N(), len(ix.ps.Props))
-	}
-	n := 0
-	for _, s := range ix.abstracts {
-		if q.Eval(s) {
-			n++
-		}
-	}
-	return n, nil
 }
 
 // Select builds a data object for a Boolean membership question using
@@ -101,11 +83,4 @@ func (ix *Index) Select(name string, q boolean.Set) (Object, error) {
 		o.Tuples = append(o.Tuples, t)
 	}
 	return o, nil
-}
-
-// HasClass reports whether the Boolean class occurs in the indexed
-// data.
-func (ix *Index) HasClass(class boolean.Tuple) bool {
-	_, ok := ix.byClass[class]
-	return ok
 }

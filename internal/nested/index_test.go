@@ -19,9 +19,6 @@ func TestIndexExecuteMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ix.Len() != 150 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
 	queries := []string{"∀x1 ∃x2x3", "∃x1", "∀x3 → x1 ∃x2", "∃x1x2x3"}
 	for _, s := range queries {
 		q := query.MustParse(u, s)
@@ -41,10 +38,6 @@ func TestIndexExecuteMatchesDirect(t *testing.T) {
 				t.Fatalf("query %s: order mismatch at %d", s, i)
 			}
 		}
-		n, err := ix.Count(q)
-		if err != nil || n != len(direct) {
-			t.Fatalf("Count = %d, %v", n, err)
-		}
 	}
 }
 
@@ -62,9 +55,6 @@ func TestIndexSelect(t *testing.T) {
 	}
 	if obj.Tuples[0][4].Str() != "Madagascar" {
 		t.Errorf("selected origin = %q", obj.Tuples[0][4].Str())
-	}
-	if !ix.HasClass(u.MustParse("111")) || ix.HasClass(u.MustParse("001")) {
-		t.Error("HasClass wrong")
 	}
 	// 001 absent: synthesized, abstraction still exact.
 	obj, err = ix.Select("probe2", boolean.MustParseSet(u, "{001}"))
@@ -91,9 +81,6 @@ func TestIndexErrors(t *testing.T) {
 	if _, err := ix.Execute(wrong); err == nil {
 		t.Error("mismatched universe executed")
 	}
-	if _, err := ix.Count(wrong); err == nil {
-		t.Error("mismatched universe counted")
-	}
 }
 
 // TestIndexBackedLearningSession: an entire learning session where
@@ -119,12 +106,12 @@ func TestIndexBackedLearningSession(t *testing.T) {
 	if !learned.Equivalent(intended) {
 		t.Fatalf("learned %s", learned)
 	}
-	got, err := ix.Count(learned)
+	got, err := ix.Execute(learned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ix.Count(intended)
-	if err != nil || got != want {
-		t.Fatalf("counts differ: %d vs %d (%v)", got, want, err)
+	want, err := ix.Execute(intended)
+	if err != nil || len(got) != len(want) {
+		t.Fatalf("answers differ: %d vs %d (%v)", len(got), len(want), err)
 	}
 }

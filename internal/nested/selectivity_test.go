@@ -89,41 +89,6 @@ func TestEstimateSelectivity(t *testing.T) {
 	}
 }
 
-func TestBiasedChocolates(t *testing.T) {
-	ps := ChocolatePropositions()
-	u := ps.Universe()
-	target := query.MustParse(u, "∀x1 ∃x2x3")
-	rng := rand.New(rand.NewSource(27))
-	d, err := BiasedChocolates(rng, ps, target, 200, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sel, err := EstimateSelectivity(target, ps, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A purely random store selects almost nothing; the biased store
-	// must have a healthy share of both labels.
-	if sel < 0.1 || sel > 0.9 {
-		t.Errorf("biased selectivity = %.2f, want boundary-balanced", sel)
-	}
-	randomStore := RandomChocolates(rand.New(rand.NewSource(27)), 200, 4)
-	randomSel, err := EstimateSelectivity(target, ps, randomStore)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel <= randomSel {
-		t.Errorf("bias ineffective: %.2f vs random %.2f", sel, randomSel)
-	}
-	// Universe mismatch rejected.
-	if _, err := BiasedChocolates(rng, ps, query.Query{U: boolean.MustUniverse(5)}, 5, 3); err == nil {
-		t.Error("mismatched universe accepted")
-	}
-}
-
 func TestProposePropositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	d := RandomChocolates(rng, 80, 5)

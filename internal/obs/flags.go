@@ -171,11 +171,3 @@ func (s *Session) Close() error {
 	s.closeServer()
 	return first
 }
-
-// Tree returns the collected tree sink, or nil when -trace is off;
-// tests use it to assert span coverage without parsing output.
-func (s *Session) Tree() *TreeSink { return s.tree }
-
-// Server returns the live observability server, or nil when -obs-addr
-// is unset. It serves until the session closes (plus -obs-wait).
-func (s *Session) Server() *Server { return s.server }

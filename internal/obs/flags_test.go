@@ -129,24 +129,24 @@ func TestFlagsObsAddrServesSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Server() == nil {
+	if s.server == nil {
 		t.Fatal("no server despite -obs-addr")
 	}
 	if s.Tracer == nil {
 		t.Error("-obs-addr did not force the tracer on")
 	}
-	if got := s.Server().Flight().Capacity(); got != 32 {
+	if got := s.server.Flight().Capacity(); got != 32 {
 		t.Errorf("flight capacity = %d, want 32 from -obs-spans", got)
 	}
-	if !strings.Contains(out.String(), s.Server().URL()) {
-		t.Errorf("startup banner does not announce %s:\n%s", s.Server().URL(), out.String())
+	if !strings.Contains(out.String(), s.server.URL()) {
+		t.Errorf("startup banner does not announce %s:\n%s", s.server.URL(), out.String())
 	}
 
 	// A run instrumented with the session's tracer and registry is
 	// visible at the live endpoints.
 	s.Tracer.StartSpan("learn/qhorn1").End()
 	s.Metrics.Counter(MetricQuestions).Add(5)
-	url := s.Server().URL()
+	url := s.server.URL()
 	if body := httpGet(t, url+"/metrics"); !strings.Contains(body, "qhorn_questions_total 5") {
 		t.Errorf("live /metrics missing counter:\n%s", body)
 	}
@@ -157,7 +157,7 @@ func TestFlagsObsAddrServesSession(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if s.Server() != nil {
+	if s.server != nil {
 		t.Error("server still referenced after Close")
 	}
 }

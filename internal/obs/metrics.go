@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -13,8 +12,8 @@ import (
 )
 
 // Registry holds named counters, gauges and histograms, optionally
-// labeled, and renders them in the Prometheus text exposition format
-// or through the expvar bridge. All operations are goroutine-safe. A
+// labeled, and renders them in the Prometheus text exposition format.
+// All operations are goroutine-safe. A
 // nil *Registry hands out discard metrics, so instrumented code never
 // branches on whether metrics are enabled.
 type Registry struct {
@@ -164,20 +163,6 @@ func (g *Gauge) Add(delta float64) {
 		old := g.bits.Load()
 		nv := math.Float64bits(math.Float64frombits(old) + delta)
 		if g.bits.CompareAndSwap(old, nv) {
-			return
-		}
-	}
-}
-
-// Max raises the gauge to v if v is larger — the idiom for tracking
-// maxima like the largest question asked.
-func (g *Gauge) Max(v float64) {
-	for {
-		old := g.bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
 			return
 		}
 	}
@@ -397,31 +382,6 @@ func (r *Registry) SumCounter(name string) int64 {
 	return total
 }
 
-// PublishExpvar exposes the registry under the given expvar name as a
-// JSON map of "metric{labels}" to value (histograms expose _sum and
-// _count). It reports whether the registry was published: expvar is
-// append-only per process, so publishing a name that is already taken
-// — by an earlier registry or any other expvar — changes nothing and
-// returns false, letting callers (and the obs server) detect the
-// double registration instead of silently serving stale metrics.
-func (r *Registry) PublishExpvar(name string) bool {
-	if r == nil {
-		return false
-	}
-	expvarPublishMu.Lock()
-	defer expvarPublishMu.Unlock()
-	if expvar.Get(name) != nil {
-		return false
-	}
-	expvar.Publish(name, expvar.Func(func() interface{} { return r.expvarMap() }))
-	return true
-}
-
-// expvarPublishMu serializes the Get-then-Publish pair so two
-// registries racing on one name cannot both pass the duplicate check
-// (expvar.Publish panics on duplicates; the check must be atomic).
-var expvarPublishMu sync.Mutex
-
 // Point is one metric instance in a registry snapshot: a counter or
 // gauge with its value, or a histogram with its cumulative snapshot.
 type Point struct {
@@ -486,29 +446,5 @@ func (r *Registry) Snapshot() []Point {
 		}
 	}
 	r.mu.Unlock()
-	return out
-}
-
-// expvarMap flattens the registry into a string-keyed map for expvar.
-func (r *Registry) expvarMap() map[string]interface{} {
-	out := map[string]interface{}{}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, f := range r.families {
-		for _, key := range f.order {
-			full := name + renderLabels(key)
-			switch m := f.metrics[key].(type) {
-			case *Counter:
-				out[full] = m.Value()
-			case *Gauge:
-				out[full] = m.Value()
-			case *Histogram:
-				m.mu.Lock()
-				out[full+"_sum"] = m.sum
-				out[full+"_count"] = m.count
-				m.mu.Unlock()
-			}
-		}
-	}
 	return out
 }

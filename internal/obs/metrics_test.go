@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
-	"expvar"
 	"math"
 	"strings"
 	"sync"
@@ -26,14 +24,6 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	g.Add(-0.5)
 	if g.Value() != 2.0 {
 		t.Errorf("gauge = %v, want 2", g.Value())
-	}
-	g.Max(1.0)
-	if g.Value() != 2.0 {
-		t.Error("Max lowered the gauge")
-	}
-	g.Max(7)
-	if g.Value() != 7.0 {
-		t.Error("Max did not raise the gauge")
 	}
 
 	h := r.Histogram("h", []float64{1, 2, 4})
@@ -114,9 +104,6 @@ func TestNilRegistryDiscards(t *testing.T) {
 	r.Gauge("g").Set(1)
 	r.Histogram("h", []float64{1}).Observe(1)
 	r.Describe("c", "x")
-	if r.PublishExpvar("nil-registry-test") {
-		t.Error("nil registry claimed to publish an expvar")
-	}
 	if r.Snapshot() != nil {
 		t.Error("nil registry returned a non-nil snapshot")
 	}
@@ -125,37 +112,6 @@ func TestNilRegistryDiscards(t *testing.T) {
 	}
 	if r.CounterValue("c") != 0 || r.SumCounter("c") != 0 {
 		t.Error("nil registry reported values")
-	}
-}
-
-func TestExpvarBridge(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("qhorn_questions_total").Add(9)
-	h := r.Histogram("lat", []float64{1})
-	h.Observe(0.5)
-	if !r.PublishExpvar("qhorn-test-metrics") {
-		t.Error("first PublishExpvar reported failure")
-	}
-	// Publishing a second registry under the same name must not panic,
-	// must not displace the first, and must report the refusal instead
-	// of silently dropping the registry.
-	if NewRegistry().PublishExpvar("qhorn-test-metrics") {
-		t.Error("duplicate PublishExpvar reported success")
-	}
-
-	v := expvar.Get("qhorn-test-metrics")
-	if v == nil {
-		t.Fatal("expvar not published")
-	}
-	var m map[string]interface{}
-	if err := json.Unmarshal([]byte(v.String()), &m); err != nil {
-		t.Fatalf("expvar not JSON: %v", err)
-	}
-	if m["qhorn_questions_total"].(float64) != 9 {
-		t.Errorf("expvar questions = %v", m["qhorn_questions_total"])
-	}
-	if m["lat_count"].(float64) != 1 {
-		t.Errorf("expvar lat_count = %v", m["lat_count"])
 	}
 }
 
@@ -237,7 +193,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			phase := []string{"heads", "bodies", "existential"}[i%3]
 			for j := 0; j < 500; j++ {
 				r.Counter("q", "phase", phase).Inc()
-				r.Gauge("g").Max(float64(j))
+				r.Gauge("g").Add(1)
 				r.Histogram("h", []float64{1, 10, 100}).Observe(float64(j))
 			}
 		}(i)
@@ -248,5 +204,8 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	}
 	if r.Histogram("h", []float64{1, 10, 100}).Count() != 8*500 {
 		t.Error("histogram lost samples")
+	}
+	if got := r.Gauge("g").Value(); got != 8*500 {
+		t.Errorf("gauge = %v, want %d", got, 8*500)
 	}
 }

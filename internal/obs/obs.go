@@ -1,7 +1,7 @@
 // Package obs is the unified observability layer of the repository:
 // hierarchical span tracing, a metrics registry with Prometheus text
-// exposition and an expvar bridge, and profiling hooks — all over the
-// standard library only.
+// exposition, and profiling hooks — all over the standard library
+// only.
 //
 // Every theorem the repository reproduces is a claim about observable
 // cost: questions asked, tuples per question, lattice nodes explored

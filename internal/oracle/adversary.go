@@ -47,15 +47,6 @@ func (a *Adversary) Ask(s boolean.Set) bool {
 // with the adversary's responses.
 func (a *Adversary) Remaining() int { return len(a.candidates) }
 
-// Resolved returns the unique remaining candidate, if only one is
-// left.
-func (a *Adversary) Resolved() (query.Query, bool) {
-	if len(a.candidates) == 1 {
-		return a.candidates[0], true
-	}
-	return query.Query{}, false
-}
-
 // AliasClass builds the query class φ = Uni(X) ∧ Alias(Y) of
 // Theorem 2.1 on n variables: every subset Y of the variables yields
 // one query in which the variables of Y form an alias (all true or

@@ -185,7 +185,7 @@ func TestAdversaryForcesExponentialQuestions(t *testing.T) {
 	if asked != (1<<5)-1 { // Theorem 2.1: 2^n − 1 questions in the worst case
 		t.Errorf("asked = %d, want 2^n-1 = %d", asked, (1<<5)-1)
 	}
-	if _, ok := adv.Resolved(); !ok {
+	if adv.Remaining() != 1 {
 		t.Error("adversary not resolved after exhausting questions")
 	}
 }

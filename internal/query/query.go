@@ -192,29 +192,6 @@ func (q Query) N() int { return q.U.N() }
 // expressions, not counting guarantee clauses.
 func (q Query) Size() int { return len(q.Exprs) }
 
-// Universals returns the universal Horn expressions of the query.
-func (q Query) Universals() []Expr {
-	var out []Expr
-	for _, e := range q.Exprs {
-		if e.Quant == Forall {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Existentials returns the existential expressions (Horn or
-// conjunction) of the query.
-func (q Query) Existentials() []Expr {
-	var out []Expr
-	for _, e := range q.Exprs {
-		if e.Quant == Exists {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // UniversalHeads returns the set of universal head variables.
 func (q Query) UniversalHeads() boolean.Tuple {
 	var heads boolean.Tuple

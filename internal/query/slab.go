@@ -105,13 +105,6 @@ func CompileSlab(queries []Query) *Slab {
 	return s
 }
 
-// Queries returns the candidate slice the slab was compiled from;
-// candidate i owns bit i of the EvalAll result.
-func (s *Slab) Queries() []Query { return s.queries }
-
-// Len returns the number of candidates packed into the slab.
-func (s *Slab) Len() int { return len(s.queries) }
-
 // EvalAll reports, in one word, whether the object is an answer to
 // each of the slab's candidates: bit i of the result equals
 // Compile(queries[i]).Eval(set) (the slab identity test pins exactly

@@ -7,6 +7,13 @@ import (
 	"qhorn/internal/boolean"
 )
 
+// Queries returns the candidate slice the slab was compiled from;
+// candidate i owns bit i of the EvalAll result.
+func (s *Slab) Queries() []Query { return s.queries }
+
+// Len returns the number of candidates packed into the slab.
+func (s *Slab) Len() int { return len(s.queries) }
+
 // TestSlabEvalAllExhaustive pins the bit-sliced kernel to the
 // per-candidate compiled kernel over every query and every object of
 // small universes, packing the enumerated queries into full-width

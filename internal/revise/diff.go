@@ -3,9 +3,7 @@ package revise
 import (
 	"sort"
 
-	"qhorn/internal/boolean"
 	"qhorn/internal/query"
-	"qhorn/internal/verify"
 )
 
 // Edit is one semantic difference between two queries, expressed over
@@ -82,27 +80,4 @@ func Explain(from, to query.Query) string {
 		s += e.String()
 	}
 	return s
-}
-
-// Witness returns, for two inequivalent role-preserving queries, one
-// object they classify differently — the concrete example a query
-// interface shows the user alongside the Diff. By Theorem 4.2 the
-// verification set of either query contains such an object whenever
-// the queries differ; ok is false only for equivalent queries.
-func Witness(a, b query.Query) (boolean.Set, bool) {
-	if a.Equivalent(b) {
-		return boolean.Set{}, false
-	}
-	for _, q := range []query.Query{a, b} {
-		vs, err := verify.Build(q)
-		if err != nil {
-			continue
-		}
-		for _, question := range vs.Questions {
-			if a.Eval(question.Set) != b.Eval(question.Set) {
-				return question.Set, true
-			}
-		}
-	}
-	return boolean.Set{}, false
 }

@@ -85,8 +85,8 @@ func TestDiffTable(t *testing.T) {
 				if got := Explain(from, to); got != tc.wantSameness {
 					t.Fatalf("Explain = %q, want %q", got, tc.wantSameness)
 				}
-				if _, ok := Witness(from, to); ok {
-					t.Fatalf("Witness found a separating set for equivalent queries")
+				if !from.Equivalent(to) {
+					t.Fatalf("no edits between inequivalent queries")
 				}
 				return
 			}
@@ -94,10 +94,8 @@ func TestDiffTable(t *testing.T) {
 				t.Fatalf("Diff(%q, %q): %d removed, %d added; want %d/%d (edits %v)",
 					tc.from, tc.to, removed, added, tc.wantRemoved, tc.wantAdded, edits)
 			}
-			if w, ok := Witness(from, to); !ok {
-				t.Fatalf("no witness separating %q from %q", tc.from, tc.to)
-			} else if from.Eval(w) == to.Eval(w) {
-				t.Fatalf("witness %v does not separate the queries", w)
+			if from.Equivalent(to) {
+				t.Fatalf("edits between equivalent queries %q and %q", tc.from, tc.to)
 			}
 		})
 	}

@@ -199,36 +199,3 @@ func TestDiffAndExplain(t *testing.T) {
 		t.Fatalf("equivalent diff = %v", Diff(a, c))
 	}
 }
-
-func TestWitness(t *testing.T) {
-	a := query.MustParse(u6, "∀x1x4 → x5 ∃x2x3")
-	b := query.MustParse(u6, "∀x3x4 → x5 ∃x2x3")
-	obj, ok := Witness(a, b)
-	if !ok {
-		t.Fatal("no witness for different queries")
-	}
-	if a.Eval(obj) == b.Eval(obj) {
-		t.Fatalf("witness %v does not separate", obj.Tuples())
-	}
-	if _, ok := Witness(a, a); ok {
-		t.Fatal("witness for equivalent queries")
-	}
-}
-
-// TestWitnessExhaustiveTwoVars: every inequivalent two-variable pair
-// has a witness.
-func TestWitnessExhaustiveTwoVars(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	queries := query.AllQueries(u)
-	for _, a := range queries {
-		for _, b := range queries {
-			obj, ok := Witness(a, b)
-			if ok == a.Equivalent(b) {
-				t.Fatalf("Witness(%s, %s) ok=%v", a, b, ok)
-			}
-			if ok && a.Eval(obj) == b.Eval(obj) {
-				t.Fatalf("bad witness for (%s, %s)", a, b)
-			}
-		}
-	}
-}

@@ -255,17 +255,6 @@ func WithBudget(limit int) Option {
 	return func(c *Config) { c.Budget = limit }
 }
 
-// WithSharedMemo serves the run's questions from a shared
-// cross-session answer cache (oracle.SharedMemo) under the given
-// identity: questions another run of the same identity already
-// settled are answered from the tier without reaching the user, and
-// this run's fresh answers are published for later runs. Distinct
-// identities never share answers. A nil tier is a no-op, so callers
-// may pass an optional tier through unconditionally.
-func WithSharedMemo(sm *oracle.SharedMemo, identity string) Option {
-	return func(c *Config) { c.SharedMemo, c.SharedIdentity = sm, identity }
-}
-
 // WithNoise flips each of the user's answers with probability p,
 // driven by rng (§5's noisy-user model).
 func WithNoise(p float64, rng *rand.Rand) Option {

@@ -10,6 +10,12 @@ import (
 	"qhorn/internal/oracle"
 )
 
+// withSharedMemo sets the run's shared answer tier. No binary sets it,
+// so only these tests reach Assemble's tier branch.
+func withSharedMemo(sm *oracle.SharedMemo, identity string) Option {
+	return func(c *Config) { c.SharedMemo, c.SharedIdentity = sm, identity }
+}
+
 func TestAlgorithmString(t *testing.T) {
 	if got := Qhorn1.String(); got != "qhorn1" {
 		t.Errorf("Qhorn1.String() = %q", got)
@@ -141,7 +147,7 @@ func TestAssembleFullStack(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	asked := 0
 	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	cfg := New(WithBudget(5), WithSharedMemo(oracle.NewSharedMemo(64, nil), "alice"),
+	cfg := New(WithBudget(5), withSharedMemo(oracle.NewSharedMemo(64, nil), "alice"),
 		WithCounter(), WithTranscript())
 	st := cfg.Assemble(user)
 	if st.Budget == nil || st.Counter == nil || st.Transcript == nil {
@@ -175,13 +181,13 @@ func TestAssembleSharedMemo(t *testing.T) {
 
 	asked := 0
 	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	first := New(WithSharedMemo(sm, "alice"), WithBudget(5)).Assemble(user)
+	first := New(withSharedMemo(sm, "alice"), WithBudget(5)).Assemble(user)
 	first.Oracle.Ask(q)
 	if asked != 1 || first.Budget.Remaining() != 4 {
 		t.Fatalf("cold ask: user=%d, remaining=%d", asked, first.Budget.Remaining())
 	}
 
-	second := New(WithSharedMemo(sm, "alice"), WithBudget(5)).Assemble(user)
+	second := New(withSharedMemo(sm, "alice"), WithBudget(5)).Assemble(user)
 	if !second.Oracle.Ask(q) {
 		t.Error("warm ask lost the cached answer")
 	}
@@ -192,14 +198,14 @@ func TestAssembleSharedMemo(t *testing.T) {
 		t.Errorf("warm run spent budget on a tier hit: remaining %d", second.Budget.Remaining())
 	}
 
-	stranger := New(WithSharedMemo(sm, "bob")).Assemble(user)
+	stranger := New(withSharedMemo(sm, "bob")).Assemble(user)
 	stranger.Oracle.Ask(q)
 	if asked != 2 {
 		t.Errorf("identity isolation broken: user asked %d times, want 2", asked)
 	}
 
 	// A nil tier is a no-op, mirroring WithObsServer's contract.
-	if st := New(WithSharedMemo(nil, "alice")).Assemble(user); st.Oracle == nil {
+	if st := New(withSharedMemo(nil, "alice")).Assemble(user); st.Oracle == nil {
 		t.Error("nil tier broke assembly")
 	}
 }

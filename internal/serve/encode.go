@@ -81,14 +81,6 @@ func appendJSONBytes(b, s []byte) []byte {
 	return append(b, '"')
 }
 
-// appendBool appends a JSON boolean.
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, "true"...)
-	}
-	return append(b, "false"...)
-}
-
 // answerOutcome is the deliver result before encoding. Unknown holds
 // slices aliasing the request buffer; the handler encodes the report
 // before the buffer returns to the pool.

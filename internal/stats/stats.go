@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -223,18 +222,4 @@ func (t *Table) CSV() string {
 		writeRow(row)
 	}
 	return b.String()
-}
-
-// SortRowsNumeric sorts rows by the given column parsed as a number,
-// falling back to string order for unparsable cells.
-func (t *Table) SortRowsNumeric(col int) {
-	sort.SliceStable(t.Rows, func(i, j int) bool {
-		var a, b float64
-		an, errA := fmt.Sscanf(t.Rows[i][col], "%g", &a)
-		bn, errB := fmt.Sscanf(t.Rows[j][col], "%g", &b)
-		if an == 1 && bn == 1 && errA == nil && errB == nil {
-			return a < b
-		}
-		return t.Rows[i][col] < t.Rows[j][col]
-	})
 }

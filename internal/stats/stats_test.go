@@ -115,14 +115,3 @@ func TestFormatFloat(t *testing.T) {
 		}
 	}
 }
-
-func TestSortRowsNumeric(t *testing.T) {
-	tb := NewTable("", "n")
-	tb.AddRow(32)
-	tb.AddRow(8)
-	tb.AddRow(16)
-	tb.SortRowsNumeric(0)
-	if tb.Rows[0][0] != "8" || tb.Rows[2][0] != "32" {
-		t.Errorf("sorted rows = %v", tb.Rows)
-	}
-}

@@ -1,12 +1,6 @@
 package verify
 
-import (
-	"encoding/json"
-	"fmt"
-
-	"qhorn/internal/boolean"
-	"qhorn/internal/query"
-)
+import "encoding/json"
 
 // Report is the wire form of a verification set: everything a query
 // interface needs to render the §4 questions to a user — the
@@ -47,41 +41,4 @@ func (vs Set) Report() Report {
 // EncodeJSON renders the verification set as indented JSON.
 func (vs Set) EncodeJSON() ([]byte, error) {
 	return json.MarshalIndent(vs.Report(), "", "  ")
-}
-
-// DecodeReport parses a serialized verification report and rebuilds
-// the question sets over the report's universe. The given query text
-// is re-parsed, so the report round-trips into a runnable Set.
-func DecodeReport(data []byte) (Set, error) {
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return Set{}, err
-	}
-	u, err := boolean.NewUniverse(r.Variables)
-	if err != nil {
-		return Set{}, err
-	}
-	q, err := query.Parse(u, r.Query)
-	if err != nil {
-		return Set{}, fmt.Errorf("verify: report query: %w", err)
-	}
-	vs := Set{Query: q.Normalize()}
-	for _, qr := range r.Questions {
-		var tuples []boolean.Tuple
-		for _, ts := range qr.Tuples {
-			t, err := u.Parse(ts)
-			if err != nil {
-				return Set{}, err
-			}
-			tuples = append(tuples, t)
-		}
-		vs.Questions = append(vs.Questions, Question{
-			Kind:   Kind(qr.Kind),
-			Expect: qr.Expect == "answer",
-			About:  qr.About,
-			Set:    boolean.NewSet(tuples...),
-			Head:   -1,
-		})
-	}
-	return vs, nil
 }

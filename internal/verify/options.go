@@ -43,7 +43,7 @@ type Instrumentation = run.Instrumentation
 // metrics, run.WithSteps for per-question steps, run.WithBatch for
 // batched asking, run.WithFirstDisagreement to stop
 // at the first disagreement, and the oracle wrapper options
-// (run.WithBudget, run.WithSharedMemo, …) for the question stack.
+// (run.WithBudget, run.WithNoise, …) for the question stack.
 func Run(qg query.Query, o oracle.Oracle, opts ...run.Option) (Result, error) {
 	vs, err := Build(qg)
 	if err != nil {
