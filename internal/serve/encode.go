@@ -128,9 +128,11 @@ func appendAnswerReport(b []byte, rep *answerOutcome, open bool) []byte {
 // ---- minimal answer-body scanner ----
 
 // parseAnswers parses the hot-path subset of an AnswerRequest body —
-// {"answers":{"<key>":bool,...}} with no escaped strings — appending
-// pairs into dst. ok=false means the body needs the encoding/json
-// fallback (it may still be valid).
+// {"answers":{"<key>":bool,...}} with printable ASCII strings free of
+// escapes and no key given twice — appending pairs into dst, which the
+// caller passes empty. ok=false means the body needs the encoding/json
+// fallback (it may still be valid), so a repeated key takes its last
+// value whichever bytes spell the body.
 func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 	p := scanner{buf: body}
 	p.space()
@@ -161,7 +163,7 @@ func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 					return dst, false
 				}
 				v, ok := p.boolean()
-				if !ok {
+				if !ok || len(dst) == maxFastAnswers || repeated(dst, k) {
 					return dst, false
 				}
 				dst = append(dst, wireAnswer{key: k, answer: v})
@@ -191,6 +193,21 @@ func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 }
 
 var keyAnswers = []byte("answers")
+
+// maxFastAnswers bounds the pairs parseAnswers takes, and with it the
+// quadratic repeated-key check. A longer body is still decoded, by the
+// fallback.
+const maxFastAnswers = 256
+
+// repeated reports whether key is already among pairs.
+func repeated(pairs []wireAnswer, key []byte) bool {
+	for _, pa := range pairs {
+		if bytes.Equal(pa.key, key) {
+			return true
+		}
+	}
+	return false
+}
 
 // scanner is a cursor over an answer body.
 type scanner struct {
@@ -228,8 +245,9 @@ func (p *scanner) colon() bool {
 	return true
 }
 
-// str parses a JSON string with no escapes, returning the borrowed
-// content bytes.
+// str parses a JSON string of printable ASCII with no escapes,
+// returning the borrowed content bytes. Anything else goes to the
+// stdlib fallback, which also replaces invalid UTF-8.
 func (p *scanner) str() ([]byte, bool) {
 	p.space()
 	if !p.lit('"') {
@@ -242,8 +260,8 @@ func (p *scanner) str() ([]byte, bool) {
 			s := p.buf[start:p.i]
 			p.i++
 			return s, true
-		case c == '\\' || c < 0x20:
-			return nil, false // escapes: stdlib fallback
+		case c == '\\' || c < 0x20 || c >= 0x80:
+			return nil, false // escapes, non-ASCII: stdlib fallback
 		default:
 			p.i++
 		}

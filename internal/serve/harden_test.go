@@ -180,6 +180,27 @@ func TestAnswerBatchWire(t *testing.T) {
 	if rep := deliver("", fmt.Sprintf(`{"answers":{"%s":%v}}`, escaped, a)); rep.Accepted != 1 || len(rep.Unknown) != 0 {
 		t.Fatalf("escaped key %s: report %+v, want its question accepted", escaped, rep)
 	}
+	// A key given twice takes its last value, whether the fast path or
+	// encoding/json (here forced by one escaped spelling) reads the body.
+	if len(qb.Questions) < 4 {
+		t.Fatalf("first batch has %d questions; the cases below need 4", len(qb.Questions))
+	}
+	lastWins := map[string]bool{}
+	for i, q := range qb.Questions[1:3] {
+		a, err := ans(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spelled := q.Key
+		if i == 1 {
+			spelled = fmt.Sprintf(`\u%04x`, q.Key[0]) + q.Key[1:]
+		}
+		body := fmt.Sprintf(`{"answers":{"%s":%v,"%s":%v}}`, spelled, !a, q.Key, a)
+		if rep := deliver("", body); rep.Accepted != 1 || rep.Duplicate != 0 || len(rep.Unknown) != 0 {
+			t.Fatalf("repeated key %s: report %+v, want one accepted answer", body, rep)
+		}
+		lastWins[strings.Join(q.Tuples, " ")] = a
+	}
 	for _, q := range qb.Questions {
 		if q.Key == "" {
 			t.Fatal("the empty set is outstanding; pick a target whose first batch omits it")
@@ -198,7 +219,7 @@ func TestAnswerBatchWire(t *testing.T) {
 		t.Fatalf("GET questions?wait=250%%C2%%B5s: %d", resp.StatusCode)
 	}
 	rep := deliver("?wait=250%C2%B5s", " { } ")
-	if rep.Accepted != 0 || rep.Duplicate != 0 || len(rep.Unknown) != 0 || rep.Next == nil || len(rep.Next.Questions) != len(qb.Questions)-1 {
+	if rep.Accepted != 0 || rep.Duplicate != 0 || len(rep.Unknown) != 0 || rep.Next == nil || len(rep.Next.Questions) != len(qb.Questions)-3 {
 		t.Fatalf("empty fused delivery: report %+v, want nothing delivered and the rest of the batch next", rep)
 	}
 	qb = *rep.Next
@@ -243,6 +264,21 @@ func TestAnswerBatchWire(t *testing.T) {
 	}
 	if qb.State != serve.StateDone {
 		t.Fatalf("session ended %q, want done", qb.State)
+	}
+	hist, err := c.History(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range hist {
+		if want, ok := lastWins[strings.Join(e.Tuples, " ")]; ok {
+			if e.Answer != want {
+				t.Errorf("history records %v for %v, want the last value %v", e.Answer, e.Tuples, want)
+			}
+			delete(lastWins, strings.Join(e.Tuples, " "))
+		}
+	}
+	if len(lastWins) != 0 {
+		t.Errorf("repeated-key questions missing from the history: %v", lastWins)
 	}
 	if err := c.Delete(info.ID); err != nil {
 		t.Fatal(err)

@@ -6,9 +6,11 @@ package serve
 // JSON subset to encoding/json semantics.
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -226,6 +228,9 @@ func TestParseAnswersMatchesStdlib(t *testing.T) {
 		`{"answer":true}`,
 		`{"answers":{"a":true}`,
 		`{"answers":{"a":true}} trailing`,
+		`{"answers":{"a":true,"a":false}}`,
+		`{"answers":{"a":true},"answers":{"a":false}}`,
+		"{\"answers\":{\"\xff\":true}}",
 	} {
 		if _, ok := parseAnswers([]byte(body), nil); ok {
 			t.Errorf("fast parser accepted %q, want fallback", body)
@@ -239,6 +244,37 @@ func TestParseAnswersMatchesStdlib(t *testing.T) {
 	if pairs, ok := parseAnswers([]byte(`{"answers":{"":true}}`), nil); !ok || len(pairs) != 1 || len(pairs[0].key) != 0 || !pairs[0].answer {
 		t.Errorf("empty key: ok=%v pairs=%v, want one empty-key pair", ok, pairs)
 	}
+}
+
+// FuzzAnswerBody is the differential check of the fast answer parser
+// against the stdlib fallback over arbitrary bodies: neither panics, a
+// body the fast path takes is one strict encoding/json accepts, and
+// both give the same key→answer map once deliver's rule (the first
+// pair of a key applies) is applied to the fast path's pairs. Seeds
+// live in testdata/fuzz/FuzzAnswerBody; locally:
+//
+//	go test -run '^$' -fuzz '^FuzzAnswerBody$' -fuzztime 30s ./internal/serve
+func FuzzAnswerBody(f *testing.F) {
+	f.Fuzz(func(t *testing.T, body []byte) {
+		pairs, fast := parseAnswers(body, nil)
+		var req AnswerRequest
+		err := decodeStrict(json.NewDecoder(bytes.NewReader(body)), &req)
+		if !fast {
+			return
+		}
+		if err != nil {
+			t.Fatalf("fast path took %q, encoding/json rejects it: %v", body, err)
+		}
+		delivered := map[string]bool{}
+		for _, pa := range pairs {
+			if _, dup := delivered[string(pa.key)]; !dup {
+				delivered[string(pa.key)] = pa.answer
+			}
+		}
+		if !maps.Equal(delivered, req.Answers) {
+			t.Fatalf("body %q: fast path delivers %v, encoding/json %v", body, delivered, req.Answers)
+		}
+	})
 }
 
 // TestAppendJSONStringMatchesStdlib pins the string fast path (and

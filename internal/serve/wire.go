@@ -126,7 +126,9 @@ type QuestionBatch struct {
 
 // AnswerRequest is the body of POST /sessions/{id}/answers: answers
 // keyed by question key, in any order, possibly partial. The empty-set
-// question's key is "". Any other field is rejected with 400.
+// question's key is "". Any other field is rejected with 400. A key
+// given twice, in one "answers" object or across repeated "answers"
+// fields, takes its last value, as encoding/json decodes it.
 type AnswerRequest struct {
 	Answers map[string]bool `json:"answers,omitempty"`
 }
