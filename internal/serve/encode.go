@@ -128,11 +128,11 @@ func appendAnswerReport(b []byte, rep *answerOutcome, open bool) []byte {
 // ---- minimal answer-body scanner ----
 
 // parseAnswers parses the hot-path subset of an AnswerRequest body —
-// {"answers":{"<key>":bool,...}} with printable ASCII strings free of
-// escapes and no key given twice — appending pairs into dst, which the
-// caller passes empty. ok=false means the body needs the encoding/json
-// fallback (it may still be valid), so a repeated key takes its last
-// value whichever bytes spell the body.
+// {"answers":{"<key>":bool,...}} with ASCII strings free of escapes
+// and control characters, and no key given twice — appending pairs
+// into dst, which the caller passes empty. ok=false means the body
+// needs the encoding/json fallback (it may still be valid), so a
+// repeated key takes its last value whichever bytes spell the body.
 func parseAnswers(body []byte, dst []wireAnswer) (out []wireAnswer, ok bool) {
 	p := scanner{buf: body}
 	p.space()
@@ -245,8 +245,8 @@ func (p *scanner) colon() bool {
 	return true
 }
 
-// str parses a JSON string of printable ASCII with no escapes,
-// returning the borrowed content bytes. Anything else goes to the
+// str parses a JSON string of ASCII with no escapes or control
+// characters, returning the borrowed content bytes. Anything else goes to the
 // stdlib fallback, which also replaces invalid UTF-8.
 func (p *scanner) str() ([]byte, bool) {
 	p.space()

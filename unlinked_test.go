@@ -6,8 +6,9 @@ package qhorn
 // examples/ and the bench/ module) with inlining off, so no function
 // is lost to inlining, takes the union of their `go tool nm` text
 // symbols and lists each function declaration that is not in it. The
-// builds take tens of seconds, so the check runs only when
-// QHORN_UNLINKED is set (CI runs it explicitly):
+// builds take about ten seconds warm, so the check runs only when
+// QHORN_UNLINKED is set (CI runs it explicitly). -count=1 matters: the
+// test cache does not see the sources the builds read.
 //
 //	QHORN_UNLINKED=1 go test -run TestNoUnlinkedCode -count=1 .
 
