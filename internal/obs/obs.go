@@ -112,19 +112,18 @@ const (
 	// refused with HTTP 429 (server at max-sessions capacity).
 	MetricServeRejected = "qhornd_admission_rejected_total"
 	// MetricMemoTierHits counts questions the shared cross-session
-	// memo tier (oracle.SharedMemo) answered from its cache or by
-	// joining another session's in-flight question.
+	// memo tier (oracle.SharedMemo) answered from its cache.
 	MetricMemoTierHits = "qhornd_memo_hits_total"
 	// MetricMemoTierMisses counts questions the shared memo tier
 	// forwarded to an inner oracle and obtained an answer for. A
-	// question whose leader panicked (budget, abort) is not a miss —
-	// no answer was obtained.
+	// question whose inner oracle panicked (budget, abort) is not a
+	// miss — no answer was obtained.
 	MetricMemoTierMisses = "qhornd_memo_misses_total"
 	// MetricMemoTierEvictions counts cached answers the shared memo
-	// tier's bounded 2Q replacement policy discarded.
+	// tier discarded, oldest first, to stay within its capacity.
 	MetricMemoTierEvictions = "qhornd_memo_evictions_total"
 	// MetricMemoTierSize gauges the answers currently cached by the
-	// shared memo tier, across all shards and identities.
+	// shared memo tier, across all identities.
 	MetricMemoTierSize = "qhornd_memo_size"
 	// MetricServeHTTPSeconds is the distribution of qhornd HTTP handler
 	// wall time, labeled by route (label "route": create, list, info,

@@ -70,6 +70,32 @@ func TestSharedMemoServesRepeatsFromCache(t *testing.T) {
 	if got := reg.Gauge(obs.MetricMemoTierSize).Value(); got != float64(len(qs)) {
 		t.Errorf("size gauge = %v, want %d", got, len(qs))
 	}
+
+	// An inner oracle that runs out of budget answers nothing, so the
+	// tier counts no miss and caches nothing.
+	broke := sm.Oracle("alice", oracle.Func(func(boolean.Set) bool {
+		panic(oracle.ErrBudget{Limit: 0})
+	}))
+	fresh := probeQuestions(boolean.MustUniverse(6), 2)
+	for _, ask := range []func(){
+		func() { broke.Ask(fresh[0]) },
+		func() { oracle.AskAll(broke, fresh) },
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(oracle.ErrBudget); !ok {
+					t.Error("budget panic did not pass through the tier")
+				}
+			}()
+			ask()
+		}()
+	}
+	if got := reg.CounterValue(obs.MetricMemoTierMisses); got != int64(len(qs)) {
+		t.Errorf("misses = %d after a budget panic, want %d", got, len(qs))
+	}
+	if sm.Len() != len(qs) {
+		t.Errorf("Len = %d after a budget panic, want %d", sm.Len(), len(qs))
+	}
 }
 
 // TestSharedMemoBoundedEviction fills a tiny tier past capacity and
@@ -99,32 +125,6 @@ func TestSharedMemoBoundedEviction(t *testing.T) {
 	}
 	if got := reg.Gauge(obs.MetricMemoTierSize).Value(); got != float64(sm.Len()) {
 		t.Errorf("size gauge = %v, Len = %d", got, sm.Len())
-	}
-}
-
-// TestSharedMemoScanResistance pins the 2Q policy: entries re-used
-// once are promoted to the protected segment, and a one-shot scan of
-// fresh questions evicts only probation — the hot set survives.
-func TestSharedMemoScanResistance(t *testing.T) {
-	u := boolean.MustUniverse(6)
-	sm := oracle.NewSharedMemo(4, nil) // one shard, protected segment 3
-	inner := newCountingInner(parity)
-	o := sm.Oracle("alice", inner)
-
-	qs := probeQuestions(u, 12)
-	hot := qs[:2]
-	for _, q := range hot {
-		o.Ask(q) // admit to probation
-		o.Ask(q) // promote to protected
-	}
-	for _, q := range qs[2:] { // one-shot scan, 10 fresh questions
-		o.Ask(q)
-	}
-	for _, q := range hot {
-		o.Ask(q)
-		if got := inner.count(q); got != 1 {
-			t.Errorf("hot question %s re-asked: inner saw it %d times, want 1", q.Key(), got)
-		}
 	}
 }
 
@@ -186,83 +186,10 @@ func TestSharedMemoUpdatePropagatesCorrection(t *testing.T) {
 	}
 }
 
-// TestSharedMemoCrossSessionSingleflight pins the tentpole guarantee:
-// two sessions of the same identity asking the same question
-// concurrently share one flight — the joiner's oracle is never
-// consulted.
-func TestSharedMemoCrossSessionSingleflight(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	sm := oracle.NewSharedMemo(64, nil)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	leaderInner := oracle.Func(func(boolean.Set) bool {
-		close(entered)
-		<-release
-		return true
-	})
-	joinerInner := newCountingInner(parity)
-	leader := sm.Oracle("alice", leaderInner)
-	joiner := sm.Oracle("alice", joinerInner)
-
-	q := boolean.NewSet(u.All())
-	got := make(chan bool, 2)
-	go func() { got <- leader.Ask(q) }()
-	<-entered // the leader holds the flight, blocked in its user
-	go func() { got <- joiner.Ask(q) }()
-	close(release)
-	if a, b := <-got, <-got; !a || !b {
-		t.Errorf("answers (%v, %v), want shared true", a, b)
-	}
-	if joinerInner.total != 0 {
-		t.Errorf("joiner's oracle consulted %d times, want 0", joinerInner.total)
-	}
-}
-
-// TestSharedMemoLeaderPanicReelects pins abort resilience: when the
-// leading session dies mid-question (its oracle panics), the waiting
-// session is woken, re-elects itself leader, and answers through its
-// own oracle — and only that successful ask counts as a miss.
-func TestSharedMemoLeaderPanicReelects(t *testing.T) {
-	u := boolean.MustUniverse(4)
-	reg := obs.NewRegistry()
-	sm := oracle.NewSharedMemo(64, reg)
-	entered := make(chan struct{})
-	abort := make(chan struct{})
-	dying := sm.Oracle("alice", oracle.Func(func(boolean.Set) bool {
-		close(entered)
-		<-abort
-		panic(oracle.ErrBudget{Limit: 0})
-	}))
-	healthyInner := newCountingInner(func(boolean.Set) bool { return true })
-	healthy := sm.Oracle("alice", healthyInner)
-
-	q := boolean.NewSet(u.All())
-	leaderDone := make(chan struct{})
-	go func() {
-		defer close(leaderDone)
-		defer func() { recover() }()
-		dying.Ask(q)
-	}()
-	<-entered
-	joined := make(chan bool)
-	go func() { joined <- healthy.Ask(q) }()
-	close(abort)
-	<-leaderDone
-	if !<-joined {
-		t.Error("re-elected leader returned wrong answer")
-	}
-	if healthyInner.total != 1 {
-		t.Errorf("healthy oracle asked %d times, want 1", healthyInner.total)
-	}
-	if got := reg.CounterValue(obs.MetricMemoTierMisses); got != 1 {
-		t.Errorf("misses = %d, want 1 (the panicked lead must not count)", got)
-	}
-}
-
-// TestSharedMemoColdBatchForwardsDeduplicated pins the batch path: a
-// cold tier forwards exactly the deduplicated sub-batch, in original
-// order — the bit-identity precondition for serve sessions.
-func TestSharedMemoColdBatchForwardsDeduplicated(t *testing.T) {
+// TestSharedMemoColdBatchForwardsInOrder pins the batch path: a cold
+// tier forwards the whole batch as one sub-batch, in original order —
+// the bit-identity precondition for serve sessions.
+func TestSharedMemoColdBatchForwardsInOrder(t *testing.T) {
 	u := boolean.MustUniverse(5)
 	sm := oracle.NewSharedMemo(1024, nil)
 	var batches [][]string
@@ -270,7 +197,7 @@ func TestSharedMemoColdBatchForwardsDeduplicated(t *testing.T) {
 	o := sm.Oracle("alice", inner)
 
 	qs := probeQuestions(u, 4)
-	batch := []boolean.Set{qs[0], qs[1], qs[0], qs[2], qs[1], qs[3]}
+	batch := []boolean.Set{qs[2], qs[0], qs[3], qs[1]}
 	answers := oracle.AskAll(o, batch)
 	for i, q := range batch {
 		if answers[i] != parity(q) {
@@ -280,7 +207,7 @@ func TestSharedMemoColdBatchForwardsDeduplicated(t *testing.T) {
 	if len(batches) != 1 {
 		t.Fatalf("inner saw %d batches, want 1", len(batches))
 	}
-	want := []string{qs[0].Key(), qs[1].Key(), qs[2].Key(), qs[3].Key()}
+	want := []string{qs[2].Key(), qs[0].Key(), qs[3].Key(), qs[1].Key()}
 	if len(batches[0]) != len(want) {
 		t.Fatalf("sub-batch = %v, want %v", batches[0], want)
 	}
@@ -326,9 +253,10 @@ func TestSharedMemoNilTierPassesThrough(t *testing.T) {
 
 // TestSharedMemoConcurrentSessionsRaceClean hammers one tier from
 // many wrappers — same identity, distinct identities, serial and
-// batch — under -race, with a large capacity so the singleflight
-// guarantee is assertable: each identity's inner oracle sees each
-// distinct question exactly once.
+// batch — under -race. Every answer must be right, and the misses
+// must count exactly the inner asks made: sessions racing on one
+// question may each ask their own oracle, but nothing is lost or
+// double-counted.
 func TestSharedMemoConcurrentSessionsRaceClean(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	reg := obs.NewRegistry()
@@ -347,7 +275,11 @@ func TestSharedMemoConcurrentSessionsRaceClean(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				if g%2 == 0 {
-					oracle.AskAll(o, qs)
+					for i, a := range oracle.AskAll(o, qs) {
+						if a != parity(qs[i]) {
+							t.Errorf("torn batch answer for %s", qs[i].Key())
+						}
+					}
 					return
 				}
 				for r := 0; r < 40; r++ {
@@ -360,23 +292,19 @@ func TestSharedMemoConcurrentSessionsRaceClean(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	for id, inner := range inners {
-		for _, q := range qs {
-			if got := inner.count(q); got != 1 {
-				t.Errorf("identity %s: inner saw %s %d times, want exactly 1", id, q.Key(), got)
-			}
-		}
+	var asked int64
+	for _, inner := range inners {
+		asked += int64(inner.total)
 	}
-	wantMiss := int64(len(inners) * len(qs))
-	if got := reg.CounterValue(obs.MetricMemoTierMisses); got != wantMiss {
-		t.Errorf("misses = %d, want %d", got, wantMiss)
+	if got := reg.CounterValue(obs.MetricMemoTierMisses); got != asked {
+		t.Errorf("misses = %d, inner asks = %d", got, asked)
 	}
 }
 
 // TestSharedMemoConcurrentEvictionRaceClean hammers a tier far past
 // its capacity from concurrent sessions; under -race this pins the
-// sharded lock discipline of the eviction path, and the bound must
-// hold at quiescence.
+// lock discipline of the eviction path, and the bound must hold at
+// quiescence.
 func TestSharedMemoConcurrentEvictionRaceClean(t *testing.T) {
 	u := boolean.MustUniverse(8)
 	reg := obs.NewRegistry()

@@ -2,19 +2,18 @@
 // the verifier (docs/ENGINE.md). The paper's algorithms (Alg 1–8,
 // Fig 6) are single procedures; the cross-cutting dimensions a session
 // may add — naive search baselines, ablations, step/span/metric
-// instrumentation, batched questioning, question budgets,
-// the shared cross-session answer cache, noisy users — are not new
-// algorithms but configuration of the same run. This package holds
-// that configuration:
+// instrumentation, batched questioning, question budgets, noisy
+// users — are not new algorithms but configuration of the same run.
+// This package holds that configuration:
 //
 //   - Config is the composed run configuration; Option mutates it.
 //     learn.Run and verify.Run accept Options and construct their
 //     single core path from the resulting Config.
 //   - Assemble builds the oracle wrapper stack (Noisy, Budget,
-//     SharedMemo, Counter, Transcript) in one place, in one
-//     documented order. Per-run dedup is not a wrapper of this stack:
-//     a run that must not re-ask repeated questions runs over a
-//     session.Session, the §5 interaction history.
+//     Counter, Transcript) in one place, in one documented order.
+//     Per-run dedup is not a wrapper of this stack: a run that must
+//     not re-ask repeated questions runs over a session.Session, the
+//     §5 interaction history.
 //   - Instrumentation, Step, Tracer and Ablations are the shared
 //     cross-cutting types; internal/learn and internal/verify alias
 //     them so one instrumentation value threads through both.
@@ -191,13 +190,6 @@ type Config struct {
 	// FirstOnly stops a verify run at the first disagreement
 	// (ignored by learning runs).
 	FirstOnly bool
-	// SharedMemo, when non-nil, serves the run's questions from a
-	// shared cross-session answer cache under SharedIdentity before
-	// they reach the user (or the budget).
-	SharedMemo *oracle.SharedMemo
-	// SharedIdentity keys this run's entries in SharedMemo; runs of
-	// distinct identities never share answers.
-	SharedIdentity string
 }
 
 // Option mutates one dimension of a run's Config.
@@ -311,14 +303,12 @@ type Stack struct {
 // describes, innermost (closest to the user) to outermost (what the
 // run asks):
 //
-//	user → Noisy → Budget → SharedMemo → Counter → Transcript
+//	user → Noisy → Budget → Counter → Transcript
 //
 // The order is part of the engine's contract (docs/ENGINE.md): noise
-// models the user's mistakes, so it sits directly above her; the
-// shared cross-session tier sits above the budget — answers another
-// session already settled cost this run nothing; the counter and
-// transcript face the run, observing every question it asks. With a
-// zero Config the user's oracle is returned untouched.
+// models the user's mistakes, so it sits directly above them; the
+// counter and transcript face the run, observing every question it
+// asks. With a zero Config the user's oracle is returned untouched.
 func (c Config) Assemble(user oracle.Oracle) Stack {
 	st := Stack{Oracle: user}
 	if c.NoiseP > 0 {
@@ -327,9 +317,6 @@ func (c Config) Assemble(user oracle.Oracle) Stack {
 	if c.Budget > 0 {
 		st.Budget = oracle.WithBudget(st.Oracle, c.Budget, c.Ins.Metrics)
 		st.Oracle = st.Budget
-	}
-	if c.SharedMemo != nil {
-		st.Oracle = c.SharedMemo.Oracle(c.SharedIdentity, st.Oracle)
 	}
 	if c.Count {
 		st.Counter = oracle.Count(st.Oracle, c.Ins.Metrics)

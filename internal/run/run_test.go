@@ -10,12 +10,6 @@ import (
 	"qhorn/internal/oracle"
 )
 
-// withSharedMemo sets the run's shared answer tier. No binary sets it,
-// so only these tests reach Assemble's tier branch.
-func withSharedMemo(sm *oracle.SharedMemo, identity string) Option {
-	return func(c *Config) { c.SharedMemo, c.SharedIdentity = sm, identity }
-}
-
 func TestAlgorithmString(t *testing.T) {
 	if got := Qhorn1.String(); got != "qhorn1" {
 		t.Errorf("Qhorn1.String() = %q", got)
@@ -140,15 +134,14 @@ func TestAssembleZeroConfig(t *testing.T) {
 	}
 }
 
-// TestAssembleFullStack: every requested wrapper is present, the
-// counter and transcript face the run, and the shared tier
-// deduplicates before the budget and the user.
+// TestAssembleFullStack: every requested wrapper is present, and the
+// counter and transcript face the run while the budget charges the
+// user's every answer.
 func TestAssembleFullStack(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	asked := 0
 	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	cfg := New(WithBudget(5), withSharedMemo(oracle.NewSharedMemo(64, nil), "alice"),
-		WithCounter(), WithTranscript())
+	cfg := New(WithBudget(5), WithCounter(), WithTranscript())
 	st := cfg.Assemble(user)
 	if st.Budget == nil || st.Counter == nil || st.Transcript == nil {
 		t.Fatalf("missing wrappers: %+v", st)
@@ -156,9 +149,9 @@ func TestAssembleFullStack(t *testing.T) {
 
 	q := boolean.NewSet(u.All())
 	st.Oracle.Ask(q)
-	st.Oracle.Ask(q) // cached: free for the user and the budget
-	if asked != 1 {
-		t.Errorf("user asked %d times, the tier should dedup to 1", asked)
+	st.Oracle.Ask(q)
+	if asked != 2 {
+		t.Errorf("user asked %d times, want 2", asked)
 	}
 	if st.Counter.Questions != 2 {
 		t.Errorf("run-facing counter saw %d questions, want 2", st.Counter.Questions)
@@ -166,47 +159,8 @@ func TestAssembleFullStack(t *testing.T) {
 	if st.Transcript.Len() != 2 {
 		t.Errorf("transcript recorded %d questions, want 2", st.Transcript.Len())
 	}
-	if st.Budget.Remaining() != 4 {
-		t.Errorf("budget remaining = %d, want 4 (one distinct question spent)", st.Budget.Remaining())
-	}
-}
-
-// TestAssembleSharedMemo: the shared tier sits above the budget —
-// answers another run of the same identity already settled cost this
-// run's user and budget nothing — and distinct identities don't share.
-func TestAssembleSharedMemo(t *testing.T) {
-	u := boolean.MustUniverse(3)
-	sm := oracle.NewSharedMemo(64, nil)
-	q := boolean.NewSet(u.All())
-
-	asked := 0
-	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	first := New(withSharedMemo(sm, "alice"), WithBudget(5)).Assemble(user)
-	first.Oracle.Ask(q)
-	if asked != 1 || first.Budget.Remaining() != 4 {
-		t.Fatalf("cold ask: user=%d, remaining=%d", asked, first.Budget.Remaining())
-	}
-
-	second := New(withSharedMemo(sm, "alice"), WithBudget(5)).Assemble(user)
-	if !second.Oracle.Ask(q) {
-		t.Error("warm ask lost the cached answer")
-	}
-	if asked != 1 {
-		t.Errorf("warm run re-asked the user (%d asks)", asked)
-	}
-	if second.Budget.Remaining() != 5 {
-		t.Errorf("warm run spent budget on a tier hit: remaining %d", second.Budget.Remaining())
-	}
-
-	stranger := New(withSharedMemo(sm, "bob")).Assemble(user)
-	stranger.Oracle.Ask(q)
-	if asked != 2 {
-		t.Errorf("identity isolation broken: user asked %d times, want 2", asked)
-	}
-
-	// A nil tier is a no-op, mirroring WithObsServer's contract.
-	if st := New(withSharedMemo(nil, "alice")).Assemble(user); st.Oracle == nil {
-		t.Error("nil tier broke assembly")
+	if st.Budget.Remaining() != 3 {
+		t.Errorf("budget remaining = %d, want 3", st.Budget.Remaining())
 	}
 }
 

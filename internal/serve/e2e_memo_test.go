@@ -4,9 +4,10 @@ package serve_test
 // §5 amendment revision fast path. The tier's contract has two halves:
 // cold it is invisible (bit-identical runs), warm it only removes wire
 // questions, never changes what is learned — and answers never cross
-// oracle identities. The revision fast path must converge to the same
-// normal form a full relearn produces (Prop 4.1), while exposing its
-// question breakdown on the session info.
+// oracle identities, and no session waits on another session's
+// client. The revision fast path must converge to the same normal
+// form a full relearn produces (Prop 4.1), while exposing its question
+// breakdown on the session info.
 
 import (
 	"fmt"
@@ -96,6 +97,70 @@ func TestE2EMemoWarmRepeat(t *testing.T) {
 	}
 	if srv.Memo().Len() == 0 {
 		t.Error("shared tier is empty after three sessions")
+	}
+}
+
+// TestE2EMemoSameUserConcurrent runs two sessions of one user on one
+// target at once. Session A's client takes its first batch and never
+// answers. Session B, asking the same questions, must still finish
+// through its own client with the direct learn's query: the tier
+// never makes a session wait on another session's client. Deleting A
+// then leaves no question outstanding.
+func TestE2EMemoSameUserConcurrent(t *testing.T) {
+	srv, c := startServer(t, serve.Config{})
+	target := targets(difffuzz.ClassQhorn1, 43, 1)[0]
+	want, _, _ := directLearn(target, engine.Qhorn1)
+	create := func() string {
+		t.Helper()
+		info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "qhorn1", User: "alice"})
+		if err != nil {
+			t.Fatalf("create: %v", err)
+		}
+		return info.ID
+	}
+
+	silent := create()
+	qb, err := c.Questions(silent, 5*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if qb.State != serve.StateAwaiting || len(qb.Questions) == 0 {
+		t.Fatalf("silent session: state %q with %d questions", qb.State, len(qb.Questions))
+	}
+
+	id := create()
+	type result struct {
+		info serve.SessionInfo
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		info, err := c.Drive(id, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: time.Second})
+		done <- result{info, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("drive: %v", r.err)
+		}
+		if r.info.State != serve.StateDone {
+			t.Fatalf("session ended %q (error %q), want done", r.info.State, r.info.Error)
+		}
+		if r.info.Learned != want.String() {
+			t.Fatalf("learned %q, direct learn %q", r.info.Learned, want)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("session blocked behind another session of its user that never answers")
+	}
+
+	if err := c.Delete(silent); err != nil {
+		t.Fatalf("delete: %v", err)
+	}
+	outstanding := srv.Registry().Gauge(obs.MetricServeQuestionsOutstanding)
+	for deadline := time.Now().Add(5 * time.Second); outstanding.Value() != 0; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("qhornd_questions_outstanding = %v after the delete, want 0", outstanding.Value())
+		}
 	}
 }
 

@@ -163,7 +163,7 @@ func New(cfg Config) *Server {
 		s.memo = oracle.NewSharedMemo(capacity, s.reg)
 		s.reg.Describe(obs.MetricMemoTierHits, "questions the shared memo tier answered from cache")
 		s.reg.Describe(obs.MetricMemoTierMisses, "questions the shared memo tier forwarded and got answered")
-		s.reg.Describe(obs.MetricMemoTierEvictions, "answers evicted by the shared memo tier's 2Q policy")
+		s.reg.Describe(obs.MetricMemoTierEvictions, "answers the full shared memo tier evicted, oldest first")
 		s.reg.Describe(obs.MetricMemoTierSize, "answers currently cached by the shared memo tier")
 	}
 	s.reg.Describe(obs.MetricServeSessionsActive, "live qhornd sessions (learner goroutine running)")
