@@ -2,7 +2,7 @@
 // over HTTP (docs/SERVICE.md). It hosts concurrent learn/verify
 // sessions whose membership questions are answered remotely —
 // POST /sessions creates a session, GET /sessions/{id}/questions
-// long-polls the outstanding batch, POST /sessions/{id}/answers
+// fetches the outstanding batch, POST /sessions/{id}/answers
 // delivers answers out of order, GET /sessions/{id}/snapshot persists
 // a session for crash/resume, POST /sessions/{id}/amend runs the §5
 // revision loop. The observability plane is mounted on the same port:

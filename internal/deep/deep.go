@@ -38,93 +38,18 @@ import (
 // tuple; internal nodes carry a set of children. Depth is uniform: in
 // a depth-d object every leaf sits below exactly d set levels.
 type Object struct {
-	// Tuple is the leaf payload (valid when Kids is nil and the node
-	// is a leaf).
+	// Tuple is the leaf payload, read only at depth 0.
 	Tuple boolean.Tuple
 	// Kids are the child objects of an internal node.
 	Kids []Object
-	// leaf distinguishes an empty internal node from a leaf.
-	leaf bool
 }
 
 // Leaf returns a depth-0 object.
-func Leaf(t boolean.Tuple) Object { return Object{Tuple: t, leaf: true} }
+func Leaf(t boolean.Tuple) Object { return Object{Tuple: t} }
 
 // Set returns an internal node over the given children (possibly
 // none: the empty set).
 func Set(kids ...Object) Object { return Object{Kids: kids} }
-
-// IsLeaf reports whether the object is a depth-0 tuple.
-func (o Object) IsLeaf() bool { return o.leaf }
-
-// Depth returns the nesting depth: 0 for a leaf, otherwise 1 plus the
-// depth of its children (0-child internal nodes report 1).
-func (o Object) Depth() int {
-	if o.leaf {
-		return 0
-	}
-	if len(o.Kids) == 0 {
-		return 1
-	}
-	return 1 + o.Kids[0].Depth()
-}
-
-// Validate checks uniform depth d with leaves inside universe u.
-func (o Object) Validate(u boolean.Universe, d int) error {
-	if d == 0 {
-		if !o.leaf {
-			return fmt.Errorf("deep: internal node at leaf depth")
-		}
-		if !u.Contains(o.Tuple) {
-			return fmt.Errorf("deep: leaf tuple outside universe")
-		}
-		return nil
-	}
-	if o.leaf {
-		return fmt.Errorf("deep: leaf at depth %d", d)
-	}
-	for _, k := range o.Kids {
-		if err := k.Validate(u, d-1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Format renders the object with nested braces, leaves in the paper's
-// 0/1 notation.
-func (o Object) Format(u boolean.Universe) string {
-	if o.leaf {
-		return u.Format(o.Tuple)
-	}
-	parts := make([]string, len(o.Kids))
-	for i, k := range o.Kids {
-		parts[i] = k.Format(u)
-	}
-	return "{" + strings.Join(parts, ", ") + "}"
-}
-
-// Key returns a canonical string for memoization and set semantics.
-func (o Object) Key() string {
-	if o.leaf {
-		return fmt.Sprintf("%x", uint64(o.Tuple))
-	}
-	parts := make([]string, len(o.Kids))
-	for i, k := range o.Kids {
-		parts[i] = k.Key()
-	}
-	// Children are a set: canonicalize by sorting keys.
-	sortStrings(parts)
-	return "{" + strings.Join(parts, ",") + "}"
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
 
 // Expr is a depth-d quantified (Horn) expression: the quantifier
 // prefix applies outermost-first, one per nesting level.

@@ -2,53 +2,11 @@ package deep
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/query"
 )
-
-func TestObjectBasics(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	leaf := Leaf(u.MustParse("10"))
-	if !leaf.IsLeaf() || leaf.Depth() != 0 {
-		t.Fatal("leaf misclassified")
-	}
-	box := Set(leaf, Leaf(u.MustParse("01")))
-	if box.IsLeaf() || box.Depth() != 1 {
-		t.Fatal("box misclassified")
-	}
-	shelf := Set(box, Set())
-	if shelf.Depth() != 2 {
-		t.Fatalf("shelf depth = %d", shelf.Depth())
-	}
-	if err := shelf.Validate(u, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := shelf.Validate(u, 1); err == nil {
-		t.Fatal("wrong depth accepted")
-	}
-	if err := Leaf(boolean.FromVars(5)).Validate(u, 0); err == nil {
-		t.Fatal("out-of-universe leaf accepted")
-	}
-	if got := shelf.Format(u); !strings.Contains(got, "{{10, 01}, {}}") && !strings.Contains(got, "{10, 01}") {
-		t.Logf("format: %s", got)
-	}
-}
-
-func TestObjectKeyCanonical(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	a := Set(Leaf(u.MustParse("10")), Leaf(u.MustParse("01")))
-	b := Set(Leaf(u.MustParse("01")), Leaf(u.MustParse("10")))
-	if a.Key() != b.Key() {
-		t.Fatalf("set order changed key: %s vs %s", a.Key(), b.Key())
-	}
-	c := Set(Leaf(u.MustParse("11")))
-	if a.Key() == c.Key() {
-		t.Fatal("distinct objects share key")
-	}
-}
 
 // TestDepth1MatchesFlatModel: lifting a flat qhorn query to depth 1
 // preserves its semantics on every object, for all role-preserving

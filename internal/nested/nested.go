@@ -14,7 +14,6 @@ package nested
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"qhorn/internal/boolean"
@@ -554,9 +553,4 @@ func FormatObject(s Schema, o Object) string {
 		b.WriteByte('\n')
 	}
 	return b.String()
-}
-
-// SortObjects orders objects by name, for deterministic output.
-func SortObjects(objs []Object) {
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Name < objs[j].Name })
 }

@@ -250,14 +250,6 @@ func TestDatasetValidate(t *testing.T) {
 	}
 }
 
-func TestSortObjects(t *testing.T) {
-	objs := []Object{{Name: "b"}, {Name: "a"}, {Name: "c"}}
-	SortObjects(objs)
-	if objs[0].Name != "a" || objs[2].Name != "c" {
-		t.Errorf("SortObjects = %v", objs)
-	}
-}
-
 func TestValueAccessors(t *testing.T) {
 	if S("x").Str() != "x" || S("x").Kind() != String {
 		t.Error("S broken")

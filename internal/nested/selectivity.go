@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"qhorn/internal/boolean"
-	"qhorn/internal/query"
 )
 
 // ClassCount reports how often one Boolean class (a distinct
@@ -29,8 +28,6 @@ type Profile struct {
 	// TotalTuples and TotalObjects size the dataset.
 	TotalTuples  int
 	TotalObjects int
-
-	index map[boolean.Tuple]ClassCount
 }
 
 // Selectivity profiles the dataset: one histogram bucket per Boolean
@@ -38,7 +35,7 @@ type Profile struct {
 func Selectivity(ps Propositions, d Dataset) Profile {
 	perClassTuples := map[boolean.Tuple]int{}
 	perClassObjects := map[boolean.Tuple]int{}
-	p := Profile{index: map[boolean.Tuple]ClassCount{}}
+	var p Profile
 	for _, o := range d.Objects {
 		p.TotalObjects++
 		seen := map[boolean.Tuple]bool{}
@@ -53,9 +50,7 @@ func Selectivity(ps Propositions, d Dataset) Profile {
 		}
 	}
 	for class, n := range perClassTuples {
-		cc := ClassCount{Class: class, Tuples: n, Objects: perClassObjects[class]}
-		p.Classes = append(p.Classes, cc)
-		p.index[class] = cc
+		p.Classes = append(p.Classes, ClassCount{Class: class, Tuples: n, Objects: perClassObjects[class]})
 	}
 	sort.Slice(p.Classes, func(i, j int) bool {
 		if p.Classes[i].Tuples != p.Classes[j].Tuples {
@@ -68,7 +63,12 @@ func Selectivity(ps Propositions, d Dataset) Profile {
 
 // Count returns the histogram bucket for a class (zero if absent).
 func (p Profile) Count(class boolean.Tuple) ClassCount {
-	return p.index[class]
+	for _, cc := range p.Classes {
+		if cc.Class == class {
+			return cc
+		}
+	}
+	return ClassCount{}
 }
 
 // Covers reports whether every tuple of the Boolean question occurs
@@ -76,7 +76,7 @@ func (p Profile) Count(class boolean.Tuple) ClassCount {
 // SelectFromDataset can answer it without synthesizing hybrids.
 func (p Profile) Covers(q boolean.Set) bool {
 	for _, t := range q.Tuples() {
-		if p.index[t].Tuples == 0 {
+		if p.Count(t).Tuples == 0 {
 			return false
 		}
 	}
@@ -88,22 +88,9 @@ func (p Profile) Covers(q boolean.Set) bool {
 func (p Profile) MissingClasses(q boolean.Set) []boolean.Tuple {
 	var out []boolean.Tuple
 	for _, t := range q.Tuples() {
-		if p.index[t].Tuples == 0 {
+		if p.Count(t).Tuples == 0 {
 			out = append(out, t)
 		}
 	}
 	return out
-}
-
-// EstimateSelectivity returns the fraction of profiled objects a
-// query would select, by re-evaluating it over the dataset.
-func EstimateSelectivity(q query.Query, ps Propositions, d Dataset) (float64, error) {
-	matches, err := Execute(q, ps, d)
-	if err != nil {
-		return 0, err
-	}
-	if len(d.Objects) == 0 {
-		return 0, nil
-	}
-	return float64(len(matches)) / float64(len(d.Objects)), nil
 }

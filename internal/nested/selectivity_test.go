@@ -59,36 +59,6 @@ func TestProfileCoverage(t *testing.T) {
 	}
 }
 
-func TestEstimateSelectivity(t *testing.T) {
-	ps := ChocolatePropositions()
-	u := ps.Universe()
-	rng := rand.New(rand.NewSource(7))
-	d := RandomChocolates(rng, 200, 5)
-	all := query.MustParse(u, "∃x1")
-	sel, err := EstimateSelectivity(all, ps, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel <= 0.5 || sel > 1 {
-		t.Errorf("∃ dark selectivity = %.2f", sel)
-	}
-	strict := query.MustParse(u, "∀x1 ∃x2x3")
-	strictSel, err := EstimateSelectivity(strict, ps, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strictSel >= sel {
-		t.Errorf("stricter query selects more: %.2f >= %.2f", strictSel, sel)
-	}
-	empty := Dataset{Schema: ChocolateSchema()}
-	if sel, err := EstimateSelectivity(all, ps, empty); err != nil || sel != 0 {
-		t.Errorf("empty dataset selectivity = %v, %v", sel, err)
-	}
-	if _, err := EstimateSelectivity(query.Query{U: boolean.MustUniverse(7)}, ps, d); err == nil {
-		t.Error("mismatched universe accepted")
-	}
-}
-
 func TestProposePropositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	d := RandomChocolates(rng, 80, 5)

@@ -94,8 +94,8 @@ const (
 	// time through the brute answer matrix (brute.Matrix.Learn).
 	MetricBruteLearnSeconds = "qhorn_brute_learn_seconds"
 	// MetricServeSessionsActive gauges the live learn/verify sessions
-	// of a qhornd server: sessions whose learner goroutine is running
-	// (computing or awaiting remote answers).
+	// of a qhornd server: sessions whose learner run has not finished
+	// (it is parked awaiting remote answers between requests).
 	MetricServeSessionsActive = "qhornd_sessions_active"
 	// MetricServeQuestionsOutstanding gauges membership questions
 	// posted to remote answerers and not yet answered, summed across
@@ -127,12 +127,12 @@ const (
 	MetricMemoTierSize = "qhornd_memo_size"
 	// MetricServeHTTPSeconds is the distribution of qhornd HTTP handler
 	// wall time, labeled by route (label "route": create, list, info,
-	// delete, questions, answers, history, snapshot, amend, obs). Long-
-	// poll waits count toward the questions/answers routes, so their
-	// upper buckets stretch to the maxQuestionWait bound.
+	// delete, questions, answers, history, snapshot, amend, obs). The
+	// learner computes inside the create, answers and amend handlers,
+	// so its steps count toward those routes.
 	MetricServeHTTPSeconds = "qhornd_http_seconds"
 	// MetricServeHTTPInFlight gauges HTTP requests currently inside a
-	// qhornd handler, long-polls included.
+	// qhornd handler, learner steps included.
 	MetricServeHTTPInFlight = "qhornd_http_in_flight"
 )
 
@@ -154,5 +154,6 @@ var LatencyBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60}
 
 // HTTPLatencyBuckets are the fixed histogram buckets for
 // MetricServeHTTPSeconds: sub-millisecond for the pooled hot routes,
-// stretching to tens of seconds for long-polled question fetches.
+// stretching to tens of seconds for slow clients and long learner
+// steps.
 var HTTPLatencyBuckets = []float64{1e-5, 1e-4, 5e-4, 1e-3, 5e-3, 1e-2, 0.05, 0.1, 0.5, 1, 5, 30}

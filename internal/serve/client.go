@@ -123,8 +123,10 @@ func (c *Client) List() (SessionList, error) {
 	return l, err
 }
 
-// Questions fetches the outstanding batch (GET /sessions/{id}/questions),
-// long-polling up to wait while the session is computing.
+// Questions fetches the outstanding batch (GET /sessions/{id}/questions).
+// A positive wait is sent as ?wait; the server validates it and
+// answers at once, because no session is ever computing between
+// requests.
 func (c *Client) Questions(id string, wait time.Duration) (QuestionBatch, error) {
 	path := "/sessions/" + url.PathEscape(id) + "/questions"
 	if wait > 0 {
@@ -144,9 +146,9 @@ func (c *Client) Answer(id string, answers map[string]bool) (AnswerReport, error
 }
 
 // AnswerNext is the fused round trip (POST /sessions/{id}/answers?wait=D):
-// it delivers the answers and, once the batch settles, receives the
-// next outstanding batch in Report.Next — one round trip per batch
-// instead of a poll plus a post.
+// it delivers the answers and receives the outstanding batch that
+// follows in Report.Next — one round trip per batch instead of a poll
+// plus a post.
 func (c *Client) AnswerNext(id string, answers map[string]bool, wait time.Duration) (AnswerReport, error) {
 	path := "/sessions/" + url.PathEscape(id) + "/answers?wait=" + url.QueryEscape(wait.String())
 	var rep AnswerReport
@@ -162,17 +164,11 @@ func (c *Client) History(id string) ([]HistoryEntry, error) {
 	return h, err
 }
 
-// Snapshot persists the session (GET /sessions/{id}/snapshot),
-// retrying while the server reports 409 (learner mid-computation).
+// Snapshot persists the session (GET /sessions/{id}/snapshot).
 func (c *Client) Snapshot(id string) (Snapshot, error) {
 	var snap Snapshot
-	for i := 0; ; i++ {
-		err := c.do("GET", "/sessions/"+url.PathEscape(id)+"/snapshot", nil, &snap)
-		if err == nil || !IsStatus(err, http.StatusConflict) || i >= 200 {
-			return snap, err
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	err := c.do("GET", "/sessions/"+url.PathEscape(id)+"/snapshot", nil, &snap)
+	return snap, err
 }
 
 // Amend flips a recorded answer and relaunches the learner
@@ -244,8 +240,7 @@ func (m WireMode) String() string {
 }
 
 // DriveOptions shape a Drive loop. The zero value answers every batch
-// in one in-order delivery with a default long-poll over the batched
-// wire mode.
+// in one in-order delivery over the batched wire mode.
 type DriveOptions struct {
 	// Rng, when non-nil, shuffles the answer order within each batch,
 	// exercising out-of-order delivery.
@@ -255,7 +250,8 @@ type DriveOptions struct {
 	MaxPerPost int
 	// Delay, when non-nil, is slept before each delivery.
 	Delay func() time.Duration
-	// Poll is the long-poll wait per questions fetch; <= 0 uses 10s.
+	// Poll is the ?wait sent with each questions fetch and fused post;
+	// <= 0 uses 10s. The server never waits it out.
 	Poll time.Duration
 	// MaxRounds bounds the poll/answer loop; <= 0 uses 100000. The
 	// bound turns a livelock into an error instead of a hung test.
@@ -291,7 +287,7 @@ func (c *Client) Drive(id string, answer Answerer, opt DriveOptions) (SessionInf
 			return c.Info(id)
 		}
 		if len(qb.Questions) == 0 {
-			continue // computing, or racing another answerer; poll again
+			continue // another answerer settled this batch first; poll again
 		}
 		qs := qb.Questions
 		if opt.Rng != nil {

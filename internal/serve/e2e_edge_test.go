@@ -2,8 +2,8 @@ package serve_test
 
 // Race coverage for the exchange/deliver edges the load tests don't
 // reach deterministically: a delivery racing the session's deletion, a
-// second delivery racing the batch-settling close(batchReady), and the
-// questions long-poll waking promptly when the session aborts. All of
+// second delivery racing the one that settles the batch, and a
+// questions poller observing promptly that the session aborted. All of
 // these run under -race in CI; the assertions pin the atomicity
 // contract of deliver (it holds the session lock, so a delivery either
 // wholly precedes or wholly follows an abort — never straddles it).
@@ -158,11 +158,10 @@ func TestE2EDoubleDeliverRace(t *testing.T) {
 	}
 }
 
-// TestE2ELongPollReturnsPromptlyOnAbort holds a 10-second long-poll
-// against a session while its server shuts down: the poller must
-// observe the failed state within a couple of seconds, because abort
-// transitions wake every parked long-poll rather than letting it sleep
-// out its wait.
+// TestE2ELongPollReturnsPromptlyOnAbort polls a session with a
+// 10-second ?wait while its server shuts down: the poller must observe
+// the failed state within a couple of seconds, because no questions
+// fetch ever sleeps out its wait.
 func TestE2ELongPollReturnsPromptlyOnAbort(t *testing.T) {
 	srv := serve.New(serve.Config{})
 	hs := httptest.NewServer(srv.Handler())

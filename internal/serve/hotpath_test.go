@@ -1,9 +1,9 @@
 package serve
 
 // White-box coverage of the allocation-bounded hot path (encode.go):
-// the CI-gated allocation budgets on question encode, answer decode
-// and long-poll delivery, plus property tests pinning the hand-rolled
-// JSON subset to encoding/json semantics.
+// the CI-gated allocation budgets on question encode (the batch
+// render), answer decode and answer report encode, plus property tests
+// pinning the hand-rolled JSON subset to encoding/json semantics.
 
 import (
 	"bytes"
@@ -17,16 +17,16 @@ import (
 	"net/url"
 	"strings"
 	"testing"
-	"time"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/run"
 )
 
 // awaitingSession builds a server-attached session with one published
-// batch of outstanding questions (the learner stand-in is a goroutine
-// blocked in the exchange). The cleanup delivers the batch so the
-// goroutine unwinds.
+// batch of outstanding questions. The learner stand-in is a goroutine
+// that asks the batch through the exchange and then ends its run; the
+// rendezvous publishes the batch as launchLocked would. The cleanup
+// delivers the batch, which lets the stand-in finish.
 func awaitingSession(t *testing.T, tuples ...string) (*session, []boolean.Set) {
 	t.Helper()
 	srv := New(Config{MemoCapacity: -1})
@@ -43,24 +43,17 @@ func awaitingSession(t *testing.T, tuples ...string) (*session, []boolean.Set) {
 		}
 		qs[i] = set
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		defer func() { recover() }() //nolint:errcheck // abortError unwind
+	sess.ask, sess.reply = make(chan []boolean.Set), make(chan []bool)
+	go func(ask chan []boolean.Set) {
+		defer close(ask)
 		exchange{sess}.AskBatch(qs)
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sess.mu.Lock()
-		st := sess.state
-		sess.mu.Unlock()
-		if st == StateAwaiting {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("batch never published; state %q", st)
-		}
-		time.Sleep(time.Millisecond)
+	}(sess.ask)
+	sess.mu.Lock()
+	sess.awaitLocked()
+	st := sess.state
+	sess.mu.Unlock()
+	if st != StateAwaiting {
+		t.Fatalf("batch never published; state %q", st)
 	}
 	t.Cleanup(func() {
 		pairs := make([]wireAnswer, 0, len(qs))
@@ -69,13 +62,12 @@ func awaitingSession(t *testing.T, tuples ...string) (*session, []boolean.Set) {
 		}
 		var rep answerOutcome
 		sess.deliver(pairs, &rep)
-		<-done
 	})
 	return sess, qs
 }
 
 // TestServeHotPathAllocs is the CI allocation gate on the serving hot
-// path: rendering the outstanding batch (the long-poll delivery body),
+// path: rendering the outstanding batch (the questions response body),
 // parsing an answer body, and rendering an answer report must not
 // allocate in the steady state, given pooled buffers at capacity.
 func TestServeHotPathAllocs(t *testing.T) {
@@ -83,7 +75,7 @@ func TestServeHotPathAllocs(t *testing.T) {
 
 	buf := make([]byte, 0, 1<<14)
 	if allocs := testing.AllocsPerRun(1000, func() {
-		buf = sess.questionsInto(buf[:0], 0)
+		buf = sess.questionsInto(buf[:0])
 	}); allocs != 0 {
 		t.Errorf("questionsInto allocates %.1f times per render, want 0", allocs)
 	}
@@ -122,7 +114,7 @@ func TestServeHotPathAllocs(t *testing.T) {
 // encoding/json yields exactly the batch the session holds.
 func TestQuestionsIntoMatchesWire(t *testing.T) {
 	sess, qs := awaitingSession(t, "{1100, 0011}", "{1000}")
-	b := sess.questionsInto(nil, 0)
+	b := sess.questionsInto(nil)
 	var qb QuestionBatch
 	if err := json.Unmarshal(b, &qb); err != nil {
 		t.Fatalf("questionsInto produced invalid JSON %q: %v", b, err)
@@ -388,9 +380,6 @@ func TestHardenedTimeoutDefaults(t *testing.T) {
 	}
 	if hs.MaxHeaderBytes != DefaultMaxHeaderBytes {
 		t.Errorf("MaxHeaderBytes %d, want %d", hs.MaxHeaderBytes, DefaultMaxHeaderBytes)
-	}
-	if DefaultWriteTimeout <= maxQuestionWait {
-		t.Fatalf("DefaultWriteTimeout %v must exceed maxQuestionWait %v or long-polls get cut", DefaultWriteTimeout, maxQuestionWait)
 	}
 
 	srv2 := New(Config{MemoCapacity: -1, ReadHeaderTimeout: -1, WriteTimeout: -1, IdleTimeout: -1, MaxHeaderBytes: -1})

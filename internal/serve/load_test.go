@@ -147,8 +147,9 @@ func TestLoadConcurrentSessions(t *testing.T) {
 }
 
 // TestLoadShutdownWithInFlight closes the server while sessions are
-// blocked awaiting answers: Close must abort every learner, wait for
-// the goroutines, and leave the sessions failed rather than leaking.
+// blocked awaiting answers: Close must abort every learner, return
+// once their runs have ended, and leave the sessions failed rather
+// than leaking.
 func TestLoadShutdownWithInFlight(t *testing.T) {
 	sessions := 20
 	if testing.Short() {

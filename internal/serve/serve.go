@@ -5,9 +5,11 @@
 // answer exchange instead of a local user — questions go out as
 // batches over GET /sessions/{id}/questions, answers come back out of
 // order over POST /sessions/{id}/answers, keyed by canonical
-// boolean.Set.Key. A drive loop can fuse the two: POST
-// /sessions/{id}/answers?wait=D responds, once the delivered batch
-// settles, with the next outstanding batch in the same round trip.
+// boolean.Set.Key. A learner computes only inside the request that
+// settles its batch (or creates or amends its session), so every
+// response already carries the next batch's state. A drive loop can
+// fuse the two routes: POST /sessions/{id}/answers?wait=D also
+// returns the next outstanding batch, in the same round trip.
 //
 // Sessions live in one map under one read-write lock; lookups take
 // the read side, and only create and delete write. Admission control
@@ -72,9 +74,9 @@ type Config struct {
 	// client's request headers — the slow-loris defense. Zero selects
 	// DefaultReadHeaderTimeout; negative disables the limit.
 	ReadHeaderTimeout time.Duration
-	// WriteTimeout bounds a whole response write. Zero selects
-	// DefaultWriteTimeout — deliberately above maxQuestionWait so
-	// long-polls are never cut mid-wait; negative disables.
+	// WriteTimeout bounds a whole request, from the end of its headers
+	// to the end of the response write. Zero selects
+	// DefaultWriteTimeout; negative disables.
 	WriteTimeout time.Duration
 	// IdleTimeout bounds keep-alive connection idleness. Zero selects
 	// DefaultIdleTimeout; negative disables.
@@ -94,8 +96,9 @@ const (
 	// DefaultReadHeaderTimeout drops clients that trickle request
 	// headers (slow loris) within seconds.
 	DefaultReadHeaderTimeout = 10 * time.Second
-	// DefaultWriteTimeout exceeds maxQuestionWait with slack, so a
-	// full long-poll plus its response write always fits.
+	// DefaultWriteTimeout leaves ample slack for the longest handler:
+	// one learner step computed inside the request, then its response
+	// write.
 	DefaultWriteTimeout = 75 * time.Second
 	// DefaultIdleTimeout reclaims abandoned keep-alive connections.
 	DefaultIdleTimeout = 120 * time.Second
@@ -105,8 +108,7 @@ const (
 )
 
 // Server is the qhornd HTTP daemon. Create with New, mount Handler
-// (or Start a listener), and Close to abort in-flight sessions and
-// wait for their learner goroutines.
+// (or Start a listener), and Close to abort in-flight sessions.
 type Server struct {
 	cfg    Config
 	obs    *obs.Server
@@ -128,15 +130,14 @@ type Server struct {
 	outcomes      map[string]*obs.Counter // per-outcome session counters
 
 	// closeMu is the shutdown gate: Close write-holds it to flip
-	// closed, creations read-hold it across admit→launch so no session
-	// slips past the abort sweep. Admission itself is the lock-free
-	// active counter: a CAS against MaxSessions, no global mutex.
+	// closed; creations and amends read-hold it across admit→launch so
+	// no run slips past the abort sweep. Admission itself is the
+	// lock-free active counter: a CAS against MaxSessions, no global
+	// mutex.
 	closeMu sync.RWMutex
 	closed  bool // guarded by closeMu
 	active  atomic.Int64
 	idSeq   atomic.Uint64
-
-	wg sync.WaitGroup
 
 	srv *http.Server
 	ln  net.Listener
@@ -166,12 +167,12 @@ func New(cfg Config) *Server {
 		s.reg.Describe(obs.MetricMemoTierEvictions, "answers the full shared memo tier evicted, oldest first")
 		s.reg.Describe(obs.MetricMemoTierSize, "answers currently cached by the shared memo tier")
 	}
-	s.reg.Describe(obs.MetricServeSessionsActive, "live qhornd sessions (learner goroutine running)")
+	s.reg.Describe(obs.MetricServeSessionsActive, "qhornd sessions with an unfinished learner run")
 	s.reg.Describe(obs.MetricServeQuestionsOutstanding, "questions posted to answerers and not yet answered")
 	s.reg.Describe(obs.MetricServeAnswerSeconds, "remote answer latency from question posting to delivery")
 	s.reg.Describe(obs.MetricServeSessions, "finished session runs by outcome")
 	s.reg.Describe(obs.MetricServeRejected, "session creations shed by the max-sessions admission gate")
-	s.reg.Describe(obs.MetricServeHTTPSeconds, "qhornd HTTP handler wall time by route, long-polls included")
+	s.reg.Describe(obs.MetricServeHTTPSeconds, "qhornd HTTP handler wall time by route, learner compute included")
 	s.reg.Describe(obs.MetricServeHTTPInFlight, "HTTP requests currently inside a qhornd handler")
 	s.outstanding = s.reg.Gauge(obs.MetricServeQuestionsOutstanding)
 	s.activeGauge = s.reg.Gauge(obs.MetricServeSessionsActive)
@@ -278,12 +279,12 @@ func (s *Server) URL() string {
 	return "http://" + s.Addr()
 }
 
-// Close stops admitting sessions, aborts every in-flight learner,
-// waits for their goroutines to unwind, and stops the listener.
-// Closing twice is a no-op. The write lock synchronizes with
-// creations, which read-hold closeMu from admission to launch: once
-// it is acquired, every admitted session is in the table and counted
-// in wg, so the sweep and the Wait miss nothing.
+// Close stops admitting sessions, aborts every in-flight learner, and
+// stops the listener. Closing twice is a no-op. The write lock
+// synchronizes with creations and amends, which read-hold closeMu
+// from admission to launch: once it is acquired, every admitted
+// session is in the table, so the sweep misses nothing. Each abort
+// returns once its learner goroutine has finished.
 func (s *Server) Close() error {
 	s.closeMu.Lock()
 	if s.closed {
@@ -301,7 +302,6 @@ func (s *Server) Close() error {
 	for _, sess := range live {
 		sess.abort("server shutting down")
 	}
-	s.wg.Wait()
 	var err error
 	if s.srv != nil {
 		err = s.srv.Close()
@@ -347,23 +347,6 @@ func (s *Server) admitLocked() error {
 func (s *Server) unadmit() {
 	s.active.Add(-1)
 	s.activeGauge.Add(-1)
-}
-
-// relaunch reserves a slot for an amend relaunch and starts the
-// learner; it respects shutdown but not the max-sessions gate (the
-// session was already admitted). The read lock spans the wg.Add in
-// launch, so a concurrent Close cannot Wait before the run is
-// counted.
-func (s *Server) relaunch(sess *session) bool {
-	s.closeMu.RLock()
-	defer s.closeMu.RUnlock()
-	if s.closed {
-		return false
-	}
-	s.active.Add(1)
-	s.activeGauge.Add(1)
-	sess.launch()
-	return true
 }
 
 // sessionExit releases an active slot and records the run outcome.
@@ -491,21 +474,27 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	sess.launchLocked() // not yet shared: no lock needed
 	s.mu.Lock()
 	s.sessions[sess.id] = sess
 	s.mu.Unlock()
-	sess.launch()
 	s.closeMu.RUnlock()
 	writeJSON(w, http.StatusCreated, sess.info())
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	list := SessionList{Sessions: []SessionInfo{}}
+	// info waits out a session's learner step, so collect the sessions
+	// first rather than holding the table lock across the waits.
 	s.mu.RLock()
+	live := make([]*session, 0, len(s.sessions))
 	for _, sess := range s.sessions {
-		list.Sessions = append(list.Sessions, sess.info())
+		live = append(live, sess)
 	}
 	s.mu.RUnlock()
+	list := SessionList{Sessions: make([]SessionInfo, 0, len(live))}
+	for _, sess := range live {
+		list.Sessions = append(list.Sessions, sess.info())
+	}
 	writeJSON(w, http.StatusOK, list)
 }
 
@@ -542,21 +531,23 @@ func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
 		return
 	}
-	wait, err := parseWait(r.URL.RawQuery)
-	if err != nil {
+	if _, err := parseWait(r.URL.RawQuery); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	bp := getBuf()
-	b := sess.questionsInto((*bp)[:0], wait)
+	b := sess.questionsInto((*bp)[:0])
 	w.Header()["Content-Type"] = jsonCT
 	w.Write(b) //nolint:errcheck // the write error is the client's disconnect
 	*bp = b
 	putBuf(bp)
 }
 
-// parseWait extracts the long-poll wait from a raw query without
-// materializing url.Values.
+// parseWait extracts and validates the wait parameter from a raw query
+// without materializing url.Values. No handler waits: every response
+// already reflects the learner's next step. The parameter stays for
+// wire compatibility, and on POST answers a positive wait selects the
+// fused response.
 func parseWait(rawQuery string) (time.Duration, error) {
 	ws := queryParam(rawQuery, "wait")
 	if ws == "" {
@@ -572,13 +563,8 @@ func parseWait(rawQuery string) (time.Duration, error) {
 	if err != nil {
 		return 0, fmt.Errorf("serve: bad wait %q: %w", ws, err)
 	}
-	return min(wait, maxQuestionWait), nil
+	return wait, nil
 }
-
-// maxQuestionWait bounds the long-poll of GET /sessions/{id}/questions
-// (and of the fused POST answers?wait) so load balancers and tests
-// never hold a handler for long.
-const maxQuestionWait = 30 * time.Second
 
 func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.lookup(r.PathValue("id"))
@@ -633,11 +619,11 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	outBuf := getBuf()
 	b := appendAnswerReport((*outBuf)[:0], rep, wait > 0)
 	if wait > 0 {
-		// The fused round trip: long-poll the next batch (or the
+		// The fused round trip: render the next batch (or the
 		// remainder of this one, on a partial delivery) into the same
 		// response.
 		b = append(b, `,"next":`...)
-		b = sess.questionsInto(b, wait)
+		b = sess.questionsInto(b)
 		b = append(b, '}')
 	}
 	w.Header()["Content-Type"] = jsonCT
@@ -699,11 +685,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	snap, err := sess.snapshot()
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, errSnapshotBusy) {
-			status = http.StatusConflict
-		}
-		writeError(w, status, err)
+		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, snap)

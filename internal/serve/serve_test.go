@@ -76,8 +76,10 @@ func TestServerDefaultBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.BudgetRemaining == nil || *info.BudgetRemaining != 3 {
-		t.Fatalf("server-default budget not applied: remaining %v", info.BudgetRemaining)
+	// Create returns with the first batch posted, and posting charges
+	// the budget.
+	if info.BudgetRemaining == nil || *info.BudgetRemaining+info.Outstanding != 3 {
+		t.Fatalf("server-default budget not applied: remaining %v, outstanding %d", info.BudgetRemaining, info.Outstanding)
 	}
 	// An explicit negative budget opts out of the server default.
 	unlimited, err := c.Create(serve.CreateRequest{Variables: 3, Budget: -1})

@@ -5,24 +5,28 @@ package serve
 // goroutine runs the ordinary engine (learn.Run / verify.Set.RunWith
 // with run.WithBatch) over an interaction-history Session
 // (internal/session); at the bottom of that stack sits the answer
-// exchange, an oracle.BatchOracle whose AskBatch publishes the batch
-// as the session's outstanding questions and blocks until remote
+// exchange, an oracle.BatchOracle whose AskBatch hands the batch to
+// the request that drives the run and parks until that batch's
 // answers — arriving out of order over POST /sessions/{id}/answers,
-// keyed by canonical boolean.Set.Key — have settled every one of
-// them. Control is fully inverted: the algorithm drives the question
-// stream exactly as it would against a local user, and HTTP handlers
-// only deliver answers and observe state.
+// keyed by canonical boolean.Set.Key — come back. The algorithm
+// drives the question stream exactly as it would against a local
+// user.
 //
-// States:
+// The learner computes only inside a request: the one that holds the
+// session lock and drives the rendezvous (launchLocked on create and
+// amend, deliver when the last outstanding answer lands, abort on
+// delete and shutdown). Between requests it is parked, so every
+// handler sees one of
 //
-//	learning          the learner goroutine is computing; no
-//	                  outstanding questions
 //	awaiting-answers  an outstanding batch is published; the learner
-//	                  is blocked in the exchange
+//	                  is parked in the exchange
 //	done              the run finished; the learned query (or the
 //	                  verification verdict) is available
 //	failed            the run aborted: question budget exhausted,
 //	                  session deleted, or server shutdown
+//
+// and reads the history directly. learning is the transient state
+// while a request computes under the lock; no handler ever reports it.
 //
 // done is not terminal: POST /sessions/{id}/amend flips a recorded
 // answer and relaunches the learner over the corrected history — the
@@ -44,6 +48,8 @@ import (
 )
 
 // Session states, as reported by the wire SessionInfo.State.
+// StateLearning only holds while a request computes under the session
+// lock, so no response carries it.
 const (
 	StateLearning = "learning"
 	StateAwaiting = "awaiting-answers"
@@ -68,7 +74,6 @@ func (e abortError) Error() string { return "serve: session aborted: " + e.reaso
 // tuples slices) are recycled rather than reallocated per question.
 type pendingQ struct {
 	key      string
-	q        boolean.Set
 	tuples   []string // fixed-width wire rendering, formatted once at publish
 	posted   time.Time
 	answered bool
@@ -76,8 +81,10 @@ type pendingQ struct {
 }
 
 // session is one live learn/verify session. All mutable state is
-// guarded by mu; the learner goroutine only touches it through the
-// exchange (AskBatch) and the terminal transition in run.
+// guarded by mu. The learner goroutine never takes mu: it computes
+// only while a request holding mu waits on the rendezvous, so what it
+// writes is published to handlers by the channel operation that ends
+// the request's wait.
 type session struct {
 	id  string
 	srv *Server
@@ -93,28 +100,21 @@ type session struct {
 
 	mu          sync.Mutex
 	state       string
-	stateSeq    chan struct{} // closed and replaced on every state change
-	running     bool
-	aborted     bool
-	abortReason string
+	abortReason string // set by abort; "" while the run was not aborted
 
-	// hist is the learner's interaction history. The learner goroutine
-	// mutates it OUTSIDE mu (inside qsession recording, between
-	// exchange calls), so handlers never read hist while the learner is
-	// computing; they read the histEntries/histLive cache, captured
-	// under mu at the quiescent points (batch publication, run
-	// termination, amend). histEntries is a hist.View: the learner only
-	// appends beyond it, and amend flips answers under mu while no run
-	// is active.
-	hist        *qsession.Session
-	histEntries []qsession.Entry
-	histLive    int
-	pending     map[string]int32 // key → index into pqs
-	pqs         []pendingQ       // current batch in posted order, reused across rounds
-	remaining   int
-	waiting     bool          // a batch is blocked on wake
-	wake        chan struct{} // cap 1; one token when the batch settles or aborts
-	settled     map[string]bool
+	// ask and reply are the rendezvous with the current run's learner
+	// goroutine, both unbuffered and both nil when no run is active. The
+	// learner sends each batch on ask and closes it when the run ends;
+	// the request holding mu sends the batch's answers on reply, or
+	// closes it to abort the run.
+	ask   chan []boolean.Set
+	reply chan []bool
+
+	hist      *qsession.Session
+	pending   map[string]int32 // key → index into pqs
+	pqs       []pendingQ       // current batch in posted order, reused across rounds
+	remaining int
+	settled   map[string]bool
 
 	runs        int
 	haveLearned bool
@@ -127,10 +127,10 @@ type session struct {
 	failure     string
 }
 
-// newSession builds an unlaunched session; the caller inserts it into
-// the session table and calls launch. history, when non-nil, is a snapshot's
-// session.EncodeJSON payload to resume from; otherwise variables
-// sizes a fresh universe.
+// newSession builds an unlaunched session; the caller launches it and
+// inserts it into the session table. history, when non-nil, is a
+// snapshot's session.EncodeJSON payload to resume from; otherwise
+// variables sizes a fresh universe.
 func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, givenStr string, budgetCap int, userID string, history []byte) (*session, error) {
 	s := &session{
 		id:        srv.nextID(id),
@@ -141,8 +141,6 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 		user:      userID,
 		budgetCap: budgetCap,
 		state:     StateLearning,
-		stateSeq:  make(chan struct{}),
-		wake:      make(chan struct{}, 1),
 		pending:   map[string]int32{},
 		settled:   map[string]bool{},
 	}
@@ -190,56 +188,62 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 		}
 		s.vs = vs
 	}
-	s.captureHistoryLocked() // not yet shared: no lock needed
 	return s, nil
 }
 
-// captureHistoryLocked refreshes the handler-facing history cache.
-// Called under s.mu at the points where hist is quiescent: when the
-// exchange publishes a batch (the learner, the only mutator, is about
-// to block), when the run terminates, and after an amendment.
-func (s *session) captureHistoryLocked() {
-	s.histEntries = s.hist.View()
-	s.histLive = s.hist.LiveQuestions
-}
-
-// launch starts a learner run; the caller must have admitted the
-// session (Server.admit) and hold no locks.
-func (s *session) launch() {
-	s.mu.Lock()
-	s.running = true
-	s.aborted = false
+// launchLocked starts a learner run and drives it to its first batch
+// (or to its end). The caller holds s.mu, has admitted the run
+// (Server.admitLocked, or the amend slot), and holds the server's
+// closeMu read lock, so shutdown's abort sweep cannot miss the run.
+func (s *session) launchLocked() {
+	s.abortReason = ""
 	s.runs++
 	s.haveLearned = false
 	s.statsKnown = false
 	s.revision = nil
 	s.verdict = nil
 	s.failure = ""
-	s.setStateLocked(StateLearning)
-	s.mu.Unlock()
-	s.srv.wg.Add(1)
+	s.state = StateLearning
+	s.ask, s.reply = make(chan []boolean.Set), make(chan []bool)
 	go s.run()
+	s.awaitLocked()
 }
 
-// setStateLocked transitions the state and wakes every long-poller.
-// Callers hold s.mu.
-func (s *session) setStateLocked(state string) {
-	s.state = state
-	close(s.stateSeq)
-	s.stateSeq = make(chan struct{})
+// awaitLocked waits, holding s.mu, while the learner computes, and
+// publishes the batch it asks next. When the run ends instead, run has
+// already set the terminal state, and the rendezvous is dropped.
+func (s *session) awaitLocked() {
+	qs, ok := <-s.ask
+	if !ok {
+		s.ask, s.reply = nil, nil
+		return
+	}
+	now := time.Now()
+	s.remaining = len(qs)
+	if n := len(qs); n <= cap(s.pqs) {
+		s.pqs = s.pqs[:n]
+	} else {
+		s.pqs = append(s.pqs[:cap(s.pqs)], make([]pendingQ, n-cap(s.pqs))...)
+	}
+	for i, q := range qs {
+		p := &s.pqs[i]
+		key := q.Key()
+		p.key, p.posted, p.answered = key, now, false
+		p.tuples = formatTuplesInto(p.tuples[:0], s.u, q)
+		s.pending[key] = int32(i)
+	}
+	s.srv.outstanding.Add(float64(len(qs)))
+	s.state = StateAwaiting
 }
 
 // run is the learner goroutine: one full engine run over the
-// interaction history, terminating in done or failed.
+// interaction history, terminating in done or failed. It never takes
+// s.mu; the request driving it holds it throughout.
 func (s *session) run() {
-	defer s.srv.wg.Done()
 	outcome := "done"
 	defer func() {
-		r := recover()
-		s.mu.Lock()
-		s.running = false
-		s.captureHistoryLocked()
-		if r != nil {
+		s.state = StateDone
+		if r := recover(); r != nil {
 			switch v := r.(type) {
 			case abortError:
 				outcome, s.failure = "aborted", v.reason
@@ -249,12 +253,10 @@ func (s *session) run() {
 				outcome, s.failure = "panic", fmt.Sprintf("learner panic: %v", v)
 				s.srv.logf("serve: session %s: %s", s.id, s.failure)
 			}
-			s.setStateLocked(StateFailed)
-		} else {
-			s.setStateLocked(StateDone)
+			s.state = StateFailed
 		}
-		s.mu.Unlock()
 		s.srv.sessionExit(outcome)
+		close(s.ask)
 	}()
 
 	opts := []run.Option{
@@ -265,16 +267,11 @@ func (s *session) run() {
 	}
 	if s.mode == ModeVerify {
 		res := s.vs.RunWith(s.hist, opts...)
-		s.mu.Lock()
 		s.verdict = &res
-		s.mu.Unlock()
 		return
 	}
-	s.mu.Lock()
-	reviseFrom := s.reviseFrom
-	s.reviseFrom = nil
-	s.mu.Unlock()
-	if reviseFrom != nil {
+	if reviseFrom := s.reviseFrom; reviseFrom != nil {
+		s.reviseFrom = nil
 		// The amendment fast path (§5 + the §6 revision sketch): replay
 		// the prior run's settled history through internal/revise, so
 		// only the damaged sub-lattice generates new wire questions. The
@@ -283,28 +280,24 @@ func (s *session) run() {
 		// and escalates to a full learn only if damage attribution
 		// under-approximated.
 		if res, err := revise.Revise(*reviseFrom, s.hist); err == nil {
-			s.mu.Lock()
 			s.learned, s.haveLearned = res.Revised, true
 			s.revision = &RevisionInfo{
 				VerificationQuestions: res.VerificationQuestions,
 				RepairQuestions:       res.RepairQuestions,
 				Escalated:             res.Escalated,
 			}
-			s.mu.Unlock()
 			return
 		}
 		// Revise refused (the prior query left the role-preserving
 		// class): fall back to a full relearn.
 	}
 	q, st := learn.Run(s.u, s.hist, opts...)
-	s.mu.Lock()
 	s.learned, s.stats, s.haveLearned, s.statsKnown = q, st, true, true
-	s.mu.Unlock()
 }
 
 // exchange is the network-facing oracle at the bottom of a session's
-// stack: AskBatch publishes the batch and blocks the learner until
-// every question is answered over HTTP.
+// stack: AskBatch hands the batch to the driving request and parks the
+// learner until the batch's answers come back.
 type exchange struct{ s *session }
 
 // Ask implements oracle.Oracle; a lone adaptive question (a binary-
@@ -313,50 +306,12 @@ func (e exchange) Ask(q boolean.Set) bool { return e.AskBatch([]boolean.Set{q})[
 
 // AskBatch implements oracle.BatchOracle. The session history above
 // guarantees the batch holds distinct, never-before-asked questions.
-// The pending table (pqs + index map) and the wake channel are reused
-// across rounds, so a round allocates only the answers slice handed
-// back up the oracle stack.
 func (e exchange) AskBatch(qs []boolean.Set) []bool {
-	s := e.s
-	s.mu.Lock()
-	if s.aborted {
-		reason := s.abortReason
-		s.mu.Unlock()
-		panic(abortError{reason})
+	e.s.ask <- qs
+	answers, ok := <-e.s.reply
+	if !ok {
+		panic(abortError{e.s.abortReason})
 	}
-	now := time.Now()
-	s.waiting = true
-	s.remaining = len(qs)
-	if n := len(qs); n <= cap(s.pqs) {
-		s.pqs = s.pqs[:n]
-	} else {
-		s.pqs = append(s.pqs[:cap(s.pqs)], make([]pendingQ, n-cap(s.pqs))...)
-	}
-	for i, q := range qs {
-		p := &s.pqs[i]
-		key := q.Key()
-		p.key, p.q, p.posted, p.answered = key, q, now, false
-		p.tuples = formatTuplesInto(p.tuples[:0], s.u, q)
-		s.pending[key] = int32(i)
-	}
-	s.srv.outstanding.Add(float64(len(qs)))
-	s.captureHistoryLocked() // the learner is about to block: hist is quiescent
-	s.setStateLocked(StateAwaiting)
-	s.mu.Unlock()
-
-	<-s.wake
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.aborted {
-		panic(abortError{s.abortReason})
-	}
-	answers := make([]bool, len(qs))
-	for i := range s.pqs {
-		answers[i] = s.pqs[i].answer
-	}
-	clear(s.pending)
-	s.pqs = s.pqs[:0]
 	return answers
 }
 
@@ -364,8 +319,9 @@ func (e exchange) AskBatch(qs []boolean.Set) []bool {
 // pairs to the outstanding batch, filling rep. Unknown keys are
 // reported (as borrowed slices of the request buffer — the handler
 // encodes before releasing it), repeats of settled questions counted
-// as duplicates; when the last outstanding question settles the
-// learner wakes and the state returns to learning. Keys reach the
+// as duplicates. When the last outstanding question settles, deliver
+// hands the answers to the learner and waits for its next batch (or
+// its end), so rep reports the state that follows. Keys reach the
 // pending and settled maps through the m[string(b)] form, which the
 // compiler lowers to an allocation-free lookup.
 func (s *session) deliver(pairs []wireAnswer, rep *answerOutcome) {
@@ -393,94 +349,77 @@ func (s *session) deliver(pairs []wireAnswer, rep *answerOutcome) {
 		s.srv.outstanding.Add(-1)
 		s.srv.answerLatency.Observe(time.Since(p.posted).Seconds())
 	}
-	if s.remaining == 0 && s.waiting {
-		s.waiting = false
-		s.wake <- struct{}{} // cap 1; at most one token in flight (see abort)
-		s.setStateLocked(StateLearning)
+	if s.remaining == 0 && s.state == StateAwaiting {
+		answers := make([]bool, len(s.pqs))
+		for i := range s.pqs {
+			answers[i] = s.pqs[i].answer
+		}
+		clear(s.pending)
+		s.pqs = s.pqs[:0]
+		s.state = StateLearning
+		s.reply <- answers
+		s.awaitLocked()
 	}
 	rep.outstanding = s.remaining
 	rep.state = s.state
-	if s.aborted {
-		// The abort cleared the batch, so answers that were
-		// legitimately in flight land in Unknown; the reason tells the
-		// driver the session died rather than that it typo'd a key.
-		rep.abortReason = s.abortReason
-	}
+	// An abort cleared the batch, so answers that were legitimately in
+	// flight land in Unknown; the reason tells the answerer the session
+	// died rather than that it typo'd a key.
+	rep.abortReason = s.abortReason
 }
 
-// abort wakes a blocked learner with a panic and marks the session so
-// any later question also aborts. Aborting a finished session is a
-// no-op.
+// abort ends the active run: it drops the outstanding batch, closes
+// reply so the learner unwinds with an abortError panic, and drains
+// ask until run closes it, so the goroutine has finished its run when
+// abort returns. Aborting a session with no active run is a no-op.
 func (s *session) abort(reason string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.aborted || !s.running {
+	if s.ask == nil {
 		return
 	}
-	s.aborted = true
 	s.abortReason = reason
-	if s.waiting {
-		s.waiting = false
-		s.srv.outstanding.Add(-float64(s.remaining))
-		s.remaining = 0
-		clear(s.pending)
-		s.pqs = s.pqs[:0]
-		s.wake <- struct{}{} // cap 1; the waiting flag serializes producers
+	s.srv.outstanding.Add(-float64(s.remaining))
+	s.remaining = 0
+	clear(s.pending)
+	s.pqs = s.pqs[:0]
+	close(s.reply)
+	for range s.ask {
 	}
+	s.ask, s.reply = nil, nil
 }
 
 // questionsInto renders the outstanding batch as QuestionBatch wire
-// JSON appended to b. A positive wait long-polls: while the session
-// is computing (state learning) the call blocks — up to wait — for
-// the next state change, so drivers see fresh batches without
-// busy-polling. Tuples were formatted once at batch publication, so
-// rendering is a pure append pass.
-func (s *session) questionsInto(b []byte, wait time.Duration) []byte {
-	deadline := time.Now().Add(wait)
-	for {
-		s.mu.Lock()
-		if s.state != StateLearning || time.Now().After(deadline) {
-			b = append(b, `{"state":`...)
-			b = appendJSONString(b, s.state)
-			b = append(b, `,"questions":[`...)
-			n := 0
-			for i := range s.pqs {
-				p := &s.pqs[i]
-				if p.answered {
-					continue
-				}
-				if n > 0 {
-					b = append(b, ',')
-				}
-				n++
-				b = append(b, `{"key":`...)
-				b = appendJSONString(b, p.key)
-				b = append(b, `,"tuples":[`...)
-				for j, t := range p.tuples {
-					if j > 0 {
-						b = append(b, ',')
-					}
-					b = appendJSONString(b, t)
-				}
-				b = append(b, "]}"...)
-			}
-			b = append(b, "]}"...)
-			s.mu.Unlock()
-			return b
-		}
-		ch := s.stateSeq
-		s.mu.Unlock()
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
+// JSON appended to b. Tuples were formatted once at batch publication,
+// so rendering is a pure append pass.
+func (s *session) questionsInto(b []byte) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	b = append(b, `{"state":`...)
+	b = appendJSONString(b, s.state)
+	b = append(b, `,"questions":[`...)
+	n := 0
+	for i := range s.pqs {
+		p := &s.pqs[i]
+		if p.answered {
 			continue
 		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-		case <-timer.C:
+		if n > 0 {
+			b = append(b, ',')
 		}
-		timer.Stop()
+		n++
+		b = append(b, `{"key":`...)
+		b = appendJSONString(b, p.key)
+		b = append(b, `,"tuples":[`...)
+		for j, t := range p.tuples {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = appendJSONString(b, t)
+		}
+		b = append(b, "]}"...)
 	}
+	return append(b, "]}"...)
 }
 
 // info snapshots the session for GET /sessions/{id}.
@@ -496,8 +435,8 @@ func (s *session) info() SessionInfo {
 		User:              s.user,
 		Runs:              s.runs,
 		Outstanding:       s.remaining,
-		QuestionsOnRecord: len(s.histEntries),
-		LiveQuestions:     s.histLive,
+		QuestionsOnRecord: s.hist.Len(),
+		LiveQuestions:     s.hist.LiveQuestions,
 		Revision:          s.revision,
 		Error:             s.failure,
 	}
@@ -532,13 +471,11 @@ func (s *session) info() SessionInfo {
 	return in
 }
 
-// history renders the recorded interaction history from the quiescent-
-// point cache, so it is safe (and consistent) even while the learner is
-// computing.
+// history renders the recorded interaction history.
 func (s *session) history() []HistoryEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	entries := s.histEntries
+	entries := s.hist.View()
 	out := make([]HistoryEntry, len(entries))
 	for i, e := range entries {
 		out[i] = HistoryEntry{
@@ -551,17 +488,12 @@ func (s *session) history() []HistoryEntry {
 	return out
 }
 
-// snapshot serializes the session for crash/resume. While the learner
-// is computing the history is in motion, so the caller gets
-// errSnapshotBusy and should retry; while awaiting answers (or done,
-// or failed) the history is quiescent. Answers of the in-flight batch
-// are not yet on record — resume re-asks that batch, and nothing else.
+// snapshot serializes the session for crash/resume. Answers of the
+// in-flight batch are not yet on record — resume re-asks that batch,
+// and nothing else.
 func (s *session) snapshot() (Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.running && s.state == StateLearning {
-		return Snapshot{}, errSnapshotBusy
-	}
 	hist, err := s.hist.EncodeJSON(s.u)
 	if err != nil {
 		return Snapshot{}, err
@@ -581,14 +513,12 @@ func (s *session) snapshot() (Snapshot, error) {
 	return snap, nil
 }
 
-// errSnapshotBusy reports a snapshot attempt while the learner is
-// computing between batches; the handler maps it to 409.
-var errSnapshotBusy = fmt.Errorf("serve: session is computing; retry snapshot shortly")
-
 // amend flips recorded answers (by history index, or by question key)
 // and reruns the learner over the corrected history — the §5 revision
-// loop. Only a finished (done or failed) session may amend; an
-// in-flight run would race its own history.
+// loop, driving the new run to its first batch before it returns.
+// Only a finished (done or failed) session may amend; an in-flight run
+// would race its own history. The server's closeMu read lock spans the
+// relaunch, so shutdown's abort sweep cannot miss the new run.
 //
 // Eligible learn sessions take the revision fast path: the prior
 // learned query is repaired through internal/revise over the replayed
@@ -599,13 +529,18 @@ var errSnapshotBusy = fmt.Errorf("serve: session is computing; retry snapshot sh
 // qhorn-1 learner's output is not normalized, so those sessions
 // relearn to preserve bit-identity.
 func (s *session) amend(req AmendRequest) error {
+	srv := s.srv
+	srv.closeMu.RLock()
+	defer srv.closeMu.RUnlock()
+	if srv.closed {
+		return errClosed
+	}
 	s.mu.Lock()
-	if s.running {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.ask != nil {
 		return fmt.Errorf("serve: session is still running; answer or delete it before amending")
 	}
 	if req.Index == nil && req.Key == "" {
-		s.mu.Unlock()
 		return fmt.Errorf("serve: amend needs an index or a key")
 	}
 	eligible := s.mode == ModeLearn && s.alg == run.RolePreserving &&
@@ -620,13 +555,11 @@ func (s *session) amend(req AmendRequest) error {
 	case StrategyRelearn:
 	case StrategyRevise:
 		if !eligible {
-			s.mu.Unlock()
 			return fmt.Errorf("serve: session not eligible for the revision fast path (need a finished role-preserving learn)")
 		}
 		prior := s.learned
 		reviseFrom = &prior
 	default:
-		s.mu.Unlock()
 		return fmt.Errorf("serve: unknown amend strategy %q (want auto, relearn or revise)", req.Strategy)
 	}
 	var err error
@@ -637,7 +570,6 @@ func (s *session) amend(req AmendRequest) error {
 		fixedAt, err = s.amendByKeyLocked(req.Key)
 	}
 	if err != nil {
-		s.mu.Unlock()
 		return err
 	}
 	if s.user != "" {
@@ -645,15 +577,15 @@ func (s *session) amend(req AmendRequest) error {
 		// sessions of this user see the corrected answer instead of
 		// the stale one.
 		e := s.hist.View()[fixedAt]
-		s.srv.memo.Update(s.user, e.Question, e.Answer)
+		srv.memo.Update(s.user, e.Question, e.Answer)
 	}
 	s.reviseFrom = reviseFrom
 	s.hist.ResetRun()
-	s.captureHistoryLocked()
-	s.mu.Unlock()
-	if !s.srv.relaunch(s) {
-		return fmt.Errorf("serve: server is shutting down")
-	}
+	// The session was admitted at creation; a relaunch takes its slot
+	// back without the max-sessions gate.
+	srv.active.Add(1)
+	srv.activeGauge.Add(1)
+	s.launchLocked()
 	return nil
 }
 

@@ -146,10 +146,10 @@ type AnswerReport struct {
 	Outstanding int      `json:"outstanding"`
 	State       string   `json:"state"`
 	AbortReason string   `json:"abort_reason,omitempty"`
-	// Next is the fused-mode payload: POST /answers?wait=D responds,
-	// once the delivered batch settles, with the next outstanding batch
-	// (long-polled up to D) in the same round trip, halving the per-
-	// batch HTTP cost of a drive loop. Absent without ?wait.
+	// Next is the fused-mode payload: POST /answers?wait=D responds
+	// with the outstanding batch that follows the delivery (the next
+	// batch once this one settles) in the same round trip, halving the
+	// per-batch HTTP cost of a drive loop. Absent without ?wait.
 	Next *QuestionBatch `json:"next,omitempty"`
 }
 
