@@ -271,7 +271,7 @@ type bodySearch struct {
 	visited                map[boolean.Tuple]bool
 	queue                  []boolean.Tuple
 	cur                    boolean.Tuple // the root, then the minimization point
-	drop                   []int         // Algorithm 6's variables still to try dropping
+	drop                   boolean.Tuple // Algorithm 6's variables still to try dropping, lowest first
 }
 
 type bodyStage int
@@ -308,8 +308,8 @@ func (s *bodySearch) next() (boolean.Tuple, bool) {
 		// The bottom contains a body only if the body is empty.
 		return s.pinned, true
 	case stageMinimize:
-		if len(s.drop) > 0 {
-			return s.cur.Without(s.drop[0]), true
+		if !s.drop.IsEmpty() {
+			return s.cur.Without(s.drop.Lowest()), true
 		}
 		// The surviving true free variables form a dominant body.
 		s.stage = stageRoot
@@ -357,13 +357,14 @@ func (s *bodySearch) answer(hasBody bool) {
 			// Algorithm 6: from the root, greedily set each free
 			// variable to false, keeping the change whenever the
 			// question remains a non-answer.
-			s.drop, s.stage = s.cur.Intersect(s.free).Vars(), stageMinimize
+			s.drop, s.stage = s.cur.Intersect(s.free), stageMinimize
 		}
 	case stageMinimize:
+		v := s.drop.Lowest()
 		if hasBody {
-			s.cur = s.cur.Without(s.drop[0])
+			s.cur = s.cur.Without(v)
 		}
-		s.drop = s.drop[1:]
+		s.drop = s.drop.Without(v)
 	}
 }
 

@@ -8,8 +8,11 @@
 package query
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"qhorn/internal/boolean"
@@ -118,24 +121,35 @@ func (e Expr) validate(u boolean.Universe) error {
 
 // String renders the expression in the paper's shorthand, e.g.
 // "∀x1x2 → x3", "∀x4", "∃x1x2x5".
-func (e Expr) String() string {
-	var b strings.Builder
-	b.WriteString(e.Quant.String())
-	writeVars := func(t boolean.Tuple) {
-		for _, v := range t.Vars() {
-			fmt.Fprintf(&b, "x%d", v+1)
-		}
-	}
+func (e Expr) String() string { return string(e.appendTo(nil)) }
+
+// appendTo appends the expression's shorthand to b.
+func (e Expr) appendTo(b []byte) []byte {
+	b = append(b, e.Quant.String()...)
 	switch {
 	case e.Head == NoHead:
-		writeVars(e.Body)
+		b = appendVars(b, e.Body)
 	case e.Body.IsEmpty():
-		fmt.Fprintf(&b, "x%d", e.Head+1)
+		b = appendVar(b, e.Head)
 	default:
-		writeVars(e.Body)
-		fmt.Fprintf(&b, " → x%d", e.Head+1)
+		b = appendVars(b, e.Body)
+		b = append(b, " → "...)
+		b = appendVar(b, e.Head)
 	}
-	return b.String()
+	return b
+}
+
+// appendVars appends t's variables in ascending order, as "x1x2…".
+func appendVars(b []byte, t boolean.Tuple) []byte {
+	for ; !t.IsEmpty(); t = t.Without(t.Lowest()) {
+		b = appendVar(b, t.Lowest())
+	}
+	return b
+}
+
+// appendVar appends variable v's name, "x" and its 1-based index.
+func appendVar(b []byte, v int) []byte {
+	return strconv.AppendInt(append(b, 'x'), int64(v)+1, 10)
 }
 
 // Query is a qhorn query: a conjunction of quantified (Horn)
@@ -227,21 +241,29 @@ func (q Query) String() string {
 		return "⊤"
 	}
 	exprs := append([]Expr{}, q.Exprs...)
-	sort.SliceStable(exprs, func(i, j int) bool {
-		a, b := exprs[i], exprs[j]
+	slices.SortStableFunc(exprs, func(a, b Expr) int {
 		if a.Quant != b.Quant {
-			return a.Quant == Forall
+			if a.Quant == Forall {
+				return -1
+			}
+			if b.Quant == Forall {
+				return 1
+			}
+			return 0
 		}
 		if a.Head != b.Head {
-			return a.Head < b.Head
+			return cmp.Compare(a.Head, b.Head)
 		}
-		return a.Body < b.Body
+		return cmp.Compare(a.Body, b.Body)
 	})
-	parts := make([]string, len(exprs))
+	b := make([]byte, 0, 16*len(exprs))
 	for i, e := range exprs {
-		parts[i] = e.String()
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = e.appendTo(b)
 	}
-	return strings.Join(parts, " ")
+	return string(b)
 }
 
 // Equal reports syntactic equality up to expression order and

@@ -56,11 +56,13 @@ func IsStatus(err error, status int) bool {
 }
 
 // do runs one JSON request/response exchange. in == nil sends no body;
-// out == nil discards the response body.
+// out == nil discards the response body. The answer body and the
+// QuestionBatch and AnswerReport responses go through the hand-rolled
+// codec (encode.go); everything else through encoding/json.
 func (c *Client) do(method, path string, in, out interface{}) error {
 	var body io.Reader
 	if in != nil {
-		data, err := json.Marshal(in)
+		data, err := marshalRequest(in)
 		if err != nil {
 			return err
 		}
@@ -91,8 +93,11 @@ func (c *Client) do(method, path string, in, out interface{}) error {
 		}
 		return &StatusError{Status: resp.StatusCode, Msg: eb.Error}
 	}
-	if out == nil {
+	switch out.(type) {
+	case nil:
 		return nil
+	case *QuestionBatch, *AnswerReport:
+		return decodeResponse(resp.Body, out)
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
 }

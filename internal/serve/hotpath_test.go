@@ -17,6 +17,7 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+	"time"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/run"
@@ -308,17 +309,41 @@ func TestQueryParam(t *testing.T) {
 	for _, raw := range []string{
 		"", "wait=2s", "wait=2s&other=1", "other=1&wait=250ms", "other=x",
 		"wait=", "waitx=3s", "other=0", "a=b&wait=30s&c=d", "wait",
+		"wait&wait=2s", "w%61it=1s", "wait=1s;x=2", "wait=%zz&wait=1s", "=x&wait=",
 	} {
-		want, err := url.ParseQuery(raw)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want, _ := url.ParseQuery(raw) // an error only drops the part it names
 		for _, key := range []string{"wait", "other"} {
 			if got := queryParam(raw, key); got != want.Get(key) {
 				t.Errorf("queryParam(%q, %q) = %q, url.Values %q", raw, key, got, want.Get(key))
 			}
 		}
 	}
+}
+
+// FuzzQueryParam checks queryParam and parseWait against url.ParseQuery
+// over arbitrary raw queries: queryParam gives what url.Values.Get
+// gives, and parseWait accepts the wait that value parses to and
+// refuses the one it does not. Seeds live in
+// testdata/fuzz/FuzzQueryParam; locally:
+//
+//	go test -run '^$' -fuzz '^FuzzQueryParam$' -fuzztime 30s ./internal/serve
+func FuzzQueryParam(f *testing.F) {
+	f.Fuzz(func(t *testing.T, raw string) {
+		vals, _ := url.ParseQuery(raw)
+		for _, key := range []string{"wait", "other"} {
+			if got := queryParam(raw, key); got != vals.Get(key) {
+				t.Fatalf("queryParam(%q, %q) = %q, url.Values %q", raw, key, got, vals.Get(key))
+			}
+		}
+		var want time.Duration
+		var wantErr error
+		if ws := vals.Get("wait"); ws != "" {
+			want, wantErr = time.ParseDuration(ws)
+		}
+		if got, err := parseWait(raw); got != want || (err == nil) != (wantErr == nil) {
+			t.Fatalf("parseWait(%q) = %v, %v; url.ParseQuery and time.ParseDuration give %v, %v", raw, got, err, want, wantErr)
+		}
+	})
 }
 
 // TestOversizedBodies checks the request-body cap: a create or an

@@ -36,8 +36,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"net/url"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -544,20 +542,13 @@ func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request) {
 }
 
 // parseWait extracts and validates the wait parameter from a raw query
-// without materializing url.Values. No handler waits: every response
-// already reflects the learner's next step. The parameter stays for
-// wire compatibility, and on POST answers a positive wait selects the
-// fused response.
+// with queryParam. No handler waits: every response already reflects
+// the learner's next step. The parameter stays for wire compatibility,
+// and on POST answers a positive wait selects the fused response.
 func parseWait(rawQuery string) (time.Duration, error) {
 	ws := queryParam(rawQuery, "wait")
 	if ws == "" {
 		return 0, nil
-	}
-	if strings.ContainsAny(ws, "%+") {
-		// Escaped duration units (µs) take the cold unescape path.
-		if un, err := url.QueryUnescape(ws); err == nil {
-			ws = un
-		}
 	}
 	wait, err := time.ParseDuration(ws)
 	if err != nil {
@@ -579,7 +570,7 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 	}
 	bodyBuf := getBuf()
 	defer putBuf(bodyBuf)
-	body, err := readBody((*bodyBuf)[:0], r.Body)
+	body, err := readBody((*bodyBuf)[:0], r.Body, maxBodyBytes)
 	*bodyBuf = body[:0]
 	if errors.Is(err, errBodyTooLarge) {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
@@ -633,15 +624,15 @@ func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
 }
 
 // readBody reads rc into the (pooled) buffer b, growing as needed,
-// and fails with errBodyTooLarge once more than maxBodyBytes arrived.
-func readBody(b []byte, rc io.Reader) ([]byte, error) {
+// and fails with errBodyTooLarge once more than limit bytes arrived.
+func readBody(b []byte, rc io.Reader, limit int) ([]byte, error) {
 	for {
 		if len(b) == cap(b) {
 			b = append(b, 0)[:len(b)]
 		}
 		n, err := rc.Read(b[len(b):cap(b)])
 		b = b[:len(b)+n]
-		if len(b) > maxBodyBytes {
+		if len(b) > limit {
 			return b, errBodyTooLarge
 		}
 		if err == io.EOF {
