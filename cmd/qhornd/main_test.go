@@ -69,7 +69,7 @@ func TestServeAndDriveSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Drive(info.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{Poll: time.Second})
+	final, err := c.Drive(info.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{})
 	if err != nil {
 		t.Fatalf("drive: %v", err)
 	}

@@ -154,30 +154,8 @@ func (l *qhorn1Learner) learn() (query.Query, Qhorn1Stats) {
 	// existential with one question each.
 	l.phase = &l.stats.HeadQuestions
 	endPhase := l.in.begin("heads")
-	var uniHeads, existential []int
-	headAnswer := func(x int, answer bool) {
-		if answer {
-			existential = append(existential, x)
-		} else {
-			uniHeads = append(uniHeads, x)
-		}
-	}
-	if l.batch {
-		// The n head questions are mutually independent: one batch.
-		qs := make([]boolean.Set, n)
-		for x := 0; x < n; x++ {
-			qs[x] = HeadTestQuestion(l.u, x)
-		}
-		answers := askBatch(l.o, &l.in, l.phase, qs, "heads", headPurpose)
-		for x, a := range answers {
-			headAnswer(x, a)
-		}
-	} else {
-		for x := 0; x < n; x++ {
-			notef(&l.in, "heads", headPurpose, x)
-			headAnswer(x, l.ask(HeadTestQuestion(l.u, x)))
-		}
-	}
+	headSet := classifyHeads(l.u, l.o, &l.in, l.phase, l.batch)
+	uniHeads, existential := headSet.Vars(), l.u.Complement(headSet).Vars()
 	endPhase()
 
 	// Phase 2 (§3.1.2, Algorithm 1): learn the body of each universal

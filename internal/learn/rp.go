@@ -84,7 +84,7 @@ func (l *rpLearner) learn() (query.Query, RPStats) {
 	// question per variable, exactly as in §3.1.1.
 	l.phase = &l.stats.HeadQuestions
 	endPhase := l.in.begin("heads")
-	headSet := l.classifyHeads()
+	headSet := classifyHeads(l.u, l.o, &l.in, l.phase, l.batch)
 	endPhase()
 
 	// Phase 2 (§3.2.1): for each head, search the Boolean lattice on
@@ -131,27 +131,31 @@ func (l *rpLearner) learn() (query.Query, RPStats) {
 	return (query.Query{U: l.u, Exprs: exprs}).Normalize(), l.stats
 }
 
-// classifyHeads asks one head-test question per variable and returns
-// the set of universal head variables. The questions are mutually
-// independent, so batch mode issues all n at once.
-func (l *rpLearner) classifyHeads() boolean.Tuple {
+// classifyHeads asks one head-test question per variable of u
+// (§3.1.1, §3.2.1), counting each into counter, and returns the set of
+// universal head variables. The questions are mutually independent, so
+// batch mode issues all n at once.
+func classifyHeads(u boolean.Universe, o oracle.Oracle, in *instr, counter *int, batch bool) boolean.Tuple {
 	var headSet boolean.Tuple
-	if l.batch {
-		qs := make([]boolean.Set, l.u.N())
+	if batch {
+		qs := make([]boolean.Set, u.N())
 		for x := range qs {
-			qs[x] = HeadTestQuestion(l.u, x)
+			qs[x] = HeadTestQuestion(u, x)
 		}
-		answers := askBatch(l.o, &l.in, l.phase, qs, "heads", headPurpose)
-		for x, a := range answers {
+		for x, a := range askBatch(o, in, counter, qs, "heads", headPurpose) {
 			if !a {
 				headSet = headSet.With(x)
 			}
 		}
 		return headSet
 	}
-	for x := 0; x < l.u.N(); x++ {
-		notef(&l.in, "heads", headPurpose, x)
-		if !l.ask(HeadTestQuestion(l.u, x)) {
+	for x := 0; x < u.N(); x++ {
+		notef(in, "heads", headPurpose, x)
+		q := HeadTestQuestion(u, x)
+		*counter++
+		a := o.Ask(q)
+		in.observe(q, a)
+		if !a {
 			headSet = headSet.With(x)
 		}
 	}
@@ -173,10 +177,8 @@ func conjunctionPurpose(t boolean.Tuple) string {
 // (§3.1.1/§3.2.1). Exposed for the revision algorithm, which repairs
 // a nearly-correct query phase by phase.
 func ClassifyHeads(u boolean.Universe, o oracle.Oracle) boolean.Tuple {
-	l := &rpLearner{u: u, o: o}
 	var c int
-	l.phase = &c
-	return l.classifyHeads()
+	return classifyHeads(u, o, &instr{}, &c, false)
 }
 
 // LearnBodies finds the dominant universal Horn bodies of head h in

@@ -66,9 +66,9 @@ func (ix *Index) Execute(q query.Query) ([]Object, error) {
 }
 
 // Select builds a data object for a Boolean membership question using
-// the indexed representative of each class where available, falling
-// back to synthesis — SelectFromDataset without the per-question
-// dataset scan.
+// the indexed representative of each class where available (§5:
+// selecting instances from a rich database beats synthesizing hybrids),
+// falling back to synthesis for the classes the dataset lacks.
 func (ix *Index) Select(name string, q boolean.Set) (Object, error) {
 	o := Object{Name: name}
 	for _, bt := range q.Tuples() {

@@ -478,35 +478,6 @@ func (ps Propositions) ConcretizeQuestion(name string, q boolean.Set) (Object, e
 	return o, nil
 }
 
-// SelectFromDataset builds a data object for a Boolean question using
-// real tuples from the dataset where available (§5: selecting
-// instances from a rich database beats synthesizing hybrids), falling
-// back to synthesis for Boolean classes the dataset lacks.
-func (ps Propositions) SelectFromDataset(name string, q boolean.Set, d Dataset) (Object, error) {
-	index := map[boolean.Tuple]Tuple{}
-	for _, o := range d.Objects {
-		for _, t := range o.Tuples {
-			bt := ps.Abstract(t)
-			if _, ok := index[bt]; !ok {
-				index[bt] = t
-			}
-		}
-	}
-	o := Object{Name: name}
-	for _, bt := range q.Tuples() {
-		if t, ok := index[bt]; ok {
-			o.Tuples = append(o.Tuples, t)
-			continue
-		}
-		t, err := ps.Concretize(bt)
-		if err != nil {
-			return Object{}, err
-		}
-		o.Tuples = append(o.Tuples, t)
-	}
-	return o, nil
-}
-
 // Execute runs a qhorn query over the dataset and returns the objects
 // classified as answers (Definition 2.4). The query's universe must
 // match the proposition count.

@@ -148,30 +148,6 @@ func TestConcretizeNumericProps(t *testing.T) {
 	}
 }
 
-func TestSelectFromDatasetPrefersRealTuples(t *testing.T) {
-	ps := ChocolatePropositions()
-	u := ps.Universe()
-	d := Fig1Dataset()
-	// 111 exists in the dataset (the Madagascar chocolate): selection
-	// must return it, with its real origin and nut content.
-	obj, err := ps.SelectFromDataset("probe", boolean.MustParseSet(u, "{111}"), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := obj.Tuples[0][4].Str(); got != "Madagascar" {
-		t.Errorf("selected tuple origin = %q, want real Madagascar tuple", got)
-	}
-	// 001 (not dark, no filling, from Madagascar) is absent: falls
-	// back to synthesis.
-	obj, err = ps.SelectFromDataset("probe2", boolean.MustParseSet(u, "{001}"), d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ps.Abstract(obj.Tuples[0]); got != boolean.FromVars(2) {
-		t.Errorf("synthesized tuple abstracts to %v", got.Vars())
-	}
-}
-
 // TestEndToEndLearningOverData: the full loop of the paper — a hidden
 // query about chocolate boxes, an oracle that classifies synthesized
 // boxes by evaluating the data tuples, and the qhorn-1 learner

@@ -70,27 +70,3 @@ func (p Profile) Count(class boolean.Tuple) ClassCount {
 	}
 	return ClassCount{}
 }
-
-// Covers reports whether every tuple of the Boolean question occurs
-// as a real class in the profiled data, i.e. whether
-// SelectFromDataset can answer it without synthesizing hybrids.
-func (p Profile) Covers(q boolean.Set) bool {
-	for _, t := range q.Tuples() {
-		if p.Count(t).Tuples == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// MissingClasses returns the Boolean classes of the question absent
-// from the data — the tuples SelectFromDataset would synthesize.
-func (p Profile) MissingClasses(q boolean.Set) []boolean.Tuple {
-	var out []boolean.Tuple
-	for _, t := range q.Tuples() {
-		if p.Count(t).Tuples == 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}

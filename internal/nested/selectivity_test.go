@@ -42,23 +42,6 @@ func TestSelectivityFig1(t *testing.T) {
 	}
 }
 
-func TestProfileCoverage(t *testing.T) {
-	ps := ChocolatePropositions()
-	p := Selectivity(ps, Fig1Dataset())
-	u := ps.Universe()
-	if !p.Covers(boolean.MustParseSet(u, "{111, 110}")) {
-		t.Error("present classes reported uncovered")
-	}
-	q := boolean.MustParseSet(u, "{111, 001}")
-	if p.Covers(q) {
-		t.Error("absent class reported covered")
-	}
-	missing := p.MissingClasses(q)
-	if len(missing) != 1 || missing[0] != u.MustParse("001") {
-		t.Errorf("missing = %v", missing)
-	}
-}
-
 func TestProposePropositions(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	d := RandomChocolates(rng, 80, 5)

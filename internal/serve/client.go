@@ -255,9 +255,6 @@ type DriveOptions struct {
 	MaxPerPost int
 	// Delay, when non-nil, is slept before each delivery.
 	Delay func() time.Duration
-	// Poll is the ?wait sent with each questions fetch and fused post;
-	// <= 0 uses 10s. The server never waits it out.
-	Poll time.Duration
 	// MaxRounds bounds the poll/answer loop; <= 0 uses 100000. The
 	// bound turns a livelock into an error instead of a hung test.
 	MaxRounds int
@@ -265,15 +262,14 @@ type DriveOptions struct {
 	Wire WireMode
 }
 
+// fusedWait is the ?wait Drive sends on a fused post.
+const fusedWait = 10 * time.Second
+
 // Drive answers a session to completion: it fetches outstanding
 // questions, evaluates each with answer, posts the answers — over the
 // selected wire mode — and repeats until the session reaches done or
 // failed, returning the final session state.
 func (c *Client) Drive(id string, answer Answerer, opt DriveOptions) (SessionInfo, error) {
-	poll := opt.Poll
-	if poll <= 0 {
-		poll = 10 * time.Second
-	}
 	maxRounds := opt.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = 100000
@@ -283,7 +279,7 @@ func (c *Client) Drive(id string, answer Answerer, opt DriveOptions) (SessionInf
 	for round := 0; round < maxRounds; round++ {
 		if !havePending {
 			var err error
-			if qb, err = c.Questions(id, poll); err != nil {
+			if qb, err = c.Questions(id, 0); err != nil {
 				return SessionInfo{}, err
 			}
 		}
@@ -321,8 +317,9 @@ func (c *Client) Drive(id string, answer Answerer, opt DriveOptions) (SessionInf
 			}
 			if opt.Wire == WireFused && hi == len(qs) {
 				// The batch's final delivery fuses the next poll into the
-				// same round trip.
-				rep, err := c.AnswerNext(id, answers, poll)
+				// same round trip; any positive wait selects it, and the
+				// server never waits it out.
+				rep, err := c.AnswerNext(id, answers, fusedWait)
 				if err != nil {
 					return SessionInfo{}, err
 				}

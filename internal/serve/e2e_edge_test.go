@@ -145,7 +145,7 @@ func TestE2EDoubleDeliverRace(t *testing.T) {
 		if len(reports[0].Unknown)+len(reports[1].Unknown) != 0 {
 			t.Fatalf("double delivery reported unknown keys: %v %v", reports[0].Unknown, reports[1].Unknown)
 		}
-		final, err := c.Drive(info.ID, honest, serve.DriveOptions{Poll: 2 * time.Second})
+		final, err := c.Drive(info.ID, honest, serve.DriveOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestE2EHistoryPollDuringLearn(t *testing.T) {
 			polls = append(polls, h)
 		}
 	}()
-	final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: 5 * time.Second})
+	final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{})
 	close(done)
 	wg.Wait()
 	if err != nil || final.State != serve.StateDone {

@@ -45,7 +45,7 @@ func TestE2EMemoColdIdentity(t *testing.T) {
 		for _, target := range targets(cs.class, cs.seed, n) {
 			// A fresh server per target keeps the tier cold.
 			_, c := startServer(t, serve.Config{})
-			driveIdentityAs(t, c, target, cs.alg, "alice", serve.DriveOptions{Poll: 2 * time.Second})
+			driveIdentityAs(t, c, target, cs.alg, "alice", serve.DriveOptions{})
 		}
 	}
 }
@@ -68,7 +68,7 @@ func TestE2EMemoWarmRepeat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create as %q: %v", user, err)
 		}
-		final, err := c.Drive(info.ID, serve.CountingAnswerer(honest, &wire), serve.DriveOptions{Poll: 2 * time.Second})
+		final, err := c.Drive(info.ID, serve.CountingAnswerer(honest, &wire), serve.DriveOptions{})
 		if err != nil {
 			t.Fatalf("drive as %q: %v", user, err)
 		}
@@ -135,7 +135,7 @@ func TestE2EMemoSameUserConcurrent(t *testing.T) {
 	}
 	done := make(chan result, 1)
 	go func() {
-		info, err := c.Drive(id, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: time.Second})
+		info, err := c.Drive(id, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{})
 		done <- result{info, err}
 	}()
 	select {
@@ -196,7 +196,7 @@ func TestE2EAmendReviseFastPath(t *testing.T) {
 			}
 			return a, nil
 		}
-		noisy, err := c.Drive(info.ID, liar, serve.DriveOptions{Poll: 2 * time.Second})
+		noisy, err := c.Drive(info.ID, liar, serve.DriveOptions{})
 		if err != nil {
 			t.Fatalf("noisy drive: %v", err)
 		}
@@ -214,7 +214,7 @@ func TestE2EAmendReviseFastPath(t *testing.T) {
 			t.Fatalf("amended session reports %d runs, want 2", amended.Runs)
 		}
 		var wire int64
-		final, err := c.Drive(info.ID, serve.CountingAnswerer(honest, &wire), serve.DriveOptions{Poll: 2 * time.Second})
+		final, err := c.Drive(info.ID, serve.CountingAnswerer(honest, &wire), serve.DriveOptions{})
 		if err != nil {
 			t.Fatalf("honest drive: %v", err)
 		}
@@ -254,7 +254,7 @@ func TestE2EAmendStrategyValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	final, err := c.Drive(info.ID, honest, serve.DriveOptions{Poll: 2 * time.Second})
+	final, err := c.Drive(info.ID, honest, serve.DriveOptions{})
 	if err != nil || final.State != serve.StateDone {
 		t.Fatalf("drive: %v (state %q)", err, final.State)
 	}
@@ -279,7 +279,7 @@ func TestE2EAmendStrategyValidation(t *testing.T) {
 	if amended.Runs != 2 {
 		t.Fatalf("amended session reports %d runs, want 2", amended.Runs)
 	}
-	if final, err = c.Drive(info.ID, honest, serve.DriveOptions{Poll: 2 * time.Second}); err != nil || final.State != serve.StateDone {
+	if final, err = c.Drive(info.ID, honest, serve.DriveOptions{}); err != nil || final.State != serve.StateDone {
 		t.Fatalf("drive after amend: %v (state %q)", err, final.State)
 	}
 }
@@ -367,7 +367,7 @@ func TestE2EAmendWithTierDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	within("drive", func() error {
-		final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: 2 * time.Second})
+		final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{})
 		if err == nil && final.State != serve.StateDone {
 			err = fmt.Errorf("session ended %q", final.State)
 		}
@@ -383,4 +383,60 @@ func TestE2EAmendWithTierDisabled(t *testing.T) {
 		return err
 	})
 	within("close", srv.Close)
+}
+
+// TestMemoAnsweredKeyIsDuplicate delivers the key of a question the
+// shared memo tier answered for a session. The question never reached
+// that session's wire, but it is on the session's record, so the
+// delivery counts as a duplicate, exactly as the same key does in a
+// session resumed from a snapshot. A key on no record stays unknown.
+func TestMemoAnsweredKeyIsDuplicate(t *testing.T) {
+	_, c := startServer(t, serve.Config{})
+	target := targets(difffuzz.ClassRP, 29, 1)[0]
+	honest := serve.AnswererFor(target.U, oracle.Target(target))
+	drive := func(wire map[string]bool) string {
+		t.Helper()
+		info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "rp", User: "alice"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final, err := c.Drive(info.ID, func(q serve.WireQuestion) (bool, error) {
+			wire[q.Key] = true
+			return honest(q)
+		}, serve.DriveOptions{})
+		if err != nil || final.State != serve.StateDone {
+			t.Fatalf("drive: %+v (%v)", final, err)
+		}
+		return info.ID
+	}
+	firstWire, warmWire := map[string]bool{}, map[string]bool{}
+	first := drive(firstWire)
+	warm := drive(warmWire)
+	memoKey := ""
+	for k := range firstWire {
+		if !warmWire[k] {
+			memoKey = k
+			break
+		}
+	}
+	if memoKey == "" {
+		t.Fatal("the memo tier answered none of the warm session's questions")
+	}
+	snap, err := c.Snapshot(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := c.Resume(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{warm, resumed.ID} {
+		rep, err := c.Answer(id, map[string]bool{memoKey: true, "not-a-key": true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Accepted != 0 || rep.Duplicate != 1 || len(rep.Unknown) != 1 || rep.Unknown[0] != "not-a-key" {
+			t.Fatalf("session %s: delivering a recorded key and a bogus one reported %+v, want 1 duplicate and the bogus key unknown", id, rep)
+		}
+	}
 }

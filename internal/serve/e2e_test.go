@@ -137,14 +137,14 @@ func identityCount(t *testing.T) int {
 func TestE2EIdentityQhorn1(t *testing.T) {
 	_, c := startServer(t, serve.Config{})
 	for _, target := range targets(difffuzz.ClassQhorn1, 1, identityCount(t)) {
-		driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{Poll: 2 * time.Second})
+		driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{})
 	}
 }
 
 func TestE2EIdentityRolePreserving(t *testing.T) {
 	_, c := startServer(t, serve.Config{})
 	for _, target := range targets(difffuzz.ClassRP, 2, identityCount(t)) {
-		driveIdentity(t, c, target, engine.RolePreserving, serve.DriveOptions{Poll: 2 * time.Second})
+		driveIdentity(t, c, target, engine.RolePreserving, serve.DriveOptions{})
 	}
 }
 
@@ -160,7 +160,6 @@ func TestE2EOutOfOrderAnswers(t *testing.T) {
 	}
 	for _, target := range targets(difffuzz.ClassQhorn1, 3, n) {
 		driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{
-			Poll:       2 * time.Second,
 			Rng:        rng,
 			MaxPerPost: 1,
 		})
@@ -242,7 +241,7 @@ func TestE2ECrashResume(t *testing.T) {
 	if resumed.QuestionsOnRecord != recorded {
 		t.Fatalf("resumed with %d questions on record, want %d", resumed.QuestionsOnRecord, recorded)
 	}
-	final, err := c2.Drive(resumed.ID, answer, serve.DriveOptions{Poll: 2 * time.Second})
+	final, err := c2.Drive(resumed.ID, answer, serve.DriveOptions{})
 	if err != nil {
 		t.Fatalf("drive resumed: %v", err)
 	}
@@ -288,7 +287,7 @@ func TestE2EVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("create verify: %v", err)
 		}
-		final, err := c.Drive(info.ID, serve.AnswererFor(given.U, oracle.Target(hidden)), serve.DriveOptions{Poll: 2 * time.Second})
+		final, err := c.Drive(info.ID, serve.AnswererFor(given.U, oracle.Target(hidden)), serve.DriveOptions{})
 		if err != nil {
 			t.Fatalf("drive verify: %v", err)
 		}
@@ -347,7 +346,7 @@ func TestE2EAmend(t *testing.T) {
 		}
 		return a, nil
 	}
-	noisy, err := c.Drive(info.ID, liar, serve.DriveOptions{Poll: 2 * time.Second})
+	noisy, err := c.Drive(info.ID, liar, serve.DriveOptions{})
 	if err != nil {
 		t.Fatalf("noisy drive: %v", err)
 	}
@@ -367,7 +366,7 @@ func TestE2EAmend(t *testing.T) {
 	if amended.Runs != 2 {
 		t.Fatalf("amended session reports %d runs, want 2", amended.Runs)
 	}
-	final, err := c.Drive(info.ID, honest, serve.DriveOptions{Poll: 2 * time.Second})
+	final, err := c.Drive(info.ID, honest, serve.DriveOptions{})
 	if err != nil {
 		t.Fatalf("honest drive: %v", err)
 	}
@@ -398,7 +397,7 @@ func TestE2EAmend(t *testing.T) {
 func TestE2EMetrics(t *testing.T) {
 	srv, c := startServer(t, serve.Config{})
 	target := targets(difffuzz.ClassQhorn1, 5, 1)[0]
-	driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{Poll: 2 * time.Second})
+	driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{})
 
 	resp, err := http.Get(srv.URL() + "/metrics")
 	if err != nil {

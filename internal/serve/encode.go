@@ -63,26 +63,14 @@ type wireAnswer struct {
 	answer bool
 }
 
-// appendJSONString appends s as a JSON string. Question keys, session
-// states and tuple strings are plain ASCII, so the fast path is a
-// single scan + copy; anything needing escapes takes the stdlib path.
-func appendJSONString(b []byte, s string) []byte {
+// appendJSONString appends s, a string or a borrowed byte slice, as a
+// JSON string. Question keys, session states and tuple strings are
+// plain ASCII, so the fast path is a single scan + copy; anything
+// needing escapes takes the stdlib path.
+func appendJSONString[S string | []byte](b []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			q, _ := json.Marshal(s) // cold path: exact JSON escaping
-			return append(b, q...)
-		}
-	}
-	b = append(b, '"')
-	b = append(b, s...)
-	return append(b, '"')
-}
-
-// appendJSONBytes is appendJSONString over a borrowed byte slice.
-func appendJSONBytes(b, s []byte) []byte {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < 0x20 || c == '"' || c == '\\' || c >= 0x80 {
-			q, _ := json.Marshal(string(s))
+			q, _ := json.Marshal(string(s)) // cold path: exact JSON escaping
 			return append(b, q...)
 		}
 	}
@@ -117,7 +105,7 @@ func appendAnswerReport(b []byte, rep *answerOutcome, open bool) []byte {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendJSONBytes(b, k)
+			b = appendJSONString(b, k)
 		}
 		b = append(b, ']')
 	}

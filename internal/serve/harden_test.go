@@ -98,10 +98,10 @@ func TestWireModeIdentity(t *testing.T) {
 	for _, wire := range []serve.WireMode{serve.WireBatched, serve.WireFused} {
 		t.Run(wire.String(), func(t *testing.T) {
 			for _, target := range targets(difffuzz.ClassQhorn1, 31, n) {
-				driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{Poll: 2 * time.Second, Wire: wire})
+				driveIdentity(t, c, target, engine.Qhorn1, serve.DriveOptions{Wire: wire})
 			}
 			for _, target := range targets(difffuzz.ClassRP, 32, n) {
-				driveIdentity(t, c, target, engine.RolePreserving, serve.DriveOptions{Poll: 2 * time.Second, Wire: wire})
+				driveIdentity(t, c, target, engine.RolePreserving, serve.DriveOptions{Wire: wire})
 			}
 		})
 	}
@@ -125,7 +125,7 @@ func TestWireModeRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: 2 * time.Second, Wire: wire})
+		final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Wire: wire})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -88,7 +88,6 @@ func TestLoadConcurrentSessions(t *testing.T) {
 				return
 			}
 			final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{
-				Poll:       time.Second,
 				Rng:        rng,
 				MaxPerPost: 1 + rng.Intn(3),
 				Delay:      func() time.Duration { return time.Duration(rng.Intn(500)) * time.Microsecond },

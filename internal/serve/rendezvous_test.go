@@ -12,9 +12,11 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"qhorn/internal/difffuzz"
 	"qhorn/internal/oracle"
@@ -231,5 +233,114 @@ func learners() int {
 			return bytes.Count(buf[:n], []byte("qhorn/internal/serve.(*session).run("))
 		}
 		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestCreateRacesClose closes a server while 32 goroutines create
+// sessions through the in-process handler. Every create answers 201 or
+// 503, and as soon as Close returns no admitted run is left: the active
+// and outstanding gauges are zero, and the learner goroutines drain.
+func TestCreateRacesClose(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	h := srv.Handler()
+	target := targets(difffuzz.ClassRP, 31, 1)[0]
+	create := fmt.Sprintf(`{"variables":%d,"algorithm":"rp"}`, target.N())
+	learnerBase := learners()
+
+	// Each worker creates until a create is refused, so every worker
+	// ends with exactly one 503.
+	const workers = 32
+	created := make(chan struct{}, 1)
+	results := make(chan [2]int, workers) // sessions created, final status
+	for i := 0; i < workers; i++ {
+		go func() {
+			n := 0
+			for {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("POST", "/sessions", strings.NewReader(create)))
+				if rec.Code != http.StatusCreated {
+					results <- [2]int{n, rec.Code}
+					return
+				}
+				n++
+				select {
+				case created <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	<-created // close while creates are in flight
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(time.Minute):
+		t.Fatal("Close did not return: an admitted run escaped its sweep")
+	}
+	reg := srv.Registry()
+	if active, outstanding := reg.Gauge("qhornd_sessions_active").Value(), reg.Gauge("qhornd_questions_outstanding").Value(); active != 0 || outstanding != 0 {
+		t.Fatalf("after Close, sessions_active %v and questions_outstanding %v, want 0 and 0", active, outstanding)
+	}
+	ok := 0
+	for i := 0; i < workers; i++ {
+		r := <-results
+		if r[1] != http.StatusServiceUnavailable {
+			t.Fatalf("create racing Close answered %d, want 201 or 503", r[1])
+		}
+		ok += r[0]
+	}
+	if ok == 0 {
+		t.Fatal("no create succeeded before Close")
+	}
+	// A run's goroutine may still be stepping out of its last channel
+	// operation after the run ended; yield until it is gone.
+	left := learners()
+	for i := 0; left > learnerBase && i < 10000; i++ {
+		runtime.Gosched()
+		left = learners()
+	}
+	if left != learnerBase {
+		t.Fatalf("after Close, %d learner goroutines, want %d", left, learnerBase)
+	}
+}
+
+// TestAmendRefusedByClosedServer amends a finished session after its
+// server closed: the amend answers 409 and leaves the history and the
+// run count as they were.
+func TestAmendRefusedByClosedServer(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := serve.NewClient(ts.URL)
+	target := targets(difffuzz.ClassRP, 37, 1)[0]
+	info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "rp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := c.History(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	zero := 0
+	if _, err := c.Amend(info.ID, serve.AmendRequest{Index: &zero}); !serve.IsStatus(err, http.StatusConflict) || !strings.Contains(err.Error(), "shutting down") {
+		t.Fatalf("amend after Close: %v, want 409 naming the shutdown", err)
+	}
+	after, err := c.History(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("a refused amend changed the history:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if in, err := c.Info(info.ID); err != nil || in.Runs != 1 || in.State != serve.StateDone {
+		t.Fatalf("after a refused amend: %+v (%v), want one run, done", in, err)
 	}
 }

@@ -11,10 +11,11 @@
 // fuse the two routes: POST /sessions/{id}/answers?wait=D also
 // returns the next outstanding batch, in the same round trip.
 //
-// Sessions live in one map under one read-write lock; lookups take
-// the read side, and only create and delete write. Admission control
-// is an atomic session counter behind a read-write shutdown gate, so
-// creations never serialize on a global mutex either. Request bodies
+// One read-write lock, Server.mu, guards the session table, the
+// shutdown flag and the count of admitted runs. Lookups take the read
+// side; create, delete, admission, a run's exit and Close write. A
+// create that races shutdown answers 503, and Close returns once every
+// admitted run has ended. Request bodies
 // are capped at maxBodyBytes (413 beyond it). The per-session
 // question budget (the engine's oracle.Budget wrapper) bounds what
 // one session can cost. The observability plane (internal/obs) is
@@ -58,11 +59,8 @@ type Config struct {
 	// (answers cached across sessions of the same user identity): 0
 	// selects DefaultMemoCapacity, negative disables the tier.
 	MemoCapacity int
-	// Obs, when non-nil, is the observability server to mount;
-	// otherwise one is created with FlightSpans capacity.
-	Obs *obs.Server
-	// FlightSpans sizes the created flight recorder (ignored when Obs
-	// is provided); <= 0 selects the obs default.
+	// FlightSpans sizes the flight recorder of the mounted
+	// observability server; <= 0 selects the obs default.
 	FlightSpans int
 	// Logf receives server diagnostics (learner panics, shutdown);
 	// nil discards them.
@@ -114,8 +112,14 @@ type Server struct {
 	tracer *obs.Tracer
 	mux    *http.ServeMux
 
+	// mu guards the session table, the shutdown flag and the count of
+	// admitted runs. Lock order is session.mu, then mu: nothing that
+	// holds mu waits on a session.
 	mu       sync.RWMutex
 	sessions map[string]*session // guarded by mu
+	closed   bool                // guarded by mu
+	active   int                 // admitted runs not yet ended; guarded by mu
+	idle     sync.Cond           // signalled on mu when active drops to 0
 	memo     *oracle.SharedMemo  // nil when MemoCapacity < 0
 
 	// Hot-path metric instances, resolved once — Registry lookups take
@@ -127,15 +131,7 @@ type Server struct {
 	rejected      *obs.Counter
 	outcomes      map[string]*obs.Counter // per-outcome session counters
 
-	// closeMu is the shutdown gate: Close write-holds it to flip
-	// closed; creations and amends read-hold it across admit→launch so
-	// no run slips past the abort sweep. Admission itself is the
-	// lock-free active counter: a CAS against MaxSessions, no global
-	// mutex.
-	closeMu sync.RWMutex
-	closed  bool // guarded by closeMu
-	active  atomic.Int64
-	idSeq   atomic.Uint64
+	idSeq atomic.Uint64
 
 	srv *http.Server
 	ln  net.Listener
@@ -143,10 +139,7 @@ type Server struct {
 
 // New builds a server over the config.
 func New(cfg Config) *Server {
-	o := cfg.Obs
-	if o == nil {
-		o = obs.NewServer(nil, nil, obs.NewFlightRecorder(cfg.FlightSpans))
-	}
+	o := obs.NewServer(nil, nil, obs.NewFlightRecorder(cfg.FlightSpans))
 	s := &Server{
 		cfg:      cfg,
 		obs:      o,
@@ -154,6 +147,7 @@ func New(cfg Config) *Server {
 		tracer:   o.SpanTracer(),
 		sessions: map[string]*session{},
 	}
+	s.idle.L = &s.mu
 	if cfg.MemoCapacity >= 0 {
 		capacity := cfg.MemoCapacity
 		if capacity == 0 {
@@ -186,13 +180,13 @@ func New(cfg Config) *Server {
 	s.mux = mux
 	s.route("POST /sessions", "create", s.handleCreate)
 	s.route("GET /sessions", "list", s.handleList)
-	s.route("GET /sessions/{id}", "info", s.handleInfo)
+	s.sessionRoute("GET /sessions/{id}", "info", s.handleInfo)
 	s.route("DELETE /sessions/{id}", "delete", s.handleDelete)
-	s.route("GET /sessions/{id}/questions", "questions", s.handleQuestions)
-	s.route("POST /sessions/{id}/answers", "answers", s.handleAnswers)
-	s.route("GET /sessions/{id}/history", "history", s.handleHistory)
-	s.route("GET /sessions/{id}/snapshot", "snapshot", s.handleSnapshot)
-	s.route("POST /sessions/{id}/amend", "amend", s.handleAmend)
+	s.sessionRoute("GET /sessions/{id}/questions", "questions", s.handleQuestions)
+	s.sessionRoute("POST /sessions/{id}/answers", "answers", s.handleAnswers)
+	s.sessionRoute("GET /sessions/{id}/history", "history", s.handleHistory)
+	s.sessionRoute("GET /sessions/{id}/snapshot", "snapshot", s.handleSnapshot)
+	s.sessionRoute("POST /sessions/{id}/amend", "amend", s.handleAmend)
 	s.route("/", "obs", o.Handler().ServeHTTP)
 	return s
 }
@@ -209,6 +203,22 @@ func (s *Server) route(pattern, label string, h http.HandlerFunc) {
 		h(w, r)
 		hist.Observe(time.Since(start).Seconds())
 		s.httpInFlight.Add(-1)
+	})
+}
+
+// sessionRoute mounts a route whose handler acts on the session {id}
+// names, answering 404 when the table has none.
+func (s *Server) sessionRoute(pattern, label string, h func(http.ResponseWriter, *http.Request, *session)) {
+	s.route(pattern, label, func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		s.mu.RLock()
+		sess, ok := s.sessions[id]
+		s.mu.RUnlock()
+		if !ok {
+			writeError(w, http.StatusNotFound, errNoSession(id))
+			return
+		}
+		h(w, r, sess)
 	})
 }
 
@@ -278,34 +288,43 @@ func (s *Server) URL() string {
 }
 
 // Close stops admitting sessions, aborts every in-flight learner, and
-// stops the listener. Closing twice is a no-op. The write lock
-// synchronizes with creations and amends, which read-hold closeMu
-// from admission to launch: once it is acquired, every admitted
-// session is in the table, so the sweep misses nothing. Each abort
-// returns once its learner goroutine has finished.
+// stops the listener. Closing twice is a no-op. Once closed is set no
+// run is admitted, so the sweep reaches every admitted run but those of
+// creates still launching, which see closed when they insert their
+// session and abort their own run. Close returns once every admitted
+// run has ended.
 func (s *Server) Close() error {
-	s.closeMu.Lock()
+	s.mu.Lock()
 	if s.closed {
-		s.closeMu.Unlock()
+		s.mu.Unlock()
 		return nil
 	}
 	s.closed = true
-	s.closeMu.Unlock()
-	s.mu.RLock()
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
-	s.mu.RUnlock()
+	live := s.liveLocked()
+	s.mu.Unlock()
 	for _, sess := range live {
 		sess.abort("server shutting down")
 	}
+	s.mu.Lock()
+	for s.active > 0 {
+		s.idle.Wait()
+	}
+	s.mu.Unlock()
 	var err error
 	if s.srv != nil {
 		err = s.srv.Close()
 		s.srv, s.ln = nil, nil
 	}
 	return err
+}
+
+// liveLocked lists the session table; the caller holds mu.
+func (s *Server) liveLocked() []*session {
+	live := make([]*session, 0, len(s.sessions))
+	for _, sess := range s.sessions {
+		live = append(live, sess)
+	}
+	return live
 }
 
 // logf forwards to the configured logger.
@@ -315,42 +334,36 @@ func (s *Server) logf(format string, args ...interface{}) {
 	}
 }
 
-// admitLocked reserves an active-session slot, enforcing the shutdown
-// and max-sessions gates. Callers hold closeMu.RLock (so the closed
-// flag is stable) and keep holding it until the session is launched.
-func (s *Server) admitLocked() error {
-	if s.closed {
+// admit reserves a run slot, refusing every run once Close has begun.
+// A create (relaunch nil) passes the max-sessions gate. An amend's
+// relaunch takes back the slot its session was admitted with, as long
+// as its session is still in the table, so a run that Close's sweep or
+// a delete could miss is never admitted.
+func (s *Server) admit(relaunch *session) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
 		return errClosed
+	case relaunch != nil && s.sessions[relaunch.id] != relaunch:
+		return errNoSession(relaunch.id)
+	case relaunch == nil && s.cfg.MaxSessions > 0 && s.active >= s.cfg.MaxSessions:
+		s.rejected.Inc()
+		return errAtCapacity
 	}
-	if max := int64(s.cfg.MaxSessions); max > 0 {
-		for {
-			cur := s.active.Load()
-			if cur >= max {
-				s.rejected.Inc()
-				return errAtCapacity
-			}
-			if s.active.CompareAndSwap(cur, cur+1) {
-				break
-			}
-		}
-	} else {
-		s.active.Add(1)
-	}
+	s.active++
 	s.activeGauge.Add(1)
 	return nil
 }
 
-// unadmit releases a slot reserved by admitLocked when the session
-// never launched.
-func (s *Server) unadmit() {
-	s.active.Add(-1)
-	s.activeGauge.Add(-1)
-}
-
 // sessionExit releases an active slot and records the run outcome.
 func (s *Server) sessionExit(outcome string) {
-	s.active.Add(-1)
+	s.mu.Lock()
 	s.activeGauge.Add(-1)
+	if s.active--; s.active == 0 {
+		s.idle.Broadcast()
+	}
+	s.mu.Unlock()
 	if c, ok := s.outcomes[outcome]; ok {
 		c.Inc()
 	} else {
@@ -363,12 +376,9 @@ var (
 	errAtCapacity = errors.New("serve: server at max-sessions capacity")
 )
 
-// nextID returns the given id, or a fresh random one: 8 bytes of
-// crypto randomness, hex, collision-free for any realistic fleet.
-func (s *Server) nextID(id string) string {
-	if id != "" {
-		return id
-	}
+// nextID returns a fresh random session id: 8 bytes of crypto
+// randomness, hex, collision-free for any realistic fleet.
+func (s *Server) nextID() string {
 	var b [8]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// Fall back to a process-local sequence; rand.Read failing is
@@ -376,14 +386,6 @@ func (s *Server) nextID(id string) string {
 		return fmt.Sprintf("s%08d", s.idSeq.Add(1))
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// lookup finds a session by ID.
-func (s *Server) lookup(id string) (*session, bool) {
-	s.mu.RLock()
-	sess, ok := s.sessions[id]
-	s.mu.RUnlock()
-	return sess, ok
 }
 
 // ---- HTTP handlers ----
@@ -455,9 +457,12 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	if budget == 0 {
 		budget = s.cfg.Budget
 	}
-	s.closeMu.RLock()
-	if err := s.admitLocked(); err != nil {
-		s.closeMu.RUnlock()
+	sess, err := newSession(s, mode, alg, req.Variables, given, budget, user, history)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
+	}
+	if err := s.admit(nil); err != nil {
 		status := http.StatusTooManyRequests
 		if errors.Is(err, errClosed) {
 			status = http.StatusServiceUnavailable
@@ -465,18 +470,19 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, status, err)
 		return
 	}
-	sess, err := newSession(s, "", mode, alg, req.Variables, given, budget, user, history)
-	if err != nil {
-		s.unadmit()
-		s.closeMu.RUnlock()
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
 	sess.launchLocked() // not yet shared: no lock needed
 	s.mu.Lock()
-	s.sessions[sess.id] = sess
+	closed := s.closed
+	if !closed {
+		s.sessions[sess.id] = sess
+	}
 	s.mu.Unlock()
-	s.closeMu.RUnlock()
+	if closed {
+		// Close swept the table before this session joined it.
+		sess.abort("server shutting down")
+		writeError(w, http.StatusServiceUnavailable, errClosed)
+		return
+	}
 	writeJSON(w, http.StatusCreated, sess.info())
 }
 
@@ -484,10 +490,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	// info waits out a session's learner step, so collect the sessions
 	// first rather than holding the table lock across the waits.
 	s.mu.RLock()
-	live := make([]*session, 0, len(s.sessions))
-	for _, sess := range s.sessions {
-		live = append(live, sess)
-	}
+	live := s.liveLocked()
 	s.mu.RUnlock()
 	list := SessionList{Sessions: make([]SessionInfo, 0, len(live))}
 	for _, sess := range live {
@@ -496,12 +499,7 @@ func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, list)
 }
 
-func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request, sess *session) {
 	writeJSON(w, http.StatusOK, sess.info())
 }
 
@@ -523,12 +521,7 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // hot-path responses (direct map assignment skips Set's allocation).
 var jsonCT = []string{"application/json"}
 
-func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleQuestions(w http.ResponseWriter, r *http.Request, sess *session) {
 	if _, err := parseWait(r.URL.RawQuery); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
@@ -557,12 +550,7 @@ func parseWait(rawQuery string) (time.Duration, error) {
 	return wait, nil
 }
 
-func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleAnswers(w http.ResponseWriter, r *http.Request, sess *session) {
 	wait, err := parseWait(r.URL.RawQuery)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -659,21 +647,11 @@ func decodeStrict(dec *json.Decoder, v interface{}) error {
 	return nil
 }
 
-func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleHistory(w http.ResponseWriter, _ *http.Request, sess *session) {
 	writeJSON(w, http.StatusOK, sess.history())
 }
 
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request, sess *session) {
 	snap, err := sess.snapshot()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -682,12 +660,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-func (s *Server) handleAmend(w http.ResponseWriter, r *http.Request) {
-	sess, ok := s.lookup(r.PathValue("id"))
-	if !ok {
-		writeError(w, http.StatusNotFound, errNoSession(r.PathValue("id")))
-		return
-	}
+func (s *Server) handleAmend(w http.ResponseWriter, r *http.Request, sess *session) {
 	var req AmendRequest
 	if !decodeBody(w, r, &req) {
 		return

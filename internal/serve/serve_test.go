@@ -36,7 +36,7 @@ func TestAdmissionControl(t *testing.T) {
 	// Draining the first session frees the slot.
 	u, _ := boolean.NewUniverse(3)
 	target, _ := query.Parse(u, "Ex1")
-	if _, err := c.Drive(first.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{Poll: time.Second}); err != nil {
+	if _, err := c.Drive(first.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Create(serve.CreateRequest{Variables: 3}); err != nil {
@@ -55,7 +55,7 @@ func TestBudgetExhaustion(t *testing.T) {
 	}
 	u, _ := boolean.NewUniverse(4)
 	target, _ := query.Parse(u, "Ax1 -> x2 Ax3 -> x4")
-	final, err := c.Drive(info.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{Poll: time.Second})
+	final, err := c.Drive(info.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestAmendGuards(t *testing.T) {
 	}
 	u, _ := boolean.NewUniverse(3)
 	target, _ := query.Parse(u, "Ex1")
-	final, err := c.Drive(info.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{Poll: time.Second})
+	final, err := c.Drive(info.ID, serve.AnswererFor(u, oracle.Target(target)), serve.DriveOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

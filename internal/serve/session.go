@@ -75,7 +75,6 @@ func (e abortError) Error() string { return "serve: session aborted: " + e.reaso
 type pendingQ struct {
 	key      string
 	tuples   []string // fixed-width wire rendering, formatted once at publish
-	posted   time.Time
 	answered bool
 	answer   bool
 }
@@ -89,14 +88,13 @@ type session struct {
 	id  string
 	srv *Server
 
-	mode      string
-	alg       run.Algorithm
-	u         boolean.Universe
-	givenStr  string
-	user      string     // oracle identity in the shared memo tier; "" detached
-	vs        verify.Set // verify mode: the prebuilt verification set
-	budget    *oracle.Budget
-	budgetCap int // -1 unlimited, else the admitted live-question cap
+	mode     string
+	alg      run.Algorithm
+	u        boolean.Universe
+	givenStr string
+	user     string     // oracle identity in the shared memo tier; "" detached
+	vs       verify.Set // verify mode: the prebuilt verification set
+	budget   *oracle.Budget
 
 	mu          sync.Mutex
 	state       string
@@ -113,8 +111,8 @@ type session struct {
 	hist      *qsession.Session
 	pending   map[string]int32 // key → index into pqs
 	pqs       []pendingQ       // current batch in posted order, reused across rounds
+	posted    time.Time        // when the current batch was published
 	remaining int
-	settled   map[string]bool
 
 	runs        int
 	haveLearned bool
@@ -131,18 +129,16 @@ type session struct {
 // inserts it into the session table. history, when non-nil, is a
 // snapshot's session.EncodeJSON payload to resume from; otherwise
 // variables sizes a fresh universe.
-func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, givenStr string, budgetCap int, userID string, history []byte) (*session, error) {
+func newSession(srv *Server, mode string, alg run.Algorithm, variables int, givenStr string, budgetCap int, userID string, history []byte) (*session, error) {
 	s := &session{
-		id:        srv.nextID(id),
-		srv:       srv,
-		mode:      mode,
-		alg:       alg,
-		givenStr:  givenStr,
-		user:      userID,
-		budgetCap: budgetCap,
-		state:     StateLearning,
-		pending:   map[string]int32{},
-		settled:   map[string]bool{},
+		id:       srv.nextID(),
+		srv:      srv,
+		mode:     mode,
+		alg:      alg,
+		givenStr: givenStr,
+		user:     userID,
+		state:    StateLearning,
+		pending:  map[string]int32{},
 	}
 	// The oracle under the interaction history, innermost first:
 	// exchange (the wire) → budget → shared memo tier. The tier sits
@@ -164,9 +160,6 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 			return nil, fmt.Errorf("serve: resume: %w", err)
 		}
 		s.hist, s.u = hist, u
-		for _, e := range hist.View() {
-			s.settled[e.Question.Key()] = true
-		}
 	} else {
 		u, err := boolean.NewUniverse(variables)
 		if err != nil {
@@ -192,9 +185,8 @@ func newSession(srv *Server, id, mode string, alg run.Algorithm, variables int, 
 }
 
 // launchLocked starts a learner run and drives it to its first batch
-// (or to its end). The caller holds s.mu, has admitted the run
-// (Server.admitLocked, or the amend slot), and holds the server's
-// closeMu read lock, so shutdown's abort sweep cannot miss the run.
+// (or to its end). The caller holds s.mu (or has not yet shared the
+// session) and has admitted the run with Server.admit.
 func (s *session) launchLocked() {
 	s.abortReason = ""
 	s.runs++
@@ -218,7 +210,7 @@ func (s *session) awaitLocked() {
 		s.ask, s.reply = nil, nil
 		return
 	}
-	now := time.Now()
+	s.posted = time.Now()
 	s.remaining = len(qs)
 	if n := len(qs); n <= cap(s.pqs) {
 		s.pqs = s.pqs[:n]
@@ -228,7 +220,7 @@ func (s *session) awaitLocked() {
 	for i, q := range qs {
 		p := &s.pqs[i]
 		key := q.Key()
-		p.key, p.posted, p.answered = key, now, false
+		p.key, p.answered = key, false
 		p.tuples = formatTuplesInto(p.tuples[:0], s.u, q)
 		s.pending[key] = int32(i)
 	}
@@ -318,19 +310,23 @@ func (e exchange) AskBatch(qs []boolean.Set) []bool {
 // deliver applies (possibly partial, possibly out-of-order) answer
 // pairs to the outstanding batch, filling rep. Unknown keys are
 // reported (as borrowed slices of the request buffer — the handler
-// encodes before releasing it), repeats of settled questions counted
-// as duplicates. When the last outstanding question settles, deliver
-// hands the answers to the learner and waits for its next batch (or
-// its end), so rep reports the state that follows. Keys reach the
-// pending and settled maps through the m[string(b)] form, which the
-// compiler lowers to an allocation-free lookup.
+// encodes before releasing it); a repeat of an answered question of
+// the batch, or of any question on record, counts as a duplicate.
+// When the last outstanding question settles, deliver hands the
+// answers to the learner and waits for its next batch (or its end), so
+// rep reports the state that follows. Keys reach the pending map
+// through the m[string(b)] form, which the compiler lowers to an
+// allocation-free lookup.
 func (s *session) deliver(pairs []wireAnswer, rep *answerOutcome) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, pa := range pairs {
 		idx, ok := s.pending[string(pa.key)]
 		if !ok {
-			if s.settled[string(pa.key)] {
+			// The history is the record of settled questions. Holding
+			// s.mu, the learner is parked (or has no run), so nothing
+			// writes the history while it is read here.
+			if _, ok := s.recordIndex(string(pa.key)); ok {
 				rep.duplicate++
 			} else {
 				rep.unknown = append(rep.unknown, pa.key)
@@ -343,11 +339,10 @@ func (s *session) deliver(pairs []wireAnswer, rep *answerOutcome) {
 			continue
 		}
 		p.answered, p.answer = true, pa.answer
-		s.settled[p.key] = true
 		s.remaining--
 		rep.accepted++
 		s.srv.outstanding.Add(-1)
-		s.srv.answerLatency.Observe(time.Since(p.posted).Seconds())
+		s.srv.answerLatency.Observe(time.Since(s.posted).Seconds())
 	}
 	if s.remaining == 0 && s.state == StateAwaiting {
 		answers := make([]bool, len(s.pqs))
@@ -517,8 +512,9 @@ func (s *session) snapshot() (Snapshot, error) {
 // and reruns the learner over the corrected history — the §5 revision
 // loop, driving the new run to its first batch before it returns.
 // Only a finished (done or failed) session may amend; an in-flight run
-// would race its own history. The server's closeMu read lock spans the
-// relaunch, so shutdown's abort sweep cannot miss the new run.
+// would race its own history. The relaunch is admitted before the
+// history is touched, so an amend refused by a closed server changes
+// nothing.
 //
 // Eligible learn sessions take the revision fast path: the prior
 // learned query is repaired through internal/revise over the replayed
@@ -529,12 +525,6 @@ func (s *session) snapshot() (Snapshot, error) {
 // qhorn-1 learner's output is not normalized, so those sessions
 // relearn to preserve bit-identity.
 func (s *session) amend(req AmendRequest) error {
-	srv := s.srv
-	srv.closeMu.RLock()
-	defer srv.closeMu.RUnlock()
-	if srv.closed {
-		return errClosed
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ask != nil {
@@ -562,29 +552,31 @@ func (s *session) amend(req AmendRequest) error {
 	default:
 		return fmt.Errorf("serve: unknown amend strategy %q (want auto, relearn or revise)", req.Strategy)
 	}
-	var err error
 	var fixedAt int
 	if req.Index != nil {
-		fixedAt, err = *req.Index, s.hist.Amend(*req.Index)
+		if fixedAt = *req.Index; fixedAt < 0 || fixedAt >= s.hist.Len() {
+			return fmt.Errorf("serve: no history entry %d (have %d)", fixedAt, s.hist.Len())
+		}
 	} else {
-		fixedAt, err = s.amendByKeyLocked(req.Key)
+		i, ok := s.recordIndex(req.Key)
+		if !ok {
+			return fmt.Errorf("serve: no history entry with key %q", req.Key)
+		}
+		fixedAt = i
 	}
-	if err != nil {
+	if err := s.srv.admit(s); err != nil {
 		return err
 	}
+	s.hist.Amend(fixedAt) //nolint:errcheck // fixedAt is in range
 	if s.user != "" {
 		// Propagate the correction into the shared tier, so later
 		// sessions of this user see the corrected answer instead of
 		// the stale one.
 		e := s.hist.View()[fixedAt]
-		srv.memo.Update(s.user, e.Question, e.Answer)
+		s.srv.memo.Update(s.user, e.Question, e.Answer)
 	}
 	s.reviseFrom = reviseFrom
 	s.hist.ResetRun()
-	// The session was admitted at creation; a relaunch takes its slot
-	// back without the max-sessions gate.
-	srv.active.Add(1)
-	srv.activeGauge.Add(1)
 	s.launchLocked()
 	return nil
 }
@@ -596,15 +588,15 @@ const (
 	StrategyRevise  = "revise"
 )
 
-// amendByKeyLocked flips the recorded answer of the history entry with
-// the given canonical key, returning its index. Callers hold s.mu.
-func (s *session) amendByKeyLocked(key string) (int, error) {
+// recordIndex returns the history index of the question with the
+// given canonical key. Callers hold s.mu, so no learner writes the
+// history meanwhile.
+func (s *session) recordIndex(key string) (int, bool) {
 	q, err := boolean.ParseKey(key)
-	i, ok := s.hist.Index(q)
-	if err != nil || !ok {
-		return 0, fmt.Errorf("serve: no history entry with key %q", key)
+	if err != nil {
+		return 0, false
 	}
-	return i, s.hist.Amend(i)
+	return s.hist.Index(q)
 }
 
 // formatTuples renders a question's tuples in the paper's fixed-width

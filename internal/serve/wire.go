@@ -134,8 +134,9 @@ type AnswerRequest struct {
 }
 
 // AnswerReport is the response to an answer delivery. Duplicate
-// answers (retries of settled questions) are counted, not errors, so
-// at-least-once clients are safe; unknown keys are listed. When the
+// answers (repeats of any question on the session's record, or of one
+// already answered in the outstanding batch) are counted, not errors,
+// so at-least-once clients are safe; unknown keys are listed. When the
 // session died (deleted, server shutdown), AbortReason says so —
 // otherwise a delivery racing an abort would report legitimately
 // in-flight answers as Unknown with no signal the batch is gone.

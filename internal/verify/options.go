@@ -74,16 +74,19 @@ func (vs Set) RunWith(o oracle.Oracle, opts ...run.Option) Result {
 // "mode: batch" attribute; their per-question durations are not
 // meaningful, since the answers arrived before the spans opened.
 // Serial mode opens each question's span before asking, so span
-// durations cover the ask.
+// durations cover the ask. FirstOnly ("mode: first") asks serially
+// and stops at the first disagreement, with QuestionsAsked counting
+// the questions actually posed; batch mode is ignored, since stopping
+// early is the point.
 func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
-	if cfg.FirstOnly {
-		return vs.runFirst(o, cfg)
-	}
+	batch := cfg.Batch && !cfg.FirstOnly
 	attrs := []obs.Attr{
 		obs.A("query", vs.Query.String()),
 		obs.Af("questions", "%d", len(vs.Questions)),
 	}
-	if cfg.Batch {
+	if cfg.FirstOnly {
+		attrs = append(attrs, obs.A("mode", "first"))
+	} else if batch {
 		attrs = append(attrs, obs.A("mode", "batch"))
 	}
 	root := cfg.Ins.Spans.StartSpan("verify", attrs...)
@@ -92,17 +95,18 @@ func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
 
 	counters := kindCounters{}
 	var answers []bool
-	if cfg.Batch {
+	if batch {
 		answers = oracle.AskAll(o, vs.questions())
 	}
-	res := Result{Correct: true, QuestionsAsked: len(vs.Questions)}
+	res := Result{Correct: true}
 	for i, q := range vs.Questions {
+		res.QuestionsAsked++
 		sp := root.StartChild("verify/"+string(q.Kind),
 			obs.A("about", q.About),
 			obs.Af("expect", "%v", q.Expect))
 		doneKind := timePhase(cfg, "verify/"+string(q.Kind))
 		var got bool
-		if cfg.Batch {
+		if batch {
 			got = answers[i]
 		} else {
 			got = o.Ask(q.Set)
@@ -110,36 +114,7 @@ func (vs Set) runConfigured(o oracle.Oracle, cfg run.Config) Result {
 		vs.observe(cfg, counters, q, got, &res, sp)
 		sp.End()
 		doneKind()
-	}
-	root.Annotate(obs.Af("correct", "%v", res.Correct))
-	return res
-}
-
-// runFirst is the FirstOnly core: questions are asked serially only
-// until the first disagreement, and QuestionsAsked reflects the
-// questions actually posed. Batch mode is ignored — stopping early is
-// the point.
-func (vs Set) runFirst(o oracle.Oracle, cfg run.Config) Result {
-	root := cfg.Ins.Spans.StartSpan("verify",
-		obs.A("query", vs.Query.String()),
-		obs.Af("questions", "%d", len(vs.Questions)),
-		obs.A("mode", "first"))
-	defer root.End()
-	defer timePhase(cfg, "verify")()
-
-	counters := kindCounters{}
-	res := Result{Correct: true}
-	for _, q := range vs.Questions {
-		res.QuestionsAsked++
-		sp := root.StartChild("verify/"+string(q.Kind),
-			obs.A("about", q.About),
-			obs.Af("expect", "%v", q.Expect))
-		doneKind := timePhase(cfg, "verify/"+string(q.Kind))
-		got := o.Ask(q.Set)
-		vs.observe(cfg, counters, q, got, &res, sp)
-		sp.End()
-		doneKind()
-		if !res.Correct {
+		if cfg.FirstOnly && !res.Correct {
 			break
 		}
 	}

@@ -23,7 +23,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-	"time"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/learn"
@@ -209,7 +208,7 @@ func servedLine(t *testing.T, c *serve.Client, target query.Query, alg run.Algor
 	if err != nil {
 		t.Fatalf("%s: create: %v", name, err)
 	}
-	final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{Poll: 5 * time.Second})
+	final, err := c.Drive(info.ID, serve.AnswererFor(target.U, oracle.Target(target)), serve.DriveOptions{})
 	if err != nil || final.State != serve.StateDone {
 		t.Fatalf("%s: drive ended %q (%v)", name, final.State, err)
 	}
