@@ -27,10 +27,11 @@ type instr struct {
 }
 
 // on reports whether anyone reads question purposes: a Steps hook or
-// an open span. Learners format a purpose only when it holds, so a
-// silent run pays nothing for the annotations.
+// a sink of the open span that reads event attributes. Learners format
+// a purpose only when it holds, so a silent run, or one traced only by
+// sinks that count events, pays nothing for the annotations.
 func (in *instr) on() bool {
-	return in.ins.Steps != nil || in.cur != nil
+	return in.ins.Steps != nil || in.cur.EventAttrsRead()
 }
 
 // start opens the run's root span; close it with the returned func.
@@ -121,7 +122,8 @@ func (in *instr) observe(s boolean.Set, answer bool) {
 	if in.ins.Steps != nil {
 		in.ins.Steps(Step{Phase: in.phase, Purpose: in.purpose, Question: s, Answer: answer})
 	}
-	if in.cur != nil {
+	switch {
+	case in.cur.EventAttrsRead():
 		verdict := "non-answer"
 		if answer {
 			verdict = "answer"
@@ -131,6 +133,8 @@ func (in *instr) observe(s boolean.Set, answer bool) {
 			obs.A("purpose", in.purpose),
 			obs.A("question", s.Format(in.u)),
 			obs.A("answer", verdict))
+	case in.cur != nil:
+		in.cur.Event("question")
 	}
 	if in.ins.Metrics != nil {
 		c, ok := in.byPhase[in.phase]

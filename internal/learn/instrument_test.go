@@ -285,3 +285,58 @@ func TestInstrumentedAsksBareQuestions(t *testing.T) {
 		}
 	}
 }
+
+// attrSink is a span sink that reads event attributes: it counts the
+// question events that carry all four annotations.
+type attrSink struct{ annotated int }
+
+func (a *attrSink) SpanStart(*obs.Span) {}
+func (a *attrSink) SpanEnd(*obs.Span)   {}
+func (a *attrSink) SpanEvent(_ *obs.Span, e obs.Event) {
+	if e.Name == "question" && len(e.Attrs) == 4 {
+		a.annotated++
+	}
+}
+
+// TestFlightRecorderEventsWithoutAttrs pins that a learn traced only by
+// a FlightRecorder, whose question events carry no attributes, records
+// the same spans with the same event counts as one whose tracer also
+// feeds a sink that reads the attributes, and that the latter sink
+// sees every question annotated.
+func TestFlightRecorderEventsWithoutAttrs(t *testing.T) {
+	u := boolean.MustUniverse(6)
+	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
+	for _, alg := range []run.Algorithm{run.Qhorn1, run.RolePreserving} {
+		for _, batch := range []bool{false, true} {
+			opts := []run.Option{run.WithAlgorithm(alg)}
+			if batch {
+				opts = append(opts, run.WithBatch())
+			}
+			learnTraced := func(sinks ...obs.SpanSink) ([]obs.FlightSpan, run.Stats) {
+				fr := obs.NewFlightRecorder(1 << 12)
+				_, stats := Run(u, oracle.Target(target), append(opts,
+					run.WithInstrumentation(Instrumentation{Spans: obs.NewTracer(append(sinks, fr)...)}))...)
+				_, spans, _ := fr.Snapshot()
+				return spans, stats
+			}
+			label := fmt.Sprintf("%v batch=%v", alg, batch)
+			bare, stats := learnTraced()
+			reader := &attrSink{}
+			full, _ := learnTraced(reader)
+			if len(bare) != len(full) {
+				t.Fatalf("%s: %d spans without attributes, %d with", label, len(bare), len(full))
+			}
+			var events int64
+			for i := range bare {
+				if bare[i].Name != full[i].Name || bare[i].Events != full[i].Events {
+					t.Fatalf("%s: span %d is %s with %d events, %s with %d with attributes",
+						label, i, bare[i].Name, bare[i].Events, full[i].Name, full[i].Events)
+				}
+				events += bare[i].Events
+			}
+			if events != int64(stats.Total()) || reader.annotated != stats.Total() {
+				t.Fatalf("%s: %d events, %d annotated, %d questions", label, events, reader.annotated, stats.Total())
+			}
+		}
+	}
+}

@@ -101,6 +101,10 @@ func (f *FlightRecorder) SpanEvent(s *Span, _ Event) {
 	f.mu.Unlock()
 }
 
+// readsEventAttrs reports that the recorder never reads event
+// attributes.
+func (f *FlightRecorder) readsEventAttrs() bool { return false }
+
 // SpanEnd implements SpanSink: the span leaves the open set and enters
 // the completed ring, evicting the oldest entry when full.
 func (f *FlightRecorder) SpanEnd(s *Span) {

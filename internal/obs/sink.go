@@ -108,6 +108,9 @@ func (t *TreeSink) SpanEvent(s *Span, e Event) {
 	}
 }
 
+// readsEventAttrs reports that the tree counts events by name only.
+func (t *TreeSink) readsEventAttrs() bool { return false }
+
 func (t *TreeSink) SpanEnd(s *Span) {
 	if n, ok := t.nodes[s.ID]; ok {
 		n.dur = s.Duration()

@@ -50,19 +50,41 @@ type SpanSink interface {
 	SpanEnd(s *Span)
 }
 
+// attrReader is implemented by a sink that declares whether it reads
+// event attributes. A sink that does not implement it is taken to read
+// them.
+type attrReader interface {
+	readsEventAttrs() bool
+}
+
+// readsEventAttrs reports whether sink s reads event attributes.
+func readsEventAttrs(s SpanSink) bool {
+	r, ok := s.(attrReader)
+	return !ok || r.readsEventAttrs()
+}
+
 // Tracer creates spans and fans them out to its sinks. A nil *Tracer
 // is valid and produces nil (silent) spans.
 type Tracer struct {
 	mu     sync.Mutex
 	sinks  []SpanSink
 	nextID atomic.Uint64
+	// attrs is set once any sink reads event attributes (see
+	// Span.EventAttrsRead).
+	attrs atomic.Bool
 	// now is the clock, replaceable in tests for deterministic trees.
 	now func() time.Time
 }
 
 // NewTracer returns a tracer emitting to the given sinks.
 func NewTracer(sinks ...SpanSink) *Tracer {
-	return &Tracer{sinks: sinks, now: time.Now}
+	t := &Tracer{sinks: sinks, now: time.Now}
+	for _, s := range sinks {
+		if readsEventAttrs(s) {
+			t.attrs.Store(true)
+		}
+	}
+	return t
 }
 
 // AddSink attaches another sink. It only sees spans started after the
@@ -73,6 +95,9 @@ func (t *Tracer) AddSink(s SpanSink) {
 	}
 	t.mu.Lock()
 	t.sinks = append(t.sinks, s)
+	if readsEventAttrs(s) {
+		t.attrs.Store(true)
+	}
 	t.mu.Unlock()
 }
 
@@ -147,6 +172,14 @@ func (s *Span) Event(name string, attrs ...Attr) {
 		sink.SpanEvent(s, e)
 	}
 	t.mu.Unlock()
+}
+
+// EventAttrsRead reports whether any sink of the span's tracer reads
+// event attributes. When none does (a FlightRecorder or a TreeSink
+// alone counts events by name), a caller may record an event with no
+// attributes and skip building them. A nil span reports false.
+func (s *Span) EventAttrsRead() bool {
+	return s != nil && s.tracer.attrs.Load()
 }
 
 // Events reports how many events the span has recorded.

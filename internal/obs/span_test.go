@@ -144,3 +144,35 @@ func TestAddSinkSeesLaterSpans(t *testing.T) {
 		t.Errorf("late-attached sink saw %v", names)
 	}
 }
+
+// TestEventAttrsRead pins which tracers report that event attributes
+// are read: none for a nil span or for sinks that only count events
+// (FlightRecorder, TreeSink), and any tracer with a sink that keeps
+// them (JSONLSink, or a sink from outside the package), also one added
+// later.
+func TestEventAttrsRead(t *testing.T) {
+	var nilSpan *Span
+	if nilSpan.EventAttrsRead() {
+		t.Error("a nil span reports event attributes read")
+	}
+	counting := NewTracer(NewFlightRecorder(4), NewTreeSink())
+	sp := counting.StartSpan("root")
+	if sp.EventAttrsRead() {
+		t.Error("a flight recorder and a tree report event attributes read")
+	}
+	counting.AddSink(NewJSONLSink(&strings.Builder{}))
+	if !sp.EventAttrsRead() {
+		t.Error("an added JSONL sink does not report event attributes read")
+	}
+	if !NewTracer(collectSink{}).StartSpan("root").EventAttrsRead() {
+		t.Error("a sink that does not declare itself does not report event attributes read")
+	}
+}
+
+// collectSink is a sink that does not say whether it reads event
+// attributes.
+type collectSink struct{}
+
+func (collectSink) SpanStart(*Span)        {}
+func (collectSink) SpanEvent(*Span, Event) {}
+func (collectSink) SpanEnd(*Span)          {}

@@ -11,17 +11,28 @@ package oracle
 // Entries are keyed by (identity, question). The identity names a
 // user/target intent; distinct identities never share answers, so one
 // server-wide tier gives per-user isolation under one global memory
-// bound. The tier is one map under one mutex, evicting the oldest
+// bound. The tier is one table under one mutex, evicting the oldest
 // answer first once full. The lock is never held while the inner
 // oracle is asked, and nothing is ever in flight: concurrent sessions
 // of one identity each ask their own client, and their answers meet
 // in the tier once recorded.
+//
+// The tier lives as long as the server and grows to its bound, so it
+// stores no pointer per answer, and the garbage collector has nothing
+// in it to mark. Its keys sit back to back in one byte arena, oldest
+// first; one entry per answer records where its key ends and the
+// answer; and a hashindex.Index over a seeded hash of the key finds the
+// entry, every hash match confirmed on the key bytes. Eviction drops
+// the oldest entry in place; once dropped entries make up half the
+// table, they are slid out of the arena and the entries together.
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 
 	"qhorn/internal/boolean"
+	"qhorn/internal/hashindex"
 	"qhorn/internal/obs"
 )
 
@@ -30,26 +41,58 @@ import (
 // safe for concurrent use, and a nil *SharedMemo is a disabled tier:
 // Oracle returns its inner oracle unchanged and Update does nothing.
 //
-// Memory: each cached answer costs one map entry plus its key string
-// (the identity and 8 bytes per tuple), roughly 100–300 bytes at
-// production tuple sizes, so the default qhornd capacity of 1M entries
-// holds a few hundred MB.
+// Memory: a cached answer costs its key (the length-prefixed identity
+// and a uvarint per tuple, 2 bytes a tuple at up to 14 variables), an
+// 8-byte entry, an 8-byte hash and 2–4 table slots of 4 bytes. On
+// 100,000 role-preserving questions at 11–13 variables (3.7 tuples
+// and an 11-byte identity each) the tier held 50 bytes per answer in 6
+// heap objects; a map of string keys held 101 bytes per answer in
+// 100,260 objects. A full tier also keeps up to as many dropped answers
+// as live ones until it slides them out, so the default qhornd
+// capacity of 2²⁰ answers takes at most about 100 MB at that size,
+// none of which the garbage collector scans.
 type SharedMemo struct {
-	reg      *obs.Registry
 	capacity int
+	// The tier's metric handles, resolved once by NewSharedMemo.
+	hits, misses, evictions *obs.Counter
+	size                    *obs.Gauge
 
 	mu      sync.Mutex
-	answers map[string]bool
-	order   []string // keys of answers, oldest first
-	key     []byte   // scratch for keyOf
+	keys    []byte          // arena: entry keys back to back, oldest first
+	entries []entry         // cached answers, oldest first
+	index   hashindex.Index // entries[p] is recorded under position p
+	key     []byte          // scratch for keyOf
 }
+
+// entry is one cached answer in 8 bytes: the end of its key in the
+// arena, shifted left by one, with the answer in the low bit. Its key
+// is keys[start:end], where start is the previous entry's end, or 0
+// for the first entry.
+type entry uint64
+
+func newEntry(end int, answer bool) entry {
+	e := entry(end) << 1
+	if answer {
+		e |= 1
+	}
+	return e
+}
+
+func (e entry) end() int     { return int(e >> 1) }
+func (e entry) answer() bool { return e&1 == 1 }
 
 // NewSharedMemo returns a shared memo tier bounded to capacity cached
 // answers (clamped to at least 1). A non-nil registry receives the
 // tier accounting: qhornd_memo_hits_total, qhornd_memo_misses_total,
 // qhornd_memo_evictions_total and the qhornd_memo_size gauge.
 func NewSharedMemo(capacity int, reg *obs.Registry) *SharedMemo {
-	return &SharedMemo{reg: reg, capacity: max(capacity, 1), answers: map[string]bool{}}
+	return &SharedMemo{
+		capacity:  max(capacity, 1),
+		hits:      reg.Counter(obs.MetricMemoTierHits),
+		misses:    reg.Counter(obs.MetricMemoTierMisses),
+		evictions: reg.Counter(obs.MetricMemoTierEvictions),
+		size:      reg.Gauge(obs.MetricMemoTierSize),
+	}
 }
 
 // Capacity returns the bound the tier was constructed with.
@@ -60,7 +103,7 @@ func (sm *SharedMemo) Capacity() int { return sm.capacity }
 func (sm *SharedMemo) Len() int {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	return len(sm.answers)
+	return sm.index.Len()
 }
 
 // Update inserts or overwrites the cached answer for (identity, s).
@@ -73,7 +116,7 @@ func (sm *SharedMemo) Update(identity string, s boolean.Set, answer bool) {
 		return
 	}
 	sm.mu.Lock()
-	sm.put(sm.keyOf(identityPrefix(identity), s), answer)
+	sm.put(sm.keyOf(identity, s), answer)
 	sm.mu.Unlock()
 }
 
@@ -92,41 +135,66 @@ func (sm *SharedMemo) Oracle(identity string, inner Oracle) Oracle {
 	if sm == nil {
 		return inner
 	}
-	return &tierOracle{sm: sm, prefix: identityPrefix(identity), inner: inner}
+	return &tierOracle{sm: sm, identity: identity, inner: inner}
 }
 
-// identityPrefix length-prefixes identity, so that no two (identity,
-// question) pairs share a key whatever bytes the identity holds.
-func identityPrefix(identity string) []byte {
-	return append(binary.AppendUvarint(nil, uint64(len(identity))), identity...)
+// keyOf returns the key of s under identity: the identity's length as
+// a uvarint, the identity, then each tuple as a uvarint. Uvarints are
+// self-delimiting, so no two (identity, question) pairs share a key
+// whatever bytes the identity holds. The result aliases the scratch
+// buffer until the next call. Caller holds mu.
+func (sm *SharedMemo) keyOf(identity string, s boolean.Set) []byte {
+	k := binary.AppendUvarint(sm.key[:0], uint64(len(identity)))
+	k = append(k, identity...)
+	for _, t := range s.Tuples() {
+		k = binary.AppendUvarint(k, uint64(t))
+	}
+	sm.key = k
+	return k
 }
 
-// keyOf returns the map key of s under an identity prefix: the prefix
-// followed by s.AppendID, the bytes the session history hashes. The
-// result aliases the scratch buffer until the next call. Caller holds
-// mu.
-func (sm *SharedMemo) keyOf(prefix []byte, s boolean.Set) []byte {
-	sm.key = s.AppendID(append(sm.key[:0], prefix...))
-	return sm.key
+// find returns the position of the live entry keyed k, whose hash is
+// h. Caller holds mu.
+func (sm *SharedMemo) find(h uint64, k []byte) (int32, bool) {
+	return sm.index.Find(h, func(p int32) bool {
+		start := 0
+		if p > 0 {
+			start = sm.entries[p-1].end()
+		}
+		return bytes.Equal(sm.keys[start:sm.entries[p].end()], k)
+	})
+}
+
+// get returns the cached answer for key k, if any. Caller holds mu.
+func (sm *SharedMemo) get(k []byte) (answer, ok bool) {
+	p, ok := sm.find(hashindex.Sum(k), k)
+	return ok && sm.entries[p].answer(), ok
 }
 
 // put inserts or overwrites the answer for key k, evicting the oldest
 // entry when over capacity. Caller holds mu.
 func (sm *SharedMemo) put(k []byte, answer bool) {
-	ks := string(k)
-	_, had := sm.answers[ks]
-	sm.answers[ks] = answer
-	if had {
+	h := hashindex.Sum(k)
+	if p, ok := sm.find(h, k); ok {
+		sm.entries[p] = newEntry(sm.entries[p].end(), answer)
 		return
 	}
-	sm.order = append(sm.order, ks)
-	sm.reg.Gauge(obs.MetricMemoTierSize).Add(1)
-	if len(sm.answers) > sm.capacity {
-		delete(sm.answers, sm.order[0])
-		sm.order[0] = ""
-		sm.order = sm.order[1:]
-		sm.reg.Counter(obs.MetricMemoTierEvictions).Inc()
-		sm.reg.Gauge(obs.MetricMemoTierSize).Add(-1)
+	sm.index.Add(h)
+	sm.keys = append(sm.keys, k...)
+	sm.entries = append(sm.entries, newEntry(len(sm.keys), answer))
+	sm.size.Add(1)
+	if sm.index.Len() <= sm.capacity {
+		return
+	}
+	sm.evictions.Inc()
+	sm.size.Add(-1)
+	if n := sm.index.DropOldest(); n > 0 {
+		base := sm.entries[n-1].end()
+		sm.keys = sm.keys[:copy(sm.keys, sm.keys[base:])]
+		sm.entries = sm.entries[:copy(sm.entries, sm.entries[n:])]
+		for i, e := range sm.entries {
+			sm.entries[i] = newEntry(e.end()-base, e.answer())
+		}
 	}
 }
 
@@ -136,25 +204,25 @@ func (sm *SharedMemo) put(k []byte, answer bool) {
 // answered, so a panicking inner oracle (budget, abort) counts and
 // caches nothing.
 type tierOracle struct {
-	sm     *SharedMemo
-	prefix []byte
-	inner  Oracle
+	sm       *SharedMemo
+	identity string
+	inner    Oracle
 }
 
 // Ask implements Oracle.
 func (o *tierOracle) Ask(s boolean.Set) bool {
 	sm := o.sm
 	sm.mu.Lock()
-	a, ok := sm.answers[string(sm.keyOf(o.prefix, s))]
+	a, ok := sm.get(sm.keyOf(o.identity, s))
 	sm.mu.Unlock()
 	if ok {
-		sm.reg.Counter(obs.MetricMemoTierHits).Inc()
+		sm.hits.Inc()
 		return a
 	}
 	a = o.inner.Ask(s)
-	sm.reg.Counter(obs.MetricMemoTierMisses).Inc()
+	sm.misses.Inc()
 	sm.mu.Lock()
-	sm.put(sm.keyOf(o.prefix, s), a)
+	sm.put(sm.keyOf(o.identity, s), a)
 	sm.mu.Unlock()
 	return a
 }
@@ -168,8 +236,7 @@ func (o *tierOracle) AskBatch(qs []boolean.Set) []bool {
 	var missed []int
 	sm.mu.Lock()
 	for i, q := range qs {
-		a, ok := sm.answers[string(sm.keyOf(o.prefix, q))]
-		if ok {
+		if a, ok := sm.get(sm.keyOf(o.identity, q)); ok {
 			answers[i] = a
 		} else {
 			missed = append(missed, i)
@@ -177,7 +244,7 @@ func (o *tierOracle) AskBatch(qs []boolean.Set) []bool {
 	}
 	sm.mu.Unlock()
 	if hits := len(qs) - len(missed); hits > 0 {
-		sm.reg.Counter(obs.MetricMemoTierHits).Add(int64(hits))
+		sm.hits.Add(int64(hits))
 	}
 	if len(missed) == 0 {
 		return answers
@@ -187,11 +254,11 @@ func (o *tierOracle) AskBatch(qs []boolean.Set) []bool {
 		sub[j] = qs[i]
 	}
 	res := AskAll(o.inner, sub)
-	sm.reg.Counter(obs.MetricMemoTierMisses).Add(int64(len(missed)))
+	sm.misses.Add(int64(len(missed)))
 	sm.mu.Lock()
 	for j, i := range missed {
 		answers[i] = res[j]
-		sm.put(sm.keyOf(o.prefix, qs[i]), res[j])
+		sm.put(sm.keyOf(o.identity, qs[i]), res[j])
 	}
 	sm.mu.Unlock()
 	return answers

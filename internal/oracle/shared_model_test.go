@@ -1,0 +1,213 @@
+package oracle
+
+// A reference model of the shared memo tier. It reads the tier's
+// entries to check that the runs really compact them, so it lives in
+// the package.
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"qhorn/internal/boolean"
+	"qhorn/internal/obs"
+)
+
+// modelTier is the reference: answers by identity + Set.Key, and the
+// same keys in a FIFO queue, oldest first.
+type modelTier struct {
+	capacity                int
+	answers                 map[string]bool
+	queue                   []modelKey
+	hits, misses, evictions int64
+}
+
+// modelKey is one cached question of the model, under its identity.
+type modelKey struct {
+	k  string
+	id int
+	q  boolean.Set
+}
+
+func (m *modelTier) put(k modelKey, a bool) {
+	if _, ok := m.answers[k.k]; !ok {
+		m.queue = append(m.queue, k)
+		if len(m.queue) > m.capacity {
+			delete(m.answers, m.queue[0].k)
+			m.queue = m.queue[1:]
+			m.evictions++
+		}
+	}
+	m.answers[k.k] = a
+}
+
+// modelUser is an inner oracle for one identity. It answers from a
+// seeded function of the question and records what it is asked.
+type modelUser struct {
+	salt    uint64
+	asked   []boolean.Set // one flat record of every question asked
+	batches int
+}
+
+func (u *modelUser) answer(q boolean.Set) bool {
+	h := u.salt
+	for _, t := range q.Tuples() {
+		h = h*31 + uint64(t)
+	}
+	return h>>3&1 == 1
+}
+
+func (u *modelUser) Ask(q boolean.Set) bool {
+	u.asked = append(u.asked, q)
+	return u.answer(q)
+}
+
+func (u *modelUser) AskBatch(qs []boolean.Set) []bool {
+	u.batches++
+	out := make([]bool, len(qs))
+	for i, q := range qs {
+		out[i] = u.Ask(q)
+	}
+	return out
+}
+
+// TestSharedMemoMatchesModel drives seeded random Ask, AskBatch and
+// Update calls over several identities against the tier and against
+// the reference model, at several capacities. Each run is long enough
+// that the tier slides its dropped entries out several times and its
+// table grows past its first size. After every call the answers, the
+// questions the inner oracles saw, the hit, miss and eviction counters,
+// Len and the size gauge must all agree with the model.
+func TestSharedMemoMatchesModel(t *testing.T) {
+	for _, capacity := range []int{1, 4, 64, 1024} {
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			reg := obs.NewRegistry()
+			sm := NewSharedMemo(capacity, reg)
+			m := &modelTier{capacity: capacity, answers: map[string]bool{}}
+			ids := []string{"alice", "bob", "", "alice\x00"}
+			users := make([]*modelUser, len(ids))
+			tiers := make([]Oracle, len(ids))
+			for i, id := range ids {
+				users[i] = &modelUser{salt: uint64(i + 1)}
+				tiers[i] = sm.Oracle(id, users[i])
+			}
+			key := func(id int, q boolean.Set) modelKey {
+				return modelKey{ids[id] + "\xff" + q.Key(), id, q}
+			}
+
+			// Questions come from a pool about four times the capacity,
+			// so some are still cached when asked again and some are not.
+			n := 6 + rng.Intn(5)
+			pool := make([]boolean.Set, 4*capacity+8)
+			for i := range pool {
+				tuples := make([]boolean.Tuple, rng.Intn(4))
+				for j := range tuples {
+					tuples[j] = boolean.Tuple(rng.Int63n(1 << n))
+				}
+				pool[i] = boolean.NewSet(tuples...)
+			}
+			question := func() boolean.Set { return pool[rng.Intn(len(pool))] }
+
+			var compactions int
+			var asked []boolean.Set
+			steps := max(3000, 12*capacity)
+			for step := 0; step < steps; step++ {
+				id := rng.Intn(len(ids))
+				u := users[id]
+				// Every answer stored appends an entry; fewer entries
+				// than that after the call mean dropped ones slid out.
+				prevEntries, prevStored := len(sm.entries), len(m.queue)+int(m.evictions)
+				asked = asked[:0]
+				switch r := rng.Intn(10); {
+				case r < 4:
+					q := question()
+					want, hit := m.answers[key(id, q).k]
+					if hit {
+						m.hits++
+					} else {
+						want = u.answer(q)
+						m.misses++
+						asked = append(asked, q)
+						m.put(key(id, q), want)
+					}
+					before := len(u.asked)
+					if got := tiers[id].Ask(q); got != want {
+						t.Fatalf("step %d: Ask(%s, %s) = %v, want %v", step, ids[id], q.Key(), got, want)
+					}
+					if !slices.EqualFunc(u.asked[before:], asked, boolean.Set.Equal) {
+						t.Fatalf("step %d: Ask forwarded %d questions, want %d", step, len(u.asked)-before, len(asked))
+					}
+				case r < 8:
+					batch := make([]boolean.Set, 1+rng.Intn(12))
+					for i := range batch {
+						batch[i] = question()
+					}
+					want := make([]bool, len(batch))
+					var missed []int
+					for i, q := range batch {
+						if a, ok := m.answers[key(id, q).k]; ok {
+							want[i] = a
+							m.hits++
+						} else {
+							missed = append(missed, i)
+							asked = append(asked, q)
+						}
+					}
+					for _, i := range missed {
+						want[i] = u.answer(batch[i])
+						m.misses++
+						m.put(key(id, batch[i]), want[i])
+					}
+					before, batches := len(u.asked), u.batches
+					got := AskAll(tiers[id], batch)
+					if !slices.Equal(got, want) {
+						t.Fatalf("step %d: AskBatch(%s) = %v, want %v", step, ids[id], got, want)
+					}
+					if !slices.EqualFunc(u.asked[before:], asked, boolean.Set.Equal) {
+						t.Fatalf("step %d: AskBatch forwarded %d questions, want %d in batch order", step, len(u.asked)-before, len(asked))
+					}
+					if wantBatches := batches + min(1, len(missed)); u.batches != wantBatches {
+						t.Fatalf("step %d: AskBatch made %d inner batches, want %d", step, u.batches-batches, wantBatches-batches)
+					}
+				default:
+					q, a := question(), rng.Intn(2) == 0
+					m.put(key(id, q), a)
+					sm.Update(ids[id], q, a)
+				}
+				if len(sm.entries) < prevEntries+len(m.queue)+int(m.evictions)-prevStored {
+					compactions++
+				}
+				if got := reg.CounterValue(obs.MetricMemoTierHits); got != m.hits {
+					t.Fatalf("step %d: hits = %d, want %d", step, got, m.hits)
+				}
+				if got := reg.CounterValue(obs.MetricMemoTierMisses); got != m.misses {
+					t.Fatalf("step %d: misses = %d, want %d", step, got, m.misses)
+				}
+				if got := reg.CounterValue(obs.MetricMemoTierEvictions); got != m.evictions {
+					t.Fatalf("step %d: evictions = %d, want %d", step, got, m.evictions)
+				}
+				if sm.Len() != len(m.queue) {
+					t.Fatalf("step %d: Len = %d, want %d", step, sm.Len(), len(m.queue))
+				}
+				if got := reg.Gauge(obs.MetricMemoTierSize).Value(); got != float64(len(m.queue)) {
+					t.Fatalf("step %d: size gauge = %v, want %d", step, got, len(m.queue))
+				}
+			}
+			if compactions < 2 {
+				t.Fatalf("the tier slid its dropped entries out %d times, want at least 2", compactions)
+			}
+			// Every answer the model still holds is served from the
+			// tier, without reaching an inner oracle.
+			for _, k := range m.queue {
+				u := users[k.id]
+				before := len(u.asked)
+				if got := tiers[k.id].Ask(k.q); got != m.answers[k.k] || len(u.asked) != before {
+					t.Fatalf("cached %q: Ask = %v with %d inner asks, want %v from the tier",
+						k.k, got, len(u.asked)-before, m.answers[k.k])
+				}
+			}
+		})
+	}
+}

@@ -336,3 +336,39 @@ func TestSharedMemoConcurrentEvictionRaceClean(t *testing.T) {
 		t.Errorf("size gauge = %v, Len = %d", got, sm.Len())
 	}
 }
+
+// TestSharedMemoInsertAllocs: once a tier has grown to its capacity,
+// storing a new answer, through a miss or through Update, allocates
+// nothing of its own. The tier's arena, entries and table are reused
+// as the oldest answers are dropped and slid out, so a million stored
+// answers cost the same few allocations as a thousand.
+func TestSharedMemoInsertAllocs(t *testing.T) {
+	const capacity = 256
+	u := boolean.MustUniverse(12)
+	qs := make([]boolean.Set, 8192)
+	for i := range qs {
+		qs[i] = boolean.NewSet(boolean.Tuple(i), boolean.Tuple(i+1), u.All())
+	}
+	sm := oracle.NewSharedMemo(capacity, obs.NewRegistry())
+	o := sm.Oracle("alice", oracle.Func(parity))
+	next := 0
+	for ; next < 8*capacity; next++ { // warm: grow to capacity and slide a few times
+		o.Ask(qs[next])
+	}
+	const runs = 2048
+	for _, path := range []struct {
+		name  string
+		store func(boolean.Set)
+	}{
+		{"a miss", func(q boolean.Set) { o.Ask(q) }},
+		{"Update", func(q boolean.Set) { sm.Update("alice", q, true) }},
+	} {
+		// AllocsPerRun makes one warm-up call before its runs.
+		if n := testing.AllocsPerRun(runs, func() { path.store(qs[next]); next++ }); n >= 1 {
+			t.Errorf("storing a new answer in a warm tier through %s allocates %v times, want under 1 amortized", path.name, n)
+		}
+	}
+	if next != 8*capacity+2*(runs+1) || sm.Len() != capacity {
+		t.Fatalf("stored %d answers, Len = %d; want %d stored, Len %d", next, sm.Len(), 8*capacity+2*(runs+1), capacity)
+	}
+}

@@ -412,14 +412,16 @@ func TestMemoAnsweredKeyIsDuplicate(t *testing.T) {
 	firstWire, warmWire := map[string]bool{}, map[string]bool{}
 	first := drive(firstWire)
 	warm := drive(warmWire)
-	memoKey := ""
+	// The empty set's key is "", so whether a key was found is kept
+	// apart from the key itself.
+	memoKey, found := "", false
 	for k := range firstWire {
 		if !warmWire[k] {
-			memoKey = k
+			memoKey, found = k, true
 			break
 		}
 	}
-	if memoKey == "" {
+	if !found {
 		t.Fatal("the memo tier answered none of the warm session's questions")
 	}
 	snap, err := c.Snapshot(first)

@@ -1,7 +1,8 @@
 package session
 
-// Tests of the history's open-addressed index: full-hash collisions,
-// table growth, and a reference model of the whole session.
+// Tests of the history's open-addressed index: full-hash collisions
+// and a reference model of the whole session. The table itself is
+// tested in internal/hashindex.
 
 import (
 	"math/rand"
@@ -12,41 +13,6 @@ import (
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
 )
-
-// TestIndexGrowsUnderOneHash adds positions all under one hash, well
-// past the first table size, and finds every one of them by equality
-// alone, also after truncation and reset.
-func TestIndexGrowsUnderOneHash(t *testing.T) {
-	const n = 5 * minSlots
-	var x index
-	check := func(label string, size int) {
-		t.Helper()
-		if len(x.slots) < 2*size || len(x.slots)&(len(x.slots)-1) != 0 {
-			t.Fatalf("%s: %d slots for %d positions, want a power of two at least twice as many", label, len(x.slots), size)
-		}
-		for want := int32(0); want < n; want++ {
-			got, ok := x.find(42, func(p int32) bool { return p == want })
-			if ok != (int(want) < size) || ok && got != want {
-				t.Fatalf("%s: find(%d) = %d, %v with %d positions", label, want, got, ok, size)
-			}
-		}
-	}
-	for p := int32(0); p < n; p++ {
-		if got := x.add(42); got != p {
-			t.Fatalf("add returned position %d, want %d", got, p)
-		}
-	}
-	check("after growth", n)
-	x.truncate(n / 3)
-	check("after truncate", n/3)
-	x.reset()
-	if _, ok := x.find(42, func(int32) bool { return true }); ok {
-		t.Fatal("reset index still finds a position")
-	}
-	if got := x.add(42); got != 0 {
-		t.Fatalf("first add after reset returned %d, want 0", got)
-	}
-}
 
 // TestIndexForcedCollisions records several distinct questions under
 // the hash of another question, through the unexported record path.
