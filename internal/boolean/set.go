@@ -126,15 +126,17 @@ func (s Set) AnyContains(conj Tuple) bool {
 // that only needs an in-process index hashes AppendID instead.
 func (s Set) Key() string { return buildKey(s.tuples) }
 
-// AppendID appends the set's tuples to dst as little-endian 8-byte
-// words and returns the extended slice. Like Key it is unique per set,
-// but it costs no formatting. A caller that keeps dst as scratch can
-// hash it (hash/maphash) into its own table and confirm a hash match
-// with Equal, as the interaction history does, paying no allocation
-// per question.
+// AppendID appends the set's tuples to dst as uvarints (2 bytes a
+// tuple at up to 14 variables) and returns the extended slice. A
+// uvarint marks its own length, so like Key the encoding is unique per
+// set, but it costs no formatting. A caller that keeps dst as scratch
+// can hash it (hash/maphash) into its own table and confirm a hash
+// match with Equal, as the interaction history does, or key a store
+// with it, as the shared memo tier does, paying no allocation per
+// question.
 func (s Set) AppendID(dst []byte) []byte {
 	for _, t := range s.tuples {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(t))
+		dst = binary.AppendUvarint(dst, uint64(t))
 	}
 	return dst
 }

@@ -3,8 +3,11 @@
 // shared memo tier of internal/oracle. An Index maps hashes to the
 // positions 0, 1, 2, … of a list its caller keeps; it never sees the
 // keys themselves, and a lookup confirms a hash match with the
-// caller's equality test. It holds no pointer per position, so a large
-// index costs the garbage collector nothing to mark.
+// caller's equality test. Positions are only added, or cut off from
+// the end (Truncate, Reset): the history truncates on amendment, and
+// the tier evicts by resetting a whole generation. It holds no pointer
+// per position, so a large index costs the garbage collector nothing
+// to mark.
 package hashindex
 
 import (
@@ -21,26 +24,20 @@ var seed = maphash.MakeSeed()
 func Sum(b []byte) uint64 { return maphash.Bytes(seed, b) }
 
 // Index maps hashes to positions of an append-only list the caller
-// keeps, optionally dropping the oldest. It is an open-addressed table
-// probed linearly: slots is a power of two long, holds position+1 (0
-// is empty), and is kept at most half full. hashes[p] is the hash
-// position p was added under, so growth, truncation and compaction
-// reinsert positions without hashing again. The zero value is an empty
-// index.
-//
-// Dropped positions stay in the table, so probe sequences through them
-// stay intact, and lookups skip them. Once they make up half the
-// positions, DropOldest slides them out and rebuilds the table.
+// keeps. It is an open-addressed table probed linearly: slots is a
+// power of two long, holds position+1 (0 is empty), and is kept at
+// most half full. hashes[p] is the hash position p was added under, so
+// growth and truncation reinsert positions without hashing again. The
+// zero value is an empty index.
 type Index struct {
 	slots  []int32
 	hashes []uint64
-	dead   int // positions [0, dead) are dropped
 }
 
 // minSlots is the table size the first Add allocates.
 const minSlots = 64
 
-// Find returns the first live position added under hash h for which eq
+// Find returns the first position added under hash h for which eq
 // holds.
 func (x *Index) Find(h uint64, eq func(p int32) bool) (int32, bool) {
 	if len(x.slots) == 0 {
@@ -52,7 +49,7 @@ func (x *Index) Find(h uint64, eq func(p int32) bool) (int32, bool) {
 		if p < 0 {
 			return 0, false
 		}
-		if x.hashes[p] == h && int(p) >= x.dead && eq(p) {
+		if x.hashes[p] == h && eq(p) {
 			return p, true
 		}
 	}
@@ -73,8 +70,8 @@ func (x *Index) Add(h uint64) int32 {
 // Hash returns the hash position p was added under.
 func (x *Index) Hash(p int32) uint64 { return x.hashes[p] }
 
-// Len returns the number of live positions.
-func (x *Index) Len() int { return len(x.hashes) - x.dead }
+// Len returns the number of positions.
+func (x *Index) Len() int { return len(x.hashes) }
 
 // Reserve readies an empty index for n positions, n a power of two:
 // room for their hashes, and a table they fill at most half.
@@ -109,8 +106,7 @@ func (x *Index) rebuild(n int) {
 	}
 }
 
-// Truncate drops every position from n onward. The index must have
-// dropped none of its oldest (DropOldest).
+// Truncate drops every position from n onward.
 func (x *Index) Truncate(n int) {
 	x.hashes = x.hashes[:n]
 	x.rebuild(len(x.slots))
@@ -120,23 +116,6 @@ func (x *Index) Truncate(n int) {
 func (x *Index) Reset() {
 	if len(x.hashes) > 0 {
 		x.hashes = x.hashes[:0]
-		x.dead = 0
 		clear(x.slots)
 	}
-}
-
-// DropOldest drops the oldest live position. It returns 0, or, when
-// dropped positions have come to make up half the index, the number n
-// of positions it slid out: every later position then moves down by
-// n, and the caller slides its list the same way.
-func (x *Index) DropOldest() (slid int) {
-	x.dead++
-	if 2*x.dead < len(x.hashes) {
-		return 0
-	}
-	slid = x.dead
-	x.hashes = x.hashes[:copy(x.hashes, x.hashes[slid:])]
-	x.dead = 0
-	x.rebuild(len(x.slots))
-	return slid
 }

@@ -19,12 +19,15 @@ package oracle
 //
 // The tier lives as long as the server and grows to its bound, so it
 // stores no pointer per answer, and the garbage collector has nothing
-// in it to mark. Its keys sit back to back in one byte arena, oldest
-// first; one entry per answer records where its key ends and the
-// answer; and a hashindex.Index over a seeded hash of the key finds the
-// entry, every hash match confirmed on the key bytes. Eviction drops
-// the oldest entry in place; once dropped entries make up half the
-// table, they are slid out of the arena and the entries together.
+// in it to mark. Its answers sit in two append-only generations, old
+// and cur, each answer in old older than any in cur. In each, keys sit
+// back to back in one byte arena; one entry per answer records where
+// its key ends and the answer; and a hashindex.Index over a seeded
+// hash of the key finds the entry, every hash match confirmed on the
+// key bytes. New answers go to cur, and eviction counts off old's
+// oldest. Once cur is full, old has no live answer left: it is emptied,
+// keeping its storage, and the two swap places. No entry or key byte
+// is ever moved.
 
 import (
 	"bytes"
@@ -47,21 +50,27 @@ import (
 // 100,000 role-preserving questions at 11–13 variables (3.7 tuples
 // and an 11-byte identity each) the tier held 50 bytes per answer in 6
 // heap objects; a map of string keys held 101 bytes per answer in
-// 100,260 objects. A full tier also keeps up to as many dropped answers
-// as live ones until it slides them out, so the default qhornd
-// capacity of 2²⁰ answers takes at most about 100 MB at that size,
-// none of which the garbage collector scans.
+// 100,260 objects. Each generation holds at most capacity answers,
+// evicted ones included, so a full tier holds at most twice capacity,
+// and the default qhornd capacity of 2²⁰ answers takes at most about
+// 100 MB at that size, none of which the garbage collector scans.
 type SharedMemo struct {
 	capacity int
 	// The tier's metric handles, resolved once by NewSharedMemo.
 	hits, misses, evictions *obs.Counter
 	size                    *obs.Gauge
 
-	mu      sync.Mutex
-	keys    []byte          // arena: entry keys back to back, oldest first
-	entries []entry         // cached answers, oldest first
+	mu       sync.Mutex
+	old, cur generation
+	evicted  int    // old.entries[:evicted] are evicted
+	key      []byte // scratch for keyOf
+}
+
+// generation is one append-only run of cached answers, oldest first.
+type generation struct {
+	keys    []byte          // arena: entry keys back to back
+	entries []entry         // cached answers
 	index   hashindex.Index // entries[p] is recorded under position p
-	key     []byte          // scratch for keyOf
 }
 
 // entry is one cached answer in 8 bytes: the end of its key in the
@@ -80,6 +89,18 @@ func newEntry(end int, answer bool) entry {
 
 func (e entry) end() int     { return int(e >> 1) }
 func (e entry) answer() bool { return e&1 == 1 }
+
+// find returns the position of the entry keyed k, whose hash is h,
+// among the entries from position from on.
+func (g *generation) find(h uint64, k []byte, from int) (int32, bool) {
+	return g.index.Find(h, func(p int32) bool {
+		start := 0
+		if p > 0 {
+			start = g.entries[p-1].end()
+		}
+		return int(p) >= from && bytes.Equal(g.keys[start:g.entries[p].end()], k)
+	})
+}
 
 // NewSharedMemo returns a shared memo tier bounded to capacity cached
 // answers (clamped to at least 1). A non-nil registry receives the
@@ -103,7 +124,7 @@ func (sm *SharedMemo) Capacity() int { return sm.capacity }
 func (sm *SharedMemo) Len() int {
 	sm.mu.Lock()
 	defer sm.mu.Unlock()
-	return sm.index.Len()
+	return sm.old.index.Len() - sm.evicted + sm.cur.index.Len()
 }
 
 // Update inserts or overwrites the cached answer for (identity, s).
@@ -139,62 +160,60 @@ func (sm *SharedMemo) Oracle(identity string, inner Oracle) Oracle {
 }
 
 // keyOf returns the key of s under identity: the identity's length as
-// a uvarint, the identity, then each tuple as a uvarint. Uvarints are
-// self-delimiting, so no two (identity, question) pairs share a key
-// whatever bytes the identity holds. The result aliases the scratch
-// buffer until the next call. Caller holds mu.
+// a uvarint, the identity, then s.AppendID (a uvarint per tuple).
+// Uvarints are self-delimiting, so no two (identity, question) pairs
+// share a key whatever bytes the identity holds. The result aliases
+// the scratch buffer until the next call. Caller holds mu.
 func (sm *SharedMemo) keyOf(identity string, s boolean.Set) []byte {
 	k := binary.AppendUvarint(sm.key[:0], uint64(len(identity)))
-	k = append(k, identity...)
-	for _, t := range s.Tuples() {
-		k = binary.AppendUvarint(k, uint64(t))
-	}
-	sm.key = k
-	return k
+	sm.key = s.AppendID(append(k, identity...))
+	return sm.key
 }
 
-// find returns the position of the live entry keyed k, whose hash is
-// h. Caller holds mu.
-func (sm *SharedMemo) find(h uint64, k []byte) (int32, bool) {
-	return sm.index.Find(h, func(p int32) bool {
-		start := 0
-		if p > 0 {
-			start = sm.entries[p-1].end()
-		}
-		return bytes.Equal(sm.keys[start:sm.entries[p].end()], k)
-	})
+// find returns the live entry keyed k, whose hash is h, or nil.
+// Caller holds mu.
+func (sm *SharedMemo) find(h uint64, k []byte) *entry {
+	if p, ok := sm.cur.find(h, k, 0); ok {
+		return &sm.cur.entries[p]
+	}
+	if p, ok := sm.old.find(h, k, sm.evicted); ok {
+		return &sm.old.entries[p]
+	}
+	return nil
 }
 
 // get returns the cached answer for key k, if any. Caller holds mu.
 func (sm *SharedMemo) get(k []byte) (answer, ok bool) {
-	p, ok := sm.find(hashindex.Sum(k), k)
-	return ok && sm.entries[p].answer(), ok
+	e := sm.find(hashindex.Sum(k), k)
+	return e != nil && e.answer(), e != nil
 }
 
 // put inserts or overwrites the answer for key k, evicting the oldest
-// entry when over capacity. Caller holds mu.
+// answer when over capacity. Caller holds mu.
+//
+// Only a full tier has answers in old: the first swap comes when cur
+// fills, and every answer added from then on evicts old's oldest, so
+// old runs out of live answers exactly when cur is full again.
 func (sm *SharedMemo) put(k []byte, answer bool) {
 	h := hashindex.Sum(k)
-	if p, ok := sm.find(h, k); ok {
-		sm.entries[p] = newEntry(sm.entries[p].end(), answer)
+	if e := sm.find(h, k); e != nil {
+		*e = newEntry(e.end(), answer)
 		return
 	}
-	sm.index.Add(h)
-	sm.keys = append(sm.keys, k...)
-	sm.entries = append(sm.entries, newEntry(len(sm.keys), answer))
-	sm.size.Add(1)
-	if sm.index.Len() <= sm.capacity {
-		return
+	if len(sm.cur.entries) == sm.capacity {
+		sm.old, sm.cur, sm.evicted = sm.cur, sm.old, 0
+		sm.cur.keys, sm.cur.entries = sm.cur.keys[:0], sm.cur.entries[:0]
+		sm.cur.index.Reset()
 	}
-	sm.evictions.Inc()
-	sm.size.Add(-1)
-	if n := sm.index.DropOldest(); n > 0 {
-		base := sm.entries[n-1].end()
-		sm.keys = sm.keys[:copy(sm.keys, sm.keys[base:])]
-		sm.entries = sm.entries[:copy(sm.entries, sm.entries[n:])]
-		for i, e := range sm.entries {
-			sm.entries[i] = newEntry(e.end()-base, e.answer())
-		}
+	g := &sm.cur
+	g.index.Add(h)
+	g.keys = append(g.keys, k...)
+	g.entries = append(g.entries, newEntry(len(g.keys), answer))
+	if sm.evicted < len(sm.old.entries) {
+		sm.evicted++
+		sm.evictions.Inc()
+	} else {
+		sm.size.Add(1)
 	}
 }
 

@@ -1,12 +1,13 @@
 package oracle
 
-// A reference model of the shared memo tier. It reads the tier's
-// entries to check that the runs really compact them, so it lives in
-// the package.
+// A reference model of the shared memo tier, and a check of a full
+// tier in steady state. Both read the tier's generations, so they live
+// in the package.
 
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -75,8 +76,8 @@ func (u *modelUser) AskBatch(qs []boolean.Set) []bool {
 // TestSharedMemoMatchesModel drives seeded random Ask, AskBatch and
 // Update calls over several identities against the tier and against
 // the reference model, at several capacities. Each run is long enough
-// that the tier slides its dropped entries out several times and its
-// table grows past its first size. After every call the answers, the
+// that the tier swaps its generations several times and its tables
+// grow past their first size. After every call the answers, the
 // questions the inner oracles saw, the hit, miss and eviction counters,
 // Len and the size gauge must all agree with the model.
 func TestSharedMemoMatchesModel(t *testing.T) {
@@ -110,15 +111,16 @@ func TestSharedMemoMatchesModel(t *testing.T) {
 			}
 			question := func() boolean.Set { return pool[rng.Intn(len(pool))] }
 
-			var compactions int
+			var swaps int
 			var asked []boolean.Set
 			steps := max(3000, 12*capacity)
 			for step := 0; step < steps; step++ {
 				id := rng.Intn(len(ids))
 				u := users[id]
-				// Every answer stored appends an entry; fewer entries
-				// than that after the call mean dropped ones slid out.
-				prevEntries, prevStored := len(sm.entries), len(m.queue)+int(m.evictions)
+				// Every answer stored appends an entry to the current
+				// generation; fewer entries than that after the call
+				// mean the generations swapped.
+				prevEntries, prevStored := len(sm.cur.entries), len(m.queue)+int(m.evictions)
 				asked = asked[:0]
 				switch r := rng.Intn(10); {
 				case r < 4:
@@ -176,8 +178,8 @@ func TestSharedMemoMatchesModel(t *testing.T) {
 					m.put(key(id, q), a)
 					sm.Update(ids[id], q, a)
 				}
-				if len(sm.entries) < prevEntries+len(m.queue)+int(m.evictions)-prevStored {
-					compactions++
+				if len(sm.cur.entries) < prevEntries+len(m.queue)+int(m.evictions)-prevStored {
+					swaps++
 				}
 				if got := reg.CounterValue(obs.MetricMemoTierHits); got != m.hits {
 					t.Fatalf("step %d: hits = %d, want %d", step, got, m.hits)
@@ -195,8 +197,8 @@ func TestSharedMemoMatchesModel(t *testing.T) {
 					t.Fatalf("step %d: size gauge = %v, want %d", step, got, len(m.queue))
 				}
 			}
-			if compactions < 2 {
-				t.Fatalf("the tier slid its dropped entries out %d times, want at least 2", compactions)
+			if swaps < 2 {
+				t.Fatalf("the tier swapped its generations %d times, want at least 2", swaps)
 			}
 			// Every answer the model still holds is served from the
 			// tier, without reaching an inner oracle.
@@ -210,4 +212,82 @@ func TestSharedMemoMatchesModel(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSharedMemoSteadyState stores 3·capacity distinct answers into a
+// tier, alternating misses and Update. Once both generations have
+// grown to capacity, storing allocates nothing, a generation swap
+// included, Len stays at capacity, and the storage the tier holds
+// stays within a fixed factor of its live answers' keys and entries.
+func TestSharedMemoSteadyState(t *testing.T) {
+	const capacity = 4096
+	// Every tuple of 16 variables from 2¹⁴ on is a 3-byte uvarint, so
+	// every key is 12 bytes long and no arena regrows once grown.
+	u := boolean.MustUniverse(16)
+	qs := make([]boolean.Set, 3*capacity)
+	for i := range qs {
+		qs[i] = boolean.NewSet(boolean.Tuple(1<<14+i), u.All())
+	}
+	sm := NewSharedMemo(capacity, obs.NewRegistry())
+	o := sm.Oracle("alice", Func(func(q boolean.Set) bool { return q.Size() == 2 }))
+	next := 0
+	store := func() {
+		if next%2 == 0 {
+			o.Ask(qs[next])
+		} else {
+			sm.Update("alice", qs[next], true)
+		}
+		next++
+	}
+	for next < 3*capacity/2 {
+		store()
+	}
+	// AllocsPerRun's warm-up call stores answers 1.5·capacity to
+	// 2·capacity, so the second generation grows to capacity; its one
+	// counted call stores the next capacity/2, and the first of them
+	// swaps the generations.
+	if n := testing.AllocsPerRun(1, func() {
+		for range capacity / 2 {
+			store()
+		}
+	}); n != 0 {
+		t.Errorf("storing %d answers in a full tier allocates %v times, want 0", capacity/2, n)
+	}
+	held := heldBytes(reflect.ValueOf(sm.old)) + heldBytes(reflect.ValueOf(sm.cur))
+	for next < len(qs) {
+		store()
+		if sm.Len() != capacity {
+			t.Fatalf("Len = %d after %d answers, want %d", sm.Len(), next, capacity)
+		}
+	}
+	if got := heldBytes(reflect.ValueOf(sm.old)) + heldBytes(reflect.ValueOf(sm.cur)); got != held {
+		t.Errorf("the tier's storage went from %d to %d bytes in steady state", held, got)
+	}
+	// Each generation holds at most capacity answers. Append growth
+	// leaves an arena, entry or hash list at most twice the length it
+	// needs, and the table has at most 4 slots of 4 bytes per answer,
+	// so two generations hold at most 4·key + 96 bytes per live answer:
+	// under 8 times key + 8 for these 12-byte keys.
+	const factor = 8
+	live := len(sm.old.keys) - sm.old.entries[sm.evicted-1].end() + len(sm.cur.keys) + 8*capacity
+	if held > factor*live {
+		t.Errorf("a full tier holds %d bytes for %d bytes of live keys and entries, over %d times", held, live, factor)
+	}
+	t.Logf("%d bytes held for %d bytes of live keys and entries (%.2f×)", held, live, float64(held)/float64(live))
+}
+
+// heldBytes sums the capacities, in bytes, of the slices in v and in
+// the structs it holds.
+func heldBytes(v reflect.Value) int {
+	switch v.Kind() {
+	case reflect.Slice:
+		return v.Cap() * int(v.Type().Elem().Size())
+	case reflect.Struct:
+		n := 0
+		for i := range v.NumField() {
+			n += heldBytes(v.Field(i))
+		}
+		return n
+	}
+	return 0
 }

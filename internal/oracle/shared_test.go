@@ -339,9 +339,9 @@ func TestSharedMemoConcurrentEvictionRaceClean(t *testing.T) {
 
 // TestSharedMemoInsertAllocs: once a tier has grown to its capacity,
 // storing a new answer, through a miss or through Update, allocates
-// nothing of its own. The tier's arena, entries and table are reused
-// as the oldest answers are dropped and slid out, so a million stored
-// answers cost the same few allocations as a thousand.
+// nothing of its own. Each generation's arena, entries and table are
+// reused once it has grown, as the generations swap, so a million
+// stored answers cost the same few allocations as a thousand.
 func TestSharedMemoInsertAllocs(t *testing.T) {
 	const capacity = 256
 	u := boolean.MustUniverse(12)
@@ -352,7 +352,7 @@ func TestSharedMemoInsertAllocs(t *testing.T) {
 	sm := oracle.NewSharedMemo(capacity, obs.NewRegistry())
 	o := sm.Oracle("alice", oracle.Func(parity))
 	next := 0
-	for ; next < 8*capacity; next++ { // warm: grow to capacity and slide a few times
+	for ; next < 8*capacity; next++ { // warm: grow to capacity and swap a few times
 		o.Ask(qs[next])
 	}
 	const runs = 2048

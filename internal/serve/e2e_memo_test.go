@@ -11,7 +11,6 @@ package serve_test
 
 import (
 	"fmt"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -165,88 +164,74 @@ func TestE2EMemoSameUserConcurrent(t *testing.T) {
 }
 
 // TestE2EAmendReviseFastPath runs the §5 loop on a role-preserving
-// session twice — once demanding the revision fast path, once a full
-// relearn — and requires both to converge to the direct learn's normal
-// form (Prop 4.1: equivalent role-preserving queries share a syntactic
-// normal form), with the fast path exposing its question breakdown.
-// The quantitative savings claim lives in the revise experiment
-// (E26), which replays one-clause drifts at scale; a
-// single lie on a small target is no measure of it.
+// session, which amends through the revision fast path, and requires
+// it to converge to the direct learn's normal form (Prop 4.1:
+// equivalent role-preserving queries share a syntactic normal form),
+// with the fast path exposing its question breakdown. The quantitative
+// savings claim lives in the revise experiment (E26), which replays
+// one-clause drifts at scale; a single lie on a small target is no
+// measure of it.
 func TestE2EAmendReviseFastPath(t *testing.T) {
 	target := targets(difffuzz.ClassRP, 31, 1)[0]
 	want, _, _ := directLearn(target, engine.RolePreserving)
 	honest := serve.AnswererFor(target.U, oracle.Target(target))
 	_, c := startServer(t, serve.Config{})
 
-	lieLearnAmend := func(strategy string) (serve.SessionInfo, int64) {
-		t.Helper()
-		info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "rp"})
+	info, err := c.Create(serve.CreateRequest{Variables: target.N(), Algorithm: "rp"})
+	if err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	var liedKey string
+	liar := func(q serve.WireQuestion) (bool, error) {
+		a, err := honest(q)
 		if err != nil {
-			t.Fatalf("create: %v", err)
-		}
-		var liedKey string
-		liar := func(q serve.WireQuestion) (bool, error) {
-			a, err := honest(q)
-			if err != nil {
-				return false, err
-			}
-			if liedKey == "" {
-				liedKey = q.Key
-				return !a, nil
-			}
-			return a, nil
-		}
-		noisy, err := c.Drive(info.ID, liar, serve.DriveOptions{})
-		if err != nil {
-			t.Fatalf("noisy drive: %v", err)
-		}
-		if noisy.State != serve.StateDone {
-			t.Fatalf("noisy session ended %q (error %q)", noisy.State, noisy.Error)
+			return false, err
 		}
 		if liedKey == "" {
-			t.Fatal("the liar never got a question")
+			liedKey = q.Key
+			return !a, nil
 		}
-		amended, err := c.Amend(info.ID, serve.AmendRequest{Key: liedKey, Strategy: strategy})
-		if err != nil {
-			t.Fatalf("amend (%s): %v", strategy, err)
-		}
-		if amended.Runs != 2 {
-			t.Fatalf("amended session reports %d runs, want 2", amended.Runs)
-		}
-		var wire int64
-		final, err := c.Drive(info.ID, serve.CountingAnswerer(honest, &wire), serve.DriveOptions{})
-		if err != nil {
-			t.Fatalf("honest drive: %v", err)
-		}
-		if final.State != serve.StateDone {
-			t.Fatalf("amended session ended %q (error %q)", final.State, final.Error)
-		}
-		return final, wire
+		return a, nil
 	}
-
-	revised, reviseWire := lieLearnAmend(serve.StrategyRevise)
+	noisy, err := c.Drive(info.ID, liar, serve.DriveOptions{})
+	if err != nil {
+		t.Fatalf("noisy drive: %v", err)
+	}
+	if noisy.State != serve.StateDone {
+		t.Fatalf("noisy session ended %q (error %q)", noisy.State, noisy.Error)
+	}
+	if liedKey == "" {
+		t.Fatal("the liar never got a question")
+	}
+	amended, err := c.Amend(info.ID, serve.AmendRequest{Key: liedKey})
+	if err != nil {
+		t.Fatalf("amend: %v", err)
+	}
+	if amended.Runs != 2 {
+		t.Fatalf("amended session reports %d runs, want 2", amended.Runs)
+	}
+	var wire int64
+	revised, err := c.Drive(info.ID, serve.CountingAnswerer(honest, &wire), serve.DriveOptions{})
+	if err != nil {
+		t.Fatalf("honest drive: %v", err)
+	}
+	if revised.State != serve.StateDone {
+		t.Fatalf("amended session ended %q (error %q)", revised.State, revised.Error)
+	}
 	if revised.Learned != want.String() {
 		t.Fatalf("revision fast path learned %q, direct learn %q", revised.Learned, want)
 	}
 	if revised.Revision == nil {
 		t.Fatal("fast-path session reports no revision breakdown")
 	}
-	relearned, relearnWire := lieLearnAmend(serve.StrategyRelearn)
-	if relearned.Learned != want.String() {
-		t.Fatalf("relearn after amendment learned %q, direct learn %q", relearned.Learned, want)
-	}
-	if relearned.Revision != nil {
-		t.Fatal("relearn strategy reports a revision breakdown")
-	}
-	t.Logf("wire questions after amend: %d revised (%d verify + %d repair, escalated=%v), %d relearned",
-		reviseWire, revised.Revision.VerificationQuestions, revised.Revision.RepairQuestions,
-		revised.Revision.Escalated, relearnWire)
+	t.Logf("wire questions after amend: %d (%d verify + %d repair, escalated=%v)",
+		wire, revised.Revision.VerificationQuestions, revised.Revision.RepairQuestions, revised.Revision.Escalated)
 }
 
-// TestE2EAmendStrategyValidation: demanding the fast path on an
-// ineligible (qhorn-1) session, or naming an unknown strategy, is a
-// 409 that leaves the session untouched.
-func TestE2EAmendStrategyValidation(t *testing.T) {
+// TestE2EAmendQhorn1Relearns: a qhorn-1 session is not eligible for
+// the revision fast path, so an amend relearns over the corrected
+// history and the session finishes again, with no revision breakdown.
+func TestE2EAmendQhorn1Relearns(t *testing.T) {
 	target := targets(difffuzz.ClassQhorn1, 37, 1)[0]
 	honest := serve.AnswererFor(target.U, oracle.Target(target))
 	_, c := startServer(t, serve.Config{})
@@ -259,20 +244,7 @@ func TestE2EAmendStrategyValidation(t *testing.T) {
 		t.Fatalf("drive: %v (state %q)", err, final.State)
 	}
 	zero := 0
-	if _, err := c.Amend(info.ID, serve.AmendRequest{Index: &zero, Strategy: serve.StrategyRevise}); !serve.IsStatus(err, http.StatusConflict) {
-		t.Fatalf("demanding revise on a qhorn1 session: got %v, want 409", err)
-	}
-	if _, err := c.Amend(info.ID, serve.AmendRequest{Index: &zero, Strategy: "bogus"}); !serve.IsStatus(err, http.StatusConflict) {
-		t.Fatalf("unknown strategy: got %v, want 409", err)
-	}
-	in, err := c.Info(info.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Runs != 1 {
-		t.Fatalf("rejected amends relaunched the session: %d runs", in.Runs)
-	}
-	amended, err := c.Amend(info.ID, serve.AmendRequest{Index: &zero, Strategy: serve.StrategyRelearn})
+	amended, err := c.Amend(info.ID, serve.AmendRequest{Index: &zero})
 	if err != nil {
 		t.Fatalf("relearn amend: %v", err)
 	}
@@ -281,6 +253,9 @@ func TestE2EAmendStrategyValidation(t *testing.T) {
 	}
 	if final, err = c.Drive(info.ID, honest, serve.DriveOptions{}); err != nil || final.State != serve.StateDone {
 		t.Fatalf("drive after amend: %v (state %q)", err, final.State)
+	}
+	if final.Revision != nil {
+		t.Fatal("a relearned qhorn-1 session reports a revision breakdown")
 	}
 }
 

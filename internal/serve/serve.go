@@ -83,8 +83,8 @@ type Config struct {
 }
 
 // DefaultMemoCapacity is the shared memo tier bound a zero Config
-// selects: a million cached answers, a few hundred MB at production
-// tuple sizes.
+// selects: a million cached answers, at most about 100 MB when full at
+// role-preserving question sizes (oracle.SharedMemo).
 const DefaultMemoCapacity = 1 << 20
 
 // HTTP hardening defaults of Start's listener (Config zero values).

@@ -118,6 +118,12 @@ func TestUnknownSession(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	srv, c := startServer(t, serve.Config{})
+	// A resumed history of no variables is refused like a create of
+	// none, in every algorithm and mode.
+	noVariables := func(mode, algorithm, given string) *serve.Snapshot {
+		return &serve.Snapshot{Version: 1, Mode: mode, Algorithm: algorithm, Given: given, Budget: -1,
+			History: json.RawMessage(`{"variables":0,"entries":[]}`)}
+	}
 	cases := []serve.CreateRequest{
 		{Variables: 3, Mode: "meditate"},
 		{Variables: 3, Algorithm: "qhorn9"},
@@ -125,10 +131,15 @@ func TestBadRequests(t *testing.T) {
 		{Variables: -1},
 		{Variables: 3, Mode: serve.ModeVerify, Given: "not a query"},
 		{Snapshot: &serve.Snapshot{Version: 99}},
+		{Snapshot: noVariables(serve.ModeLearn, "qhorn1", "")},
+		{Snapshot: noVariables(serve.ModeLearn, "rp", "")},
+		{Snapshot: noVariables(serve.ModeVerify, "qhorn1", "⊤")},
+		{Snapshot: noVariables(serve.ModeVerify, "rp", "⊤")},
 	}
 	for _, req := range cases {
 		if _, err := c.Create(req); !serve.IsStatus(err, http.StatusBadRequest) {
-			t.Errorf("create %+v: %v, want 400", req, err)
+			body, _ := json.Marshal(req)
+			t.Errorf("create %s: %v, want 400", body, err)
 		}
 	}
 	// Bad long-poll duration.
@@ -155,6 +166,7 @@ func TestBadRequests(t *testing.T) {
 		{create, `{"variables":3} {"x":1}`, "trailing data"},
 		{amend, "{", "unexpected EOF"},
 		{amend, `{"idx":0}`, `"idx"`},
+		{amend, `{"key":"1","strategy":"revise"}`, `"strategy"`},
 		{answers, "{", "unexpected EOF"},
 		{answers, `{"key":"a1","answer":true}`, `"key"`},
 		{answers, `{"key":"a1"}`, `"key"`},

@@ -165,10 +165,10 @@ func newSession(srv *Server, mode string, alg run.Algorithm, variables int, give
 		if err != nil {
 			return nil, err
 		}
-		if variables == 0 {
-			return nil, fmt.Errorf("serve: a session needs at least one variable")
-		}
 		s.hist, s.u = qsession.New(user), u
+	}
+	if s.u.N() == 0 {
+		return nil, fmt.Errorf("serve: a session needs at least one variable")
 	}
 	if mode == ModeVerify {
 		given, err := query.Parse(s.u, givenStr)
@@ -533,24 +533,10 @@ func (s *session) amend(req AmendRequest) error {
 	if req.Index == nil && req.Key == "" {
 		return fmt.Errorf("serve: amend needs an index or a key")
 	}
-	eligible := s.mode == ModeLearn && s.alg == run.RolePreserving &&
-		s.haveLearned && s.learned.IsRolePreserving()
 	var reviseFrom *query.Query
-	switch req.Strategy {
-	case "", StrategyAuto:
-		if eligible {
-			prior := s.learned
-			reviseFrom = &prior
-		}
-	case StrategyRelearn:
-	case StrategyRevise:
-		if !eligible {
-			return fmt.Errorf("serve: session not eligible for the revision fast path (need a finished role-preserving learn)")
-		}
+	if s.mode == ModeLearn && s.alg == run.RolePreserving && s.haveLearned && s.learned.IsRolePreserving() {
 		prior := s.learned
 		reviseFrom = &prior
-	default:
-		return fmt.Errorf("serve: unknown amend strategy %q (want auto, relearn or revise)", req.Strategy)
 	}
 	var fixedAt int
 	if req.Index != nil {
@@ -580,13 +566,6 @@ func (s *session) amend(req AmendRequest) error {
 	s.launchLocked()
 	return nil
 }
-
-// Amend strategies (AmendRequest.Strategy).
-const (
-	StrategyAuto    = "auto"
-	StrategyRelearn = "relearn"
-	StrategyRevise  = "revise"
-)
 
 // recordIndex returns the history index of the question with the
 // given canonical key. Callers hold s.mu, so no learner writes the

@@ -164,18 +164,13 @@ type HistoryEntry struct {
 
 // AmendRequest is the body of POST /sessions/{id}/amend: flip the
 // recorded answer at Index (history order) or with the given Key,
-// then rerun over the corrected history. Strategy selects how:
-//
-//	""         auto — the revision fast path when eligible (a learn
-//	           session of the role-preserving algorithm with a prior
-//	           learned query), else a full relearn
-//	"relearn"  always a full relearn
-//	"revise"   demand the fast path; 409 when the session is not
-//	           eligible
+// then rerun over the corrected history: through the revision fast
+// path when the session is eligible (a learn session of the
+// role-preserving algorithm with a prior learned query), else a full
+// relearn.
 type AmendRequest struct {
-	Index    *int   `json:"index,omitempty"`
-	Key      string `json:"key,omitempty"`
-	Strategy string `json:"strategy,omitempty"`
+	Index *int   `json:"index,omitempty"`
+	Key   string `json:"key,omitempty"`
 }
 
 // SessionList is the body of GET /sessions.

@@ -15,7 +15,7 @@
 // by a small open-addressed hash table (hashindex.Index): a
 // power-of-two slice of entry positions, kept at most half full, probed
 // linearly from a question's hash. The hash is hashindex.Sum over the
-// question's raw tuple bytes (boolean.Set.AppendID), keyed by one
+// question's tuples as uvarints (boolean.Set.AppendID), keyed by one
 // process-wide random seed, so snapshots decoded from untrusted clients
 // cannot be crafted to collide; a hash match is confirmed with
 // boolean.Set.Equal. Each entry's hash is kept beside the entries, so
