@@ -25,7 +25,7 @@ import (
 )
 
 // E1: qhorn-1 learning at growing n.
-func BenchmarkLearnQhorn1(b *testing.B) {
+func BenchmarkQhorn1Learn(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -34,7 +34,7 @@ func BenchmarkLearnQhorn1(b *testing.B) {
 			questions := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st := learn.Qhorn1(target.U, o)
+				_, st := learn.Run(target.U, o)
 				questions = st.Total()
 			}
 			b.ReportMetric(float64(questions), "questions/op")
@@ -43,7 +43,7 @@ func BenchmarkLearnQhorn1(b *testing.B) {
 }
 
 // E1 baseline: the serial O(n²) strategy.
-func BenchmarkLearnQhorn1Naive(b *testing.B) {
+func BenchmarkQhorn1NaiveLearn(b *testing.B) {
 	for _, n := range []int{16, 32, 64} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -52,7 +52,7 @@ func BenchmarkLearnQhorn1Naive(b *testing.B) {
 			questions := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st := learn.Qhorn1Naive(target.U, o)
+				_, st := learn.Run(target.U, o, run.WithNaiveSearch())
 				questions = st.Total()
 			}
 			b.ReportMetric(float64(questions), "questions/op")
@@ -75,8 +75,8 @@ func BenchmarkLearnUniversal(b *testing.B) {
 			questions := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st := learn.RolePreserving(target.U, o)
-				questions = st.UniversalQuestions
+				_, st := learn.Run(target.U, o, run.WithAlgorithm(run.RolePreserving))
+				questions = st.BodyQuestions
 			}
 			b.ReportMetric(float64(questions), "questions/op")
 		})
@@ -94,7 +94,7 @@ func BenchmarkLearnExistential(b *testing.B) {
 			questions := 0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_, st := learn.RolePreserving(target.U, o)
+				_, st := learn.Run(target.U, o, run.WithAlgorithm(run.RolePreserving))
 				questions = st.ExistentialQuestions
 			}
 			b.ReportMetric(float64(questions), "questions/op")
@@ -228,7 +228,7 @@ func BenchmarkFig8(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, intended := range queries {
-				vs.Run(oracle.Target(intended))
+				vs.RunWith(oracle.Target(intended))
 			}
 		}
 	}
@@ -243,7 +243,7 @@ func BenchmarkWorkedExample(b *testing.B) {
 	questions := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		learned, st := learn.RolePreserving(u, o)
+		learned, st := learn.Run(u, o, run.WithAlgorithm(run.RolePreserving))
 		if _, err := verify.Build(learned); err != nil {
 			b.Fatal(err)
 		}
@@ -262,12 +262,12 @@ func BenchmarkLearnVsVerify(b *testing.B) {
 	o := oracle.Target(target)
 	b.Run("learn", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			learn.RolePreserving(target.U, o)
+			learn.Run(target.U, o, run.WithAlgorithm(run.RolePreserving))
 		}
 	})
 	b.Run("verify", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := verify.Verify(target, o); err != nil {
+			if _, err := verify.Run(target, o); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -375,9 +375,9 @@ func BenchmarkSessionReplay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := session.New(oracle.Target(target))
-		learn.RolePreserving(u, s)
+		learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 		s.ResetRun()
-		learn.RolePreserving(u, s) // full replay: zero live questions
+		learn.Run(u, s, run.WithAlgorithm(run.RolePreserving)) // full replay: zero live questions
 		if s.LiveQuestions != 0 {
 			b.Fatal("replay asked live questions")
 		}
@@ -403,7 +403,7 @@ func BenchmarkAblatedLearner(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			questions := 0
 			for i := 0; i < b.N; i++ {
-				_, st := learn.RolePreservingAblated(u, o, tc.ab)
+				_, st := learn.Run(u, o, run.WithAlgorithm(run.RolePreserving), run.WithAblations(tc.ab))
 				questions = st.Total()
 			}
 			b.ReportMetric(float64(questions), "questions/op")
@@ -567,7 +567,7 @@ func BenchmarkBruteLearnSerial(b *testing.B) {
 // identity).
 func BenchmarkBruteLearnMatrix(b *testing.B) {
 	candidates, pool, targets := bruteBenchFixture()
-	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
+	m := brute.NewMatrix(candidates, pool, nil)
 	questions := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -587,6 +587,6 @@ func BenchmarkBruteMatrixBuild(b *testing.B) {
 	candidates, pool, _ := bruteBenchFixture()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
+		brute.NewMatrix(candidates, pool, nil)
 	}
 }

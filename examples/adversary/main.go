@@ -16,6 +16,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 func main() {
@@ -48,7 +49,7 @@ func main() {
 	fmt.Println("\ncontrast: the role-preserving learner on 12 variables")
 	target := query.MustParse(boolean.MustUniverse(12),
 		"∀x1x2 → x11 ∀x3x4 → x12 ∃x5x6x7 ∃x8x9x10")
-	learned, stats := learn.RolePreserving(target.U, oracle.Target(target))
+	learned, stats := learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	fmt.Printf("  target : %s\n", target)
 	fmt.Printf("  learned: %s\n", learned)
 	fmt.Printf("  questions: %d (vs 2^12 − 1 = %d for the unrestricted class)\n",

@@ -59,7 +59,7 @@ func main() {
 		return verdict
 	})
 
-	learned, stats := learn.Qhorn1(u, user)
+	learned, stats := learn.Run(u, user)
 	fmt.Printf("\nlearned after %d questions: %s\n", stats.Total(), learned)
 	fmt.Println("equivalent to intent:", learned.Equivalent(intended))
 

@@ -25,10 +25,10 @@ func main() {
 	// counter and a transcript recorder to inspect the interaction.
 	user := qhorn.RecordingOracle(qhorn.CountingOracle(qhorn.TargetOracle(intended), nil))
 
-	// Learn through the run engine: options select the algorithm (and
-	// compose with instrumentation, parallelism, budgets, … — see
-	// docs/ENGINE.md). qhorn.LearnRolePreserving(u, user) is the
-	// equivalent named shorthand.
+	// Learn through the run engine: options select the algorithm and
+	// compose with instrumentation and batching (docs/ENGINE.md); a
+	// budget or a noisy user is one more wrapper around the oracle
+	// (qhorn.BudgetOracle, qhorn.NoisyOracle).
 	learned, stats := qhorn.Learn(u, user,
 		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	fmt.Println("learned:           ", learned)

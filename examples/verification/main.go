@@ -35,7 +35,7 @@ func main() {
 	}
 
 	// Case 1: the user's intent matches — every question agrees.
-	res := vs.Run(qhorn.TargetOracle(given))
+	res := vs.RunWith(qhorn.TargetOracle(given))
 	fmt.Printf("\nuser intends the same query: correct=%v\n", res.Correct)
 
 	// Case 2: the user's intended query has an extra universal body
@@ -43,7 +43,7 @@ func main() {
 	// situation question A3 exists for (Lemma 4.6).
 	intended := qhorn.MustParseQuery(u,
 		"∀x1x4 → x5 ∀x3x4 → x5 ∀x2x3 → x5 ∀x1x2 → x6 ∃x1x2x3 ∃x2x3x4 ∃x1x2x5 ∃x2x3x5x6")
-	res = vs.Run(qhorn.TargetOracle(intended))
+	res = vs.RunWith(qhorn.TargetOracle(intended))
 	fmt.Printf("user intends an extra body ∀x2x3 → x5: correct=%v\n", res.Correct)
 	for _, d := range res.Disagreements {
 		fmt.Printf("  caught by [%s] %s: %s\n", d.Question.Kind, d.Question.About, d.Question.Set.Format(u))
@@ -53,7 +53,7 @@ func main() {
 	// Lemma 4.7).
 	intended = qhorn.MustParseQuery(u,
 		"∀x1x4 → x5 ∀x3x4 → x5 ∀x1x2 → x6 ∀x2 ∃x1x2x3 ∃x2x3x4 ∃x1x2x5 ∃x2x3x5x6")
-	res = vs.Run(qhorn.TargetOracle(intended))
+	res = vs.RunWith(qhorn.TargetOracle(intended))
 	fmt.Printf("user additionally requires ∀x2: correct=%v\n", res.Correct)
 	for _, d := range res.Disagreements {
 		fmt.Printf("  caught by [%s] %s\n", d.Question.Kind, d.Question.About)

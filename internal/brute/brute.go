@@ -51,7 +51,7 @@ func Learn(candidates []query.Query, o oracle.Oracle, pool []boolean.Set) (Resul
 	if len(candidates) == 0 {
 		return Result{}, ErrNoCandidates
 	}
-	return NewMatrix(candidates, pool, MatrixOptions{}).Learn(o)
+	return NewMatrix(candidates, pool, nil).Learn(o)
 }
 
 // LearnSerial is the direct-evaluation reference implementation of

@@ -34,22 +34,6 @@ import (
 // space (1576 candidates × 65536 objects) is about 13 MB per
 // orientation, so no workload this repo runs needs another storage.
 
-// MatrixOptions tunes NewMatrix. The zero value is the default
-// configuration: sliced build, one worker per CPU, no metrics.
-type MatrixOptions struct {
-	// Workers sizes the build worker pool; <= 0 selects one worker
-	// per CPU (runtime.GOMAXPROCS).
-	Workers int
-	// Scalar builds rows through the per-candidate compiled kernel
-	// (the PR-5 path) instead of the bit-sliced slab kernel. The rows
-	// are identical either way; this is the experiment baseline.
-	Scalar bool
-	// Registry receives the build wall time
-	// (qhorn_brute_matrix_build_seconds) and the matrix's Learn wall
-	// times (qhorn_brute_learn_seconds); nil is silent.
-	Registry *obs.Registry
-}
-
 // Matrix is a precomputed candidates×pool answer matrix: bit i of
 // question row j is candidate i's answer to pool question j. It is
 // immutable after construction and safe for concurrent use; one matrix
@@ -76,11 +60,14 @@ type Matrix struct {
 }
 
 // NewMatrix builds the answer matrix for the candidate set over the
-// question pool. A worker pool claims one 64-wide candidate slab at a
-// time — the slab's EvalAll answers a question for the whole word of
-// candidates, and slabs touch disjoint row words, so the build needs
-// no locking.
-func NewMatrix(candidates []query.Query, pool []boolean.Set, opt MatrixOptions) *Matrix {
+// question pool. A pool of one worker per CPU (runtime.GOMAXPROCS)
+// claims one 64-wide candidate slab at a time — the slab's EvalAll
+// answers a question for the whole word of candidates, and slabs touch
+// disjoint row words, so the build needs no locking. A non-nil
+// registry receives the build wall time
+// (qhorn_brute_matrix_build_seconds) and the matrix's Learn wall times
+// (qhorn_brute_learn_seconds).
+func NewMatrix(candidates []query.Query, pool []boolean.Set, reg *obs.Registry) *Matrix {
 	buildStart := time.Now()
 	words := bitvec.Words(len(candidates))
 	m := &Matrix{
@@ -90,20 +77,14 @@ func NewMatrix(candidates []query.Query, pool []boolean.Set, opt MatrixOptions) 
 		rows:       make([][]uint64, len(pool)),
 		finger:     make([]uint64, len(candidates)),
 		candRows:   make([][]uint64, len(candidates)),
-		reg:        opt.Registry,
+		reg:        reg,
 	}
 	backing := make([]uint64, len(pool)*words)
 	for j := range m.rows {
 		m.rows[j] = backing[j*words : (j+1)*words : (j+1)*words]
 	}
 	poolWords := bitvec.Words(len(pool))
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > words {
-		workers = words
-	}
+	workers := min(runtime.GOMAXPROCS(0), words)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -128,27 +109,14 @@ func NewMatrix(candidates []query.Query, pool []boolean.Set, opt MatrixOptions) 
 				for i := range rows {
 					rows[i] = make([]uint64, poolWords)
 				}
-				if opt.Scalar {
-					for i := range chunk {
-						c := m.compiled[lo+i]
-						bit := uint64(1) << uint(i)
-						for j, obj := range pool {
-							if c.Eval(obj) {
-								m.rows[j][sw] |= bit
-								bitvec.Set(rows[i], j)
-							}
-						}
-					}
-				} else {
-					slab := query.CompileSlab(chunk)
-					for j, obj := range pool {
-						word := slab.EvalAll(obj)
-						m.rows[j][sw] = word
-						for word != 0 {
-							i := bits.TrailingZeros64(word)
-							word &= word - 1
-							bitvec.Set(rows[i], j)
-						}
+				slab := query.CompileSlab(chunk)
+				for j, obj := range pool {
+					word := slab.EvalAll(obj)
+					m.rows[j][sw] = word
+					for word != 0 {
+						i := bits.TrailingZeros64(word)
+						word &= word - 1
+						bitvec.Set(rows[i], j)
 					}
 				}
 				for i, row := range rows {

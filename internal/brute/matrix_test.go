@@ -48,7 +48,7 @@ func TestMatrixBitIdentical(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
-	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 2})
+	m := NewMatrix(candidates, pool, nil)
 	for _, target := range candidates {
 		rs := &recordingOracle{inner: oracle.Target(target)}
 		rm := &recordingOracle{inner: oracle.Target(target)}
@@ -104,7 +104,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 		query.MustParse(u, "∃x1x2x3"),
 	}
 	c := oracle.Count(oracle.Target(equivalent[0]), nil)
-	res, err := NewMatrix(equivalent, boolean.AllObjects(u), MatrixOptions{}).Learn(c)
+	res, err := NewMatrix(equivalent, boolean.AllObjects(u), nil).Learn(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 		query.MustParse(u, "∃x2"),
 	}
 	blind := []boolean.Set{boolean.MustParseSet(u, "{110}"), boolean.MustParseSet(u, "{111}")}
-	m := NewMatrix(distinct, blind, MatrixOptions{})
+	m := NewMatrix(distinct, blind, nil)
 	if m.Answer(0, 0) != m.Answer(1, 0) || m.Answer(0, 1) != m.Answer(1, 1) {
 		t.Fatal("pool unexpectedly distinguishes the candidates")
 	}
@@ -142,7 +142,7 @@ func TestAllEquivalentFallback(t *testing.T) {
 func TestMatrixReuse(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	candidates := query.AllQueries(u)
-	m := NewMatrix(candidates, boolean.AllObjects(u), MatrixOptions{})
+	m := NewMatrix(candidates, boolean.AllObjects(u), nil)
 	for _, target := range candidates {
 		res, err := m.Learn(oracle.Target(target))
 		if err != nil {
@@ -164,7 +164,7 @@ func TestMatrixLargeCandidateSet(t *testing.T) {
 		t.Fatalf("want >64 candidates, got %d", len(candidates))
 	}
 	pool := boolean.AllObjects(u)
-	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 4})
+	m := NewMatrix(candidates, pool, nil)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 12; trial++ {
 		target := candidates[rng.Intn(len(candidates))]
@@ -184,13 +184,13 @@ func TestMatrixLargeCandidateSet(t *testing.T) {
 // TestMatrixEmptyInputs covers the degenerate corners.
 func TestMatrixEmptyInputs(t *testing.T) {
 	u := boolean.MustUniverse(2)
-	m := NewMatrix(nil, boolean.AllObjects(u), MatrixOptions{})
+	m := NewMatrix(nil, boolean.AllObjects(u), nil)
 	if _, err := m.Learn(oracle.Func(func(boolean.Set) bool { return false })); err != ErrNoCandidates {
 		t.Errorf("Learn on empty candidates: err = %v", err)
 	}
 	// Empty pool with equivalent candidates: immediate success.
 	one := []query.Query{query.MustParse(u, "∃x1")}
-	res, err := NewMatrix(one, nil, MatrixOptions{}).Learn(oracle.Target(one[0]))
+	res, err := NewMatrix(one, nil, nil).Learn(oracle.Target(one[0]))
 	if err != nil || res.Questions != 0 || res.Remaining != 1 {
 		t.Errorf("empty pool: (%+v, %v)", res, err)
 	}
@@ -204,7 +204,7 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
 	reg := obs.NewRegistry()
-	m := NewMatrix(candidates, pool, MatrixOptions{Workers: 2, Registry: reg})
+	m := NewMatrix(candidates, pool, reg)
 	if got := reg.Histogram(obs.MetricBruteBuildSeconds, obs.LatencyBuckets).Count(); got != 1 {
 		t.Errorf("build observations = %d, want 1", got)
 	}
@@ -221,7 +221,7 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 
 	// A matrix without a registry must not panic and must record
 	// nothing.
-	bare := NewMatrix(candidates, pool, MatrixOptions{Workers: 2})
+	bare := NewMatrix(candidates, pool, nil)
 	if _, err := bare.Learn(target); err != nil {
 		t.Fatal(err)
 	}
@@ -230,18 +230,16 @@ func TestMatrixIntoTimingMetrics(t *testing.T) {
 	}
 }
 
-// matrixVariants enumerates the two builds of the matrix engine: the
-// bit-sliced slab kernel and the scalar per-candidate kernel.
+// matrixVariants names the builds of the matrix engine the identity
+// tests run; the bit-sliced slab kernel is the one build.
 var matrixVariants = []struct {
 	name string
-	opt  MatrixOptions
 }{
-	{"sliced", MatrixOptions{}},
-	{"scalar", MatrixOptions{Scalar: true}},
+	{"sliced"},
 }
 
-// TestMatrixBitIdenticalVariants extends the bit-identity pin to both
-// builds: each must ask exactly the serial reference's questions, in
+// TestMatrixBitIdenticalVariants extends the bit-identity pin to every
+// build: each must ask exactly the serial reference's questions, in
 // order, on every target.
 func TestMatrixBitIdenticalVariants(t *testing.T) {
 	u := boolean.MustUniverse(3)
@@ -254,7 +252,7 @@ func TestMatrixBitIdenticalVariants(t *testing.T) {
 	}
 	for _, v := range matrixVariants {
 		t.Run(v.name, func(t *testing.T) {
-			m := NewMatrix(candidates, pool, v.opt)
+			m := NewMatrix(candidates, pool, nil)
 			for _, target := range targets {
 				rs := &recordingOracle{inner: oracle.Target(target)}
 				rm := &recordingOracle{inner: oracle.Target(target)}
@@ -276,8 +274,8 @@ func TestMatrixBitIdenticalVariants(t *testing.T) {
 	}
 }
 
-// TestMatrixAnswerVariants: Answer must read the same bit out of both
-// builds, pinned against direct kernel evaluation.
+// TestMatrixAnswerVariants: Answer must read the same bit out of every
+// build, pinned against direct kernel evaluation.
 func TestMatrixAnswerVariants(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	candidates := query.AllQueries(u)
@@ -288,7 +286,7 @@ func TestMatrixAnswerVariants(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(71))
 	for _, v := range matrixVariants {
-		m := NewMatrix(candidates, pool, v.opt)
+		m := NewMatrix(candidates, pool, nil)
 		for probe := 0; probe < 400; probe++ {
 			i, j := rng.Intn(len(candidates)), rng.Intn(len(pool))
 			if got, want := m.Answer(i, j), compiled[i].Eval(pool[j]); got != want {
@@ -298,28 +296,32 @@ func TestMatrixAnswerVariants(t *testing.T) {
 	}
 }
 
-// TestMatrixScalarSlicedIdenticalRows: the scalar (per-candidate
-// kernel) and sliced (slab kernel) builds must produce the exact same
-// matrix.
-func TestMatrixScalarSlicedIdenticalRows(t *testing.T) {
+// TestMatrixRowsMatchKernelExhaustive pins everything the matrix
+// stores against per-candidate compiled evaluation, for every
+// candidate and every pool object at n=3: the question-major bit
+// Answer reads, the candidate-major row and its fingerprint.
+func TestMatrixRowsMatchKernelExhaustive(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	candidates := query.AllQueries(u)
 	pool := boolean.AllObjects(u)
-	sliced := NewMatrix(candidates, pool, MatrixOptions{})
-	scalar := NewMatrix(candidates, pool, MatrixOptions{Scalar: true})
-	for i := range candidates {
-		if sliced.finger[i] != scalar.finger[i] {
-			t.Fatalf("candidate %d: sliced and scalar fingerprints differ", i)
-		}
-		if !bitvec.Equal(sliced.candRows[i], scalar.candRows[i]) {
-			t.Fatalf("candidate %d: sliced and scalar rows differ", i)
-		}
-	}
-	for j := range pool {
-		for i := range candidates {
-			if sliced.Answer(i, j) != scalar.Answer(i, j) {
-				t.Fatalf("Answer(%d, %d) differs between sliced and scalar builds", i, j)
+	m := NewMatrix(candidates, pool, nil)
+	for i, q := range candidates {
+		c := query.Compile(q)
+		want := make([]uint64, bitvec.Words(len(pool)))
+		for j, obj := range pool {
+			ans := c.Eval(obj)
+			if ans {
+				bitvec.Set(want, j)
 			}
+			if m.Answer(i, j) != ans {
+				t.Fatalf("Answer(%d, %d) = %v, kernel says %v", i, j, m.Answer(i, j), ans)
+			}
+		}
+		if !bitvec.Equal(m.candRows[i], want) {
+			t.Fatalf("candidate %d: row differs from the kernel's answers", i)
+		}
+		if m.finger[i] != fingerprint(want) {
+			t.Fatalf("candidate %d: fingerprint differs from the kernel row's", i)
 		}
 	}
 }
@@ -327,7 +329,7 @@ func TestMatrixScalarSlicedIdenticalRows(t *testing.T) {
 // TestMatrixBitIdenticalExhaustiveN4 is the CI brute-smoke gate: at
 // n=4 (1576 candidates × 65536 objects) the matrix learners must stay
 // bit-identical to the serial sequential reference on sampled targets,
-// for both the sliced and the scalar build. The serial
+// for every build. The serial
 // baseline is minutes of interpreted evaluation, so the gate only runs
 // when QHORN_BRUTE_N4 is set (the brute-smoke CI job) and never under
 // -short.
@@ -359,7 +361,7 @@ func TestMatrixBitIdenticalExhaustiveN4(t *testing.T) {
 		refs[i] = ref{res: res, err: err, asked: rs.asked}
 	}
 	for _, v := range matrixVariants {
-		m := NewMatrix(candidates, pool, v.opt)
+		m := NewMatrix(candidates, pool, nil)
 		for i, target := range targets {
 			rm := &recordingOracle{inner: oracle.Target(target)}
 			res, err := m.Learn(rm)

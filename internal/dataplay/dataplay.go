@@ -136,7 +136,7 @@ func (s *System) Learn(class Class, u User, opts ...run.Option) (query.Query, er
 
 // VerifyQuery runs the §4 verification set against the user.
 func (s *System) VerifyQuery(q query.Query, u User) (verify.Result, error) {
-	return verify.Verify(q, s.oracleFor(u))
+	return verify.Run(q, s.oracleFor(u))
 }
 
 // ReviseQuery corrects a nearly-right query against the user (§6).

@@ -33,7 +33,7 @@ func bruteMatrixFor(u boolean.Universe) *brute.Matrix {
 	if m, ok := bruteMatrixCache.Load(u.N()); ok {
 		return m.(*brute.Matrix)
 	}
-	m := brute.NewMatrix(query.AllQueries(u), boolean.AllObjects(u), brute.MatrixOptions{})
+	m := brute.NewMatrix(query.AllQueries(u), boolean.AllObjects(u), nil)
 	prev, _ := bruteMatrixCache.LoadOrStore(u.N(), m)
 	return prev.(*brute.Matrix)
 }
@@ -64,7 +64,7 @@ func judgeBruteSampled(res *CaseResult, c Case, opt Options, fail func(kind Kind
 		candidates = append(candidates, nf)
 	}
 	pool := boolean.SampleObjects(srng, u, bruteSampleObjects)
-	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{})
+	m := brute.NewMatrix(candidates, pool, nil)
 	bres, err := m.Learn(oracle.Target(c.Hidden))
 	switch {
 	case err == brute.ErrAmbiguous:

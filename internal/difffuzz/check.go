@@ -9,6 +9,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/verify"
 )
 
@@ -108,16 +109,12 @@ func CheckCase(c Case, opt Options) CaseResult {
 func checkLearn(c Case, opt Options) CaseResult {
 	u := c.Hidden.U
 	counter := oracle.Count(oracle.Target(c.Hidden), nil)
-	var learned query.Query
-	var asked int
-	switch c.Class {
-	case ClassQhorn1:
-		q, st := learn.Qhorn1(u, counter)
-		learned, asked = q, st.Total()
-	default:
-		q, st := learn.RolePreserving(u, counter)
-		learned, asked = q, st.Total()
+	alg := run.Qhorn1
+	if c.Class != ClassQhorn1 {
+		alg = run.RolePreserving
 	}
+	learned, st := learn.Run(u, counter, run.WithAlgorithm(alg))
+	asked := st.Total()
 	if opt.Warp != nil {
 		learned = opt.Warp(learned)
 	}
@@ -169,7 +166,7 @@ func checkLearn(c Case, opt Options) CaseResult {
 			if !vs.SelfConsistent() {
 				fail(KindVerifyBuild, Witness{}, false, "verification set of %s is not self-consistent", learned)
 			}
-			vres := vs.Run(oracle.Target(c.Hidden))
+			vres := vs.RunWith(oracle.Target(c.Hidden))
 			res.Questions += vres.QuestionsAsked
 			if vres.Correct != equiv.equal {
 				w, hasW := equiv.witness, equiv.hasWitness
@@ -248,7 +245,7 @@ func checkVerify(c Case, opt Options) CaseResult {
 	if !vs.SelfConsistent() {
 		fail(KindVerifyBuild, Witness{}, false, "verification set of %s is not self-consistent", c.Given)
 	}
-	vres := vs.Run(oracle.Target(c.Hidden))
+	vres := vs.RunWith(oracle.Target(c.Hidden))
 	res.Questions += vres.QuestionsAsked
 
 	// Options-matrix judge: the same set through every engine option

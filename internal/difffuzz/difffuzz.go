@@ -2,7 +2,7 @@
 // cross-validates the repository's three independent implementations
 // of qhorn semantics against each other:
 //
-//   - the fast exact learners (learn.Qhorn1, learn.RolePreserving),
+//   - the fast exact learners (learn.Run, qhorn-1 and role-preserving),
 //     whose output must be semantically equivalent to the hidden
 //     query (Theorems 3.1, 3.5, 3.8);
 //   - the verification-set construction (verify.Build, Fig 6), which
@@ -36,10 +36,10 @@ type Class string
 
 const (
 	// ClassQhorn1 draws hidden queries from qhorn-1 (§2.1.3) and
-	// learns them with learn.Qhorn1.
+	// learns them with the qhorn-1 learner.
 	ClassQhorn1 Class = "qhorn1"
 	// ClassRP draws hidden queries from role-preserving qhorn
-	// (§2.1.4) and learns them with learn.RolePreserving.
+	// (§2.1.4) and learns them with the role-preserving learner.
 	ClassRP Class = "rp"
 	// ClassVerify pits a given (possibly wrong) query against a
 	// hidden intended query through the verifier only: no learning.

@@ -72,29 +72,41 @@ func sortSteps(steps []engineStep) []engineStep {
 	return out
 }
 
-// engineCombo is one cell of the options matrix. The batch
-// combination interleaves independent question streams into waves, so
-// it is held to the order-insensitive half of the contract — identical
-// question multiset and stats, and an equivalent learned query — while
-// the rest must reproduce the serial stream in order.
+// engineCombo is one cell of the options matrix: engine options, or a
+// wrapper around the hidden user's oracle. The batch combination
+// interleaves independent question streams into waves, so it is held
+// to the order-insensitive half of the contract — identical question
+// multiset and stats, and an equivalent learned query — while the rest
+// must reproduce the serial stream in order.
 type engineCombo struct {
 	name     string
 	opts     []run.Option
+	wrap     func(oracle.Oracle) oracle.Oracle
 	reorders bool
 }
 
-// engineCombos returns the option combinations of the matrix. budget
-// is the serial run's total question count, so the budgeted run must
-// complete without panicking.
+// user returns the hidden query's oracle under the combination's
+// wrapper.
+func (combo engineCombo) user(c Case) oracle.Oracle {
+	o := oracle.Target(c.Hidden)
+	if combo.wrap != nil {
+		o = combo.wrap(o)
+	}
+	return o
+}
+
+// engineCombos returns the combinations of the matrix. budget is the
+// serial run's total question count, so the budgeted user must answer
+// the whole run without panicking.
 func engineCombos(budget int) []engineCombo {
 	return []engineCombo{
-		{"batch", []run.Option{run.WithBatch()}, true},
-		{"budget", []run.Option{run.WithBudget(budget)}, false},
-		{"counter", []run.Option{run.WithCounter()}, false},
-		{"observed", []run.Option{run.WithInstrumentation(run.Instrumentation{
+		{name: "batch", opts: []run.Option{run.WithBatch()}, reorders: true},
+		{name: "budget", wrap: func(o oracle.Oracle) oracle.Oracle { return oracle.WithBudget(o, budget, nil) }},
+		{name: "counter", opts: []run.Option{run.WithCounter()}},
+		{name: "observed", opts: []run.Option{run.WithInstrumentation(run.Instrumentation{
 			Spans:   obs.NewTracer(obs.NewTreeSink()),
 			Metrics: obs.NewRegistry(),
-		})}, false},
+		})}},
 	}
 }
 
@@ -107,13 +119,13 @@ func judgeEngineMatrixLearn(c Case, opt Options, res *CaseResult) {
 	if c.Class == ClassRP {
 		alg = run.RolePreserving
 	}
-	collect := func(extra ...run.Option) ([]engineStep, run.Stats, query.Query) {
+	collect := func(combo engineCombo) ([]engineStep, run.Stats, query.Query) {
 		var steps []engineStep
-		opts := append([]run.Option{run.WithAlgorithm(alg), recordSteps(&steps)}, extra...)
-		q, st := learn.Run(u, oracle.Target(c.Hidden), opts...)
+		opts := append([]run.Option{run.WithAlgorithm(alg), recordSteps(&steps)}, combo.opts...)
+		q, st := learn.Run(u, combo.user(c), opts...)
 		return steps, st, q
 	}
-	refSteps, refStats, refQuery := collect()
+	refSteps, refStats, refQuery := collect(engineCombo{})
 	res.Questions += refStats.Total()
 
 	fail := func(name, format string, args ...interface{}) {
@@ -123,7 +135,7 @@ func judgeEngineMatrixLearn(c Case, opt Options, res *CaseResult) {
 		})
 	}
 	for _, combo := range engineCombos(refStats.Total()) {
-		steps, stats, learned := collect(combo.opts...)
+		steps, stats, learned := collect(combo)
 		res.Questions += stats.Total()
 		if stats != refStats {
 			fail(combo.name, "stats %+v differ from serial %+v", stats, refStats)
@@ -145,12 +157,12 @@ func judgeEngineMatrixLearn(c Case, opt Options, res *CaseResult) {
 // through every option combination and reports each one whose result
 // or question stream differs from the plain serial engine run.
 func judgeEngineMatrixVerify(c Case, vs verify.Set, res *CaseResult) {
-	collect := func(extra ...run.Option) ([]engineStep, verify.Result) {
+	collect := func(combo engineCombo) ([]engineStep, verify.Result) {
 		var steps []engineStep
-		opts := append([]run.Option{recordSteps(&steps)}, extra...)
-		return steps, vs.RunWith(oracle.Target(c.Hidden), opts...)
+		opts := append([]run.Option{recordSteps(&steps)}, combo.opts...)
+		return steps, vs.RunWith(combo.user(c), opts...)
 	}
-	refSteps, refRes := collect()
+	refSteps, refRes := collect(engineCombo{})
 	res.Questions += refRes.QuestionsAsked
 
 	fail := func(name, format string, args ...interface{}) {
@@ -163,7 +175,7 @@ func judgeEngineMatrixVerify(c Case, vs verify.Set, res *CaseResult) {
 	// preserves (AskAll is aligned with the set), so every combination
 	// is held to the exact ordered stream.
 	for _, combo := range engineCombos(refRes.QuestionsAsked) {
-		steps, vres := collect(combo.opts...)
+		steps, vres := collect(combo)
 		res.Questions += vres.QuestionsAsked
 		if vres.Correct != refRes.Correct || vres.QuestionsAsked != refRes.QuestionsAsked ||
 			len(vres.Disagreements) != len(refRes.Disagreements) {

@@ -6,6 +6,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/stats"
 )
 
@@ -46,7 +47,7 @@ func runAblation(cfg Config) []*stats.Table {
 			})
 			o := oracle.Target(target)
 			for vi, ab := range variants {
-				learned, st := learn.RolePreservingAblated(target.U, o, ab)
+				learned, st := learn.Run(target.U, o, run.WithAlgorithm(run.RolePreserving), run.WithAblations(ab))
 				if !learned.Equivalent(target) {
 					panic("ablated learner lost exactness")
 				}

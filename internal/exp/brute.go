@@ -21,9 +21,9 @@ func init() {
 }
 
 // runBrute cross-checks the brute-force stack a difffuzz judge runs:
-// the serial reference learner, a freshly built scalar matrix and one
-// learn over a prebuilt sliced matrix on exhaustive universes, and the
-// sampled n=5 range where exhaustive enumeration is intractable. Every
+// the serial reference learner against one learn over a prebuilt
+// matrix on exhaustive universes, and the sampled n=5 range where
+// exhaustive enumeration is intractable. Every
 // comparison asserts bit-identical behaviour in-run; the per-learn and
 // build timings are the root BenchmarkBruteLearnSerial,
 // BenchmarkBruteLearnMatrix and BenchmarkBruteMatrixBuild.
@@ -37,12 +37,10 @@ func runBrute(cfg Config) []*stats.Table {
 }
 
 // bruteLearnTable runs one brute cross-check per trial on exhaustive
-// universes through (a) the serial reference learner, (b) a freshly
-// built scalar matrix — the judge path before this repo cached and
-// bit-sliced the matrix — and (c) one learn over a prebuilt sliced
-// matrix, the cached path difffuzz now runs. Question counts and
-// learned queries are asserted identical across all three on every
-// trial.
+// universes through (a) the serial reference learner and (b) one learn
+// over a prebuilt matrix, the cached path difffuzz runs. Question
+// counts and learned queries are asserted identical across both on
+// every trial.
 func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 	t := stats.NewTable(header(e)+" — per-learn (exhaustive range)",
 		"n", "candidates", "pool", "questions")
@@ -62,10 +60,10 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 			trials = 6
 		}
 		if n >= 4 && trials > 3 {
-			trials = 3 // the fresh scalar build is ~1.5 s per trial at n=4
+			trials = 3 // the sample the recorded n=4 row is taken over
 		}
 
-		cached := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Registry: reg})
+		cached := brute.NewMatrix(candidates, pool, reg)
 		var questions []float64
 		for trial := 0; trial < trials; trial++ {
 			target := candidates[rng.Intn(len(candidates))]
@@ -73,29 +71,25 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 			sc := oracle.Count(oracle.Target(target), reg)
 			sres, serr := brute.LearnSerial(candidates, sc, pool)
 
-			fc := oracle.Count(oracle.Target(target), reg)
-			fres, ferr := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Scalar: true, Registry: reg}).Learn(fc)
-
 			mc := oracle.Count(oracle.Target(target), reg)
 			mres, merr := cached.Learn(mc)
 
-			// In-run identity asserts: all three paths ask the same
+			// In-run identity asserts: both paths ask the same
 			// questions and learn the same query.
-			if (serr == nil) != (merr == nil) || (serr == nil) != (ferr == nil) {
+			if (serr == nil) != (merr == nil) {
 				panic("exp: brute learner variants changed the error outcome")
 			}
-			if sc.Questions != mc.Questions || sc.Questions != fc.Questions ||
-				sres.Questions != mres.Questions || sres.Questions != fres.Questions {
+			if sc.Questions != mc.Questions || sres.Questions != mres.Questions {
 				panic("exp: brute learner variants broke the question-count contract")
 			}
-			if serr == nil && (!sres.Learned.Equivalent(mres.Learned) || !sres.Learned.Equivalent(fres.Learned)) {
+			if serr == nil && !sres.Learned.Equivalent(mres.Learned) {
 				panic("exp: brute learner variants diverged on the learned query")
 			}
 			questions = append(questions, float64(sres.Questions))
 		}
 		t.AddRow(n, len(candidates), len(pool), stats.Summarize(questions).Mean)
 	}
-	t.AddNote("fresh scalar = matrix rebuilt per learn with the scalar per-candidate kernel (the judge path before the process-wide matrix cache and the bit-sliced builder); cached sliced = one learn over the prebuilt sliced matrix; questions and learned queries asserted identical serial vs fresh vs cached on every trial")
+	t.AddNote("cached = one learn over the prebuilt bit-sliced matrix, the path the difffuzz brute judge runs; questions and learned queries asserted identical serial vs cached on every trial")
 	return t
 }
 
@@ -123,7 +117,7 @@ func bruteSampledTable(e Experiment, cfg Config) *stats.Table {
 	candidates := query.SampleQueries(rng, u, nCands)
 	pool := boolean.SampleObjects(rng, u, nPool)
 
-	m := brute.NewMatrix(candidates, pool, brute.MatrixOptions{Registry: reg})
+	m := brute.NewMatrix(candidates, pool, reg)
 
 	ambiguous := 0
 	var questions []float64

@@ -54,7 +54,7 @@ func runDataDomain(cfg Config) []*stats.Table {
 		}
 		return intended.Eval(ps.AbstractObject(obj))
 	})
-	learned, _ := learn.Qhorn1(u, simulated)
+	learned, _ := learn.Run(u, simulated)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	store := nested.RandomChocolates(rng, 200, 6)
 	matches, err := nested.Execute(learned, ps, store)

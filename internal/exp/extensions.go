@@ -9,6 +9,7 @@ import (
 	"qhorn/internal/pac"
 	"qhorn/internal/query"
 	"qhorn/internal/revise"
+	"qhorn/internal/run"
 	"qhorn/internal/session"
 	"qhorn/internal/stats"
 )
@@ -71,7 +72,7 @@ func runRevision(cfg Config) []*stats.Table {
 			}
 			reviseQ = append(reviseQ, res.Questions())
 			c := oracle.Count(oracle.Target(intended), nil)
-			learn.RolePreserving(intended.U, c)
+			learn.Run(intended.U, c, run.WithAlgorithm(run.RolePreserving))
 			learnQ = append(learnQ, c.Questions)
 			dists = append(dists, revise.Distance(given, intended))
 		}
@@ -154,7 +155,7 @@ func runNoisyAmendment(cfg Config) []*stats.Table {
 				return a
 			})
 			s := session.New(liar)
-			first, _ := learn.RolePreserving(target.U, s)
+			first, _ := learn.Run(target.U, s, run.WithAlgorithm(run.RolePreserving))
 			if first.Equivalent(target) {
 				continue // lie was harmless
 			}
@@ -168,7 +169,7 @@ func runNoisyAmendment(cfg Config) []*stats.Table {
 			}
 			historyBefore := s.Len()
 			s.ResetRun()
-			again, _ := learn.RolePreserving(target.U, s)
+			again, _ := learn.Run(target.U, s, run.WithAlgorithm(run.RolePreserving))
 			if again.Equivalent(target) {
 				recovered++
 			}

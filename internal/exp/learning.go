@@ -7,6 +7,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/stats"
 	"qhorn/internal/verify"
 )
@@ -63,12 +64,12 @@ func runQhorn1Scaling(cfg Config) []*stats.Table {
 			// Small parts give k = Θ(n), the regime where the serial
 			// baseline pays its quadratic cost.
 			target := query.GenQhorn1Sized(rng, n, 4)
-			_, st := learn.Qhorn1(target.U, oracle.Target(target))
+			_, st := learn.Run(target.U, oracle.Target(target))
 			totals = append(totals, st.Total())
 			heads = append(heads, st.HeadQuestions)
 			bodiesQ = append(bodiesQ, st.BodyQuestions)
 			exists = append(exists, st.ExistentialQuestions)
-			_, nst := learn.Qhorn1Naive(target.U, oracle.Target(target))
+			_, nst := learn.Run(target.U, oracle.Target(target), run.WithNaiveSearch())
 			naiveTotals = append(naiveTotals, nst.Total())
 		}
 		mean := stats.SummarizeInts(totals).Mean
@@ -117,8 +118,8 @@ func runUniversalScaling(cfg Config) []*stats.Table {
 					Conjs:         2,
 					MaxConjSize:   n / 2,
 				})
-				_, st := learn.RolePreserving(target.U, oracle.Target(target))
-				qs = append(qs, st.UniversalQuestions)
+				_, st := learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
+				qs = append(qs, st.BodyQuestions)
 			}
 			s := stats.SummarizeInts(qs)
 			ref := math.Pow(float64(n), float64(theta))
@@ -152,7 +153,7 @@ func runExistentialScaling(cfg Config) []*stats.Table {
 		var qs []int
 		for i := 0; i < cfg.Trials; i++ {
 			target := query.GenConjunctions(rng, n, k, n/2)
-			_, st := learn.RolePreserving(target.U, oracle.Target(target))
+			_, st := learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 			qs = append(qs, st.ExistentialQuestions)
 		}
 		mean := stats.SummarizeInts(qs).Mean
@@ -177,7 +178,7 @@ func runExistentialScaling(cfg Config) []*stats.Table {
 		var qs []int
 		for i := 0; i < cfg.Trials; i++ {
 			target := query.GenConjunctions(rng, n16, kk, n16/2)
-			_, st := learn.RolePreserving(target.U, oracle.Target(target))
+			_, st := learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 			qs = append(qs, st.ExistentialQuestions)
 		}
 		mean := stats.SummarizeInts(qs).Mean
@@ -213,7 +214,7 @@ func runLearnVsVerify(cfg Config) []*stats.Table {
 				Conjs:         3,
 				MaxConjSize:   n / 2,
 			})
-			_, st := learn.RolePreserving(target.U, oracle.Target(target))
+			_, st := learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 			learnQ = append(learnQ, st.Total())
 			vs, err := verify.Build(target)
 			if err != nil {

@@ -7,6 +7,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/stats"
 )
 
@@ -39,14 +40,14 @@ func runNoiseSensitivity(cfg Config) []*stats.Table {
 		for i := 0; i < cfg.Trials; i++ {
 			t1 := query.GenQhorn1Sized(rng, n, 4)
 			noisy := oracle.Noisy(oracle.Target(t1), p, rng)
-			if got, _ := learn.Qhorn1(t1.U, noisy); got.Equivalent(t1) {
+			if got, _ := learn.Run(t1.U, noisy); got.Equivalent(t1) {
 				q1ok++
 			}
 			t2 := query.GenRolePreserving(rng, n, query.RPOptions{
 				Heads: 1, BodiesPerHead: 1, MaxBodySize: 2, Conjs: 2, MaxConjSize: 4,
 			})
 			noisy2 := oracle.Noisy(oracle.Target(t2), p, rng)
-			if got, _ := learn.RolePreserving(t2.U, noisy2); got.Equivalent(t2) {
+			if got, _ := learn.Run(t2.U, noisy2, run.WithAlgorithm(run.RolePreserving)); got.Equivalent(t2) {
 				rpok++
 			}
 		}

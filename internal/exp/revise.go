@@ -7,6 +7,7 @@ import (
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
 	"qhorn/internal/revise"
+	"qhorn/internal/run"
 	"qhorn/internal/session"
 	"qhorn/internal/stats"
 )
@@ -59,7 +60,7 @@ func runReviseReplay(cfg Config) []*stats.Table {
 
 			// Session 1: learn the original, keeping the full history.
 			hist := session.New(oracle.Target(original))
-			prior, _ := learn.RolePreserving(original.U, hist)
+			prior, _ := learn.Run(original.U, hist, run.WithAlgorithm(run.RolePreserving))
 
 			// The drift arrives: recorded answers the drifted target
 			// would give differently are amended, and the history
@@ -94,7 +95,7 @@ func runReviseReplay(cfg Config) []*stats.Table {
 
 			// Cold: relearn the drifted target from nothing.
 			c := oracle.Count(driftedOracle, nil)
-			cold, _ := learn.RolePreserving(drifted.U, c)
+			cold, _ := learn.Run(drifted.U, c, run.WithAlgorithm(run.RolePreserving))
 			if !cold.Equivalent(drifted) {
 				panic("exp: revise: cold relearn produced the wrong query")
 			}

@@ -11,6 +11,7 @@ import (
 	"qhorn/internal/nested"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/stats"
 	"qhorn/internal/verify"
 )
@@ -48,7 +49,7 @@ func runSummary(cfg Config) []*stats.Table {
 			n := 4 + rng.Intn(28)
 			target := query.GenQhorn1Sized(rng, n, 4)
 			c := oracle.Count(oracle.Target(target), nil)
-			learned, _ := learn.Qhorn1(target.U, c)
+			learned, _ := learn.Run(target.U, c)
 			bound := int(6*float64(n)*math.Log2(float64(n))) + 6*n
 			if !learned.Equivalent(target) || c.Questions > bound {
 				ok = false
@@ -68,7 +69,7 @@ func runSummary(cfg Config) []*stats.Table {
 				Heads: rng.Intn(n / 2), BodiesPerHead: 1 + rng.Intn(2),
 				MaxBodySize: 1 + rng.Intn(3), Conjs: rng.Intn(3), MaxConjSize: 1 + rng.Intn(n),
 			})
-			learned, _ := learn.RolePreserving(target.U, oracle.Target(target))
+			learned, _ := learn.Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 			if !learned.Equivalent(target) {
 				ok = false
 				break
@@ -82,7 +83,7 @@ func runSummary(cfg Config) []*stats.Table {
 		u := boolean.MustUniverse(6)
 		target := query.MustParse(u,
 			"∀x1x4 → x5 ∀x3x4 → x5 ∀x1x2 → x6 ∃x1x2x3 ∃x2x3x4 ∃x1x2x5 ∃x2x3x5x6")
-		learned, _ := learn.RolePreserving(u, oracle.Target(target))
+		learned, _ := learn.Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 		want := map[string]bool{"100110": true, "111001": true, "011110": true, "110011": true, "011011": true}
 		conjs := learned.DominantConjunctions()
 		ok := learned.Equivalent(target) && len(conjs) == len(want)
@@ -126,7 +127,7 @@ func runSummary(cfg Config) []*stats.Table {
 				break
 			}
 			for _, intended := range queries {
-				if vs.Run(oracle.Target(intended)).Correct != given.Equivalent(intended) {
+				if vs.RunWith(oracle.Target(intended)).Correct != given.Equivalent(intended) {
 					ok = false
 				}
 			}

@@ -150,7 +150,7 @@ func runFig8(cfg Config) []*stats.Table {
 			if err != nil {
 				panic(err)
 			}
-			res := vs.Run(oracle.Target(intended))
+			res := vs.RunWith(oracle.Target(intended))
 			switch {
 			case given.Equivalent(intended):
 				if !res.Correct {

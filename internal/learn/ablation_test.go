@@ -7,6 +7,7 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 // TestAblationsPreserveExactness: disabling either optimization must
@@ -28,7 +29,7 @@ func TestAblationsPreserveExactness(t *testing.T) {
 			MaxConjSize:   1 + rng.Intn(n),
 		})
 		for _, ab := range variants {
-			learned, _ := RolePreservingAblated(target.U, oracle.Target(target), ab)
+			learned, _ := Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithAblations(ab))
 			if !learned.Equivalent(target) {
 				t.Fatalf("ablation %+v: target %s learned as %s", ab, target, learned)
 			}
@@ -47,11 +48,11 @@ func TestAblationsCostQuestions(t *testing.T) {
 			Heads: 2, BodiesPerHead: 2, MaxBodySize: 3, Conjs: 4, MaxConjSize: 5,
 		})
 		o := oracle.Target(target)
-		_, st := RolePreserving(target.U, o)
+		_, st := Run(target.U, o, run.WithAlgorithm(run.RolePreserving))
 		full += st.Total()
-		_, st = RolePreservingAblated(target.U, o, Ablations{NoGuaranteeSeeds: true})
+		_, st = Run(target.U, o, run.WithAlgorithm(run.RolePreserving), run.WithAblations(Ablations{NoGuaranteeSeeds: true}))
 		noSeeds += st.Total()
-		_, st = RolePreservingAblated(target.U, o, Ablations{SerialPrune: true})
+		_, st = Run(target.U, o, run.WithAlgorithm(run.RolePreserving), run.WithAblations(Ablations{SerialPrune: true}))
 		serial += st.Total()
 	}
 	if noSeeds <= full {
@@ -67,8 +68,7 @@ func TestAblationsCostQuestions(t *testing.T) {
 func TestAblationExhaustiveTwoVars(t *testing.T) {
 	u := mustU(t, 2)
 	for _, target := range query.AllQueries(u) {
-		learned, _ := RolePreservingAblated(u, oracle.Target(target),
-			Ablations{NoGuaranteeSeeds: true, SerialPrune: true})
+		learned, _ := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving), run.WithAblations(Ablations{NoGuaranteeSeeds: true, SerialPrune: true}))
 		if !learned.Equivalent(target) {
 			t.Fatalf("target %s learned as %s", target, learned)
 		}

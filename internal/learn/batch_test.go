@@ -54,7 +54,7 @@ func TestQhorn1BatchMatchesSerial(t *testing.T) {
 		var sst, pst run.Stats
 		runSerialAndBatched(t, c.Hidden,
 			func(o oracle.Oracle) (query.Query, int) {
-				q, st := learn.Qhorn1(c.Hidden.U, o)
+				q, st := learn.Run(c.Hidden.U, o)
 				sst = run.Stats(st)
 				return q, st.Total()
 			},
@@ -76,16 +76,16 @@ func TestRolePreservingBatchMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for i := 0; i < 60; i++ {
 		c := difffuzz.GenCase(rng, difffuzz.ClassRP, 2, 8)
-		var sst, pst learn.RPStats
+		var sst, pst run.Stats
 		runSerialAndBatched(t, c.Hidden,
 			func(o oracle.Oracle) (query.Query, int) {
-				q, st := learn.RolePreserving(c.Hidden.U, o)
+				q, st := learn.Run(c.Hidden.U, o, run.WithAlgorithm(run.RolePreserving))
 				sst = st
 				return q, st.Total()
 			},
 			func(o oracle.Oracle) (query.Query, int) {
 				q, st := learn.Run(c.Hidden.U, o, run.WithAlgorithm(run.RolePreserving), run.WithBatch())
-				pst = learn.RPStats{HeadQuestions: st.HeadQuestions, UniversalQuestions: st.BodyQuestions, ExistentialQuestions: st.ExistentialQuestions}
+				pst = st
 				return q, st.Total()
 			})
 		if sst != pst {
@@ -111,7 +111,7 @@ func TestBatchMatchesSerialOnCorpus(t *testing.T) {
 		case difffuzz.ClassQhorn1:
 			runSerialAndBatched(t, c.Hidden,
 				func(o oracle.Oracle) (query.Query, int) {
-					q, st := learn.Qhorn1(c.Hidden.U, o)
+					q, st := learn.Run(c.Hidden.U, o)
 					return q, st.Total()
 				},
 				func(o oracle.Oracle) (query.Query, int) {
@@ -121,7 +121,7 @@ func TestBatchMatchesSerialOnCorpus(t *testing.T) {
 		case difffuzz.ClassRP:
 			runSerialAndBatched(t, c.Hidden,
 				func(o oracle.Oracle) (query.Query, int) {
-					q, st := learn.RolePreserving(c.Hidden.U, o)
+					q, st := learn.Run(c.Hidden.U, o, run.WithAlgorithm(run.RolePreserving))
 					return q, st.Total()
 				},
 				func(o oracle.Oracle) (query.Query, int) {

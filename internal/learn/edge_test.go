@@ -8,6 +8,7 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 // Edge-case structures that stress specific paths of the learners.
@@ -26,7 +27,7 @@ func TestRPClosureChains(t *testing.T) {
 	}
 	for _, s := range targets {
 		target := query.MustParse(u, s)
-		learned, _ := RolePreserving(u, oracle.Target(target))
+		learned, _ := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 		if !learned.Equivalent(target) {
 			t.Errorf("target %s learned as %s", target, learned)
 		}
@@ -38,7 +39,7 @@ func TestRPDeepConjunction(t *testing.T) {
 	// conjunctions force the descent down n−1 levels.
 	u := boolean.MustUniverse(8)
 	target := query.MustParse(u, "∃x1 ∃x2 ∃x3")
-	learned, stats := RolePreserving(u, oracle.Target(target))
+	learned, stats := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -52,7 +53,7 @@ func TestRPConjunctionEqualsGuarantee(t *testing.T) {
 	// optimization should handle it without extra descent.
 	u := boolean.MustUniverse(5)
 	target := query.MustParse(u, "∀x1x2 → x3")
-	learned, _ := RolePreserving(u, oracle.Target(target))
+	learned, _ := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -68,7 +69,7 @@ func TestRPOverlappingBodiesAcrossHeads(t *testing.T) {
 	// matters).
 	u := boolean.MustUniverse(8)
 	target := query.MustParse(u, "∀x1x2 → x7 ∀x2x3 → x8 ∀x1x3 → x7 ∃x4x5x6")
-	learned, _ := RolePreserving(u, oracle.Target(target))
+	learned, _ := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -77,14 +78,14 @@ func TestRPOverlappingBodiesAcrossHeads(t *testing.T) {
 func TestRPThetaFour(t *testing.T) {
 	u := boolean.MustUniverse(9)
 	target := query.MustParse(u, "∀x1x2 → x9 ∀x3x4 → x9 ∀x5x6 → x9 ∀x7x8 → x9")
-	learned, stats := RolePreserving(u, oracle.Target(target))
+	learned, stats := Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatalf("θ=4 target learned as %s", learned)
 	}
 	if got := learned.CausalDensity(); got != 4 {
 		t.Fatalf("learned θ = %d", got)
 	}
-	t.Logf("θ=4 universal questions: %d", stats.UniversalQuestions)
+	t.Logf("θ=4 universal questions: %d", stats.BodyQuestions)
 }
 
 func TestQhorn1BigSharedBody(t *testing.T) {
@@ -96,7 +97,7 @@ func TestQhorn1BigSharedBody(t *testing.T) {
 			"∃x1x2x3x4x5x6x7x8x9x10 → x13 ∃x1x2x3x4x5x6x7x8x9x10 → x14 "+
 			"∀x1x2x3x4x5x6x7x8x9x10 → x15 ∃x1x2x3x4x5x6x7x8x9x10 → x16")
 	c := oracle.Count(oracle.Target(target), nil)
-	learned, _ := Qhorn1(u, c)
+	learned, _ := Run(u, c)
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -113,7 +114,7 @@ func TestQhorn1AllPairsPartition(t *testing.T) {
 	u := boolean.MustUniverse(12)
 	target := query.MustParse(u,
 		"∃x1 → x2 ∃x3 → x4 ∃x5 → x6 ∃x7 → x8 ∃x9 → x10 ∃x11 → x12")
-	learned, _ := Qhorn1(u, oracle.Target(target))
+	learned, _ := Run(u, oracle.Target(target))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -124,7 +125,7 @@ func TestQhorn1ManyHeadsOneBody(t *testing.T) {
 	u := boolean.MustUniverse(10)
 	target := query.MustParse(u,
 		"∃x1x2 → x3 ∃x1x2 → x4 ∃x1x2 → x5 ∃x1x2 → x6 ∃x1x2 → x7 ∃x8 ∃x9 ∃x10")
-	learned, _ := Qhorn1(u, oracle.Target(target))
+	learned, _ := Run(u, oracle.Target(target))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -137,7 +138,7 @@ func TestLearnersLargeScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	// qhorn-1 at n = 64 (the bitset limit).
 	target := query.GenQhorn1Sized(rng, 64, 4)
-	learned, stats := Qhorn1(target.U, oracle.Target(target))
+	learned, stats := Run(target.U, oracle.Target(target))
 	if !learned.Equivalent(target) {
 		t.Fatal("n=64 qhorn-1 round trip failed")
 	}
@@ -146,7 +147,7 @@ func TestLearnersLargeScale(t *testing.T) {
 	rp := query.GenRolePreserving(rng, 24, query.RPOptions{
 		Heads: 4, BodiesPerHead: 2, MaxBodySize: 4, Conjs: 6, MaxConjSize: 8,
 	})
-	learnedRP, rpStats := RolePreserving(rp.U, oracle.Target(rp))
+	learnedRP, rpStats := Run(rp.U, oracle.Target(rp), run.WithAlgorithm(run.RolePreserving))
 	if !learnedRP.Equivalent(rp) {
 		t.Fatal("n=24 role-preserving round trip failed")
 	}
@@ -163,7 +164,7 @@ func TestLearnersIgnoreDuplicateExpressions(t *testing.T) {
 		query.Conjunction(boolean.FromVars(1, 3)),
 		query.Conjunction(boolean.FromVars(1, 3)),
 	)
-	learned, _ := RolePreserving(u, oracle.Target(dup))
+	learned, _ := Run(u, oracle.Target(dup), run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(dup) {
 		t.Fatalf("learned %s", learned)
 	}
@@ -206,7 +207,7 @@ func TestBudgetEnforcesTheoremBound(t *testing.T) {
 		target := query.GenQhorn1Sized(rng, n, 4)
 		limit := int(6*float64(n)*math.Log2(float64(n))) + 6*n
 		b := oracle.WithBudget(oracle.Target(target), limit, nil)
-		learned, _ := Qhorn1(target.U, b)
+		learned, _ := Run(target.U, b)
 		if !learned.Equivalent(target) {
 			t.Fatalf("target %s learned as %s", target, learned)
 		}

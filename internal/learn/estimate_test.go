@@ -6,6 +6,7 @@ import (
 
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 // TestEstimateQhorn1IsUpperBound: the estimate dominates the measured
@@ -15,7 +16,7 @@ func TestEstimateQhorn1IsUpperBound(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		n := 2 + rng.Intn(30)
 		target := query.GenQhorn1Sized(rng, n, 4)
-		_, st := Qhorn1(target.U, oracle.Target(target))
+		_, st := Run(target.U, oracle.Target(target))
 		if st.Total() > EstimateQhorn1(n) {
 			t.Fatalf("n=%d: %d questions exceed estimate %d", n, st.Total(), EstimateQhorn1(n))
 		}
@@ -38,7 +39,7 @@ func TestEstimateRolePreservingIsUpperBound(t *testing.T) {
 			Heads: heads, BodiesPerHead: theta, MaxBodySize: 3,
 			Conjs: conjs, MaxConjSize: n / 2,
 		})
-		_, st := RolePreserving(target.U, oracle.Target(target))
+		_, st := Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 		// k includes guarantee clauses of the universals.
 		k := conjs + heads*theta
 		bound := EstimateRolePreserving(n, heads, theta, k)

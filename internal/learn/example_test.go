@@ -7,14 +7,15 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
-func ExampleQhorn1() {
+func ExampleRun() {
 	// Fig 2's qhorn-1 query, learned exactly from membership
 	// questions.
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
-	learned, stats := learn.Qhorn1(u, oracle.Target(target))
+	learned, stats := learn.Run(u, oracle.Target(target))
 	fmt.Println("equivalent:", learned.Equivalent(target))
 	fmt.Println("head questions:", stats.HeadQuestions)
 	// Output:
@@ -22,13 +23,13 @@ func ExampleQhorn1() {
 	// head questions: 6
 }
 
-func ExampleRolePreserving() {
+func ExampleRun_rolePreserving() {
 	// The running example of §3.2, learned through the Boolean
 	// lattice.
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u,
 		"∀x1x4 → x5 ∀x3x4 → x5 ∀x1x2 → x6 ∃x1x2x3 ∃x2x3x4 ∃x1x2x5 ∃x2x3x5x6")
-	learned, _ := learn.RolePreserving(u, oracle.Target(target))
+	learned, _ := learn.Run(u, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	fmt.Println("equivalent:", learned.Equivalent(target))
 	for _, c := range learned.DominantConjunctions() {
 		fmt.Println(u.Format(c))

@@ -230,15 +230,12 @@ func containsString(ss []string, want string) bool {
 	return false
 }
 
-// askedTranscript learns target the way Run does, with a transcript on
-// top of the assembled stack. It sits above the worker pool, which
-// answers a batch concurrently, so it sees the learner's own order in
-// both the serial and the batched run.
+// askedTranscript learns target through Run with a transcript around
+// the user, and returns the questions in the order the user saw them.
 func askedTranscript(target query.Query, opts ...run.Option) []string {
-	cfg := run.New(append(opts, run.WithTranscript())...)
-	st := cfg.Assemble(oracle.Target(target))
-	runConfigured(target.U, st.Oracle, cfg)
-	return transcriptOf(st.Transcript)
+	rec := oracle.Record(oracle.Target(target))
+	Run(target.U, rec, opts...)
+	return transcriptOf(rec)
 }
 
 // TestInstrumentedAsksBareQuestions pins that the live observability

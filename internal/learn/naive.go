@@ -1,25 +1,10 @@
 package learn
 
-import (
-	"qhorn/internal/boolean"
-	"qhorn/internal/oracle"
-	"qhorn/internal/query"
-	"qhorn/internal/run"
-)
-
-// Qhorn1Naive learns a qhorn-1 query with the straightforward serial
-// strategy the paper uses as the baseline in §3.1.2: instead of
-// binary-searching for body variables and dependents, it tests each
-// candidate variable with its own membership question, using O(n²)
-// questions in total. It exists so the experiments can reproduce the
-// paper's comparison between the serial and the O(n lg n) strategies.
-//
-// Qhorn1Naive is a thin wrapper over the run engine:
-// learn.Run(u, o, run.WithNaiveSearch()).
-func Qhorn1Naive(u boolean.Universe, o oracle.Oracle) (query.Query, Qhorn1Stats) {
-	q, s := Run(u, o, run.WithNaiveSearch())
-	return q, qhorn1Stats(s)
-}
+// The serial search strategy the paper uses as the baseline in §3.1.2
+// (run.WithNaiveSearch): instead of binary-searching for body
+// variables and dependents, each candidate variable gets its own
+// membership question, O(n²) questions in total, so the experiments
+// can reproduce the paper's comparison with the O(n lg n) strategy.
 
 // serialFindOne scans candidates one at a time, asking one question
 // per variable.

@@ -6,6 +6,7 @@ import (
 
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 func TestQhorn1NaiveRoundTrip(t *testing.T) {
@@ -13,7 +14,7 @@ func TestQhorn1NaiveRoundTrip(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		n := 1 + rng.Intn(12)
 		target := query.GenQhorn1(rng, n)
-		learned, _ := Qhorn1Naive(target.U, oracle.Target(target))
+		learned, _ := Run(target.U, oracle.Target(target), run.WithNaiveSearch())
 		if !learned.Equivalent(target) {
 			t.Fatalf("target %s learned as %s", target, learned)
 		}
@@ -29,8 +30,8 @@ func TestNaiveAsksMoreQuestions(t *testing.T) {
 	var fastTotal, naiveTotal int
 	for i := 0; i < 20; i++ {
 		target := query.GenQhorn1(rng, n)
-		_, fast := Qhorn1(target.U, oracle.Target(target))
-		_, naive := Qhorn1Naive(target.U, oracle.Target(target))
+		_, fast := Run(target.U, oracle.Target(target))
+		_, naive := Run(target.U, oracle.Target(target), run.WithNaiveSearch())
 		fastTotal += fast.Total()
 		naiveTotal += naive.Total()
 	}

@@ -1,14 +1,11 @@
 package learn
 
 // This file is the learner half of the composable run engine
-// (docs/ENGINE.md): Run composes functional options from internal/run
-// into one Config, assembles the oracle wrapper stack in one place,
-// and constructs the single core learner path from the result. Steps,
-// spans, metrics and batching are options of Run, not functions of
-// their own; the named entry points of this package (Qhorn1,
-// Qhorn1Naive, RolePreserving, RolePreservingAblated) fix the
-// algorithm-defining options only, and are pinned bit-identical to Run
-// by the options-matrix differential tests.
+// (docs/ENGINE.md): Run is the one entry point of the learners. It
+// composes functional options from internal/run into one Config and
+// constructs the single core learner path from the result; the
+// algorithm, search strategy, ablations, steps, spans, metrics and
+// batching are options of Run, not functions of their own.
 
 import (
 	"qhorn/internal/boolean"
@@ -18,8 +15,7 @@ import (
 )
 
 // The cross-cutting run types are shared with the verifier through
-// internal/run; the aliases keep this package's historical names
-// valid.
+// internal/run.
 type (
 	// Instrumentation bundles the optional observability hooks of a
 	// run; the zero value is silent. See run.Instrumentation.
@@ -36,7 +32,7 @@ type (
 
 // Run learns a query over u through the composable run engine:
 // options select the algorithm, search strategy, ablations,
-// instrumentation, batching and oracle wrappers, composing into one
+// instrumentation, batching and question counting, composing into one
 // internal config instead of one exported function per combination.
 //
 //	q, st := learn.Run(u, user,
@@ -70,39 +66,12 @@ type (
 //     dependent by construction.
 func Run(u boolean.Universe, o oracle.Oracle, opts ...run.Option) (query.Query, run.Stats) {
 	cfg := run.New(opts...)
-	st := cfg.Assemble(o)
-	return runConfigured(u, st.Oracle, cfg)
-}
-
-// runConfigured constructs the configured learner core over an
-// already-assembled oracle stack.
-func runConfigured(u boolean.Universe, o oracle.Oracle, cfg run.Config) (query.Query, run.Stats) {
-	switch cfg.Algorithm {
-	case run.RolePreserving:
-		l := &rpLearner{u: u, o: o, ablations: cfg.Ablations, batch: cfg.Batch, in: instr{u: u, ins: cfg.Ins}}
-		q, s := l.learn()
-		return q, run.Stats{
-			HeadQuestions:        s.HeadQuestions,
-			BodyQuestions:        s.UniversalQuestions,
-			ExistentialQuestions: s.ExistentialQuestions,
-		}
-	default:
-		l := &qhorn1Learner{u: u, o: o, serial: cfg.Naive, batch: cfg.Batch, in: instr{u: u, ins: cfg.Ins}}
-		q, s := l.learn()
-		return q, run.Stats(s)
+	o = cfg.Assemble(o)
+	in := instr{u: u, ins: cfg.Ins}
+	if cfg.Algorithm == run.RolePreserving {
+		l := &rpLearner{u: u, o: o, ablations: cfg.Ablations, batch: cfg.Batch, in: in}
+		return l.learn()
 	}
-}
-
-// qhorn1Stats converts unified engine stats back to the qhorn-1
-// breakdown the named entry points return.
-func qhorn1Stats(s run.Stats) Qhorn1Stats { return Qhorn1Stats(s) }
-
-// rpStats converts unified engine stats back to the role-preserving
-// breakdown: the engine's body phase is the learner's universal phase.
-func rpStats(s run.Stats) RPStats {
-	return RPStats{
-		HeadQuestions:        s.HeadQuestions,
-		UniversalQuestions:   s.BodyQuestions,
-		ExistentialQuestions: s.ExistentialQuestions,
-	}
+	l := &qhorn1Learner{u: u, o: o, serial: cfg.Naive, batch: cfg.Batch, in: in}
+	return l.learn()
 }

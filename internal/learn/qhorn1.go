@@ -8,44 +8,25 @@ import (
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
-// Qhorn1Stats reports the per-phase question counts of the qhorn-1
-// learner, the quantities bounded by §3.1: O(n) head questions,
-// O(n lg n) universal-dependence questions (Lemma 3.2) and O(n lg n)
-// existential questions (Lemma 3.3).
-type Qhorn1Stats struct {
-	HeadQuestions        int
-	BodyQuestions        int
-	ExistentialQuestions int
-}
-
-// Total returns the total number of membership questions asked.
-func (s Qhorn1Stats) Total() int {
-	return s.HeadQuestions + s.BodyQuestions + s.ExistentialQuestions
-}
-
-// Qhorn1 learns a qhorn-1 query over u exactly, using O(n lg n)
-// membership questions against an oracle backed by a target query in
-// the class (Theorem 3.1). The returned query is semantically
-// equivalent to the target. If the oracle is not consistent with any
+// qhorn1Learner learns a qhorn-1 query over u exactly, using
+// O(n lg n) membership questions against an oracle backed by a target
+// query in the class (Theorem 3.1): O(n) head questions, O(n lg n)
+// universal-dependence questions (Lemma 3.2) and O(n lg n) existential
+// questions (Lemma 3.3). If the oracle is not consistent with any
 // qhorn-1 query, the result is unspecified (exact learning has no
-// error signal; use verify.Verify to check a result).
-//
-// Qhorn1 is the default configuration of the run engine; it is
-// equivalent to learn.Run(u, o) (docs/ENGINE.md).
-func Qhorn1(u boolean.Universe, o oracle.Oracle) (query.Query, Qhorn1Stats) {
-	q, s := Run(u, o)
-	return q, qhorn1Stats(s)
-}
-
+// error signal; use verify.Run to check a result). It is the default
+// configuration of Run.
 type qhorn1Learner struct {
 	u     boolean.Universe
 	o     oracle.Oracle
-	stats Qhorn1Stats
+	stats run.Stats
 	phase *int // current phase counter
 	// serial switches the variable searches from binary search to
-	// the one-question-per-variable baseline of §3.1.2 (Qhorn1Naive).
+	// the one-question-per-variable baseline of §3.1.2
+	// (run.WithNaiveSearch).
 	serial bool
 	// batch surfaces independent question sets as oracle.AskAll
 	// batches (run.WithBatch): the n head questions, each FindAll
@@ -141,7 +122,7 @@ func (l *qhorn1Learner) ask(s boolean.Set) bool {
 	return a
 }
 
-func (l *qhorn1Learner) learn() (query.Query, Qhorn1Stats) {
+func (l *qhorn1Learner) learn() (query.Query, run.Stats) {
 	n := l.u.N()
 	var exprs []query.Expr
 	name := "learn/qhorn1"

@@ -8,11 +8,12 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
-func learnQhorn1Target(t *testing.T, target query.Query) (query.Query, Qhorn1Stats) {
+func learnQhorn1Target(t *testing.T, target query.Query) (query.Query, run.Stats) {
 	t.Helper()
-	learned, stats := Qhorn1(target.U, oracle.Target(target))
+	learned, stats := Run(target.U, oracle.Target(target))
 	if !learned.Equivalent(target) {
 		t.Fatalf("target %s learned as %s", target, learned)
 	}
@@ -108,7 +109,7 @@ func TestQhorn1QuestionsHaveFewTuples(t *testing.T) {
 		n := 2 + rng.Intn(14)
 		target := query.GenQhorn1(rng, n)
 		c := oracle.Count(oracle.Target(target), nil)
-		learned, _ := Qhorn1(target.U, c)
+		learned, _ := Run(target.U, c)
 		if !learned.Equivalent(target) {
 			t.Fatalf("target %s learned as %s", target, learned)
 		}

@@ -11,47 +11,17 @@ import (
 	"qhorn/internal/run"
 )
 
-// RPStats reports the per-phase question counts of the role-
-// preserving learner: O(n) head questions, O(n^(θ+1)) universal
-// body-search questions (Theorem 3.5), and O(k·n·lg n) existential
-// lattice questions (Theorem 3.8).
-type RPStats struct {
-	HeadQuestions        int
-	UniversalQuestions   int
-	ExistentialQuestions int
-}
-
-// Total returns the total number of membership questions asked.
-func (s RPStats) Total() int {
-	return s.HeadQuestions + s.UniversalQuestions + s.ExistentialQuestions
-}
-
-// RolePreserving learns a role-preserving qhorn query over u exactly
-// (§3.2), returning the query in normal form. Against an oracle
-// backed by a target query in the class, the result is semantically
-// equivalent to the target. It is a thin wrapper over the run engine:
-// learn.Run(u, o, run.WithAlgorithm(run.RolePreserving)).
-func RolePreserving(u boolean.Universe, o oracle.Oracle) (query.Query, RPStats) {
-	q, s := Run(u, o, run.WithAlgorithm(run.RolePreserving))
-	return q, rpStats(s)
-}
-
-// Ablations — historically defined here — now lives in internal/run
-// (see run.Ablations); learn/options.go aliases it back into this
-// package.
-
-// RolePreservingAblated is RolePreserving with selected optimizations
-// disabled: learn.Run(u, o, run.WithAlgorithm(run.RolePreserving),
-// run.WithAblations(ab)).
-func RolePreservingAblated(u boolean.Universe, o oracle.Oracle, ab Ablations) (query.Query, RPStats) {
-	q, s := Run(u, o, run.WithAlgorithm(run.RolePreserving), run.WithAblations(ab))
-	return q, rpStats(s)
-}
-
+// rpLearner learns a role-preserving qhorn query over u exactly
+// (§3.2), returning the query in normal form: O(n) head questions,
+// O(n^(θ+1)) universal body-search questions (Theorem 3.5), counted as
+// run.Stats.BodyQuestions, and O(k·n·lg n) existential lattice
+// questions (Theorem 3.8). Against an oracle backed by a target query
+// in the class, the result is semantically equivalent to the target.
+// Run builds it under run.WithAlgorithm(run.RolePreserving).
 type rpLearner struct {
 	u         boolean.Universe
 	o         oracle.Oracle
-	stats     RPStats
+	stats     run.Stats
 	phase     *int
 	ablations Ablations
 	// batch surfaces independent question sets as oracle.AskAll
@@ -77,7 +47,7 @@ func (l *rpLearner) ask(s boolean.Set) bool {
 	return a
 }
 
-func (l *rpLearner) learn() (query.Query, RPStats) {
+func (l *rpLearner) learn() (query.Query, run.Stats) {
 	defer l.in.start("learn/rp", obs.Af("n", "%d", l.u.N()))()
 
 	// Phase 1 (§3.2.1): determine the universal head variables, one
@@ -92,7 +62,7 @@ func (l *rpLearner) learn() (query.Query, RPStats) {
 	// false) for the distinguishing tuples of h's dominant bodies.
 	// The per-head searches depend only on the head set, never on one
 	// another, so batch mode steps them in lockstep rounds.
-	l.phase = &l.stats.UniversalQuestions
+	l.phase = &l.stats.BodyQuestions
 	endPhase = l.in.begin("bodies")
 	heads := headSet.Vars()
 	bodiesByHead := make([][]boolean.Tuple, len(heads))

@@ -10,12 +10,13 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/verify"
 )
 
-func learnRPTarget(t *testing.T, target query.Query) (query.Query, RPStats) {
+func learnRPTarget(t *testing.T, target query.Query) (query.Query, run.Stats) {
 	t.Helper()
-	learned, stats := RolePreserving(target.U, oracle.Target(target))
+	learned, stats := Run(target.U, oracle.Target(target), run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatalf("target %s learned as %s", target, learned)
 	}
@@ -170,7 +171,7 @@ func TestFindBodiesDirect(t *testing.T) {
 	u := boolean.MustUniverse(6)
 	target := query.MustParse(u, "∀x1x4 → x5 ∀x3x4 → x5 ∀x1x2 → x6 ∃x1x2x3 ∃x2x3x4 ∃x1x2x5 ∃x2x3x5x6")
 	l := &rpLearner{u: u, o: oracle.Target(target)}
-	l.phase = &l.stats.UniversalQuestions
+	l.phase = &l.stats.BodyQuestions
 	heads := boolean.FromVars(4, 5) // x5, x6
 	bodies := l.findBodies(4, heads)
 	want := map[boolean.Tuple]bool{
@@ -198,7 +199,7 @@ func TestFindBodiesBodyless(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	target := query.MustParse(u, "∀x1 ∃x2x3")
 	l := &rpLearner{u: u, o: oracle.Target(target)}
-	l.phase = &l.stats.UniversalQuestions
+	l.phase = &l.stats.BodyQuestions
 	bodies := l.findBodies(0, boolean.FromVars(0))
 	if len(bodies) != 1 || !bodies[0].IsEmpty() {
 		t.Fatalf("bodies = %v, want [∅]", bodies)
@@ -215,7 +216,7 @@ func TestRolePreservingNoisyOracleStillTerminates(t *testing.T) {
 			Heads: 1, BodiesPerHead: 1, MaxBodySize: 2, Conjs: 2, MaxConjSize: 3,
 		})
 		noisy := oracle.Noisy(oracle.Target(target), 0.1, rng)
-		q, _ := RolePreserving(target.U, noisy)
+		q, _ := Run(target.U, noisy, run.WithAlgorithm(run.RolePreserving))
 		if err := q.Validate(); err != nil {
 			t.Fatalf("noisy learning produced invalid query: %v", err)
 		}
@@ -228,7 +229,7 @@ func TestQhorn1NoisyOracleStillTerminates(t *testing.T) {
 		n := 2 + rng.Intn(8)
 		target := query.GenQhorn1(rng, n)
 		noisy := oracle.Noisy(oracle.Target(target), 0.1, rng)
-		q, _ := Qhorn1(target.U, noisy)
+		q, _ := Run(target.U, noisy)
 		if err := q.Validate(); err != nil {
 			t.Fatalf("noisy learning produced invalid query: %v", err)
 		}
@@ -255,7 +256,7 @@ func (rpTarget) Generate(rng *rand.Rand, size int) reflect.Value {
 // equivalence.
 func TestQuickLearnerRoundTrip(t *testing.T) {
 	f := func(w rpTarget) bool {
-		learned, _ := RolePreserving(w.Q.U, oracle.Target(w.Q))
+		learned, _ := Run(w.Q.U, oracle.Target(w.Q), run.WithAlgorithm(run.RolePreserving))
 		return learned.Equivalent(w.Q)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
@@ -267,12 +268,12 @@ func TestQuickLearnerRoundTrip(t *testing.T) {
 // passes verification against the same user.
 func TestQuickLearnerVerifierAgree(t *testing.T) {
 	f := func(w rpTarget) bool {
-		learned, _ := RolePreserving(w.Q.U, oracle.Target(w.Q))
+		learned, _ := Run(w.Q.U, oracle.Target(w.Q), run.WithAlgorithm(run.RolePreserving))
 		vs, err := verify.Build(learned)
 		if err != nil {
 			return false
 		}
-		return vs.Run(oracle.Target(w.Q)).Correct
+		return vs.RunWith(oracle.Target(w.Q)).Correct
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

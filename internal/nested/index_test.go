@@ -102,7 +102,7 @@ func TestIndexBackedLearningSession(t *testing.T) {
 		}
 		return intended.Eval(ps.AbstractObject(obj))
 	})
-	learned, _ := learn.Qhorn1(u, user)
+	learned, _ := learn.Run(u, user)
 	if !learned.Equivalent(intended) {
 		t.Fatalf("learned %s", learned)
 	}

@@ -164,7 +164,7 @@ func TestEndToEndLearningOverData(t *testing.T) {
 		}
 		return intended.Eval(ps.AbstractObject(obj))
 	})
-	learned, _ := learn.Qhorn1(u, user)
+	learned, _ := learn.Run(u, user)
 	if !learned.Equivalent(intended) {
 		t.Fatalf("learned %s, want %s", learned, intended)
 	}

@@ -8,6 +8,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 func TestSelectivityFig1(t *testing.T) {
@@ -87,7 +88,7 @@ func TestProposePropositions(t *testing.T) {
 		}
 		return intended.Eval(ps.AbstractObject(obj))
 	})
-	learned, _ := learn.RolePreserving(u, user)
+	learned, _ := learn.Run(u, user, run.WithAlgorithm(run.RolePreserving))
 	if !learned.Equivalent(intended) {
 		t.Fatalf("learned %s over proposed propositions", learned)
 	}

@@ -31,7 +31,7 @@ func TestBudgetCoversGeneratedQueries(t *testing.T) {
 					panic(r)
 				}
 			}()
-			learned, _ := learn.Qhorn1(target.U, budgeted)
+			learned, _ := learn.Run(target.U, budgeted)
 			if !learned.Equivalent(target) {
 				t.Errorf("learned %s for %s", learned, target)
 			}

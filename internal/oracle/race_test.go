@@ -11,6 +11,7 @@ import (
 	"qhorn/internal/obs"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 // TestSharedInstrumentationIsRaceClean runs two learners concurrently
@@ -31,11 +32,11 @@ func TestSharedInstrumentationIsRaceClean(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		results[0], _ = learn.RolePreserving(u, transcript)
+		results[0], _ = learn.Run(u, transcript, run.WithAlgorithm(run.RolePreserving))
 	}()
 	go func() {
 		defer wg.Done()
-		results[1], _ = learn.Qhorn1(u, transcript)
+		results[1], _ = learn.Run(u, transcript)
 	}()
 	// Concurrent readers exercise the snapshot paths while the
 	// learners are mid-flight.

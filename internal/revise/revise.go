@@ -31,6 +31,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/session"
 	"qhorn/internal/verify"
 )
@@ -101,7 +102,7 @@ func Revise(given query.Query, o oracle.Oracle) (Result, error) {
 	if !vres.Correct {
 		res.Escalated = true
 		before = counter.Questions
-		current, _ = learn.RolePreserving(u, hist)
+		current, _ = learn.Run(u, hist, run.WithAlgorithm(run.RolePreserving))
 		res.RepairQuestions += counter.Questions - before
 	}
 	res.Revised = current
@@ -114,7 +115,7 @@ func runVerification(q query.Query, o oracle.Oracle) (verify.Result, error) {
 	if err != nil {
 		return verify.Result{}, err
 	}
-	return vs.Run(o), nil
+	return vs.RunWith(o), nil
 }
 
 // repair rebuilds the parts of current implicated by the verification

@@ -9,6 +9,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 var u6 = boolean.MustUniverse(6)
@@ -96,7 +97,7 @@ func TestReviseCheaperThanLearningWhenClose(t *testing.T) {
 	res := reviseTo(t, given, intended)
 
 	c := oracle.Count(oracle.Target(intended), nil)
-	learn.RolePreserving(u, c)
+	learn.Run(u, c, run.WithAlgorithm(run.RolePreserving))
 	if res.Questions() >= c.Questions {
 		t.Errorf("revision cost %d not below learning cost %d", res.Questions(), c.Questions)
 	}

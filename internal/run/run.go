@@ -2,18 +2,19 @@
 // the verifier (docs/ENGINE.md). The paper's algorithms (Alg 1–8,
 // Fig 6) are single procedures; the cross-cutting dimensions a session
 // may add — naive search baselines, ablations, step/span/metric
-// instrumentation, batched questioning, question budgets, noisy
-// users — are not new algorithms but configuration of the same run.
-// This package holds that configuration:
+// instrumentation, batched questioning, question counting — are not
+// new algorithms but configuration of the same run. This package
+// holds that configuration:
 //
 //   - Config is the composed run configuration; Option mutates it.
 //     learn.Run and verify.Run accept Options and construct their
 //     single core path from the resulting Config.
-//   - Assemble builds the oracle wrapper stack (Noisy, Budget,
-//     Counter, Transcript) in one place, in one documented order.
-//     Per-run dedup is not a wrapper of this stack: a run that must
-//     not re-ask repeated questions runs over a session.Session, the
-//     §5 interaction history.
+//   - Assemble wraps the run's oracle in the question counter
+//     WithCounter asks for. Everything else that changes what the user
+//     sees — a question budget, a noisy user, a transcript, per-run
+//     dedup — is an oracle the caller wraps before the run
+//     (oracle.WithBudget, oracle.Noisy, oracle.Record,
+//     session.Session), so the caller keeps the handle it reads back.
 //   - Instrumentation, Step, Tracer and Ablations are the shared
 //     cross-cutting types; internal/learn and internal/verify alias
 //     them so one instrumentation value threads through both.
@@ -21,14 +22,12 @@
 //     (obs.Flags) started into Options, so every CLI builds its run
 //     config the same way.
 //
-// Adding a new dimension (noise recovery, PAC sampling, sharded
-// oracles) means one new Option here, not a new exported function per
-// learner and verifier variant.
+// Adding a new dimension of the run itself means one new Option here,
+// not a new exported function per learner and verifier variant.
 package run
 
 import (
 	"fmt"
-	"math/rand"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/obs"
@@ -159,7 +158,7 @@ func (s Stats) Total() int {
 
 // Config is the composed configuration of one run. Build it with New
 // and Options; learn.Run and verify.Run construct their core paths
-// from it, and Assemble builds the oracle wrapper stack it describes.
+// from it, over the oracle Assemble returns.
 type Config struct {
 	// Algorithm selects the learner (ignored by verify runs).
 	Algorithm Algorithm
@@ -174,19 +173,9 @@ type Config struct {
 	// batches. The questions and per-phase counts are identical to
 	// the serial run; a BatchOracle receives each set in one call.
 	Batch bool
-	// Budget, when positive, caps the questions reaching the user;
-	// the run panics with oracle.ErrBudget when exhausted.
-	Budget int
-	// NoiseP, when positive, flips each of the user's answers with
-	// this probability, driven by NoiseRNG.
-	NoiseP   float64
-	NoiseRNG *rand.Rand
-	// Count wraps the learner-facing top of the stack in a Counter
-	// mirroring into Ins.Metrics (qhorn_questions_total and friends).
+	// Count wraps the run's oracle in a Counter mirroring into
+	// Ins.Metrics (qhorn_questions_total and friends).
 	Count bool
-	// Record wraps the learner-facing top of the stack in a
-	// Transcript; retrieve it from the assembled Stack.
-	Record bool
 	// FirstOnly stops a verify run at the first disagreement
 	// (ignored by learning runs).
 	FirstOnly bool
@@ -241,28 +230,10 @@ func WithBatch() Option {
 	return func(c *Config) { c.Batch = true }
 }
 
-// WithBudget caps the questions reaching the user at limit; the run
-// panics with oracle.ErrBudget when the cap is exceeded.
-func WithBudget(limit int) Option {
-	return func(c *Config) { c.Budget = limit }
-}
-
-// WithNoise flips each of the user's answers with probability p,
-// driven by rng (§5's noisy-user model).
-func WithNoise(p float64, rng *rand.Rand) Option {
-	return func(c *Config) { c.NoiseP, c.NoiseRNG = p, rng }
-}
-
 // WithCounter counts every question the run asks, mirroring into the
 // run's metrics registry when one is configured.
 func WithCounter() Option {
 	return func(c *Config) { c.Count = true }
-}
-
-// WithTranscript records the run's full question stream; retrieve it
-// from the assembled Stack's Transcript.
-func WithTranscript() Option {
-	return func(c *Config) { c.Record = true }
 }
 
 // WithFirstDisagreement stops a verify run at the first disagreement
@@ -285,48 +256,14 @@ func WithObsServer(s *obs.Server) Option {
 	}
 }
 
-// Stack is the assembled oracle wrapper stack of one run. Oracle is
-// the learner-facing top; the named wrappers are non-nil only when the
-// Config requested them.
-type Stack struct {
-	// Oracle is the top of the stack: what the run asks.
-	Oracle oracle.Oracle
-	// Budget is the question cap (Budget > 0).
-	Budget *oracle.Budget
-	// Counter counts the run's questions (Count).
-	Counter *oracle.Counter
-	// Transcript records the run's question stream (Record).
-	Transcript *oracle.Transcript
-}
-
-// Assemble wraps the user's oracle with the wrapper stack the Config
-// describes, innermost (closest to the user) to outermost (what the
-// run asks):
-//
-//	user → Noisy → Budget → Counter → Transcript
-//
-// The order is part of the engine's contract (docs/ENGINE.md): noise
-// models the user's mistakes, so it sits directly above them; the
-// counter and transcript face the run, observing every question it
-// asks. With a zero Config the user's oracle is returned untouched.
-func (c Config) Assemble(user oracle.Oracle) Stack {
-	st := Stack{Oracle: user}
-	if c.NoiseP > 0 {
-		st.Oracle = oracle.Noisy(st.Oracle, c.NoiseP, c.NoiseRNG)
-	}
-	if c.Budget > 0 {
-		st.Budget = oracle.WithBudget(st.Oracle, c.Budget, c.Ins.Metrics)
-		st.Oracle = st.Budget
-	}
+// Assemble returns the oracle a run asks: the user's oracle, wrapped
+// in a Counter mirroring into Ins.Metrics when the Config counts
+// questions, and untouched otherwise.
+func (c Config) Assemble(user oracle.Oracle) oracle.Oracle {
 	if c.Count {
-		st.Counter = oracle.Count(st.Oracle, c.Ins.Metrics)
-		st.Oracle = st.Counter
+		return oracle.Count(user, c.Ins.Metrics)
 	}
-	if c.Record {
-		st.Transcript = oracle.Record(st.Oracle)
-		st.Oracle = st.Transcript
-	}
-	return st
+	return user
 }
 
 // FromFlags translates the observability session the shared CLI flag

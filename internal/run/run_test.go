@@ -1,7 +1,6 @@
 package run
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
@@ -41,7 +40,6 @@ func TestParseAlgorithm(t *testing.T) {
 // TestNewComposesOptions: every option lands on its Config field, and
 // nil options are skipped.
 func TestNewComposesOptions(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
 	steps := func(Step) {}
 	reg := obs.NewRegistry()
 	c := New(
@@ -51,10 +49,7 @@ func TestNewComposesOptions(t *testing.T) {
 		WithSteps(steps),
 		WithInstrumentation(Instrumentation{Metrics: reg}),
 		WithBatch(),
-		WithBudget(99),
-		WithNoise(0.25, rng),
 		WithCounter(),
-		WithTranscript(),
 		WithFirstDisagreement(),
 		nil,
 	)
@@ -67,18 +62,15 @@ func TestNewComposesOptions(t *testing.T) {
 	if !c.Batch {
 		t.Errorf("WithBatch(): Batch=%v", c.Batch)
 	}
-	if c.Budget != 99 || c.NoiseP != 0.25 || c.NoiseRNG != rng {
-		t.Errorf("oracle options not applied: %+v", c)
-	}
-	if !c.Count || !c.Record || !c.FirstOnly {
-		t.Errorf("counter/transcript/first options not applied: %+v", c)
+	if !c.Count || !c.FirstOnly {
+		t.Errorf("counter/first options not applied: %+v", c)
 	}
 }
 
 // TestWithBatchAlone selects the batch structure and nothing else.
 func TestWithBatchAlone(t *testing.T) {
 	c := New(WithBatch())
-	if !c.Batch || c.Count || c.Budget != 0 {
+	if !c.Batch || c.Count || c.FirstOnly {
 		t.Errorf("WithBatch() = %+v", c)
 	}
 }
@@ -122,69 +114,40 @@ func TestWithObsServer(t *testing.T) {
 }
 
 // TestAssembleZeroConfig: a zero Config returns the user's oracle
-// untouched with no wrappers.
+// untouched.
 func TestAssembleZeroConfig(t *testing.T) {
 	user := oracle.Func(func(boolean.Set) bool { return true })
-	st := Config{}.Assemble(user)
-	if st.Budget != nil || st.Counter != nil || st.Transcript != nil {
-		t.Errorf("zero config grew wrappers: %+v", st)
+	o := Config{}.Assemble(user)
+	if _, wrapped := o.(*oracle.Counter); wrapped {
+		t.Error("zero config wrapped a counter")
 	}
-	if !st.Oracle.Ask(boolean.Set{}) {
+	if !o.Ask(boolean.Set{}) {
 		t.Error("zero config changed the oracle's answers")
 	}
 }
 
-// TestAssembleFullStack: every requested wrapper is present, and the
-// counter and transcript face the run while the budget charges the
-// user's every answer.
-func TestAssembleFullStack(t *testing.T) {
+// TestAssembleCounter: WithCounter wraps a run-facing counter that
+// sees every question, mirrors into the run's registry and passes the
+// user's answers through.
+func TestAssembleCounter(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	asked := 0
 	user := oracle.Func(func(boolean.Set) bool { asked++; return true })
-	cfg := New(WithBudget(5), WithCounter(), WithTranscript())
-	st := cfg.Assemble(user)
-	if st.Budget == nil || st.Counter == nil || st.Transcript == nil {
-		t.Fatalf("missing wrappers: %+v", st)
+	reg := obs.NewRegistry()
+	o := New(WithCounter(), WithInstrumentation(Instrumentation{Metrics: reg})).Assemble(user)
+	c, ok := o.(*oracle.Counter)
+	if !ok {
+		t.Fatalf("WithCounter assembled %T, want *oracle.Counter", o)
 	}
-
 	q := boolean.NewSet(u.All())
-	st.Oracle.Ask(q)
-	st.Oracle.Ask(q)
-	if asked != 2 {
-		t.Errorf("user asked %d times, want 2", asked)
+	if !o.Ask(q) || !o.Ask(q) {
+		t.Error("counter changed the user's answers")
 	}
-	if st.Counter.Questions != 2 {
-		t.Errorf("run-facing counter saw %d questions, want 2", st.Counter.Questions)
+	if asked != 2 || c.Questions != 2 {
+		t.Errorf("user asked %d times, counter saw %d questions; want 2 and 2", asked, c.Questions)
 	}
-	if st.Transcript.Len() != 2 {
-		t.Errorf("transcript recorded %d questions, want 2", st.Transcript.Len())
-	}
-	if st.Budget.Remaining() != 3 {
-		t.Errorf("budget remaining = %d, want 3", st.Budget.Remaining())
-	}
-}
-
-// TestAssembleBudgetPanics: exceeding the budget panics with
-// oracle.ErrBudget, the engine's advertised failure mode.
-func TestAssembleBudgetPanics(t *testing.T) {
-	u := boolean.MustUniverse(2)
-	user := oracle.Func(func(boolean.Set) bool { return false })
-	st := New(WithBudget(1)).Assemble(user)
-	st.Oracle.Ask(boolean.NewSet())
-	defer func() {
-		if recover() == nil {
-			t.Error("second question did not panic against budget 1")
-		}
-	}()
-	st.Oracle.Ask(boolean.NewSet(u.All()))
-}
-
-// TestAssembleNoise: with p=1 every answer is flipped.
-func TestAssembleNoise(t *testing.T) {
-	user := oracle.Func(func(boolean.Set) bool { return true })
-	st := New(WithNoise(1, rand.New(rand.NewSource(1)))).Assemble(user)
-	if st.Oracle.Ask(boolean.Set{}) {
-		t.Error("noise p=1 did not flip the answer")
+	if got := reg.CounterValue(obs.MetricQuestions); got != 2 {
+		t.Errorf("%s = %d, want 2", obs.MetricQuestions, got)
 	}
 }
 

@@ -159,9 +159,10 @@ func TestE2EDoubleDeliverRace(t *testing.T) {
 }
 
 // TestE2ELongPollReturnsPromptlyOnAbort polls a session with a
-// 10-second ?wait while its server shuts down: the poller must observe
-// the failed state within a couple of seconds, because no questions
-// fetch ever sleeps out its wait.
+// 10-second ?wait while its server shuts down. No handler waits — a
+// questions fetch answers at once with the session's current state —
+// so a poll that follows the abort sees the failed state well inside
+// the wait.
 func TestE2ELongPollReturnsPromptlyOnAbort(t *testing.T) {
 	srv := serve.New(serve.Config{})
 	hs := httptest.NewServer(srv.Handler())
@@ -200,7 +201,7 @@ func TestE2ELongPollReturnsPromptlyOnAbort(t *testing.T) {
 	select {
 	case d := <-observed:
 		if d > 5*time.Second {
-			t.Fatalf("poller needed %v to observe the abort; parked long-polls did not wake", d)
+			t.Fatalf("poller needed %v to observe the abort; a questions fetch waited instead of answering with the current state", d)
 		}
 	case err := <-errs:
 		t.Fatalf("poller: %v", err)

@@ -31,7 +31,7 @@ import (
 func awaitingSession(t *testing.T, tuples ...string) (*session, []boolean.Set) {
 	t.Helper()
 	srv := New(Config{MemoCapacity: -1})
-	sess, err := newSession(srv, ModeLearn, run.Qhorn1, 4, "", 0, "", nil)
+	sess, err := newSession(srv, ModeLearn, run.Qhorn1, 4, "", -1, "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -454,8 +454,14 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if budget == 0 {
+	// A fresh create with no budget takes the server default (0 or less
+	// is unlimited). A snapshot's budget is what remained, so a 0 there
+	// resumes exhausted, not with the default.
+	if req.Snapshot == nil && budget == 0 {
 		budget = s.cfg.Budget
+		if budget == 0 {
+			budget = -1
+		}
 	}
 	sess, err := newSession(s, mode, alg, req.Variables, given, budget, user, history)
 	if err != nil {

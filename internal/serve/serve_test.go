@@ -91,6 +91,65 @@ func TestServerDefaultBudget(t *testing.T) {
 	}
 }
 
+// TestSnapshotBudgetResume: a snapshot carries the budget that
+// remained, so a session that exhausted its budget resumes exhausted —
+// not unlimited and not with the server default — and fails on its
+// first live question; a snapshot of an unbudgeted session resumes
+// unbudgeted.
+func TestSnapshotBudgetResume(t *testing.T) {
+	srv, c := startServer(t, serve.Config{Budget: 5000})
+	u, _ := boolean.NewUniverse(3)
+	target, _ := query.Parse(u, "Ax1 -> x2 Ex3")
+	answerer := serve.AnswererFor(u, oracle.Target(target))
+	info, err := c.Create(serve.CreateRequest{Variables: 3, Algorithm: "rp", Budget: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Drive(info.ID, answerer, serve.DriveOptions{}); err != nil || final.State != serve.StateFailed {
+		t.Fatalf("2-question budget ended %+v (%v), want failed", final, err)
+	}
+	snap, err := c.Snapshot(info.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Budget != 0 {
+		t.Fatalf("snapshot of an exhausted session carries budget %d, want 0", snap.Budget)
+	}
+	failures := srv.Registry().CounterValue(obs.MetricServeSessions, "outcome", "budget")
+	resumed, err := c.Resume(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed.State != serve.StateFailed || !strings.Contains(resumed.Error, "budget") {
+		t.Fatalf("resumed exhausted session is %q (%q), want failed on the budget", resumed.State, resumed.Error)
+	}
+	if resumed.BudgetRemaining == nil || *resumed.BudgetRemaining != 0 || resumed.Outstanding != 0 {
+		t.Fatalf("resumed exhausted session: remaining %v, outstanding %d; want 0 and 0",
+			resumed.BudgetRemaining, resumed.Outstanding)
+	}
+	if got := srv.Registry().CounterValue(obs.MetricServeSessions, "outcome", "budget"); got != failures+1 {
+		t.Fatalf("budget outcome counter %d after resume, want %d", got, failures+1)
+	}
+
+	unlimited, err := c.Create(serve.CreateRequest{Variables: 3, Algorithm: "rp", Budget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = c.Snapshot(unlimited.ID); err != nil || snap.Budget != -1 {
+		t.Fatalf("snapshot of an unbudgeted session: budget %d (%v), want -1", snap.Budget, err)
+	}
+	again, err := c.Resume(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.BudgetRemaining != nil {
+		t.Fatalf("-1 snapshot resumed with budget %d, want unlimited", *again.BudgetRemaining)
+	}
+	if final, err := c.Drive(again.ID, answerer, serve.DriveOptions{}); err != nil || final.State != serve.StateDone {
+		t.Fatalf("resumed unbudgeted session ended %+v (%v), want done", final, err)
+	}
+}
+
 func TestUnknownSession(t *testing.T) {
 	_, c := startServer(t, serve.Config{})
 	if _, err := c.Info("nope"); !serve.IsStatus(err, 404) {

@@ -128,7 +128,8 @@ type session struct {
 // newSession builds an unlaunched session; the caller launches it and
 // inserts it into the session table. history, when non-nil, is a
 // snapshot's session.EncodeJSON payload to resume from; otherwise
-// variables sizes a fresh universe.
+// variables sizes a fresh universe. A negative budgetCap is unlimited;
+// any other caps the live questions, 0 leaving none.
 func newSession(srv *Server, mode string, alg run.Algorithm, variables int, givenStr string, budgetCap int, userID string, history []byte) (*session, error) {
 	s := &session{
 		id:       srv.nextID(),
@@ -147,7 +148,7 @@ func newSession(srv *Server, mode string, alg run.Algorithm, variables int, give
 	// forwards every batch unchanged, so question sequences stay
 	// bit-identical to a direct learn.Run.
 	var user oracle.Oracle = exchange{s}
-	if budgetCap > 0 {
+	if budgetCap >= 0 {
 		s.budget = oracle.WithBudget(user, budgetCap, srv.reg)
 		user = s.budget
 	}

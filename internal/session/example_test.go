@@ -7,6 +7,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 	"qhorn/internal/session"
 )
 
@@ -27,7 +28,7 @@ func Example() {
 	})
 
 	s := session.New(user)
-	first, _ := learn.RolePreserving(u, s)
+	first, _ := learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 	fmt.Println("with the mistake:", first.Equivalent(intended))
 
 	// Review the history, flip the bad response, re-run: the
@@ -38,7 +39,7 @@ func Example() {
 		}
 	}
 	s.ResetRun()
-	fixed, _ := learn.RolePreserving(u, s)
+	fixed, _ := learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 	fmt.Println("after amendment:", fixed.Equivalent(intended))
 	// Output:
 	// with the mistake: false

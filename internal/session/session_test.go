@@ -8,6 +8,7 @@ import (
 	"qhorn/internal/learn"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 func TestSessionRecordsAndMemoizes(t *testing.T) {
@@ -52,7 +53,7 @@ func TestAmendAndReplay(t *testing.T) {
 	})
 
 	s := New(liar)
-	wrong, _ := learn.RolePreserving(u, s)
+	wrong, _ := learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 	if wrong.Equivalent(target) {
 		t.Skip("lie happened to be harmless for this target")
 	}
@@ -75,7 +76,7 @@ func TestAmendAndReplay(t *testing.T) {
 	}
 
 	s.ResetRun()
-	relearned, _ := learn.RolePreserving(u, s)
+	relearned, _ := learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 	if !relearned.Equivalent(target) {
 		t.Fatalf("after amendment learned %s, want %s", relearned, target)
 	}
@@ -108,7 +109,7 @@ func TestAmendRandomizedRecovery(t *testing.T) {
 			return a
 		})
 		s := New(liar)
-		learn.RolePreserving(target.U, s)
+		learn.Run(target.U, s, run.WithAlgorithm(run.RolePreserving))
 		// Fix every lie (there is at most one distinct question lied
 		// about, but the same wrong answer may be memoized).
 		for j, e := range s.Entries() {
@@ -119,7 +120,7 @@ func TestAmendRandomizedRecovery(t *testing.T) {
 			}
 		}
 		s.ResetRun()
-		relearned, _ := learn.RolePreserving(target.U, s)
+		relearned, _ := learn.Run(target.U, s, run.WithAlgorithm(run.RolePreserving))
 		if relearned.Equivalent(target) {
 			recovered++
 		} else {
@@ -183,7 +184,7 @@ func TestSessionPersistence(t *testing.T) {
 
 	// First sitting: learn, then save.
 	s1 := New(oracle.Count(truth, nil))
-	first, _ := learn.RolePreserving(u, s1)
+	first, _ := learn.Run(u, s1, run.WithAlgorithm(run.RolePreserving))
 	if !first.Equivalent(target) {
 		t.Fatal("first sitting failed")
 	}
@@ -202,7 +203,7 @@ func TestSessionPersistence(t *testing.T) {
 	if u2.N() != 4 || s2.Len() != s1.Len() {
 		t.Fatalf("restored: n=%d len=%d", u2.N(), s2.Len())
 	}
-	again, _ := learn.RolePreserving(u2, s2)
+	again, _ := learn.Run(u2, s2, run.WithAlgorithm(run.RolePreserving))
 	if !again.Equivalent(target) {
 		t.Fatal("restored session learned differently")
 	}
@@ -257,7 +258,7 @@ func TestInconsistentWithAndAmendAll(t *testing.T) {
 		return a
 	})
 	s := New(liar)
-	learn.RolePreserving(u, s)
+	learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 	bad := s.InconsistentWith(truth.Ask)
 	if len(bad) == 0 {
 		t.Skip("both lies were on duplicate questions")
@@ -268,7 +269,7 @@ func TestInconsistentWithAndAmendAll(t *testing.T) {
 	if got := s.InconsistentWith(truth.Ask); got != nil {
 		t.Fatalf("still inconsistent at %v", got)
 	}
-	again, _ := learn.RolePreserving(u, s)
+	again, _ := learn.Run(u, s, run.WithAlgorithm(run.RolePreserving))
 	if !again.Equivalent(target) {
 		t.Fatalf("after AmendAll learned %s", again)
 	}

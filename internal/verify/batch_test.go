@@ -30,7 +30,7 @@ func TestRunBatchMatchesSerial(t *testing.T) {
 			continue
 		}
 		checked++
-		serial := vs.Run(oracle.Target(c.Hidden))
+		serial := vs.RunWith(oracle.Target(c.Hidden))
 		batched := vs.RunWith(oracle.Target(c.Hidden), run.WithBatch())
 		if !reflect.DeepEqual(serial, batched) {
 			t.Errorf("given %s vs hidden %s: serial %+v, batched %+v", given, c.Hidden, serial, batched)

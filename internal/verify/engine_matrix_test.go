@@ -2,8 +2,8 @@ package verify
 
 // The verify half of the options-matrix differential test: the same
 // verification set runs through every engine option combination and
-// every named entry point, and all of them must reproduce the plain
-// serial run — the same verdict, the same question count, the same
+// under a question budget around the user, and all of them must
+// reproduce the plain serial run — the same verdict, the same question count, the same
 // disagreement list, and the same user-facing question transcript in
 // set order (docs/ENGINE.md).
 
@@ -89,25 +89,24 @@ func TestVerifyOptionsMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		collect := func(opts ...run.Option) ([]string, Result) {
-			rec := oracle.Record(oracle.Target(tc.hidden))
-			res := vs.RunWith(rec, opts...)
-			return transcriptOf(rec), res
-		}
-		var refTr []string
-		var refRes Result
-		{
-			rec := oracle.Record(oracle.Target(tc.hidden))
-			refRes = vs.Run(rec)
-			refTr = transcriptOf(rec)
-		}
-		combos := []struct {
+		type combo struct {
 			name string
 			opts []run.Option
-		}{
-			{name: "plain"},
+			wrap func(oracle.Oracle) oracle.Oracle
+		}
+		collect := func(c combo) ([]string, Result) {
+			rec := oracle.Record(oracle.Target(tc.hidden))
+			var o oracle.Oracle = rec
+			if c.wrap != nil {
+				o = c.wrap(o)
+			}
+			res := vs.RunWith(o, c.opts...)
+			return transcriptOf(rec), res
+		}
+		refTr, refRes := collect(combo{})
+		combos := []combo{
 			{name: "batch", opts: []run.Option{run.WithBatch()}},
-			{name: "budget", opts: []run.Option{run.WithBudget(refRes.QuestionsAsked)}},
+			{name: "budget", wrap: func(o oracle.Oracle) oracle.Oracle { return oracle.WithBudget(o, refRes.QuestionsAsked, nil) }},
 			{name: "counter", opts: []run.Option{run.WithCounter()}},
 			{name: "steps", opts: []run.Option{run.WithSteps(func(run.Step) {})}},
 			{name: "observed", opts: []run.Option{run.WithInstrumentation(Instrumentation{
@@ -115,49 +114,11 @@ func TestVerifyOptionsMatrix(t *testing.T) {
 				Metrics: obs.NewRegistry(),
 			})}},
 		}
-		for _, combo := range combos {
-			label := tc.name + " " + combo.name
-			tr, res := collect(combo.opts...)
+		for _, c := range combos {
+			label := tc.name + " " + c.name
+			tr, res := collect(c)
 			sameResult(t, label, refRes, res)
 			sameTranscript(t, label, refTr, tr)
-		}
-	}
-}
-
-// TestVerifyLegacyEntryPointsPinned: the named entry points — Verify,
-// Set.Run and Set.RunUntilFirst — reproduce the engine run their
-// documentation promises.
-func TestVerifyLegacyEntryPointsPinned(t *testing.T) {
-	for _, tc := range verifyMatrixCases(t) {
-		vs, err := Build(tc.given)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ask := func() oracle.Oracle { return oracle.Target(tc.hidden) }
-		ref := vs.Run(ask())
-		sameResult(t, tc.name+" Set.Run", vs.RunWith(ask()), ref)
-		if res, err := Verify(tc.given, ask()); err != nil {
-			t.Errorf("%s Verify: %v", tc.name, err)
-		} else {
-			sameResult(t, tc.name+" Verify", ref, res)
-		}
-		if res, err := Run(tc.given, ask()); err != nil {
-			t.Errorf("%s Run: %v", tc.name, err)
-		} else {
-			sameResult(t, tc.name+" Run", ref, res)
-		}
-
-		// RunUntilFirst pins to the engine's first-disagreement mode.
-		first := vs.RunUntilFirst(ask())
-		withFirst := vs.RunWith(ask(), run.WithFirstDisagreement())
-		sameResult(t, tc.name+" RunUntilFirst", withFirst, first)
-		if !ref.Correct && first.QuestionsAsked >= ref.QuestionsAsked && len(vs.Questions) > 1 {
-			// A wrong query with a mid-set disagreement must stop early.
-			if first.QuestionsAsked == ref.QuestionsAsked && len(first.Disagreements) > 0 &&
-				first.Disagreements[0].Question.Set.Key() != vs.Questions[len(vs.Questions)-1].Set.Key() {
-				t.Errorf("%s: RunUntilFirst asked the full set (%d questions) past the first disagreement",
-					tc.name, first.QuestionsAsked)
-			}
 		}
 	}
 }

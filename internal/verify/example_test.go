@@ -32,13 +32,13 @@ func ExampleBuild() {
 	// [A4] answer     {1110, 1101, 0111, 1111}
 }
 
-func ExampleVerify() {
+func ExampleRun() {
 	u := boolean.MustUniverse(4)
 	given := query.MustParse(u, "∀x1 → x2 ∃x3x4")
 	// The user actually wants a different head: the verification set
 	// catches it (Theorem 4.2).
 	intended := query.MustParse(u, "∀x1 → x3 ∃x3x4")
-	res, err := verify.Verify(given, oracle.Target(intended))
+	res, err := verify.Run(given, oracle.Target(intended))
 	if err != nil {
 		panic(err)
 	}

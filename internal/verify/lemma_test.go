@@ -16,7 +16,7 @@ import (
 func detectors(t *testing.T, given, intended query.Query) map[Kind]bool {
 	t.Helper()
 	vs := mustBuild(t, given)
-	res := vs.Run(oracle.Target(intended))
+	res := vs.RunWith(oracle.Target(intended))
 	if res.Correct {
 		t.Fatalf("given %s vs intended %s: no disagreement", given, intended)
 	}
@@ -117,7 +117,7 @@ func TestVerificationDirections(t *testing.T) {
 	given := query.MustParse(u, "∀x1 → x3 ∃x4")
 	intended := query.MustParse(u, "∀x1x2 → x3 ∃x4")
 	vs := mustBuild(t, given)
-	res := vs.Run(oracle.Target(intended))
+	res := vs.RunWith(oracle.Target(intended))
 	for _, d := range res.Disagreements {
 		switch d.Question.Kind {
 		case N1, N2:

@@ -1,12 +1,9 @@
 package verify
 
 // This file is the verifier's face of the composable run engine
-// (internal/run, docs/ENGINE.md): the option-driven entry points, the
-// shared Instrumentation alias, and the one configured core that Run,
-// Set.RunWith, Verify, Set.Run and Set.RunUntilFirst all delegate to.
-// The last three fix one Config each; their behavior (questions,
-// spans, counters, results) is pinned bit-identical to RunWith by the
-// options matrix tests.
+// (internal/run, docs/ENGINE.md): the option-driven entry points Run
+// and Set.RunWith, the shared Instrumentation alias, and the one
+// configured core both delegate to.
 
 import (
 	"time"
@@ -41,9 +38,10 @@ type Instrumentation = run.Instrumentation
 // Run builds the verification set of qg and runs it against o under
 // the given engine options: run.WithInstrumentation for spans and
 // metrics, run.WithSteps for per-question steps, run.WithBatch for
-// batched asking, run.WithFirstDisagreement to stop
-// at the first disagreement, and the oracle wrapper options
-// (run.WithBudget, run.WithNoise, …) for the question stack.
+// batched asking, run.WithFirstDisagreement to stop at the first
+// disagreement, and run.WithCounter to count the questions. A budget,
+// a noisy user or a transcript is an oracle wrapped around o
+// (oracle.WithBudget, oracle.Noisy, oracle.Record).
 func Run(qg query.Query, o oracle.Oracle, opts ...run.Option) (Result, error) {
 	vs, err := Build(qg)
 	if err != nil {
@@ -53,23 +51,16 @@ func Run(qg query.Query, o oracle.Oracle, opts ...run.Option) (Result, error) {
 }
 
 // RunWith runs an already-built verification set under engine options
-// (see Run). The oracle wrapper stack is assembled by the engine; the
-// set is asked exactly once, in its deterministic order.
+// (see Run). The set is asked exactly once, in its deterministic
+// order.
 func (vs Set) RunWith(o oracle.Oracle, opts ...run.Option) Result {
 	cfg := run.New(opts...)
-	st := cfg.Assemble(o)
-	return vs.runConfigured(st.Oracle, cfg)
+	return vs.runConfigured(cfg.Assemble(o), cfg)
 }
 
-// runConfigured is the single verification core. The named entry
-// points are fixed Configs over this one path:
-//
-//	Verify, Set.Run    → Config{}
-//	Set.RunUntilFirst  → Config{FirstOnly: true}
-//
-// In batch mode the whole set is answered first — the A1–A4/N1–N2
-// questions are mutually independent, so a BatchOracle takes them in
-// one call — then spans, steps and counters are emitted in set order,
+// runConfigured is the single verification core. In batch mode the
+// whole set is answered first — the A1–A4/N1–N2 questions are mutually
+// independent, so a BatchOracle takes them in one call — then spans, steps and counters are emitted in set order,
 // and disagreements keep the set's order. Batched spans carry a
 // "mode: batch" attribute; their per-question durations are not
 // meaningful, since the answers arrived before the spans opened.

@@ -44,7 +44,7 @@ func (vs Set) DetectionRate(rng *rand.Rand, intended oracle.Oracle, m, trials in
 	if trials <= 0 {
 		return 0
 	}
-	full := vs.Run(intended)
+	full := vs.RunWith(intended)
 	if full.Correct {
 		return 1
 	}

@@ -12,9 +12,7 @@ import (
 	"fmt"
 
 	"qhorn/internal/boolean"
-	"qhorn/internal/oracle"
 	"qhorn/internal/query"
-	"qhorn/internal/run"
 )
 
 // Kind identifies the question family of Fig. 6.
@@ -250,35 +248,6 @@ type Result struct {
 	Disagreements []Disagreement
 	// QuestionsAsked is the size of the verification set.
 	QuestionsAsked int
-}
-
-// Verify asks the user (the oracle) every question of the
-// verification set and reports whether the given query is correct —
-// i.e. whether the user agreed with the given query's classification
-// of every question. By Theorem 4.2 a semantically incorrect query
-// always produces at least one disagreement.
-func Verify(qg query.Query, o oracle.Oracle) (Result, error) {
-	vs, err := Build(qg)
-	if err != nil {
-		return Result{}, err
-	}
-	return vs.Run(o), nil
-}
-
-// Run asks every question of the set and collects disagreements. It is
-// a thin wrapper over the run engine's configured core (options.go)
-// with a zero configuration: serial, silent, full set.
-func (vs Set) Run(o oracle.Oracle) Result {
-	return vs.runConfigured(o, run.Config{})
-}
-
-// RunUntilFirst asks questions only until the first disagreement —
-// the cheap interactive mode when a yes/no verdict is all that is
-// needed. QuestionsAsked reflects the questions actually posed. Thin
-// wrapper over the engine core with FirstOnly set (the
-// run.WithFirstDisagreement option).
-func (vs Set) RunUntilFirst(o oracle.Oracle) Result {
-	return vs.runConfigured(o, run.Config{FirstOnly: true})
 }
 
 // SelfConsistent reports whether the given query classifies every

@@ -9,6 +9,7 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/oracle"
 	"qhorn/internal/query"
+	"qhorn/internal/run"
 )
 
 var u6 = boolean.MustUniverse(6)
@@ -217,7 +218,7 @@ func TestCompletenessTwoVars(t *testing.T) {
 	for _, given := range queries {
 		vs := mustBuild(t, given)
 		for _, intended := range queries {
-			res := vs.Run(oracle.Target(intended))
+			res := vs.RunWith(oracle.Target(intended))
 			want := given.Equivalent(intended)
 			if res.Correct != want {
 				t.Errorf("given %s, intended %s: verification correct=%v, equivalent=%v",
@@ -239,7 +240,7 @@ func TestCompletenessThreeVars(t *testing.T) {
 	for _, given := range queries {
 		vs := mustBuild(t, given)
 		for _, intended := range queries {
-			res := vs.Run(oracle.Target(intended))
+			res := vs.RunWith(oracle.Target(intended))
 			want := given.Equivalent(intended)
 			if res.Correct != want {
 				t.Fatalf("given %s, intended %s: verification correct=%v, equivalent=%v",
@@ -264,7 +265,7 @@ func TestCompletenessRandomPairs(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		n := 4 + rng.Intn(6)
 		given, intended := gen(n), gen(n)
-		res, err := Verify(given, oracle.Target(intended))
+		res, err := Run(given, oracle.Target(intended))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +308,7 @@ func TestVerifyReportsDisagreementDetails(t *testing.T) {
 	u := boolean.MustUniverse(2)
 	given := query.MustParse(u, "∀x1 → x2")
 	intended := query.MustParse(u, "∃x1x2")
-	res, err := Verify(given, oracle.Target(intended))
+	res, err := Run(given, oracle.Target(intended))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +333,7 @@ func TestVerifyReportsDisagreementDetails(t *testing.T) {
 func TestEmptyQueryVerification(t *testing.T) {
 	u := boolean.MustUniverse(3)
 	empty := query.Query{U: u}
-	res, err := Verify(empty, oracle.Target(empty))
+	res, err := Run(empty, oracle.Target(empty))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,19 +342,19 @@ func TestEmptyQueryVerification(t *testing.T) {
 	}
 }
 
-func TestRunUntilFirst(t *testing.T) {
+func TestRunFirstDisagreement(t *testing.T) {
 	u := boolean.MustUniverse(4)
 	given := query.MustParse(u, "∀x1 → x2 ∃x3x4")
 	vs := mustBuild(t, given)
 	// Correct intent: all questions asked, none disagree.
-	res := vs.RunUntilFirst(oracle.Target(given))
+	res := vs.RunWith(oracle.Target(given), run.WithFirstDisagreement())
 	if !res.Correct || res.QuestionsAsked != len(vs.Questions) {
 		t.Fatalf("self run: %+v", res)
 	}
 	// Wrong intent: stops at the first disagreement.
 	intended := query.MustParse(u, "∃x3x4")
 	c := oracle.Count(oracle.Target(intended), nil)
-	res = vs.RunUntilFirst(c)
+	res = vs.RunWith(c, run.WithFirstDisagreement())
 	if res.Correct {
 		t.Fatal("difference missed")
 	}
@@ -413,7 +414,7 @@ func TestSampleAndDetectionRate(t *testing.T) {
 		t.Fatalf("equivalent detection rate = %v", rate)
 	}
 	// A single question detects with probability ≈ disagreements/total.
-	full := vs.Run(oracle.Target(intended))
+	full := vs.RunWith(oracle.Target(intended))
 	want := float64(len(full.Disagreements)) / float64(len(vs.Questions))
 	rate := vs.DetectionRate(rng, oracle.Target(intended), 1, 4000)
 	if rate < want-0.05 || rate > want+0.05 {

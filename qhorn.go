@@ -18,16 +18,17 @@
 //
 //	u := qhorn.MustUniverse(6)
 //	target := qhorn.MustParseQuery(u, "∀x1x4 → x5 ∃x2x3")
-//	learned, stats := qhorn.LearnRolePreserving(u, qhorn.TargetOracle(target))
+//	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target),
+//	    qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 //	fmt.Println(learned, stats.Total()) // equivalent query, #questions
 //
-// Two exactly-learnable classes are provided, with the paper's
+// Learn provides two exactly-learnable classes, with the paper's
 // complexity guarantees:
 //
-//   - LearnQhorn1: qhorn-1 (no variable repetition), O(n lg n)
-//     questions (Theorem 3.1);
-//   - LearnRolePreserving: role-preserving qhorn (variables repeat
-//     but never switch head/body roles), O(n^(θ+1) + k·n·lg n)
+//   - AlgorithmQhorn1 (the default): qhorn-1 (no variable
+//     repetition), O(n lg n) questions (Theorem 3.1);
+//   - AlgorithmRolePreserving: role-preserving qhorn (variables
+//     repeat but never switch head/body roles), O(n^(θ+1) + k·n·lg n)
 //     questions (Theorems 3.5 and 3.8).
 //
 // Verification answers the converse problem: given a query the user
@@ -83,14 +84,6 @@ type Oracle = oracle.Oracle
 
 // OracleFunc adapts a function to the Oracle interface.
 type OracleFunc = oracle.Func
-
-// Learning statistics (per-phase question counts).
-type (
-	// Qhorn1Stats breaks down the qhorn-1 learner's questions.
-	Qhorn1Stats = learn.Qhorn1Stats
-	// RPStats breaks down the role-preserving learner's questions.
-	RPStats = learn.RPStats
-)
 
 // Verification types (see internal/verify).
 type (
@@ -149,14 +142,6 @@ func ParseSet(u Universe, s string) (Set, error) { return boolean.ParseSet(u, s)
 // MustParseSet is ParseSet for fixtures and examples.
 func MustParseSet(u Universe, s string) Set { return boolean.MustParseSet(u, s) }
 
-// LearnQhorn1 learns a qhorn-1 query exactly with O(n lg n)
-// membership questions (§3.1, Theorem 3.1).
-func LearnQhorn1(u Universe, o Oracle) (Query, Qhorn1Stats) { return learn.Qhorn1(u, o) }
-
-// LearnRolePreserving learns a role-preserving qhorn query exactly
-// with O(n^(θ+1) + k·n·lg n) membership questions (§3.2).
-func LearnRolePreserving(u Universe, o Oracle) (Query, RPStats) { return learn.RolePreserving(u, o) }
-
 // BuildVerificationSet constructs the O(k) verification questions of
 // §4 for a role-preserving query.
 func BuildVerificationSet(q Query) (VerificationSet, error) { return verify.Build(q) }
@@ -188,6 +173,14 @@ func CountingOracle(o Oracle, reg *MetricsRegistry) *oracle.Counter { return ora
 // RecordingOracle wraps o and records the full interaction
 // transcript.
 func RecordingOracle(o Oracle) *oracle.Transcript { return oracle.Record(o) }
+
+// BudgetOracle wraps o and caps the questions reaching it at limit;
+// a question past the cap panics with an oracle.ErrBudget. A non-nil
+// registry also counts the refused questions
+// (qhorn_oracle_budget_shed_total).
+func BudgetOracle(o Oracle, limit int, reg *MetricsRegistry) *oracle.Budget {
+	return oracle.WithBudget(o, limit, reg)
+}
 
 // GenQhorn1 generates a random qhorn-1 query on n variables.
 func GenQhorn1(rng *rand.Rand, n int) Query { return query.GenQhorn1(rng, n) }
@@ -361,10 +354,10 @@ func Classify(q Query) query.ClassReport { return q.Classify() }
 type ClassReport = query.ClassReport
 
 // The composable run engine (docs/ENGINE.md): Learn and Verify are
-// the option-driven entry points; LearnQhorn1 and LearnRolePreserving
-// are fixed option sets over Learn. One call site composes the algorithm, the
-// observability hooks, the batching strategy and the oracle wrapper
-// stack:
+// the option-driven entry points. One call site composes the
+// algorithm, the observability hooks and the batching strategy; a
+// budget, a noisy user or a transcript is an oracle wrapped around the
+// user's (BudgetOracle, NoisyOracle, RecordingOracle):
 //
 //	q, stats := qhorn.Learn(u, user,
 //	    qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
@@ -398,8 +391,7 @@ const (
 func ParseAlgorithm(s string) (Algorithm, error) { return run.ParseAlgorithm(s) }
 
 // Learn learns a query exactly under the given engine options
-// (default: qhorn-1, serial, silent). LearnQhorn1 and
-// LearnRolePreserving are fixed option sets over this call.
+// (default: qhorn-1, serial, silent).
 func Learn(u Universe, o Oracle, opts ...RunOption) (Query, RunStats) {
 	return learn.Run(u, o, opts...)
 }
@@ -407,8 +399,8 @@ func Learn(u Universe, o Oracle, opts ...RunOption) (Query, RunStats) {
 // Verify asks the user every verification question of q and reports
 // whether she agrees with q's classifications (Theorem 4.2: any
 // semantic difference from her intended query surfaces here). The
-// engine options select batching, instrumentation and the question
-// stack (default: serial, silent, full set).
+// engine options select batching, instrumentation and early stopping
+// (default: serial, silent, full set).
 func Verify(q Query, o Oracle, opts ...RunOption) (VerificationResult, error) {
 	return verify.Run(q, o, opts...)
 }
@@ -439,12 +431,6 @@ func WithObsServer(s *ObsServer) RunOption { return run.WithObsServer(s) }
 // WithBatch selects the batch question structure — bring your own
 // BatchOracle, or accept serial degradation.
 func WithBatch() RunOption { return run.WithBatch() }
-
-// WithBudget caps the questions reaching the user at limit.
-func WithBudget(limit int) RunOption { return run.WithBudget(limit) }
-
-// WithNoise flips each of the user's answers with probability p.
-func WithNoise(p float64, rng *rand.Rand) RunOption { return run.WithNoise(p, rng) }
 
 // WithFirstDisagreement stops a verification run at the first
 // disagreement.

@@ -1,10 +1,8 @@
 package qhorn_test
 
-// Facade tests for the composable run engine surface: Learn / Verify
-// and every re-exported option (docs/ENGINE.md). The named LearnXxx /
-// VerifyXxx wrappers are pinned to the engine in their own packages'
-// options-matrix tests; here the facade's option path is exercised
-// end to end.
+// Facade tests for the composable run engine surface: Learn / Verify,
+// every re-exported option and the oracle wrappers composed around
+// the user (docs/ENGINE.md), exercised end to end.
 
 import (
 	"math/rand"
@@ -31,9 +29,9 @@ func TestLearnDefaults(t *testing.T) {
 	}
 }
 
-// TestLearnOptionsCompose: algorithm, batching, budget, steps and
-// instrumentation compose on one call and still learn
-// exactly.
+// TestLearnOptionsCompose: algorithm, batching, steps and
+// instrumentation compose on one call over a budgeted user and still
+// learn exactly.
 func TestLearnOptionsCompose(t *testing.T) {
 	u, intended := engineFixture(t)
 	serialQ, serialStats := qhorn.Learn(u, qhorn.TargetOracle(intended),
@@ -41,10 +39,10 @@ func TestLearnOptionsCompose(t *testing.T) {
 
 	var steps int
 	reg := qhorn.NewMetricsRegistry()
-	q, stats := qhorn.Learn(u, qhorn.TargetOracle(intended),
+	budget := qhorn.BudgetOracle(qhorn.TargetOracle(intended), serialStats.Total(), reg)
+	q, stats := qhorn.Learn(u, budget,
 		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
 		qhorn.WithBatch(),
-		qhorn.WithBudget(serialStats.Total()),
 		qhorn.WithSteps(func(qhorn.TraceStep) { steps++ }),
 		qhorn.WithInstrumentation(qhorn.Instrumentation{Metrics: reg}))
 	if !q.Equivalent(serialQ) {
@@ -55,6 +53,9 @@ func TestLearnOptionsCompose(t *testing.T) {
 	}
 	if steps != stats.Total() {
 		t.Errorf("step tracer saw %d questions, stats count %d", steps, stats.Total())
+	}
+	if budget.Remaining() != 0 {
+		t.Errorf("budget has %d questions left, want 0", budget.Remaining())
 	}
 }
 
@@ -84,13 +85,12 @@ func TestLearnAblated(t *testing.T) {
 }
 
 // TestLearnWithNoise: a fully lying user (p=1) derails learning — the
-// option demonstrably reaches the oracle stack.
+// noisy oracle demonstrably sits between the learner and the user.
 func TestLearnWithNoise(t *testing.T) {
 	u, intended := engineFixture(t)
 	rng := rand.New(rand.NewSource(1))
-	q, _ := qhorn.Learn(u, qhorn.TargetOracle(intended),
-		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving),
-		qhorn.WithNoise(1, rng))
+	q, _ := qhorn.Learn(u, qhorn.NoisyOracle(qhorn.TargetOracle(intended), 1, rng),
+		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	if q.Equivalent(intended) {
 		t.Error("learning from an always-lying user still matched the intent")
 	}

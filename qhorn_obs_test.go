@@ -95,7 +95,7 @@ func TestCountingOracleIntoThroughFacade(t *testing.T) {
 	target := qhorn.MustParseQuery(u, "∀x1x2 → x3 ∃x4")
 	reg := qhorn.NewMetricsRegistry()
 	counted := qhorn.CountingOracle(qhorn.TargetOracle(target), reg)
-	learned, stats := qhorn.LearnQhorn1(u, counted)
+	learned, stats := qhorn.Learn(u, counted)
 	if !learned.Equivalent(target) {
 		t.Fatalf("learner diverged: %s", learned)
 	}

@@ -8,10 +8,10 @@ import (
 	"qhorn"
 )
 
-func TestFacadeLearnQhorn1(t *testing.T) {
+func TestFacadeQhorn1Learn(t *testing.T) {
 	u := qhorn.MustUniverse(6)
 	target := qhorn.MustParseQuery(u, "∀x1x2 → x4 ∃x1x2 → x5 ∃x3 → x6")
-	learned, stats := qhorn.LearnQhorn1(u, qhorn.TargetOracle(target))
+	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s, want %s", learned, target)
 	}
@@ -20,14 +20,14 @@ func TestFacadeLearnQhorn1(t *testing.T) {
 	}
 }
 
-func TestFacadeLearnRolePreserving(t *testing.T) {
+func TestFacadeRolePreservingLearn(t *testing.T) {
 	u := qhorn.MustUniverse(6)
 	target := qhorn.MustParseQuery(u, "∀x1x4 → x5 ∀x3x4 → x5 ∃x1x2x3")
-	learned, stats := qhorn.LearnRolePreserving(u, qhorn.TargetOracle(target))
+	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatalf("learned %s, want %s", learned, target)
 	}
-	if stats.UniversalQuestions == 0 || stats.ExistentialQuestions == 0 {
+	if stats.BodyQuestions == 0 || stats.ExistentialQuestions == 0 {
 		t.Fatalf("stats incomplete: %+v", stats)
 	}
 }
@@ -75,7 +75,7 @@ func TestFacadeOracles(t *testing.T) {
 	r := qhorn.RecordingOracle(c)
 	// ∃x1x2 leaves x3, x4 unquantified, which qhorn-1 forbids; the
 	// role-preserving learner handles it.
-	learned, _ := qhorn.LearnRolePreserving(u, r)
+	learned, _ := qhorn.Learn(u, r, qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatal("learning through wrappers failed")
 	}
@@ -87,6 +87,14 @@ func TestFacadeOracles(t *testing.T) {
 	if noisy.Ask(qhorn.Set{}) == target.Eval(qhorn.Set{}) {
 		t.Fatal("p=1 noise did not flip")
 	}
+	budget := qhorn.BudgetOracle(qhorn.TargetOracle(target), 1, nil)
+	budget.Ask(qhorn.Set{})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("BudgetOracle answered past its cap of 1")
+		}
+	}()
+	budget.Ask(qhorn.Set{})
 }
 
 func TestFacadeGenerators(t *testing.T) {
@@ -107,7 +115,7 @@ func Example() {
 	intended := qhorn.MustParseQuery(u, "∀x1 → x2 ∃x3x4")
 	user := qhorn.TargetOracle(intended)
 
-	learned, stats := qhorn.LearnRolePreserving(u, user)
+	learned, stats := qhorn.Learn(u, user, qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	fmt.Println("learned:", learned)
 	fmt.Println("equivalent:", learned.Equivalent(intended))
 
@@ -144,7 +152,7 @@ func TestFacadeSession(t *testing.T) {
 	u := qhorn.MustUniverse(4)
 	target := qhorn.MustParseQuery(u, "∀x1 → x2 ∃x3x4")
 	s := qhorn.NewSession(qhorn.TargetOracle(target))
-	learned, _ := qhorn.LearnRolePreserving(u, s)
+	learned, _ := qhorn.Learn(u, s, qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	if !learned.Equivalent(target) {
 		t.Fatal("learning through session failed")
 	}
@@ -153,7 +161,7 @@ func TestFacadeSession(t *testing.T) {
 	}
 	// Re-run replays entirely from history.
 	s.ResetRun()
-	again, _ := qhorn.LearnRolePreserving(u, s)
+	again, _ := qhorn.Learn(u, s, qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	if !again.Equivalent(target) || s.LiveQuestions != 0 {
 		t.Fatalf("replay run asked %d live questions", s.LiveQuestions)
 	}
@@ -250,13 +258,13 @@ func TestFacadeBatchMatchesSerial(t *testing.T) {
 		t.Errorf("AskAll through the facade: %v", answers)
 	}
 
-	serial, sstats := qhorn.LearnQhorn1(u, qhorn.TargetOracle(target))
+	serial, sstats := qhorn.Learn(u, qhorn.TargetOracle(target))
 	learned, stats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithBatch())
 	if !learned.Equivalent(serial) || stats.Total() != sstats.Total() {
 		t.Errorf("batched qhorn-1 got %s (%d questions), serial %s (%d)",
 			learned, stats.Total(), serial, sstats.Total())
 	}
-	rpSerial, rpsStats := qhorn.LearnRolePreserving(u, qhorn.TargetOracle(target))
+	rpSerial, rpsStats := qhorn.Learn(u, qhorn.TargetOracle(target), qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving))
 	rp, rpStats := qhorn.Learn(u, qhorn.TargetOracle(target),
 		qhorn.WithAlgorithm(qhorn.AlgorithmRolePreserving), qhorn.WithBatch())
 	if !rp.Equivalent(rpSerial) || rpStats.Total() != rpsStats.Total() {
