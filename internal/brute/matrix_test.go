@@ -2,7 +2,6 @@ package brute
 
 import (
 	"math/rand"
-	"os"
 	"testing"
 
 	"qhorn/internal/bitvec"
@@ -326,19 +325,14 @@ func TestMatrixRowsMatchKernelExhaustive(t *testing.T) {
 	}
 }
 
-// TestMatrixBitIdenticalExhaustiveN4 is the CI brute-smoke gate: at
-// n=4 (1576 candidates × 65536 objects) the matrix learners must stay
-// bit-identical to the serial sequential reference on sampled targets,
-// for every build. The serial
-// baseline is minutes of interpreted evaluation, so the gate only runs
-// when QHORN_BRUTE_N4 is set (the brute-smoke CI job) and never under
-// -short.
+// TestMatrixBitIdenticalExhaustiveN4 is the n=4 identity gate: at n=4
+// (1576 candidates × 65536 objects) the matrix learners must stay
+// bit-identical to the serial sequential reference on sampled targets.
+// The whole gate takes well under a second on the compiled kernel, so
+// it runs with the package's tests; only -short skips it.
 func TestMatrixBitIdenticalExhaustiveN4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=4 exhaustive identity gate skipped in -short")
-	}
-	if os.Getenv("QHORN_BRUTE_N4") == "" {
-		t.Skip("set QHORN_BRUTE_N4=1 to run the n=4 exhaustive identity gate")
 	}
 	u := boolean.MustUniverse(4)
 	candidates := query.AllQueries(u)

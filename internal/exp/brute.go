@@ -60,7 +60,7 @@ func bruteLearnTable(e Experiment, cfg Config) *stats.Table {
 			trials = 6
 		}
 		if n >= 4 && trials > 3 {
-			trials = 3 // the sample the recorded n=4 row is taken over
+			trials = 3 // the recorded n=4 row samples three targets; the build is cheap at any count
 		}
 
 		cached := brute.NewMatrix(candidates, pool, reg)

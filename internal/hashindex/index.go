@@ -5,9 +5,9 @@
 // keys themselves, and a lookup confirms a hash match with the
 // caller's equality test. Positions are only added, or cut off from
 // the end (Truncate, Reset): the history truncates on amendment, and
-// the tier evicts by resetting a whole generation. It holds no pointer
-// per position, so a large index costs the garbage collector nothing
-// to mark.
+// the tier evicts by resetting a whole generation. It stores a 32-bit
+// hash and no pointer per position, so a large index costs the garbage
+// collector nothing to mark, and a hash collision only a comparison.
 package hashindex
 
 import (
@@ -20,8 +20,8 @@ import (
 // submitted snapshot, a user's questions).
 var seed = maphash.MakeSeed()
 
-// Sum returns the hash of b under the process's seed.
-func Sum(b []byte) uint64 { return maphash.Bytes(seed, b) }
+// Sum returns the 32-bit hash of b under the process's seed.
+func Sum(b []byte) uint32 { return uint32(maphash.Bytes(seed, b)) }
 
 // Index maps hashes to positions of an append-only list the caller
 // keeps. It is an open-addressed table probed linearly: slots is a
@@ -31,7 +31,7 @@ func Sum(b []byte) uint64 { return maphash.Bytes(seed, b) }
 // zero value is an empty index.
 type Index struct {
 	slots  []int32
-	hashes []uint64
+	hashes []uint32
 }
 
 // minSlots is the table size the first Add allocates.
@@ -39,11 +39,11 @@ const minSlots = 64
 
 // Find returns the first position added under hash h for which eq
 // holds.
-func (x *Index) Find(h uint64, eq func(p int32) bool) (int32, bool) {
+func (x *Index) Find(h uint32, eq func(p int32) bool) (int32, bool) {
 	if len(x.slots) == 0 {
 		return 0, false
 	}
-	mask := uint64(len(x.slots) - 1)
+	mask := uint32(len(x.slots) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		p := x.slots[i] - 1
 		if p < 0 {
@@ -56,7 +56,7 @@ func (x *Index) Find(h uint64, eq func(p int32) bool) (int32, bool) {
 }
 
 // Add records the next position under hash h and returns it.
-func (x *Index) Add(h uint64) int32 {
+func (x *Index) Add(h uint32) int32 {
 	p := int32(len(x.hashes))
 	x.hashes = append(x.hashes, h)
 	if 2*len(x.hashes) > len(x.slots) {
@@ -68,10 +68,13 @@ func (x *Index) Add(h uint64) int32 {
 }
 
 // Hash returns the hash position p was added under.
-func (x *Index) Hash(p int32) uint64 { return x.hashes[p] }
+func (x *Index) Hash(p int32) uint32 { return x.hashes[p] }
 
 // Len returns the number of positions.
 func (x *Index) Len() int { return len(x.hashes) }
+
+// Bytes returns the capacity, in bytes, of the index's storage.
+func (x *Index) Bytes() int { return 4*cap(x.slots) + 4*cap(x.hashes) }
 
 // Reserve readies an empty index for n positions, n a power of two:
 // room for their hashes, and a table they fill at most half.
@@ -85,7 +88,7 @@ func (x *Index) Reserve(n int) {
 // insert places position p in the first free slot of its probe
 // sequence.
 func (x *Index) insert(p int32) {
-	mask := uint64(len(x.slots) - 1)
+	mask := uint32(len(x.slots) - 1)
 	i := x.hashes[p] & mask
 	for x.slots[i] != 0 {
 		i = (i + 1) & mask

@@ -125,6 +125,10 @@ const (
 	// MetricMemoTierSize gauges the answers currently cached by the
 	// shared memo tier, across all identities.
 	MetricMemoTierSize = "qhornd_memo_size"
+	// MetricMemoTierBytes gauges the bytes the shared memo tier holds:
+	// the capacities of its arenas, entry lists and indexes, plus the
+	// length of the identities each generation interns.
+	MetricMemoTierBytes = "qhornd_memo_bytes"
 	// MetricServeHTTPSeconds is the distribution of qhornd HTTP handler
 	// wall time, labeled by route (label "route": create, list, info,
 	// delete, questions, answers, history, snapshot, amend, obs). The

@@ -9,6 +9,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"qhorn/internal/boolean"
@@ -222,7 +223,8 @@ func TestSharedMemoMatchesModel(t *testing.T) {
 func TestSharedMemoSteadyState(t *testing.T) {
 	const capacity = 4096
 	// Every tuple of 16 variables from 2¹⁴ on is a 3-byte uvarint, so
-	// every key is 12 bytes long and no arena regrows once grown.
+	// every key (two tuples and a 1-byte identity number) is 7 bytes
+	// long and no arena regrows once grown.
 	u := boolean.MustUniverse(16)
 	qs := make([]boolean.Set, 3*capacity)
 	for i := range qs {
@@ -253,27 +255,123 @@ func TestSharedMemoSteadyState(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("storing %d answers in a full tier allocates %v times, want 0", capacity/2, n)
 	}
-	held := heldBytes(reflect.ValueOf(sm.old)) + heldBytes(reflect.ValueOf(sm.cur))
+	held := tierBytes(sm)
 	for next < len(qs) {
 		store()
 		if sm.Len() != capacity {
 			t.Fatalf("Len = %d after %d answers, want %d", sm.Len(), next, capacity)
 		}
 	}
-	if got := heldBytes(reflect.ValueOf(sm.old)) + heldBytes(reflect.ValueOf(sm.cur)); got != held {
+	if got := tierBytes(sm); got != held {
 		t.Errorf("the tier's storage went from %d to %d bytes in steady state", held, got)
 	}
 	// Each generation holds at most capacity answers. Append growth
 	// leaves an arena, entry or hash list at most twice the length it
 	// needs, and the table has at most 4 slots of 4 bytes per answer,
-	// so two generations hold at most 4·key + 96 bytes per live answer:
-	// under 8 times key + 8 for these 12-byte keys.
-	const factor = 8
-	live := len(sm.old.keys) - sm.old.entries[sm.evicted-1].end() + len(sm.cur.keys) + 8*capacity
-	if held > factor*live {
-		t.Errorf("a full tier holds %d bytes for %d bytes of live keys and entries, over %d times", held, live, factor)
+	// so two generations could hold up to 4·key + 64 bytes per live
+	// answer, 8.4 times key + 4 for these 7-byte keys. This layout
+	// measures 4.18 times; the factor leaves a small margin over that.
+	const factor = 4.5
+	live := len(sm.old.keys) - sm.old.entries[sm.evicted-1].end() + len(sm.cur.keys) + 4*capacity
+	if float64(held) > factor*float64(live) {
+		t.Errorf("a full tier holds %d bytes for %d bytes of live keys and entries, over %v times", held, live, factor)
+	}
+	if got := sm.bytes.Value(); got > float64(held) || got < float64(held)/2 {
+		t.Errorf("qhornd_memo_bytes reads %v for a tier holding %d bytes", got, held)
 	}
 	t.Logf("%d bytes held for %d bytes of live keys and entries (%.2f×)", held, live, float64(held)/float64(live))
+}
+
+// TestSharedMemoHoldsIdentityOnce stores 64 answers under a 1 MiB
+// identity, half through Update and half through a missed AskBatch.
+// Each generation interns the identity once, so the arena and the
+// intern table hold it once, not once per answer (64 MiB).
+func TestSharedMemoHoldsIdentityOnce(t *testing.T) {
+	identity := strings.Repeat("u", 1<<20)
+	u := boolean.MustUniverse(8)
+	qs := make([]boolean.Set, 64)
+	for i := range qs {
+		qs[i] = boolean.NewSet(boolean.Tuple(i), u.All())
+	}
+	reg := obs.NewRegistry()
+	sm := NewSharedMemo(1024, reg)
+	for _, q := range qs[:32] {
+		sm.Update(identity, q, true)
+	}
+	user := &modelUser{salt: 1}
+	AskAll(sm.Oracle(strings.Clone(identity), user), qs[32:])
+	if len(user.asked) != 32 || sm.Len() != 64 {
+		t.Fatalf("the batch forwarded %d questions and the tier holds %d answers, want 32 and 64", len(user.asked), sm.Len())
+	}
+	held := cap(sm.old.keys) + cap(sm.cur.keys) + internedBytes(&sm.old) + internedBytes(&sm.cur)
+	if held >= 2<<20 {
+		t.Errorf("64 answers under a 1 MiB identity hold %d bytes of arena and intern table, want under 2 MiB", held)
+	}
+	if got := reg.Gauge(obs.MetricMemoTierBytes).Value(); got < 1<<20 || got >= 2<<20 {
+		t.Errorf("qhornd_memo_bytes = %v, want the identity's 1 MiB plus under 1 MiB", got)
+	}
+}
+
+// TestSharedMemoArenaLimitSwapsEarly lowers the arena limit so that a
+// generation fills after three keys, well before capacity answers.
+// Each key that would pass the limit swaps the generations early and
+// evicts what remains of old. After every store the tier holds exactly
+// the newest Len answers, the counters agree with Len, and no arena
+// passes the limit.
+func TestSharedMemoArenaLimitSwapsEarly(t *testing.T) {
+	for _, capacity := range []int{64, 5} {
+		reg := obs.NewRegistry()
+		sm := NewSharedMemo(capacity, reg)
+		sm.maxArena = 6    // every key is 2 bytes: tuple and identity number
+		var old, cur []int // the reference: stored indices by generation
+		for i := range 20 {
+			sm.Update("alice", boolean.NewSet(boolean.Tuple(i)), i%2 == 0)
+			if len(cur) == 3 {
+				old, cur = cur, nil
+			}
+			if cur = append(cur, i); len(old)+len(cur) > capacity {
+				old = old[1:]
+			}
+			n := len(old) + len(cur)
+			if sm.Len() != n {
+				t.Fatalf("capacity %d, %d stored: Len = %d, want %d", capacity, i+1, sm.Len(), n)
+			}
+			if got := reg.CounterValue(obs.MetricMemoTierEvictions); got != int64(i+1-n) {
+				t.Fatalf("capacity %d, %d stored: evictions = %d, want %d", capacity, i+1, got, i+1-n)
+			}
+			if got := reg.Gauge(obs.MetricMemoTierSize).Value(); got != float64(n) {
+				t.Fatalf("capacity %d, %d stored: size gauge = %v, want %d", capacity, i+1, got, n)
+			}
+			if len(sm.old.keys) > sm.maxArena || len(sm.cur.keys) > sm.maxArena {
+				t.Fatalf("capacity %d, %d stored: arenas of %d and %d bytes pass the limit %d", capacity, i+1, len(sm.old.keys), len(sm.cur.keys), sm.maxArena)
+			}
+			sm.lock("alice")
+			for j := 0; j <= i; j++ {
+				e := sm.find(boolean.NewSet(boolean.Tuple(j)))
+				if want := j > i-n; (e != nil) != want || want && e.answer() != (j%2 == 0) {
+					t.Fatalf("capacity %d, %d stored: answer %d cached = %v, want %v (oldest first)", capacity, i+1, j, e != nil, want)
+				}
+			}
+			sm.mu.Unlock()
+		}
+	}
+}
+
+// tierBytes returns the bytes a tier's two generations hold: the
+// capacities of their slices and the identities they intern.
+func tierBytes(sm *SharedMemo) int {
+	return heldBytes(reflect.ValueOf(sm.old)) + heldBytes(reflect.ValueOf(sm.cur)) +
+		internedBytes(&sm.old) + internedBytes(&sm.cur)
+}
+
+// internedBytes sums the lengths of the identities g's intern table
+// holds; heldBytes counts no map.
+func internedBytes(g *generation) int {
+	n := 0
+	for id := range g.ids {
+		n += len(id)
+	}
+	return n
 }
 
 // heldBytes sums the capacities, in bytes, of the slices in v and in

@@ -53,7 +53,8 @@ func TestE2EMemoColdIdentity(t *testing.T) {
 // server: twice as alice, once as bob. The second alice session must
 // learn the identical query while paying strictly fewer wire
 // questions; bob, a distinct identity, must pay full price — cached
-// answers never cross users.
+// answers never cross users. The tier's bytes gauge stays within a
+// bound per cached answer.
 func TestE2EMemoWarmRepeat(t *testing.T) {
 	srv, c := startServer(t, serve.Config{})
 	target := targets(difffuzz.ClassQhorn1, 23, 1)[0]
@@ -96,6 +97,11 @@ func TestE2EMemoWarmRepeat(t *testing.T) {
 	}
 	if srv.Memo().Len() == 0 {
 		t.Error("shared tier is empty after three sessions")
+	}
+	// The tier's storage, its first 64-slot table included, stays
+	// within 48 bytes per cached answer (29 measured).
+	if bytes, n := srv.Registry().Gauge(obs.MetricMemoTierBytes).Value(), srv.Memo().Len(); bytes <= 0 || bytes > 48*float64(n) {
+		t.Errorf("qhornd_memo_bytes = %v for %d cached answers, want above 0 and at most 48 per answer", bytes, n)
 	}
 }
 

@@ -83,8 +83,9 @@ type Config struct {
 }
 
 // DefaultMemoCapacity is the shared memo tier bound a zero Config
-// selects: a million cached answers, at most about 100 MB when full at
-// role-preserving question sizes (oracle.SharedMemo).
+// selects: a million cached answers, at most about 66 MB when full at
+// role-preserving question sizes plus one copy of each identity per
+// generation (oracle.SharedMemo; the qhornd_memo_bytes gauge).
 const DefaultMemoCapacity = 1 << 20
 
 // HTTP hardening defaults of Start's listener (Config zero values).
@@ -158,6 +159,7 @@ func New(cfg Config) *Server {
 		s.reg.Describe(obs.MetricMemoTierMisses, "questions the shared memo tier forwarded and got answered")
 		s.reg.Describe(obs.MetricMemoTierEvictions, "answers the full shared memo tier evicted, oldest first")
 		s.reg.Describe(obs.MetricMemoTierSize, "answers currently cached by the shared memo tier")
+		s.reg.Describe(obs.MetricMemoTierBytes, "bytes the shared memo tier holds, identities included")
 	}
 	s.reg.Describe(obs.MetricServeSessionsActive, "qhornd sessions with an unfinished learner run")
 	s.reg.Describe(obs.MetricServeQuestionsOutstanding, "questions posted to answerers and not yet answered")

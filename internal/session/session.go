@@ -18,13 +18,13 @@
 // question's tuples as uvarints (boolean.Set.AppendID), keyed by one
 // process-wide random seed, so snapshots decoded from untrusted clients
 // cannot be crafted to collide; a hash match is confirmed with
-// boolean.Set.Equal. Each entry's hash is kept beside the entries, so
-// growing the table reinserts positions without hashing again. Lookups hash through a
-// reused scratch buffer, and recording a question allocates only when
-// a slice or the table grows: no per-question key is ever built. The
-// first record reserves entries, hashes and table for a typical
-// session at once (historyBlock). The hex wire key (Set.Key) is never
-// built here.
+// boolean.Set.Equal. Each entry's 32-bit hash is kept beside the
+// entries, so growing the table reinserts positions without hashing
+// again. Lookups hash through a reused scratch buffer, and recording a
+// question allocates only when a slice or the table grows: no
+// per-question key is ever built. The first record reserves entries,
+// hashes and table for a typical session at once (historyBlock). The
+// hex wire key (Set.Key) is never built here.
 //
 // A Session is NOT concurrency-safe: its history serializes the
 // amendment protocol, so one goroutine asks through it. Engine runs
@@ -96,20 +96,20 @@ const historyBlock = 256
 
 // hash returns the hash of q's AppendID bytes, encoding them into the
 // reused scratch buffer.
-func (s *Session) hash(q boolean.Set) uint64 {
+func (s *Session) hash(q boolean.Set) uint32 {
 	s.id = q.AppendID(s.id[:0])
 	return hashindex.Sum(s.id)
 }
 
 // find returns the history position of q, whose hash is h.
-func (s *Session) find(h uint64, q boolean.Set) (int32, bool) {
+func (s *Session) find(h uint32, q boolean.Set) (int32, bool) {
 	return s.history.Find(h, func(i int32) bool { return s.entries[i].Question.Equal(q) })
 }
 
 // record appends a new history entry whose question hashes to h. The
 // first record — and the first after Forget(0) — reserves the
 // historyBlock.
-func (s *Session) record(h uint64, e Entry) {
+func (s *Session) record(h uint32, e Entry) {
 	if cap(s.entries) == 0 {
 		s.entries = make([]Entry, 0, historyBlock)
 		s.history.Reserve(historyBlock)
