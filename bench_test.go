@@ -13,6 +13,7 @@ import (
 	"qhorn/internal/boolean"
 	"qhorn/internal/brute"
 	"qhorn/internal/deep"
+	"qhorn/internal/difffuzz"
 	"qhorn/internal/learn"
 	"qhorn/internal/nested"
 	"qhorn/internal/oracle"
@@ -382,6 +383,32 @@ func BenchmarkSessionReplay(b *testing.B) {
 			b.Fatal("replay asked live questions")
 		}
 	}
+}
+
+// BenchmarkLearnRPSession is one role-preserving learn in process over
+// a fresh interaction history, batched and counted, on random targets
+// of 16 to 28 variables: the per-question path (question building,
+// history lookup and record, target evaluation) with no transport.
+func BenchmarkLearnRPSession(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	var targets []query.Query
+	var users []oracle.Oracle
+	for n := 16; n <= 28; n++ {
+		for range 2 {
+			q := difffuzz.GenCase(rng, difffuzz.ClassRP, n, n).Hidden
+			targets = append(targets, q)
+			users = append(users, oracle.Target(q))
+		}
+	}
+	questions := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i % len(targets)
+		s := session.New(users[j])
+		learn.Run(targets[j].U, s, run.WithAlgorithm(run.RolePreserving), run.WithBatch(), run.WithCounter())
+		questions += s.LiveQuestions
+	}
+	b.ReportMetric(float64(questions)/float64(b.N), "questions/op")
 }
 
 // E16: the learner with optimizations disabled.

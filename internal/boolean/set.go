@@ -123,17 +123,17 @@ func (s Set) AnyContains(conj Tuple) bool {
 // key when memoizing oracle answers and as a question's wire key. The
 // encoding is the sorted tuple list in lowercase hex, which is unique
 // per set; ParseKey inverts it. The key is built on every call: code
-// that only needs an in-process index hashes AppendID instead.
+// that only needs an in-process index uses raw bytes instead.
 func (s Set) Key() string { return buildKey(s.tuples) }
 
 // AppendID appends the set's tuples to dst as uvarints (2 bytes a
 // tuple at up to 14 variables) and returns the extended slice. A
 // uvarint marks its own length, so like Key the encoding is unique per
-// set, but it costs no formatting. A caller that keeps dst as scratch
-// can hash it (hash/maphash) into its own table and confirm a hash
-// match with Equal, as the interaction history does, or key a store
-// with it, as the shared memo tier does, paying no allocation per
-// question.
+// set, but it costs no formatting. It suits a caller that stores the
+// bytes: the shared memo tier keys its arena with them, paying no
+// allocation per question. A caller that only hashes a set, as the
+// interaction history does, encodes fixed 8-byte words instead, which
+// cost less to encode than uvarints.
 func (s Set) AppendID(dst []byte) []byte {
 	for _, t := range s.tuples {
 		dst = binary.AppendUvarint(dst, uint64(t))

@@ -34,10 +34,16 @@ type rpLearner struct {
 	// in carries the observability hooks (run.WithInstrumentation);
 	// its zero value is silent.
 	in instr
-	// pruneTuples' scratch, reused across calls: the question, the
-	// kept tuples it returns (valid until the next call), the
-	// candidate pool and the binary search's settled half.
-	buf, kept, pool, extra []boolean.Tuple
+	// Scratch reused across calls, held in order so that every question
+	// is a merge (mergeUnion): findConjunctions' pending tuples,
+	// ascending with repeats; the question; pruneTuples' result in
+	// discovery order (valid until the next call) and ascending; and
+	// Algorithm 8's candidate pool, descending.
+	pending, buf, kept, keptAsc, pool []boolean.Tuple
+	// visited holds the search roots every bodySearch of the learn
+	// has asked about. A root for head h holds every other head and
+	// not h, so the tuple alone identifies its head too.
+	visited map[boolean.Tuple]bool
 }
 
 func (l *rpLearner) ask(s boolean.Set) bool {
@@ -240,7 +246,7 @@ type bodySearch struct {
 	all, free, pinned, top boolean.Tuple
 	stage                  bodyStage
 	found                  []boolean.Tuple
-	visited                map[boolean.Tuple]bool
+	visited                map[boolean.Tuple]bool // shared by the learn's searches (rpLearner.visited)
 	queue                  []boolean.Tuple
 	cur                    boolean.Tuple // the root, then the minimization point
 	drop                   boolean.Tuple // Algorithm 6's variables still to try dropping, lowest first
@@ -258,7 +264,10 @@ func (l *rpLearner) newBodySearch(h int, headSet boolean.Tuple) *bodySearch {
 	all := l.u.All()
 	free := all.Minus(headSet)
 	pinned := headSet.Without(h) // other heads true, h false
-	return &bodySearch{in: &l.in, h: h, all: all, free: free, pinned: pinned, top: free.Union(pinned)}
+	if l.visited == nil {
+		l.visited = map[boolean.Tuple]bool{}
+	}
+	return &bodySearch{in: &l.in, h: h, all: all, free: free, pinned: pinned, top: free.Union(pinned), visited: l.visited}
 }
 
 // question is the lattice question about point t. The tuples go in
@@ -289,8 +298,9 @@ func (s *bodySearch) next() (boolean.Tuple, bool) {
 			s.found = append(s.found, b)
 			// Regenerate the search roots: one excluded variable from
 			// each known body (§3.2.1's |B1|×…×|Bm| roots).
-			s.queue = s.queue[:0]
-			for _, r := range bodyRoots(s.top, s.found) {
+			roots := bodyRoots(s.queue[:0], s.top, s.found)
+			s.queue = roots[:0]
+			for _, r := range roots {
 				if !s.visited[r] {
 					s.queue = append(s.queue, r)
 				}
@@ -322,7 +332,6 @@ func (s *bodySearch) answer(hasBody bool) {
 			s.found = []boolean.Tuple{0}
 			return
 		}
-		s.visited = map[boolean.Tuple]bool{}
 		s.queue = []boolean.Tuple{s.top}
 	case stageRoot:
 		if hasBody {
@@ -340,15 +349,15 @@ func (s *bodySearch) answer(hasBody bool) {
 	}
 }
 
-// bodyRoots enumerates the tuples obtained from top by setting false
-// exactly one variable from each body in found (the cartesian
+// bodyRoots appends to dst the tuples obtained from top by setting
+// false exactly one variable from each body in found (the cartesian
 // product of the bodies), deduplicated, in descending order.
-func bodyRoots(top boolean.Tuple, found []boolean.Tuple) []boolean.Tuple {
-	var roots []boolean.Tuple
+func bodyRoots(dst []boolean.Tuple, top boolean.Tuple, found []boolean.Tuple) []boolean.Tuple {
+	start := len(dst)
 	var rec func(i int, excluded boolean.Tuple)
 	rec = func(i int, excluded boolean.Tuple) {
 		if i == len(found) {
-			roots = append(roots, top.Minus(excluded))
+			dst = append(dst, top.Minus(excluded))
 			return
 		}
 		for b := found[i]; b != 0; b &= b - 1 {
@@ -356,10 +365,11 @@ func bodyRoots(top boolean.Tuple, found []boolean.Tuple) []boolean.Tuple {
 		}
 	}
 	rec(0, 0)
+	roots := dst[start:]
 	slices.Sort(roots)
 	roots = slices.Compact(roots)
 	slices.Reverse(roots)
-	return roots
+	return dst[:start+len(roots)]
 }
 
 // findConjunctions runs the lattice descent of Algorithm 7 over the
@@ -396,14 +406,18 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 	}
 
 	frontier := []boolean.Tuple{l.u.All()}
-	// Reused across iterations: each question's base and children live
-	// one iteration; the dedupe set and the spent frontier's storage,
-	// which holds the next level, one level.
-	var base, children, next []boolean.Tuple
+	// Reused across iterations: each question's children live one
+	// iteration; the dedupe set and the spent frontier's storage,
+	// which holds the next level, one level. At step i, l.pending is
+	// discovered ∪ frontier[i+1:] ∪ next.
+	var children, next []boolean.Tuple
 	seen := map[boolean.Tuple]bool{}
 	for len(frontier) > 0 {
+		l.pending = append(append(l.pending[:0], discovered...), frontier...)
+		slices.Sort(l.pending)
 		for i := 0; i < len(frontier); i++ {
 			t := frontier[i]
+			l.pending = removeSorted(l.pending, t)
 			if dominatedByDiscovered(t) {
 				// Everything at or below t is dominated by a known
 				// conjunction (rule R1): stop descending.
@@ -413,7 +427,7 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 			l.in.visited()
 			// Children that do not violate a universal Horn
 			// expression (the lattice of §3.2.2 with violating
-			// tuples removed).
+			// tuples removed), in descending order.
 			children = children[:0]
 			for b := t; b != 0; b &= b - 1 {
 				c := t &^ (b & -b)
@@ -423,17 +437,18 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 					l.in.pruned(1)
 				}
 			}
-			base = appendTuples(base[:0], discovered, frontier[i+1:], next)
-			asked := append(base, children...)
-			base = asked[:len(base)] // keep the capacity the append grew
 			notef(&l.in, "existential", conjunctionPurpose, t)
-			if l.ask(boolean.NewSet(asked...)) {
-				kept := l.pruneTuples(children, base)
-				next = append(next, kept...)
+			l.buf = mergeUnion(l.buf, l.pending, nil, children)
+			if l.ask(boolean.NewSet(l.buf...)) {
+				for _, k := range l.pruneTuples(children, l.pending) {
+					next = append(next, k)
+					l.pending = insertSorted(l.pending, k)
+				}
 			} else {
 				// Replacing t with its children flipped the response:
 				// t distinguishes a conjunction of the target.
 				discovered = append(discovered, t)
+				l.pending = insertSorted(l.pending, t)
 			}
 		}
 		frontier, next = dedupeTuples(next, seen), frontier[:0]
@@ -444,14 +459,19 @@ func (l *rpLearner) findConjunctions(universals []query.Expr) []boolean.Tuple {
 // pruneTuples implements Algorithm 8: it returns a small subset K of
 // cands such that the question base ∪ K is still an answer, asking
 // O(|K| lg |cands|) questions. Monotonicity holds because every tuple
-// involved is universal-violation free.
+// involved is universal-violation free. base is ascending and cands
+// descending, as findConjunctions builds them, so every question is a
+// merge of sorted pieces.
 func (l *rpLearner) pruneTuples(cands []boolean.Tuple, base []boolean.Tuple) []boolean.Tuple {
 	defer l.in.begin("prune")()
-	askWith := func(extra ...[]boolean.Tuple) bool {
+	// askWith asks base ∪ kept ∪ desc, where desc, like cands, is
+	// descending.
+	askWith := func(desc []boolean.Tuple) bool {
 		l.in.note("existential", "which candidate tuples are needed to keep your query satisfied?")
-		l.buf = appendTuples(append(l.buf[:0], base...), extra...)
+		l.buf = mergeUnion(l.buf, base, l.keptAsc, desc)
 		return l.ask(boolean.NewSet(l.buf...))
 	}
+	l.kept, l.keptAsc = l.kept[:0], l.keptAsc[:0]
 	if l.ablations.SerialPrune {
 		// The pre-optimization strategy of §3.2.2: try removing each
 		// tuple individually, keeping it when the question flips to a
@@ -467,8 +487,7 @@ func (l *rpLearner) pruneTuples(cands []boolean.Tuple, base []boolean.Tuple) []b
 		}
 		return kept
 	}
-	l.kept = l.kept[:0]
-	for !askWith(l.kept) {
+	for !askWith(nil) {
 		// The full candidate set restores the answer; binary-search
 		// one necessary tuple.
 		l.pool = l.pool[:0]
@@ -477,25 +496,25 @@ func (l *rpLearner) pruneTuples(cands []boolean.Tuple, base []boolean.Tuple) []b
 				l.pool = append(l.pool, c)
 			}
 		}
-		work := l.pool
-		if len(work) == 0 {
+		if len(l.pool) == 0 {
 			// Only possible with an oracle inconsistent with every
 			// query in the class (e.g. a noisy user): the answer
 			// cannot be restored, so keep everything and move on.
 			return cands
 		}
-		l.extra = l.extra[:0]
-		for len(work) > 1 {
-			half := work[:len(work)/2]
-			rest := work[len(work)/2:]
-			if askWith(l.kept, l.extra, half) {
-				work = half
+		// The tuple sought lies in pool[lo:hi]. The settled halves and
+		// the half on trial are always a prefix of the pool.
+		lo, hi := 0, len(l.pool)
+		for hi-lo > 1 {
+			mid := lo + (hi-lo)/2
+			if askWith(l.pool[:mid]) {
+				hi = mid
 			} else {
-				l.extra = append(l.extra, half...)
-				work = rest
+				lo = mid
 			}
 		}
-		l.kept = append(l.kept, work[0])
+		l.kept = append(l.kept, l.pool[lo])
+		l.keptAsc = insertSorted(l.keptAsc, l.pool[lo])
 	}
 	return l.kept
 }
@@ -509,12 +528,43 @@ func containsTuple(ts []boolean.Tuple, t boolean.Tuple) bool {
 	return false
 }
 
-// appendTuples appends every group to dst.
-func appendTuples(dst []boolean.Tuple, groups ...[]boolean.Tuple) []boolean.Tuple {
-	for _, g := range groups {
-		dst = append(dst, g...)
+// mergeUnion returns, in buf's storage, the union of a and b, both
+// ascending, and desc, descending: ascending and without repeats,
+// which boolean.NewSet takes without sorting. A piece may hold
+// repeats.
+func mergeUnion(buf, a, b, desc []boolean.Tuple) []boolean.Tuple {
+	dst, k := slices.Grow(buf[:0], len(a)+len(b)+len(desc)), len(desc)
+	for len(a) > 0 || len(b) > 0 || k > 0 {
+		var t boolean.Tuple
+		switch {
+		case len(a) > 0 && (len(b) == 0 || a[0] <= b[0]) && (k == 0 || a[0] <= desc[k-1]):
+			t, a = a[0], a[1:]
+		case len(b) > 0 && (k == 0 || b[0] <= desc[k-1]):
+			t, b = b[0], b[1:]
+		default:
+			k--
+			t = desc[k]
+		}
+		if n := len(dst); n == 0 || dst[n-1] != t {
+			dst = append(dst, t)
+		}
 	}
 	return dst
+}
+
+// insertSorted inserts t into the ascending ts, keeping repeats.
+func insertSorted(ts []boolean.Tuple, t boolean.Tuple) []boolean.Tuple {
+	i, _ := slices.BinarySearch(ts, t)
+	return slices.Insert(ts, i, t)
+}
+
+// removeSorted removes one copy of t from the ascending ts, if it
+// holds one.
+func removeSorted(ts []boolean.Tuple, t boolean.Tuple) []boolean.Tuple {
+	if i, ok := slices.BinarySearch(ts, t); ok {
+		return slices.Delete(ts, i, i+1)
+	}
+	return ts
 }
 
 // dedupeTuples removes repeats from ts in place, keeping first

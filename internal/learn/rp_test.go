@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -277,5 +278,55 @@ func TestQuickLearnerVerifierAgree(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSortedTupleHelpers checks the sorted builders of the existential
+// questions against sorting: mergeUnion of two ascending pieces and a
+// descending one, each possibly empty and holding repeats, equals
+// slices.Sort plus slices.Compact of their concatenation, and
+// insertSorted and removeSorted keep a multiset ascending. Tuples are
+// drawn from a small range so repeats across pieces are common.
+func TestSortedTupleHelpers(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	piece := func(desc bool) []boolean.Tuple {
+		ts := make([]boolean.Tuple, rng.Intn(7))
+		for i := range ts {
+			ts[i] = boolean.Tuple(rng.Intn(12))
+		}
+		slices.Sort(ts)
+		if desc {
+			slices.Reverse(ts)
+		}
+		return ts
+	}
+	var buf []boolean.Tuple
+	for i := 0; i < 5000; i++ {
+		a, b, desc := piece(false), piece(false), piece(true)
+		want := slices.Concat(a, b, desc)
+		slices.Sort(want)
+		want = slices.Compact(want)
+		buf = mergeUnion(buf, a, b, desc)
+		if !slices.Equal(buf, want) {
+			t.Fatalf("mergeUnion(%v, %v, %v) = %v, want %v", a, b, desc, buf, want)
+		}
+
+		ms := slices.Clone(a)
+		x := boolean.Tuple(rng.Intn(12))
+		ms = insertSorted(ms, x)
+		want = append(slices.Clone(a), x)
+		slices.Sort(want)
+		if !slices.Equal(ms, want) {
+			t.Fatalf("insertSorted(%v, %v) = %v, want %v", a, x, ms, want)
+		}
+		y := boolean.Tuple(rng.Intn(12))
+		got := removeSorted(slices.Clone(ms), y)
+		want = slices.Clone(ms)
+		if j := slices.Index(want, y); j >= 0 {
+			want = slices.Delete(want, j, j+1)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("removeSorted(%v, %v) = %v, want %v", ms, y, got, want)
+		}
 	}
 }

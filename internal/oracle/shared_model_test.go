@@ -226,7 +226,9 @@ func TestSharedMemoSteadyState(t *testing.T) {
 	// every key (two tuples and a 1-byte identity number) is 7 bytes
 	// long and no arena regrows once grown.
 	u := boolean.MustUniverse(16)
-	qs := make([]boolean.Set, 3*capacity)
+	// runs counted calls of capacity answers each; see below.
+	const runs = 4
+	qs := make([]boolean.Set, (runs+3)*capacity)
 	for i := range qs {
 		qs[i] = boolean.NewSet(boolean.Tuple(1<<14+i), u.All())
 	}
@@ -244,16 +246,19 @@ func TestSharedMemoSteadyState(t *testing.T) {
 	for next < 3*capacity/2 {
 		store()
 	}
-	// AllocsPerRun's warm-up call stores answers 1.5·capacity to
-	// 2·capacity, so the second generation grows to capacity; its one
-	// counted call stores the next capacity/2, and the first of them
-	// swaps the generations.
-	if n := testing.AllocsPerRun(1, func() {
-		for range capacity / 2 {
+	// A generation swap stores answer k·capacity+1. AllocsPerRun's
+	// warm-up call stores answers 1.5·capacity to 2.5·capacity, so the
+	// second generation grows to capacity and the first is reused;
+	// each counted call stores the next capacity, one swap among them.
+	// AllocsPerRun averages over the calls, rounding down, so one stray
+	// runtime allocation in the process reads 0, while one allocation
+	// per swap or per store reads at least 1.
+	if n := testing.AllocsPerRun(runs, func() {
+		for range capacity {
 			store()
 		}
 	}); n != 0 {
-		t.Errorf("storing %d answers in a full tier allocates %v times, want 0", capacity/2, n)
+		t.Errorf("storing %d answers in a full tier allocates %v times a swap, want 0", capacity, n)
 	}
 	held := tierBytes(sm)
 	for next < len(qs) {

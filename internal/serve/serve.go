@@ -401,6 +401,12 @@ const maxBodyBytes = 8 << 20
 
 var errBodyTooLarge = fmt.Errorf("serve: request body exceeds %d bytes", maxBodyBytes)
 
+// maxUserBytes caps a create's user identity, and its snapshot's. The
+// shared memo tier holds each identity it has answers for at full
+// length, and bounds its answers, not their bytes, so an unbounded
+// identity would let each create pin up to maxBodyBytes in the tier.
+const maxUserBytes = 256
+
 // decodeBody decodes a JSON request body of at most maxBodyBytes into
 // v with decodeStrict, writing the 400 or 413 itself and reporting
 // false on failure.
@@ -428,6 +434,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	given := req.Given
 	budget := req.Budget
 	user := req.User
+	if len(req.User) > maxUserBytes || req.Snapshot != nil && len(req.Snapshot.User) > maxUserBytes {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: user identity longer than %d bytes", maxUserBytes))
+		return
+	}
 	var history []byte
 	if req.Snapshot != nil {
 		snap := req.Snapshot

@@ -194,11 +194,28 @@ func TestBadRequests(t *testing.T) {
 		{Snapshot: noVariables(serve.ModeLearn, "rp", "")},
 		{Snapshot: noVariables(serve.ModeVerify, "qhorn1", "⊤")},
 		{Snapshot: noVariables(serve.ModeVerify, "rp", "⊤")},
+		// A user identity is at most 256 bytes, in a create or in the
+		// snapshot it resumes.
+		{Variables: 3, User: strings.Repeat("u", 257)},
+		{Variables: 3, User: strings.Repeat("u", 257), Snapshot: &serve.Snapshot{Version: 1, Budget: -1,
+			History: json.RawMessage(`{"variables":3,"entries":[]}`)}},
+		{Snapshot: &serve.Snapshot{Version: 1, Budget: -1, User: strings.Repeat("u", 257),
+			History: json.RawMessage(`{"variables":3,"entries":[]}`)}},
 	}
 	for _, req := range cases {
 		if _, err := c.Create(req); !serve.IsStatus(err, http.StatusBadRequest) {
 			body, _ := json.Marshal(req)
 			t.Errorf("create %s: %v, want 400", body, err)
+		}
+	}
+	// The same creates with a 256-byte identity are accepted.
+	for _, req := range []serve.CreateRequest{
+		{Variables: 3, User: strings.Repeat("u", 256)},
+		{Snapshot: &serve.Snapshot{Version: 1, Budget: -1, User: strings.Repeat("u", 256),
+			History: json.RawMessage(`{"variables":3,"entries":[]}`)}},
+	} {
+		if _, err := c.Create(req); err != nil {
+			t.Errorf("create with a 256-byte user: %v", err)
 		}
 	}
 	// Bad long-poll duration.

@@ -27,7 +27,8 @@ type CreateRequest struct {
 	// the same user share the server's cross-session memo tier —
 	// questions one session settled are answered from the cache in
 	// later sessions — while distinct users never share answers.
-	// Empty opts the session out of the tier.
+	// Empty opts the session out of the tier; longer than 256 bytes
+	// is a 400.
 	User string `json:"user,omitempty"`
 	// Snapshot resumes a persisted session instead of starting fresh;
 	// every other field is taken from the snapshot.

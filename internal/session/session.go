@@ -15,9 +15,10 @@
 // by a small open-addressed hash table (hashindex.Index): a
 // power-of-two slice of entry positions, kept at most half full, probed
 // linearly from a question's hash. The hash is hashindex.Sum over the
-// question's tuples as uvarints (boolean.Set.AppendID), keyed by one
-// process-wide random seed, so snapshots decoded from untrusted clients
-// cannot be crafted to collide; a hash match is confirmed with
+// question's tuples as fixed 8-byte words (only the shared memo tier,
+// which stores its keys, uses boolean.Set.AppendID's uvarints), keyed
+// by one process-wide random seed, so snapshots decoded from untrusted
+// clients cannot be crafted to collide; a hash match is confirmed with
 // boolean.Set.Equal. Each entry's 32-bit hash is kept beside the
 // entries, so growing the table reinserts positions without hashing
 // again. Lookups hash through a reused scratch buffer, and recording a
@@ -38,7 +39,9 @@
 package session
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"qhorn/internal/boolean"
 	"qhorn/internal/hashindex"
@@ -71,7 +74,7 @@ type Session struct {
 	// not per lookup or per new question. Safe because a Session is
 	// single-goroutine by contract and no oracle wrapper retains the
 	// sub-batch slice past AskAll.
-	id    []byte          // AppendID of the question being hashed
+	id    []byte          // the question being hashed, 8 bytes a tuple
 	sub   []boolean.Set   // AskBatch: distinct new questions, first-occurrence order
 	fills []fill          // AskBatch: batch positions the sub-batch answers
 	inSub hashindex.Index // AskBatch: sub[j] is recorded under position j
@@ -94,11 +97,16 @@ func New(user oracle.Oracle) *Session {
 // session pays nothing before its first question reaches the user.
 const historyBlock = 256
 
-// hash returns the hash of q's AppendID bytes, encoding them into the
-// reused scratch buffer.
+// hash returns the hash of q's tuples as 8-byte little-endian words,
+// encoded into the reused scratch buffer: cheaper to encode than
+// AppendID's uvarints, which only the memo tier needs, as it stores them.
 func (s *Session) hash(q boolean.Set) uint32 {
-	s.id = q.AppendID(s.id[:0])
-	return hashindex.Sum(s.id)
+	id := slices.Grow(s.id[:0], 8*q.Size())
+	for _, t := range q.Tuples() {
+		id = binary.LittleEndian.AppendUint64(id, uint64(t))
+	}
+	s.id = id
+	return hashindex.Sum(id)
 }
 
 // find returns the history position of q, whose hash is h.
